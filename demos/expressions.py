@@ -7,7 +7,7 @@ import numpy as np
 
 from kyano import ExprSyntaxError, SingularEvaluation, eval2, parse_expression, unparse
 
-# parse once; evaluate with first and second derivatives from dual numbers
+# parse once; evaluate with first and second derivatives from forward-mode jets
 e = parse_expression("x1^2 * sin(x2) + exp(-x3)", 3)
 out = eval2(e, [2.0, np.pi / 2, 0.0])
 print("value   ", out.value)

@@ -6,7 +6,9 @@ non-degeneracy), Killing tensors and their conserved quadratics, geodesic
 and unified Hamiltonian flows, and the multipole identity suite.
 """
 
-from .dual import Dual1, Dual2
+__version__ = "0.1.0"
+
+from .dual import Jet
 from .errors import (
     DomainError,
     ExprSyntaxError,
@@ -81,5 +83,3 @@ from .multipole import (
     reconstruct_ky_from_generators,
 )
 from .report import assemble_report
-
-__version__ = "0.1.0"

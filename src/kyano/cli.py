@@ -8,19 +8,15 @@ verification report).
 Exit codes: 0 when the requested check passes or the run completes, 1
 when a check fails or a trajectory truncates early, 2 for usage or input
 errors.  JSON output is deterministic for fixed inputs and ``--seed``;
-``--out`` writes are atomic.  The ``KYANO_THREADS`` environment variable,
-when set, is propagated to the numeric backends (best effort) and
-recorded in reports.
+``--out`` writes are atomic.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -29,14 +25,6 @@ from .dynamics import PhasePoint, angular_momentum, conservation_monitor, \
     free_hamiltonian, geodesic_integrate, killing_quadratic, write_trajectory_csv
 from .errors import KyanoError
 from .fields import AntisymTensorField
-
-
-def _apply_thread_env() -> Optional[str]:
-    value = os.environ.get("KYANO_THREADS")
-    if value:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, value)
-    return value
 
 
 def _emit(args, obj, table: str) -> None:
@@ -177,16 +165,9 @@ def cmd_geodesic(args) -> int:
 
 def cmd_multipole(args) -> int:
     _require_samples(args.samples)
-    rng = np.random.default_rng(args.seed)
-    points = [
-        PhasePoint(rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3))
-        for _ in range(args.samples)
-    ]
-    rep = multipole.identity_suite(points, tol=args.tol)
-    verdicts = rep.verdicts()
-    mismatches = {
-        k: v for k, v in verdicts.items() if multipole.EXPECTED_VERDICTS.get(k) != v
-    }
+    rep, mismatches = multipole.sampled_identity_suite(
+        np.random.default_rng(args.seed), args.samples, tol=args.tol
+    )
     out = rep.to_dict()
     out["schema"] = "kyano/1"
     out["seed"] = args.seed
@@ -269,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

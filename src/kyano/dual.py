@@ -1,143 +1,88 @@
-"""Forward-mode dual scalars carrying exact first and second derivatives.
+"""Forward-mode jets carrying exact first and, optionally, second derivatives.
 
-``Dual1`` propagates a value and a gradient, ``Dual2`` additionally a full
-Hessian.  Both are plain value types over numpy arrays; all rules are the
-exact chain rule, so results are bit-reproducible and carry no truncation
-error.  The module-level math functions (:func:`sin`, :func:`sqrt`, ...)
-accept duals or ordinary numbers and enforce the same domain restrictions
-for both, raising :class:`~kyano.errors.SingularEvaluation` at poles.
+A :class:`Jet` propagates a value, a gradient and, for second-order jets,
+a full Hessian; a first-order jet has ``hessian = None``.  Jets are plain
+value types over numpy arrays; all rules are the exact chain rule, so
+results are bit-reproducible and carry no truncation error.  The
+module-level math functions (:func:`sin`, :func:`sqrt`, ...) accept jets
+or ordinary numbers and enforce the same domain restrictions for both,
+raising :class:`~kyano.errors.SingularEvaluation` at poles.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import SingularEvaluation
 
-Scalar = Union[float, "Dual1", "Dual2"]
+Scalar = Union[float, "Jet"]
 
 
-class Dual1:
-    """First-order dual scalar: value plus gradient of length ``n``."""
+class Jet:
+    """Value, gradient of length ``n`` and, at order 2, the symmetric Hessian.
 
-    __slots__ = ("value", "gradient")
-
-    def __init__(self, value: float, gradient: np.ndarray):
-        self.value = float(value)
-        self.gradient = np.asarray(gradient, dtype=float)
-
-    @classmethod
-    def constant(cls, value: float, n: int) -> "Dual1":
-        return cls(value, np.zeros(n))
-
-    @classmethod
-    def seed(cls, value: float, i: int, n: int) -> "Dual1":
-        g = np.zeros(n)
-        g[i] = 1.0
-        return cls(value, g)
-
-    def _chain(self, f: float, df: float) -> "Dual1":
-        return Dual1(f, df * self.gradient)
-
-    def __add__(self, other):
-        if isinstance(other, Dual1):
-            return Dual1(self.value + other.value, self.gradient + other.gradient)
-        if isinstance(other, (int, float)):
-            return Dual1(self.value + other, self.gradient)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Dual1(-self.value, -self.gradient)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Dual1):
-            return Dual1(
-                self.value * other.value,
-                self.value * other.gradient + other.value * self.gradient,
-            )
-        if isinstance(other, (int, float)):
-            return Dual1(self.value * other, self.gradient * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def _reciprocal(self) -> "Dual1":
-        if self.value == 0.0:
-            raise SingularEvaluation("division by zero")
-        inv = 1.0 / self.value
-        return self._chain(inv, -inv * inv)
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual1):
-            return self * other._reciprocal()
-        if isinstance(other, (int, float)):
-            if other == 0:
-                raise SingularEvaluation("division by zero")
-            return self * (1.0 / other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, float)):
-            return other * self._reciprocal()
-        return NotImplemented
-
-    def __pow__(self, k):
-        return power(self, k)
-
-    def __repr__(self):
-        return f"Dual1({self.value!r}, grad={self.gradient!r})"
-
-
-class Dual2:
-    """Second-order dual scalar: value, gradient, and symmetric Hessian."""
+    The float arrays are stored as given; :meth:`seeds` and :meth:`lift`
+    build jets from plain numbers.
+    """
 
     __slots__ = ("value", "gradient", "hessian")
 
-    def __init__(self, value: float, gradient: np.ndarray, hessian: np.ndarray):
+    def __init__(self, value: float, gradient: np.ndarray, hessian: Optional[np.ndarray] = None):
         self.value = float(value)
-        self.gradient = np.asarray(gradient, dtype=float)
-        self.hessian = np.asarray(hessian, dtype=float)
+        self.gradient = gradient
+        self.hessian = hessian
+
+    @property
+    def order(self) -> int:
+        return 1 if self.hessian is None else 2
 
     @classmethod
-    def constant(cls, value: float, n: int) -> "Dual2":
-        return cls(value, np.zeros(n), np.zeros((n, n)))
+    def seeds(cls, point: Sequence[float], order: int) -> list["Jet"]:
+        """One independent variable per coordinate of ``point``."""
+        if order not in (1, 2):
+            raise ValueError("jet order must be 1 or 2")
+        n = len(point)
+        eye = np.eye(n)
+        return [
+            cls(point[i], eye[i], np.zeros((n, n)) if order == 2 else None)
+            for i in range(n)
+        ]
 
     @classmethod
-    def seed(cls, value: float, i: int, n: int) -> "Dual2":
-        g = np.zeros(n)
-        g[i] = 1.0
-        return cls(value, g, np.zeros((n, n)))
+    def lift(cls, x: Scalar, n: int, order: int) -> "Jet":
+        """``x`` itself if it is a jet, else a jet with zero derivatives.
 
-    def _chain(self, f: float, df: float, d2f: float) -> "Dual2":
+        Evaluating a component that does not depend on the seeds returns
+        a plain number; this turns it into a jet of the requested order.
+        """
+        if isinstance(x, Jet):
+            return x
+        return cls(x, np.zeros(n), np.zeros((n, n)) if order == 2 else None)
+
+    def _chain(self, f: float, df: float, d2f: float) -> "Jet":
         g = self.gradient
-        return Dual2(f, df * g, df * self.hessian + d2f * np.outer(g, g))
+        if self.hessian is None:
+            return Jet(f, df * g)
+        return Jet(f, df * g, df * self.hessian + d2f * np.outer(g, g))
 
     def __add__(self, other):
-        if isinstance(other, Dual2):
-            return Dual2(
+        if isinstance(other, Jet):
+            return Jet(
                 self.value + other.value,
                 self.gradient + other.gradient,
-                self.hessian + other.hessian,
+                None if self.hessian is None else self.hessian + other.hessian,
             )
         if isinstance(other, (int, float)):
-            return Dual2(self.value + other, self.gradient, self.hessian)
+            return Jet(self.value + other, self.gradient, self.hessian)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Dual2(-self.value, -self.gradient, -self.hessian)
+        return Jet(-self.value, -self.gradient, None if self.hessian is None else -self.hessian)
 
     def __sub__(self, other):
         return self + (-other)
@@ -146,30 +91,35 @@ class Dual2:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Dual2):
+        if isinstance(other, Jet):
+            value = self.value * other.value
+            gradient = self.value * other.gradient + other.value * self.gradient
+            if self.hessian is None:
+                return Jet(value, gradient)
             cross = np.outer(self.gradient, other.gradient)
-            return Dual2(
-                self.value * other.value,
-                self.value * other.gradient + other.value * self.gradient,
-                self.value * other.hessian
-                + other.value * self.hessian
-                + cross
-                + cross.T,
+            return Jet(
+                value,
+                gradient,
+                self.value * other.hessian + other.value * self.hessian + cross + cross.T,
             )
         if isinstance(other, (int, float)):
-            return Dual2(self.value * other, self.gradient * other, self.hessian * other)
+            return Jet(
+                self.value * other,
+                self.gradient * other,
+                None if self.hessian is None else self.hessian * other,
+            )
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def _reciprocal(self) -> "Dual2":
+    def _reciprocal(self) -> "Jet":
         if self.value == 0.0:
             raise SingularEvaluation("division by zero")
         inv = 1.0 / self.value
         return self._chain(inv, -inv * inv, 2.0 * inv * inv * inv)
 
     def __truediv__(self, other):
-        if isinstance(other, Dual2):
+        if isinstance(other, Jet):
             return self * other._reciprocal()
         if isinstance(other, (int, float)):
             if other == 0:
@@ -186,14 +136,12 @@ class Dual2:
         return power(self, k)
 
     def __repr__(self):
-        return f"Dual2({self.value!r}, grad={self.gradient!r})"
+        return f"Jet({self.value!r}, grad={self.gradient!r}, order={self.order})"
 
 
 def value_of(x: Scalar) -> float:
-    """Plain float value of a dual or ordinary number."""
-    if isinstance(x, (Dual1, Dual2)):
-        return x.value
-    return float(x)
+    """Plain float value of a jet or ordinary number."""
+    return x.value if isinstance(x, Jet) else float(x)
 
 
 def _as_int_exponent(k) -> "int | None":
@@ -215,12 +163,9 @@ def integer_power(base: Scalar, k: int) -> Scalar:
         if value_of(base) == 0.0:
             raise SingularEvaluation("zero raised to a negative power")
         return integer_power(1.0 / base, -k)
-    if isinstance(base, Dual1):
-        result: Scalar = Dual1.constant(1.0, base.gradient.shape[0])
-    elif isinstance(base, Dual2):
-        result = Dual2.constant(1.0, base.gradient.shape[0])
-    else:
-        result = 1.0
+    result: Scalar = 1.0
+    if isinstance(base, Jet):
+        result = Jet.lift(1.0, base.gradient.shape[0], base.order)
     # exponentiation by squaring keeps the multiplication count logarithmic
     acc = base
     e = k
@@ -239,7 +184,7 @@ def power(base: Scalar, k) -> Scalar:
     ki = _as_int_exponent(k)
     if ki is not None:
         return integer_power(base, ki)
-    if isinstance(k, (Dual1, Dual2)) or isinstance(base, (Dual1, Dual2)):
+    if isinstance(k, Jet) or isinstance(base, Jet):
         if value_of(base) <= 0.0:
             raise SingularEvaluation("non-integer power of a non-positive base")
         return exp(log(base) * k)
@@ -249,11 +194,7 @@ def power(base: Scalar, k) -> Scalar:
 
 
 def _apply(x: Scalar, f: float, df: float, d2f: float) -> Scalar:
-    if isinstance(x, Dual1):
-        return x._chain(f, df)
-    if isinstance(x, Dual2):
-        return x._chain(f, df, d2f)
-    return f
+    return x._chain(f, df, d2f) if isinstance(x, Jet) else f
 
 
 def sin(x: Scalar) -> Scalar:

@@ -2,7 +2,7 @@
 
 The Hamiltonian of free geodesic motion is H = (1/2) g^{mn}(x) p_m p_n.
 Integration is classic fourth-order Runge-Kutta with a fixed step; all
-right-hand sides come from dual-number jets of the metric, never from
+right-hand sides come from forward-mode jets of the metric, never from
 finite differences.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import expr as exprmod
 from . import geometry
-from .dual import Dual1, value_of
+from .dual import Jet, value_of
 from .errors import DomainError, SingularEvaluation, SingularMetric
 from .expr import Expression
 from .fields import AntisymTensorField
@@ -56,7 +56,7 @@ class PhaseFunction:
     """Differentiable scalar on phase space.
 
     ``value`` returns a float; ``gradient`` returns the length-2n array
-    (dF/dx1..dF/dxn, dF/dp1..dF/dpn), computed with dual numbers.
+    (dF/dx1..dF/dxn, dF/dp1..dF/dpn), computed with first-order jets.
     """
 
     def __init__(self, n: int, fn: Callable, label: str = ""):
@@ -73,21 +73,13 @@ class PhaseFunction:
 
         return cls(n, fn, label=source)
 
-    @classmethod
-    def from_callable(cls, n: int, fn: Callable, label: str = "") -> "PhaseFunction":
-        return cls(n, fn, label=label)
-
     def value(self, z: PhasePoint) -> float:
         return value_of(self._fn(list(z.x), list(z.p)))
 
     def gradient(self, z: PhasePoint) -> np.ndarray:
         n = self.n
-        coords = z.as_vector()
-        seeds = [Dual1.seed(float(coords[i]), i, 2 * n) for i in range(2 * n)]
-        out = self._fn(seeds[:n], seeds[n:])
-        if isinstance(out, Dual1):
-            return out.gradient
-        return np.zeros(2 * n)
+        seeds = Jet.seeds(z.as_vector(), 1)
+        return Jet.lift(self._fn(seeds[:n], seeds[n:]), 2 * n, 1).gradient
 
 
 class GeodesicHamiltonian(PhaseFunction):
@@ -102,17 +94,12 @@ class GeodesicHamiltonian(PhaseFunction):
         return 0.5 * float(z.p @ ginv @ z.p)
 
     def gradient(self, z: PhasePoint) -> np.ndarray:
-        n = self.n
-        if self.spec.components is None:
-            return np.concatenate([np.zeros(n), z.p])
-        g, dg = geometry.metric_components_at(self.spec, z.x, order=1)
-        ginv = geometry._invert(g)
-        gip = ginv @ z.p
-        # d_a g^{mn} = -(ginv dg_a ginv)^{mn}
-        gx = -0.5 * np.einsum("m,amn,n->a", gip, dg, gip)
-        return np.concatenate([gx, gip])
+        # Hamilton's equations read backwards: dH/dx = -dp/dt, dH/dp = dx/dt
+        zdot = self.rhs(z.as_vector())
+        return np.concatenate([-zdot[self.n:], zdot[:self.n]])
 
     def rhs(self, zvec: np.ndarray) -> np.ndarray:
+        """(dx/dt, dp/dt) = (g^{-1} p, -(1/2) d_x g^{mn} p_m p_n) at ``zvec``."""
         n = self.n
         x, p = zvec[:n], zvec[n:]
         if self.spec.components is None:
@@ -120,6 +107,7 @@ class GeodesicHamiltonian(PhaseFunction):
         g, dg = geometry.metric_components_at(self.spec, x, order=1)
         ginv = geometry._invert(g)
         gip = ginv @ p
+        # d_a g^{mn} = -(ginv dg_a ginv)^{mn}
         pdot = 0.5 * np.einsum("m,amn,n->a", gip, dg, gip)
         return np.concatenate([gip, pdot])
 
@@ -129,7 +117,11 @@ def free_hamiltonian(spec: MetricSpec) -> GeodesicHamiltonian:
 
 
 class KillingQuadratic(PhaseFunction):
-    """Q = K_ij(x) p_i p_j with K = f g^{-1} f from a rank-2 KY field."""
+    """Q = K^{ij}(x) p_i p_j with K_ij = (f g^{-1} f)_ij from a rank-2 KY field.
+
+    The indices of K are raised with g^{-1}, so Q = u.K.u with u = g^{-1} p;
+    this contraction is the one conserved along geodesics.
+    """
 
     def __init__(self, spec: MetricSpec, ky_field: AntisymTensorField):
         self.spec = spec
@@ -137,15 +129,20 @@ class KillingQuadratic(PhaseFunction):
         super().__init__(spec.dim, None, label="killing-quadratic")
 
     def value(self, z: PhasePoint) -> float:
-        from .kysym import killing_from_ky
-
-        K = killing_from_ky(self.spec, self.ky_field, z.x)
-        return float(z.p @ K @ z.p)
+        f = self.ky_field.values_at(z.x)
+        ginv = geometry.inverse_metric_at(self.spec, z.x)
+        u = ginv @ z.p
+        return float(u @ f @ ginv @ f @ u)
 
     def gradient(self, z: PhasePoint) -> np.ndarray:
         K, dK = killing_tensor_jet(self.spec, self.ky_field, z.x)
-        gx = np.einsum("m,amn,n->a", z.p, dK, z.p)
-        return np.concatenate([gx, 2.0 * (K @ z.p)])
+        g, dg = geometry.metric_components_at(self.spec, z.x, order=1)
+        ginv = geometry._invert(g)
+        u = ginv @ z.p
+        w = ginv @ (K @ u)
+        # d_a g^{mn} = -(ginv dg_a ginv)^{mn}
+        gx = np.einsum("m,amn,n->a", u, dK, u) - 2.0 * np.einsum("m,amn,n->a", u, dg, w)
+        return np.concatenate([gx, 2.0 * w])
 
 
 def killing_quadratic(spec: MetricSpec, ky_field: AntisymTensorField) -> PhaseFunction:
@@ -170,21 +167,15 @@ def poisson_bracket(F: PhaseFunction, G: PhaseFunction, z: PhasePoint) -> float:
     return float(gF[:n] @ gG[n:] - gF[n:] @ gG[:n])
 
 
-def _config_gradient(f, point: Sequence[float]) -> tuple[float, np.ndarray]:
-    coords = [float(v) for v in point]
-    n = len(coords)
-    seeds = [Dual1.seed(coords[i], i, n) for i in range(n)]
+def _config_gradient(f, point: np.ndarray) -> np.ndarray:
+    n = len(point)
     if isinstance(f, str):
         f = exprmod.parse_expression(f, n)
     if isinstance(f, Expression):
-        out = exprmod.evaluate(f, seeds)
-    elif callable(f):
-        out = f(seeds)
-    else:
-        raise TypeError("expected an expression or a callable configuration scalar")
-    if isinstance(out, Dual1):
-        return out.value, out.gradient
-    return float(out), np.zeros(n)
+        return exprmod.eval1(f, point).gradient
+    if callable(f):
+        return Jet.lift(f(Jet.seeds(point, 1)), n, 1).gradient
+    raise TypeError("expected an expression or a callable configuration scalar")
 
 
 def nambu_bracket(F1, F2, F3, point: Sequence[float]) -> float:
@@ -192,7 +183,7 @@ def nambu_bracket(F1, F2, F3, point: Sequence[float]) -> float:
     pt = np.asarray(point, dtype=float)
     if pt.shape != (3,):
         raise ValueError("the ternary bracket lives on a 3-dimensional space")
-    rows = [_config_gradient(f, pt)[1] for f in (F1, F2, F3)]
+    rows = [_config_gradient(f, pt) for f in (F1, F2, F3)]
     return float(np.linalg.det(np.stack(rows)))
 
 
@@ -224,12 +215,18 @@ class Trajectory:
         return self.states.shape[0]
 
 
-def _rk4(rhs: Callable, z0: np.ndarray, dt: float, steps: int):
-    states = np.empty((steps + 1, z0.shape[0]))
-    states[0] = z0
-    z = z0.copy()
+def _rk4(rhs: Callable, start: PhasePoint, dt: float, steps: int) -> Trajectory:
+    """Fixed-step classic RK4 from ``start``, truncated with a ``reason``
+    in ``meta`` when ``rhs`` leaves the domain or the state stops being
+    finite."""
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError("dt must be positive and finite")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    z = start.as_vector()
+    states = np.empty((steps + 1, z.shape[0]))
+    states[0] = z
     done = 0
-    completed = True
     reason = None
     for k in range(steps):
         try:
@@ -237,7 +234,6 @@ def _rk4(rhs: Callable, z0: np.ndarray, dt: float, steps: int):
         except (DomainError, SingularEvaluation) as e:
             # the retained state itself is inadmissible: drop it so every
             # state of a truncated trajectory stays evaluable
-            completed = False
             reason = str(e)
             done = max(done - 1, 0)
             break
@@ -246,18 +242,25 @@ def _rk4(rhs: Callable, z0: np.ndarray, dt: float, steps: int):
             k3 = rhs(z + (0.5 * dt) * k2)
             k4 = rhs(z + dt * k3)
         except (DomainError, SingularEvaluation) as e:
-            completed = False
             reason = str(e)
             break
         z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(z).all():
-            completed = False
             reason = "state left the finite range"
             break
         states[k + 1] = z
         done = k + 1
-    times = dt * np.arange(done + 1)
-    return times, states[: done + 1], completed, reason
+    meta = {
+        "method": "rk4",
+        "dt": float(dt),
+        "steps_requested": int(steps),
+        "steps_completed": done,
+        "completed": reason is None,
+    }
+    if reason:
+        meta["reason"] = reason
+    return Trajectory(times=dt * np.arange(done + 1), states=states[: done + 1],
+                      n=start.n, meta=meta)
 
 
 def geodesic_integrate(
@@ -272,23 +275,8 @@ def geodesic_integrate(
     """
     if start.n != spec.dim:
         raise ValueError("phase point dimension does not match the metric")
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError("dt must be positive and finite")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
     geometry.metric_at(spec, start.x)
-    H = GeodesicHamiltonian(spec)
-    times, states, completed, reason = _rk4(H.rhs, start.as_vector(), dt, steps)
-    meta = {
-        "method": "rk4",
-        "dt": float(dt),
-        "steps_requested": int(steps),
-        "steps_completed": len(states) - 1,
-        "completed": completed,
-    }
-    if reason:
-        meta["reason"] = reason
-    return Trajectory(times=times, states=states, n=spec.dim, meta=meta)
+    return _rk4(GeodesicHamiltonian(spec).rhs, start, dt, steps)
 
 
 def unified_hamilton_flow(
@@ -300,27 +288,13 @@ def unified_hamilton_flow(
     With z = (f-vector, twin-vector) of the flat rank-(n-1) pair this is
     the geodesic flow seen through the pair's vector identification.
     """
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError("dt must be positive and finite")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
     n = H.n
 
     def rhs(zvec: np.ndarray) -> np.ndarray:
         grad = H.gradient(PhasePoint.from_vector(zvec))
         return np.concatenate([grad[n:], -grad[:n]])
 
-    times, states, completed, reason = _rk4(rhs, start.as_vector(), dt, steps)
-    meta = {
-        "method": "rk4",
-        "dt": float(dt),
-        "steps_requested": int(steps),
-        "steps_completed": len(states) - 1,
-        "completed": completed,
-    }
-    if reason:
-        meta["reason"] = reason
-    return Trajectory(times=times, states=states, n=n, meta=meta)
+    return _rk4(rhs, start, dt, steps)
 
 
 def conservation_monitor(traj: Trajectory, quantity: PhaseFunction):

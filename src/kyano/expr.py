@@ -27,10 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-import numpy as np
-
 from . import dual
-from .dual import Dual1, Dual2, Scalar
+from .dual import Jet, Scalar
 from .errors import ExprSyntaxError, SingularEvaluation
 
 FUNCTIONS: dict[str, Callable[[Scalar], Scalar]] = {
@@ -268,7 +266,7 @@ def _literal_int(node: Node) -> "int | None":
 
 
 def evaluate(expr: Expression, scalars: Sequence[Scalar]) -> Scalar:
-    """Evaluate over pre-lifted scalars (floats or duals), one per slot."""
+    """Evaluate over pre-lifted scalars (floats or jets), one per slot."""
     if len(scalars) != expr.nvars:
         raise ValueError(f"expected {expr.nvars} values, got {len(scalars)}")
     return _eval(expr.root, scalars)
@@ -322,28 +320,14 @@ def eval_value(expr: Expression, point: Sequence[float]) -> float:
     return dual.value_of(evaluate(expr, [float(v) for v in point]))
 
 
-def eval1(expr: Expression, point: Sequence[float]) -> Dual1:
+def eval1(expr: Expression, point: Sequence[float]) -> Jet:
     """Value and gradient with respect to all slots."""
-    n = expr.nvars
-    seeds = [Dual1.seed(float(point[i]), i, n) for i in range(n)]
-    out = evaluate(expr, seeds)
-    if not isinstance(out, Dual1):
-        return Dual1.constant(float(out), n)
-    return out
+    return Jet.lift(evaluate(expr, Jet.seeds(point, 1)), expr.nvars, 1)
 
 
-def eval2(expr: Expression, point: Sequence[float]) -> Dual2:
+def eval2(expr: Expression, point: Sequence[float]) -> Jet:
     """Value, gradient, and Hessian with respect to all slots."""
-    n = expr.nvars
-    seeds = [Dual2.seed(float(point[i]), i, n) for i in range(n)]
-    out = evaluate(expr, seeds)
-    if not isinstance(out, Dual2):
-        return Dual2.constant(float(out), n)
-    return out
-
-
-def gradient(expr: Expression, point: Sequence[float]) -> np.ndarray:
-    return eval1(expr, point).gradient
+    return Jet.lift(evaluate(expr, Jet.seeds(point, 2)), expr.nvars, 2)
 
 
 def unparse(expr: "Expression | Node") -> str:

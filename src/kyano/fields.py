@@ -5,7 +5,7 @@ full arrays are produced by signed scattering over permutations, so
 antisymmetry is exact by construction.  Component functions are expressions
 in ``x1 .. xn`` (``n`` the chart dimension, whatever the chart's coordinate
 labels are), plain numbers, or callables that accept a list of scalars
-(floats or duals) and return one scalar.
+(floats or jets) and return one scalar.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from . import expr as exprmod
-from .dual import Dual1, Scalar, value_of
+from .dual import Jet, Scalar, value_of
 from .expr import Expression
 
 Component = Union[Expression, float, Callable[[Sequence[Scalar]], Scalar]]
@@ -135,17 +135,16 @@ class AntisymTensorField:
         return arr
 
     def jacobian_at(self, point: Sequence[float]) -> np.ndarray:
-        """``jac[a, i1.. ir] = d_a f_{i1..ir}`` from one dual evaluation."""
+        """``jac[a, i1.. ir] = d_a f_{i1..ir}`` from one jet evaluation."""
         pt = np.asarray(point, dtype=float)
         if pt.shape != (self.dim,):
             raise ValueError(f"expected a point of dimension {self.dim}")
         n = self.dim
-        seeds = [Dual1.seed(float(pt[i]), i, n) for i in range(n)]
+        seeds = Jet.seeds(pt, 1)
         jac = np.zeros((n,) + (n,) * self.rank)
         perms = _permutations_with_signs(self.rank)
         for idx, comp in self._comps.items():
-            out = self._component_scalar(comp, seeds)
-            grad = out.gradient if isinstance(out, Dual1) else np.zeros(n)
+            grad = Jet.lift(self._component_scalar(comp, seeds), n, 1).gradient
             for perm, sign in perms:
                 target = tuple(idx[k] for k in perm)
                 jac[(slice(None),) + target] = sign * grad

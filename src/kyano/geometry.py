@@ -1,7 +1,7 @@
 """Metric catalog and the differential geometry built on top of it.
 
 All derivative quantities (Christoffel symbols, their partials, curvature)
-come from first- and second-order dual evaluations of the metric
+come from first- and second-order jet evaluations of the metric
 components, so there is no finite differencing anywhere in the chain.
 
 Charts are labeled by coordinate names but expressions always refer to
@@ -251,11 +251,8 @@ def metric_components_at(spec: MetricSpec, point: Sequence[float], order: int = 
             if order == 0:
                 val = exprmod.eval_value(e, coords)
                 grad = hess = None
-            elif order == 1:
-                d = exprmod.eval1(e, coords)
-                val, grad, hess = d.value, d.gradient, None
             else:
-                d = exprmod.eval2(e, coords)
+                d = (exprmod.eval1 if order == 1 else exprmod.eval2)(e, coords)
                 val, grad, hess = d.value, d.gradient, d.hessian
             for (i, j) in slots:
                 g[i, j] = g[j, i] = val
@@ -440,7 +437,8 @@ def resolve_manifold(text: str) -> MetricSpec:
     """Resolve a CLI ``--manifold`` value: a JSON path or a catalog name.
 
     Catalog names: ``flatN`` (``flat3``), ``const-curvature[:K=<v>]``,
-    ``taub-nut[:m=<v>,fiber_scale=<v>]``.
+    ``taub-nut[:m=<v>,fiber_scale=<v>]``.  A parameter the named metric
+    does not take, or one given twice, is an error.
     """
     if os.path.exists(text) or text.endswith(".json"):
         return load_manifold(text)
@@ -451,18 +449,26 @@ def resolve_manifold(text: str) -> MetricSpec:
             key, _, val = part.partition("=")
             if not val:
                 raise KyanoError(f"bad manifold parameter {part!r}")
+            if key.strip() in kwargs:
+                raise KyanoError(f"manifold parameter {key.strip()!r} given twice")
             kwargs[key.strip()] = float(val)
     m = _NAME_RE.match(head.strip())
     if not m:
         raise KyanoError(f"unrecognized manifold name {text!r}")
     base, digits = m.groups()
     if base == "flat":
-        return flat(int(digits) if digits else 3)
-    if base == "const-curvature" and not digits:
-        return const_curvature3(kwargs.pop("K", 1.0))
-    if base == "taub-nut" and not digits:
-        return taub_nut(kwargs.pop("m", 1.0), kwargs.pop("fiber_scale", 2.0))
-    raise KyanoError(f"unrecognized manifold name {text!r}")
+        spec = flat(int(digits) if digits else 3)
+    elif base == "const-curvature" and not digits:
+        spec = const_curvature3(kwargs.pop("K", 1.0))
+    elif base == "taub-nut" and not digits:
+        spec = taub_nut(kwargs.pop("m", 1.0), kwargs.pop("fiber_scale", 2.0))
+    else:
+        raise KyanoError(f"unrecognized manifold name {text!r}")
+    if kwargs:
+        raise KyanoError(
+            f"unknown parameter(s) {', '.join(map(repr, kwargs))} for manifold {head.strip()!r}"
+        )
+    return spec
 
 
 # ---------------------------------------------------------------------------

@@ -133,11 +133,7 @@ def killing_tensor_jet(
     """K and its coordinate partials dK[a, m, n] = d_a K_mn."""
     f = field.values_at(point)
     df = field.jacobian_at(point)
-    if spec.components is None:
-        g = np.eye(spec.dim)
-        dg = np.zeros((spec.dim,) * 3)
-    else:
-        g, dg = geometry.metric_components_at(spec, point, order=1)
+    g, dg = geometry.metric_components_at(spec, point, order=1)
     ginv = geometry._invert(g)
     dginv = -np.einsum("li,aij,js->als", ginv, dg, ginv)
     K = f @ ginv @ f

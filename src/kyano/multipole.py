@@ -294,6 +294,23 @@ _NOTES = (
 )
 
 
+def sampled_identity_suite(
+    rng: np.random.Generator, samples: int, tol: float = RESIDUAL_TOL
+) -> tuple[IdentityReport, dict[str, str]]:
+    """Identity suite over ``samples`` phase points uniform in [-1, 1]^6
+    (x drawn before p at each point), with the measured verdicts that
+    differ from :data:`EXPECTED_VERDICTS`."""
+    points = [
+        PhasePoint(rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3))
+        for _ in range(samples)
+    ]
+    rep = identity_suite(points, tol=tol)
+    mismatches = {
+        k: v for k, v in rep.verdicts().items() if EXPECTED_VERDICTS.get(k) != v
+    }
+    return rep, mismatches
+
+
 def identity_suite(points: Sequence[PhasePoint], tol: float = RESIDUAL_TOL) -> IdentityReport:
     """Evaluate all identities at ``points`` and adjudicate each one."""
     points = list(points)

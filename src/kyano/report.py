@@ -10,12 +10,9 @@ harness for the adjudications.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from . import geometry, kysym, multipole
-from .dynamics import PhasePoint
+from . import __version__, geometry, kysym, multipole
 from .errors import SymplecticRejection
 
 SECTION_NAMES = (
@@ -172,19 +169,12 @@ def section_printed_constcurv_ky(rng: np.random.Generator, samples: int = 20, K:
 
 def section_multipole(rng: np.random.Generator, samples: int = 1000) -> dict:
     """Identity suite verdicts must reproduce the shipped expectation table."""
-    points = [
-        PhasePoint(rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3))
-        for _ in range(samples)
-    ]
-    rep = multipole.identity_suite(points)
-    verdicts = rep.verdicts()
-    mismatches = {
-        k: {"expected": multipole.EXPECTED_VERDICTS[k], "measured": v}
-        for k, v in verdicts.items()
-        if multipole.EXPECTED_VERDICTS.get(k) != v
-    }
+    rep, mismatches = multipole.sampled_identity_suite(rng, samples)
     out = rep.to_dict()
-    out["mismatches"] = mismatches
+    out["mismatches"] = {
+        k: {"expected": multipole.EXPECTED_VERDICTS[k], "measured": v}
+        for k, v in mismatches.items()
+    }
     out["pass"] = not mismatches
     return out
 
@@ -221,9 +211,8 @@ def assemble_report(seed: int = 0, samples: int | None = None, skip: tuple[str, 
         ok = ok and result["pass"]
     return {
         "schema": "kyano/1",
-        "generator": "kyano 0.1.0",
+        "generator": f"kyano {__version__}",
         "seed": seed,
-        "threads": os.environ.get("KYANO_THREADS"),
         "sections": sections,
         "pass": ok,
     }

@@ -91,6 +91,18 @@ def test_unknown_manifold_is_usage_error(capsys):
     assert "torus" in err
 
 
+@pytest.mark.parametrize("manifold, key", [
+    ("taub-nut:mass=3", "mass"),
+    ("flat3:K=2", "K"),
+    ("const-curvature:K=1,m=2", "m"),
+    ("taub-nut:m=1,m=2", "m"),
+])
+def test_unknown_manifold_parameter_is_usage_error(capsys, manifold, key):
+    code, _, err = run(capsys, "verify-ky", "--manifold", manifold, "--field", "flat-position")
+    assert code == 2
+    assert repr(key) in err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-ky", "--bogus"])
@@ -260,13 +272,3 @@ def test_report_unknown_section_rejected(capsys):
         main(["report", "--skip", "bogus"])
     assert exc.value.code == 2
     capsys.readouterr()
-
-
-def test_report_records_thread_env(monkeypatch, capsys):
-    monkeypatch.setenv("KYANO_THREADS", "2")
-    skips = []
-    for name in ("flat-ky", "taub-nut", "const-curvature", "printed-constcurv-ky"):
-        skips += ["--skip", name]
-    code, out, _ = run(capsys, "report", "--samples", "3", *skips)
-    assert code == 0
-    assert json.loads(out)["threads"] == "2"

@@ -125,6 +125,12 @@ def test_hamiltonian_angular_momentum_brackets():
         for i in (1, 2, 3):
             assert abs(poisson_bracket(H, angular_momentum(i), z)) <= 1e-10
         assert abs(poisson_bracket(H, K, z)) <= 1e-10
+    # curved case: the Killing quadratic raises K's indices with g^{-1}
+    taubnut = geometry.taub_nut(1.0)
+    H = free_hamiltonian(taubnut)
+    K = killing_quadratic(taubnut, kysym.taubnut_ky_field(1, 1.0))
+    z = PhasePoint([1.5, 1.2, 0.3, 0.5], [0.1, 0.2, -0.3, 0.4])
+    assert abs(poisson_bracket(H, K, z)) <= 1e-10
 
 
 # -- Nambu bracket -------------------------------------------------------------

@@ -253,6 +253,25 @@ def test_random_polynomial_roundtrip(src):
         assert expr.eval_value(e1, pt) == expr.eval_value(e2, pt)
 
 
+@st.composite
+def smooth_sources(draw):
+    # a polynomial under a function, a power and a division exercises the
+    # chain, product and reciprocal rules of both jet orders
+    func = draw(st.sampled_from(("sin", "cos", "")))
+    power = draw(st.integers(1, 3))
+    return f"{func}({draw(polynomial_sources())})^{power} / (1 + x2^2)"
+
+
+@given(smooth_sources(), st.tuples(*[st.floats(-3.0, 3.0)] * 2))
+@settings(max_examples=60, deadline=None)
+def test_first_and_second_order_jets_agree(src, pt):
+    e = expr.parse_expression(src, 2)
+    d1, d2 = expr.eval1(e, pt), expr.eval2(e, pt)
+    assert d1.hessian is None
+    assert d1.value == d2.value
+    assert d1.gradient.tolist() == d2.gradient.tolist()
+
+
 @given(polynomial_sources())
 @settings(max_examples=40, deadline=None)
 def test_random_polynomial_gradient_fd(src):
