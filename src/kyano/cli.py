@@ -54,10 +54,8 @@ def _load_field(text: str, spec) -> AntisymTensorField:
         if spec.kind != "taub-nut":
             raise KyanoError("taubnut-N fields require a taub-nut manifold")
         return kysym.taubnut_ky_field(int(m.group(2)), spec.param("m"))
-    if text == "flat-position":
+    if text in ("flat-position", "flat-momentum"):  # twins of one functional form
         return kysym.flat_ky_position_field(spec.dim)
-    if text == "flat-momentum":
-        return kysym.flat_ky_momentum_field(spec.dim)
     with open(text, "r", encoding="utf-8") as fh:
         return AntisymTensorField.from_dict(json.load(fh))
 
@@ -145,15 +143,12 @@ def cmd_geodesic(args) -> int:
         payload = dict(sidecar)
         payload["times"] = [float(t) for t in traj.times]
         payload["states"] = [[float(v) for v in row] for row in traj.states]
-        if args.out:
-            jsonio.dump_json_atomic(args.out, payload)
-        else:
-            sys.stdout.write(jsonio.dumps(payload))
+        _emit(args, payload, "")
     else:
         if not args.out:
             raise KyanoError("csv output requires --out PATH")
         write_trajectory_csv(traj, args.out)
-        jsonio.dump_json_atomic(args.out + ".json", sidecar)
+        jsonio.write_atomic(args.out + ".json", jsonio.dumps(sidecar))
     if not traj.meta["completed"]:
         sys.stderr.write(
             f"warning: truncated after {traj.meta['steps_completed']} steps"

@@ -22,6 +22,7 @@ from .errors import DomainError, SingularEvaluation, SingularMetric
 from .expr import Expression
 from .fields import AntisymTensorField
 from .geometry import MetricSpec
+from .jsonio import atomic_open
 from .kysym import killing_tensor_jet
 
 
@@ -319,13 +320,11 @@ def conservation_monitor(traj: Trajectory, quantity: PhaseFunction):
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
-    """Write ``t,x1..xn,p1..pn`` rows with 17 significant digits."""
+    """Write ``t,x1..xn,p1..pn`` rows with 17 significant digits, atomically."""
     n = traj.n
     header = ["t"] + [f"x{i}" for i in range(1, n + 1)] + [f"p{i}" for i in range(1, n + 1)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for k in range(len(traj)):
-            row = [format(traj.times[k], ".17g")]
-            row += [format(v, ".17g") for v in traj.states[k]]
-            writer.writerow(row)
+        for t, state in zip(traj.times, traj.states):
+            writer.writerow([format(v, ".17g") for v in (t, *state)])

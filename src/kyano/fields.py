@@ -23,20 +23,17 @@ from .expr import Expression
 Component = Union[Expression, float, Callable[[Sequence[Scalar]], Scalar]]
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-@lru_cache(maxsize=16)
-def _permutations_with_signs(rank: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    return tuple(
-        (perm, _perm_sign(perm)) for perm in itertools.permutations(range(rank))
-    )
+def _scatter_table(dim: int, rank: int, keys: Sequence[tuple[int, ...]]):
+    """``(src, dst, sign)``, one entry per key and permutation of its indices:
+    the key's position in ``keys``, the flat index of the permuted tuple in
+    a ``dim**rank`` array and the permutation's parity sign, so that
+    ``full.flat[dst] = sign * comps[src]`` fills the antisymmetric array."""
+    perms = np.array(list(itertools.permutations(range(rank))), dtype=np.intp)
+    i, j = np.triu_indices(rank, 1)
+    signs = 1.0 - 2.0 * ((perms[:, i] > perms[:, j]).sum(axis=1) % 2)
+    idx = np.array(keys, dtype=np.intp).reshape(-1, rank)
+    dst = np.ravel_multi_index(tuple(idx[:, perms].reshape(-1, rank).T), (dim,) * rank)
+    return np.repeat(np.arange(len(idx)), len(perms)), dst, np.tile(signs, len(idx))
 
 
 @lru_cache(maxsize=8)
@@ -44,9 +41,7 @@ def levi_civita(n: int) -> np.ndarray:
     """Totally antisymmetric symbol as an ``(n,)*n`` array, eps[0,1,..,n-1] = 1."""
     if not 1 <= n <= 7:
         raise ValueError("levi_civita supports dimensions 1 through 7")
-    eps = np.zeros((n,) * n)
-    for perm, sign in _permutations_with_signs(n):
-        eps[perm] = sign
+    eps = AntisymTensorField(n, n, {tuple(range(n)): 1.0})._scatter(np.ones(1))
     eps.setflags(write=False)
     return eps
 
@@ -87,6 +82,7 @@ class AntisymTensorField:
                 value = exprmod.parse_expression(value, self.dim)
             comps[idx] = value
         self._comps = comps
+        self._src, self._dst, self._sign = _scatter_table(self.dim, self.rank, list(comps))
 
     @classmethod
     def constant(cls, dim: int, rank: int, array: np.ndarray) -> "AntisymTensorField":
@@ -94,21 +90,15 @@ class AntisymTensorField:
         arr = np.asarray(array, dtype=float)
         if arr.shape != (dim,) * rank:
             raise ValueError(f"expected shape {(dim,) * rank}, got {arr.shape}")
-        for idx in itertools.product(range(dim), repeat=rank):
-            s = tuple(sorted(idx))
-            if len(set(idx)) < rank:
-                if arr[idx] != 0.0:
-                    raise ValueError("array is not antisymmetric")
-                continue
-            expected = _perm_sign(tuple(sorted(range(rank), key=lambda k: idx[k]))) * arr[s]
-            if arr[idx] != expected:
-                raise ValueError("array is not antisymmetric")
         comps = {
             idx: float(arr[idx])
             for idx in itertools.combinations(range(dim), rank)
             if arr[idx] != 0.0
         }
-        return cls(dim, rank, comps)
+        field = cls(dim, rank, comps)
+        if not np.array_equal(field._scatter(np.array(list(comps.values()))), arr):
+            raise ValueError("array is not antisymmetric")
+        return field
 
     def component_items(self):
         """(sorted 0-based index tuple, component) pairs."""
@@ -121,18 +111,21 @@ class AntisymTensorField:
             return comp(coords)
         return float(comp)
 
+    def _scatter(self, vals: np.ndarray) -> np.ndarray:
+        """Full antisymmetric arrays from one value per stored component
+        along the last axis of ``vals``; leading axes are kept."""
+        lead = vals.shape[:-1]
+        arr = np.zeros(lead + (self.dim ** self.rank,))
+        arr[..., self._dst] = vals[..., self._src] * self._sign
+        return arr.reshape(lead + (self.dim,) * self.rank)
+
     def values_at(self, point: Sequence[float]) -> np.ndarray:
         """Full component array at ``point``; exactly antisymmetric."""
         coords = [float(v) for v in np.asarray(point, dtype=float)]
         if len(coords) != self.dim:
             raise ValueError(f"expected a point of dimension {self.dim}")
-        arr = np.zeros((self.dim,) * self.rank)
-        perms = _permutations_with_signs(self.rank)
-        for idx, comp in self._comps.items():
-            v = value_of(self._component_scalar(comp, coords))
-            for perm, sign in perms:
-                arr[tuple(idx[k] for k in perm)] = sign * v
-        return arr
+        vals = [value_of(self._component_scalar(c, coords)) for c in self._comps.values()]
+        return self._scatter(np.array(vals, dtype=float))
 
     def jacobian_at(self, point: Sequence[float]) -> np.ndarray:
         """``jac[a, i1.. ir] = d_a f_{i1..ir}`` from one jet evaluation."""
@@ -141,14 +134,9 @@ class AntisymTensorField:
             raise ValueError(f"expected a point of dimension {self.dim}")
         n = self.dim
         seeds = Jet.seeds(pt, 1)
-        jac = np.zeros((n,) + (n,) * self.rank)
-        perms = _permutations_with_signs(self.rank)
-        for idx, comp in self._comps.items():
-            grad = Jet.lift(self._component_scalar(comp, seeds), n, 1).gradient
-            for perm, sign in perms:
-                target = tuple(idx[k] for k in perm)
-                jac[(slice(None),) + target] = sign * grad
-        return jac
+        grads = [Jet.lift(self._component_scalar(c, seeds), n, 1).gradient
+                 for c in self._comps.values()]
+        return self._scatter(np.array(grads, dtype=float).reshape(-1, n).T)
 
     @property
     def is_serializable(self) -> bool:

@@ -402,6 +402,13 @@ def dump_manifold(spec: MetricSpec) -> dict:
     return obj
 
 
+def _finite_param(key: str, value) -> float:
+    v = float(value)
+    if not math.isfinite(v):
+        raise KyanoError(f"manifold parameter {key!r} must be finite, got {value!r}")
+    return v
+
+
 def load_manifold(source) -> MetricSpec:
     """Build a metric from a JSON dict, a JSON file path, or a dict."""
     if isinstance(source, (str, os.PathLike)):
@@ -412,7 +419,7 @@ def load_manifold(source) -> MetricSpec:
     if not isinstance(obj, dict):
         raise KyanoError("manifold description must be a JSON object")
     kind = obj.get("kind")
-    params = obj.get("params", {}) or {}
+    params = {k: _finite_param(k, v) for k, v in (obj.get("params") or {}).items()}
     if kind == "flat":
         spec = flat(int(obj["dim"]))
     elif kind == "const-curvature":
@@ -451,7 +458,7 @@ def resolve_manifold(text: str) -> MetricSpec:
                 raise KyanoError(f"bad manifold parameter {part!r}")
             if key.strip() in kwargs:
                 raise KyanoError(f"manifold parameter {key.strip()!r} given twice")
-            kwargs[key.strip()] = float(val)
+            kwargs[key.strip()] = _finite_param(key.strip(), val)
     m = _NAME_RE.match(head.strip())
     if not m:
         raise KyanoError(f"unrecognized manifold name {text!r}")
@@ -492,7 +499,8 @@ def sample_points(
 
     Points closer than ``margin`` to a known singular locus (the
     constant-curvature conformal pole) are rejected, as is anything the
-    metric itself rejects.
+    metric itself rejects.  Raises :class:`DomainError` when fewer than
+    one draw in a thousand is admissible.
     """
     if box is None:
         box = default_box(spec)
@@ -504,7 +512,7 @@ def sample_points(
     while produced < count:
         attempts += 1
         if attempts > 1000 * max(count, 1):
-            raise RuntimeError("sampling box appears to be mostly inadmissible")
+            raise DomainError("sampling box appears to be mostly inadmissible")
         pt = lo + (hi - lo) * rng.random(spec.dim)
         if spec.kind == "const-curvature":
             K = spec.param("K")

@@ -9,6 +9,7 @@ followed by an atomic replace.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -55,12 +56,16 @@ def dumps(obj, indent: int = 2) -> str:
     return _emit(obj, indent, 0) + "\n"
 
 
-def write_atomic(path: str, text: str) -> None:
+@contextlib.contextmanager
+def atomic_open(path: str):
+    """Text file at a temporary name beside ``path``, written verbatim (no
+    newline translation); it replaces ``path`` when the block completes
+    and is removed when the block raises."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kyano-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -68,5 +73,6 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-def dump_json_atomic(path: str, obj, indent: int = 2) -> None:
-    write_atomic(path, dumps(obj, indent=indent))
+def write_atomic(path: str, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)

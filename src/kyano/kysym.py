@@ -33,18 +33,21 @@ def flat_ky_pair(n: int, x: Sequence[float], p: Sequence[float]):
     """Rank-(n-1) pair on flat phase space: f from x, its twin from p.
 
     f_{i1..i(n-1)} = eps_{k i1..i(n-1)} x_k and the same contraction with p.
+    ``x`` and ``p`` may carry equal leading batch axes, ``(..., n)``.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    if x.shape != (n,) or p.shape != (n,):
-        raise ValueError(f"x and p must have shape ({n},)")
+    if x.shape[-1:] != (n,) or p.shape != x.shape:
+        raise ValueError(f"x and p must have shape (..., {n})")
     eps = levi_civita(n)
-    f = np.tensordot(x, eps, axes=(0, 0))
-    ft = np.tensordot(p, eps, axes=(0, 0))
+    f = np.tensordot(x, eps, axes=(-1, 0))
+    ft = np.tensordot(p, eps, axes=(-1, 0))
     return f, ft
 
 
-def _reconstruct_vector(f: np.ndarray) -> np.ndarray:
+def reconstruct_position(f: np.ndarray) -> np.ndarray:
+    """x_k = eps_{k j1..j(n-1)} f_{j1..j(n-1)} / (n-1)!; exact inverse of
+    the pair construction."""
     rank = f.ndim
     n = f.shape[0] if rank else 0
     if rank == 0 or f.shape != (n,) * rank or rank != n - 1:
@@ -57,17 +60,12 @@ def _reconstruct_vector(f: np.ndarray) -> np.ndarray:
     return np.tensordot(eps, f, axes=rank) / math.factorial(rank)
 
 
-def reconstruct_position(f: np.ndarray) -> np.ndarray:
-    """x_k = eps_{k j1..j(n-1)} f_{j1..j(n-1)} / (n-1)!; exact inverse of
-    the pair construction."""
-    return _reconstruct_vector(f)
+# The pair's twin is the same contraction with p, so it inverts the same way.
+reconstruct_momentum = reconstruct_position
 
 
-def reconstruct_momentum(ft: np.ndarray) -> np.ndarray:
-    return _reconstruct_vector(ft)
-
-
-def _flat_ky_field(n: int) -> AntisymTensorField:
+def flat_ky_position_field(n: int) -> AntisymTensorField:
+    """The pair's position member as a field (components linear in x)."""
     eps = levi_civita(n)
     comps = {}
     for idx in itertools.combinations(range(n), n - 1):
@@ -78,14 +76,8 @@ def _flat_ky_field(n: int) -> AntisymTensorField:
     return AntisymTensorField(n, n - 1, comps)
 
 
-def flat_ky_position_field(n: int) -> AntisymTensorField:
-    """The pair's position member as a field (components linear in x)."""
-    return _flat_ky_field(n)
-
-
-def flat_ky_momentum_field(n: int) -> AntisymTensorField:
-    """Momentum twin; same functional form over the momentum chart."""
-    return _flat_ky_field(n)
+# The momentum twin has the same functional form over the momentum chart.
+flat_ky_momentum_field = flat_ky_position_field
 
 
 # ---------------------------------------------------------------------------

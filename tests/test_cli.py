@@ -2,9 +2,13 @@
 codes, emitted files, and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import kyano
 from kyano.cli import main
 
 
@@ -101,6 +105,36 @@ def test_unknown_manifold_parameter_is_usage_error(capsys, manifold, key):
     code, _, err = run(capsys, "verify-ky", "--manifold", manifold, "--field", "flat-position")
     assert code == 2
     assert repr(key) in err
+
+
+@pytest.mark.parametrize("manifold, key", [
+    ("const-curvature:K=nan", "K"),
+    ("const-curvature:K=inf", "K"),
+    ("taub-nut:m=-inf", "m"),
+])
+def test_non_finite_manifold_parameter_is_usage_error(capsys, manifold, key):
+    code, _, err = run(capsys, "verify-ky", "--manifold", manifold, "--field", "flat-position")
+    assert code == 2
+    assert repr(key) in err and "finite" in err
+
+
+@pytest.mark.parametrize("manifold", ["taub-nut:m=1,fiber_scale=0", "custom"])
+def test_inadmissible_sampling_box_is_usage_error(tmp_path, manifold):
+    if manifold == "custom":
+        manifold = write_json(tmp_path / "m.json", {
+            "kind": "custom",
+            "metric": [["sqrt(x1-5)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        })
+    src = os.path.dirname(os.path.dirname(kyano.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kyano.cli", "verify-ky", "--manifold", manifold,
+         "--field", "flat-position", "--samples", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "inadmissible" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_unknown_flag_is_usage_error(capsys):

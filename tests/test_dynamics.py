@@ -1,5 +1,6 @@
 """Brackets, geodesic integration, drift monitoring, unified flow."""
 
+import csv
 import itertools
 import math
 
@@ -350,3 +351,28 @@ def test_csv_export(tmp_path):
     last = lines[-1].split(",")
     assert float(last[0]) == pytest.approx(0.05)
     assert float(last[2]) == pytest.approx(0.05)
+
+
+def _reference_csv(traj, path):
+    """The trajectory writer as it was before it wrote atomically."""
+    n = traj.n
+    header = ["t"] + [f"x{i}" for i in range(1, n + 1)] + [f"p{i}" for i in range(1, n + 1)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(len(traj)):
+            row = [format(traj.times[k], ".17g")]
+            row += [format(v, ".17g") for v in traj.states[k]]
+            writer.writerow(row)
+
+
+def test_csv_bytes_match_reference_writer(tmp_path):
+    traj = geodesic_integrate(
+        geometry.const_curvature3(1.0), PhasePoint([0.3, -0.2, 0.1], [0.2, 0.5, -0.4]), 0.01, 7
+    )
+    write_trajectory_csv(traj, str(tmp_path / "new.csv"))
+    _reference_csv(traj, str(tmp_path / "ref.csv"))
+    data = (tmp_path / "new.csv").read_bytes()
+    assert data == (tmp_path / "ref.csv").read_bytes()
+    assert data.count(b"\r\n") == len(traj) + 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "ref.csv"]

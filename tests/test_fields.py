@@ -1,10 +1,13 @@
 """Antisymmetric tensor fields: index machinery, evaluation, serialization."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from kyano import expr as exprmod
+from kyano.dual import Jet, value_of
 from kyano.fields import AntisymTensorField, levi_civita
 
 
@@ -134,3 +137,84 @@ def test_rank_bounds():
         AntisymTensorField(3, 4, {})
     with pytest.raises(ValueError):
         AntisymTensorField(3, 0, {})
+
+
+# -- table scatter against the per-permutation reference -----------------------
+
+
+def _reference_sign(perm):
+    inversions = sum(
+        perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm))
+    )
+    return -1 if inversions % 2 else 1
+
+
+def _reference_scalar(comp, coords):
+    if isinstance(comp, exprmod.Expression):
+        return exprmod.evaluate(comp, coords)
+    if callable(comp):
+        return comp(coords)
+    return float(comp)
+
+
+def _reference_values(field, point):
+    """One assignment per index tuple and permutation, as a plain loop."""
+    n, rank = field.dim, field.rank
+    coords = [float(v) for v in point]
+    arr = np.zeros((n,) * rank)
+    for idx, comp in field.component_items():
+        v = value_of(_reference_scalar(comp, coords))
+        for perm in itertools.permutations(range(rank)):
+            arr[tuple(idx[k] for k in perm)] = _reference_sign(perm) * v
+    return arr
+
+
+def _reference_jacobian(field, point):
+    n, rank = field.dim, field.rank
+    seeds = Jet.seeds(np.asarray(point, dtype=float), 1)
+    jac = np.zeros((n,) + (n,) * rank)
+    for idx, comp in field.component_items():
+        grad = Jet.lift(_reference_scalar(comp, seeds), n, 1).gradient
+        for perm in itertools.permutations(range(rank)):
+            jac[(slice(None),) + tuple(idx[k] for k in perm)] = _reference_sign(perm) * grad
+    return jac
+
+
+def _random_field(n, rank, rng):
+    """Random expression components on a random subset of index tuples,
+    plus one callable and one numeric component where there is room."""
+    keys = list(itertools.combinations(range(n), rank))
+    rng.shuffle(keys)
+    keys = keys[: max(1, int(rng.integers(1, len(keys) + 1)))]
+    comps = {}
+    for j, key in enumerate(keys):
+        a, b = (int(v) for v in rng.integers(1, n + 1, 2))
+        c = float(rng.uniform(-2.0, 2.0))
+        if j == 1:
+            comps[key] = lambda xs, a=a, b=b, c=c: c * xs[a - 1] * xs[b - 1] - xs[0]
+        elif j == 2:
+            comps[key] = c
+        else:
+            comps[key] = f"{c!r}*x{a}*x{b} + sin(x{b}) - x{a}^3"
+    return AntisymTensorField(n, rank, comps)
+
+
+@pytest.mark.parametrize(
+    "n, rank", [(n, r) for n in range(1, 7) for r in range(1, n + 1)]
+)
+def test_scatter_matches_permutation_reference(n, rank):
+    rng = np.random.default_rng(1000 * n + rank)
+    for _ in range(3):
+        field = _random_field(n, rank, rng)
+        for pt in rng.uniform(-1.5, 1.5, (3, n)):
+            assert field.values_at(pt).tobytes() == _reference_values(field, pt).tobytes()
+            assert field.jacobian_at(pt).tobytes() == _reference_jacobian(field, pt).tobytes()
+
+
+def test_levi_civita_matches_permutation_signs():
+    for n in range(1, 8):
+        eps = levi_civita(n)
+        ref = np.zeros((n,) * n)
+        for perm in itertools.permutations(range(n)):
+            ref[perm] = _reference_sign(perm)
+        assert eps.tobytes() == ref.tobytes()

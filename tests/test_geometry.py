@@ -266,6 +266,16 @@ def test_manifold_file_roundtrip(tmp_path):
     assert spec.param("m") == 2.0
 
 
+@pytest.mark.parametrize("kind, key, value", [
+    ("const-curvature", "K", math.nan),
+    ("const-curvature", "K", math.inf),
+    ("taub-nut", "m", -math.inf),
+])
+def test_load_manifold_rejects_non_finite_params(kind, key, value):
+    with pytest.raises(KyanoError, match=f"'{key}' must be finite"):
+        geometry.load_manifold({"kind": kind, "params": {key: value}})
+
+
 def test_resolve_manifold_names():
     assert geometry.resolve_manifold("flat5").dim == 5
     assert geometry.resolve_manifold("const-curvature:K=2").param("K") == 2.0

@@ -4,6 +4,7 @@ structural properties, and pair reconstruction from generators."""
 import numpy as np
 import pytest
 
+from kyano import multipole
 from kyano.dynamics import PhasePoint
 from kyano.errors import KyanoError
 from kyano.multipole import (
@@ -183,6 +184,12 @@ def test_identity_suite_needs_points():
         identity_suite([])
 
 
+def test_identity_suite_non_finite_point_fails():
+    report = identity_suite([PhasePoint((np.nan, 0.0, 0.0), (0.0, 1.0, 0.0))])
+    assert report.entry("I01").verdict == "fails"
+    assert np.isnan(report.entry("I01").residual)
+
+
 def test_report_structure():
     report = identity_suite(sample_phase_points(10, seed=2))
     assert isinstance(report, IdentityReport)
@@ -235,3 +242,38 @@ def test_reconstruct_origin_trivial():
     pair = reconstruct_ky_from_generators(PhasePoint(np.zeros(3), np.zeros(3)))
     assert pair.residual == 0.0
     assert np.abs(pair.f).max() == 0.0
+
+
+# -- batched evaluation ---------------------------------------------------------
+
+
+def test_batched_rows_equal_single_point_evaluation():
+    # strided column slices of one (N, 6) draw, as the sampled suite passes them
+    Z = np.random.default_rng(17).uniform(-2.0, 2.0, (64, 6))
+    X, P = Z[:, :3], Z[:, 3:]
+    batch = multipole._multipoles(X, P)
+    for k in range(len(X)):
+        single = evaluate_multipoles(PhasePoint(X[k], P[k]))
+        for name, value in vars(single).items():
+            row = vars(batch)[name][k]
+            assert np.asarray(row).tobytes() == np.asarray(value).tobytes(), name
+            assert isinstance(value, float) == (np.ndim(row) == 0), name
+
+
+def test_sampled_suite_draws_x_then_p_per_point(monkeypatch):
+    seen = []
+    batched = multipole._multipoles
+
+    def spy(X, P):
+        seen.append((X.copy(), P.copy()))
+        return batched(X, P)
+
+    monkeypatch.setattr(multipole, "_multipoles", spy)
+    rng = np.random.default_rng(31)
+    multipole.sampled_identity_suite(rng, 25)
+    ref = np.random.default_rng(31)
+    draws = [(ref.uniform(-1.0, 1.0, 3), ref.uniform(-1.0, 1.0, 3)) for _ in range(25)]
+    (X, P), = seen
+    assert np.array_equal(X, [x for x, _ in draws])
+    assert np.array_equal(P, [p for _, p in draws])
+    assert rng.bit_generator.state == ref.bit_generator.state
