@@ -11,19 +11,19 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
 from . import expr as exprmod
 from . import geometry
-from .dual import Jet, value_of
+from .dual import Jet
 from .errors import DomainError, SingularEvaluation, SingularMetric
 from .expr import Expression
 from .fields import AntisymTensorField
 from .geometry import MetricSpec
 from .jsonio import atomic_open
-from .kysym import killing_tensor_jet
+from .kysym import _nan_max, killing_tensor_jet
 
 
 @dataclass
@@ -53,42 +53,47 @@ class PhasePoint:
         return cls(z[:n], z[n:])
 
 
-class PhaseFunction:
-    """Differentiable scalar on phase space.
+class PhaseFunction(Protocol):
+    """Differentiable scalar on phase space over an ``n``-dimensional chart.
 
     ``value`` returns a float; ``gradient`` returns the length-2n array
-    (dF/dx1..dF/dxn, dF/dp1..dF/dpn), computed with first-order jets.
+    (dF/dx1..dF/dxn, dF/dp1..dF/dpn).
     """
 
-    def __init__(self, n: int, fn: Callable, label: str = ""):
-        self.n = int(n)
-        self._fn = fn
-        self.label = label
+    n: int
 
-    @classmethod
-    def from_expression(cls, source: str, n: int) -> "PhaseFunction":
-        e = exprmod.parse_expression(source, n, prefixes=("x", "p"))
+    def value(self, z: PhasePoint) -> float: ...
 
-        def fn(xs, ps):
-            return exprmod.evaluate(e, list(xs) + list(ps))
+    def gradient(self, z: PhasePoint) -> np.ndarray: ...
 
-        return cls(n, fn, label=source)
+    @staticmethod
+    def from_expression(source: str, n: int) -> "PhaseExpression":
+        return PhaseExpression(exprmod.parse_expression(source, n, prefixes=("x", "p")))
+
+
+@dataclass(frozen=True)
+class PhaseExpression:
+    """A phase function given by an expression in ``x1..xn, p1..pn``."""
+
+    expr: Expression
+
+    @property
+    def n(self) -> int:
+        return self.expr.dim
 
     def value(self, z: PhasePoint) -> float:
-        return value_of(self._fn(list(z.x), list(z.p)))
+        return exprmod.eval_value(self.expr, z.as_vector())
 
     def gradient(self, z: PhasePoint) -> np.ndarray:
-        n = self.n
-        seeds = Jet.seeds(z.as_vector(), 1)
-        return Jet.lift(self._fn(seeds[:n], seeds[n:]), 2 * n, 1).gradient
+        return exprmod.eval1(self.expr, z.as_vector()).gradient
 
 
-class GeodesicHamiltonian(PhaseFunction):
+class GeodesicHamiltonian:
     """H = (1/2) g^{mn}(x) p_m p_n with jet-based exact gradients."""
 
     def __init__(self, spec: MetricSpec):
         self.spec = spec
-        super().__init__(spec.dim, None, label="geodesic-hamiltonian")
+        self.n = spec.dim
 
     def value(self, z: PhasePoint) -> float:
         ginv = geometry._invert(geometry.metric_components_at(self.spec, z.x, order=0))
@@ -117,7 +122,7 @@ def free_hamiltonian(spec: MetricSpec) -> GeodesicHamiltonian:
     return GeodesicHamiltonian(spec)
 
 
-class KillingQuadratic(PhaseFunction):
+class KillingQuadratic:
     """Q = K^{ij}(x) p_i p_j with K_ij = (f g^{-1} f)_ij from a rank-2 KY field.
 
     The indices of K are raised with g^{-1}, so Q = u.K.u with u = g^{-1} p;
@@ -127,7 +132,7 @@ class KillingQuadratic(PhaseFunction):
     def __init__(self, spec: MetricSpec, ky_field: AntisymTensorField):
         self.spec = spec
         self.ky_field = ky_field
-        super().__init__(spec.dim, None, label="killing-quadratic")
+        self.n = spec.dim
 
     def value(self, z: PhasePoint) -> float:
         f = self.ky_field.values_at(z.x)
@@ -302,12 +307,13 @@ def conservation_monitor(traj: Trajectory, quantity: PhaseFunction):
     """Largest absolute and relative drift of ``quantity`` along ``traj``.
 
     Relative drift is measured against the initial value; it is reported
-    as ``inf`` when the initial value is zero but the drift is not.
+    as ``inf`` when the initial value is zero but the drift is not.  A
+    value that is NaN makes both drifts NaN.
     """
     q0 = quantity.value(traj.point(0))
     max_abs = 0.0
     for k in range(1, len(traj)):
-        max_abs = max(max_abs, abs(quantity.value(traj.point(k)) - q0))
+        max_abs = _nan_max(max_abs, abs(quantity.value(traj.point(k)) - q0))
     if q0 != 0.0:
         max_rel = max_abs / abs(q0)
     else:

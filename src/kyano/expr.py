@@ -24,8 +24,15 @@ requires a positive base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import contextlib
+import functools
+import itertools
+import math
+import operator
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
+
+import numpy as np
 
 from . import dual
 from .dual import Jet, Scalar
@@ -91,6 +98,8 @@ class Expression:
     nvars: int
     dim: int
     prefixes: tuple[str, ...]
+    # compiled kernels by jet order, see _kernel()
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
         return unparse(self)
@@ -269,50 +278,7 @@ def evaluate(expr: Expression, scalars: Sequence[Scalar]) -> Scalar:
     """Evaluate over pre-lifted scalars (floats or jets), one per slot."""
     if len(scalars) != expr.nvars:
         raise ValueError(f"expected {expr.nvars} values, got {len(scalars)}")
-    return _eval(expr.root, scalars)
-
-
-def _eval(node: Node, scalars: Sequence[Scalar]) -> Scalar:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return scalars[node.slot]
-    if isinstance(node, Neg):
-        return -_eval(node.arg, scalars)
-    if isinstance(node, Call):
-        arg = _eval(node.arg, scalars)
-        try:
-            return FUNCTIONS[node.func](arg)
-        except SingularEvaluation as e:
-            raise SingularEvaluation(
-                f"{e} in {node.func}(...) at offset {node.offset}"
-            ) from None
-    # BinOp
-    left = _eval(node.left, scalars)
-    if node.op == "^":
-        k = _literal_int(node.right)
-        try:
-            if k is not None:
-                return dual.integer_power(left, k)
-            return dual.power(left, _eval(node.right, scalars))
-        except SingularEvaluation as e:
-            raise SingularEvaluation(f"{e} in '^' at offset {node.offset}") from None
-    right = _eval(node.right, scalars)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    # division
-    try:
-        return left / right
-    except ZeroDivisionError:
-        raise SingularEvaluation(
-            f"division by zero in '/' at offset {node.offset}"
-        ) from None
-    except SingularEvaluation as e:
-        raise SingularEvaluation(f"{e} in '/' at offset {node.offset}") from None
+    return _kernel(expr, 0)(scalars)
 
 
 def eval_value(expr: Expression, point: Sequence[float]) -> float:
@@ -322,12 +288,268 @@ def eval_value(expr: Expression, point: Sequence[float]) -> float:
 
 def eval1(expr: Expression, point: Sequence[float]) -> Jet:
     """Value and gradient with respect to all slots."""
-    return Jet.lift(evaluate(expr, Jet.seeds(point, 1)), expr.nvars, 1)
+    return _jet(expr, point, 1)
 
 
 def eval2(expr: Expression, point: Sequence[float]) -> Jet:
     """Value, gradient, and Hessian with respect to all slots."""
-    return Jet.lift(evaluate(expr, Jet.seeds(point, 2)), expr.nvars, 2)
+    return _jet(expr, point, 2)
+
+
+def _jet(expr: Expression, point: Sequence[float], order: int) -> Jet:
+    pt = [float(v) for v in point]
+    if len(pt) != expr.nvars:
+        raise ValueError(f"expected {expr.nvars} values, got {len(pt)}")
+    out = _kernel(expr, order)(pt)
+    n = expr.nvars
+    hess = np.array(out[n + 1:]).reshape(n, n) if order == 2 else None
+    return Jet(out[0], np.array(out[1:n + 1]), hess)
+
+
+# ---------------------------------------------------------------------------
+# compilation: one straight-line Python function per expression and jet
+# order, one statement per operation.  Order 0 applies the operators and
+# ``dual`` functions, so it runs on floats and pre-lifted jets alike.
+# Orders 1 and 2 unroll the ``Jet`` rules into float locals, each step the
+# operation ``Jet`` does in its order (products with the zeros of seeds
+# and lifted constants included), so results are bit-identical to jet
+# arithmetic.  Operations on constants are done at compile time, the exact
+# identity ``x * 1.0`` is dropped and a repeated operation is done once.
+# An operand is a float constant or a local's name; a jet is a (value,
+# gradient, hessian) tuple of operands, hessian None at order 1.
+
+_MATH = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "sqrt": math.sqrt,
+         "exp": math.exp, "log": math.log, "abs": abs}
+_GLOBALS = {"SingularEvaluation": SingularEvaluation, "ipow": dual.integer_power,
+            "pow_": dual.power, **{f"d_{k}": f for k, f in FUNCTIONS.items()},
+            **{f"m_{k}": f for k, f in _MATH.items()}}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _kernel(expr: Expression, order: int) -> Callable:
+    """The compiled function of ``expr`` at jet ``order``, built once: order
+    0 maps ``nvars`` scalars (floats or jets) to a scalar, orders 1 and 2
+    map ``nvars`` floats to (value, *gradient, *row-major Hessian)."""
+    fn = expr._kernels.get(order)
+    if fn is None:
+        em = _Emitter(expr.nvars, order)
+        out = em.emit(expr.root)
+        if order:
+            value, grad, hess = out if isinstance(out, tuple) else em.lift(out)
+            out = [value, *grad, *itertools.chain(*hess or ())]
+        ret = ", ".join(map(em.src, out)) + "," if order else em.src(out)
+        args = "".join(f"s{i}, " for i in range(expr.nvars))
+        source = "\n".join(["def kernel(s):", f"    {args}= s", *em.lines, f"    return {ret}"])
+        namespace = dict(_GLOBALS)
+        exec(compile(source, f"<kyano kernel, order {order}>", "exec"), namespace)
+        fn = expr._kernels[order] = namespace["kernel"]
+    return fn
+
+
+class _Emitter:
+    """Statements of one kernel, emitted in evaluation order."""
+
+    def __init__(self, n: int, order: int):
+        self.n, self.order = n, order
+        self.lines: list[str] = []
+        self.pad = "    "
+        self.memo: dict = {}
+
+    @staticmethod
+    def src(x) -> str:
+        if isinstance(x, str):
+            return x
+        return f"({x!r})" if math.isfinite(x) else f"float('{x}')"
+
+    def op(self, fmt: str, fn: Callable, *args, commutative: bool = False):
+        """``fmt`` on ``args``: ``fn(*args)`` when all are constants and it
+        does not raise, else a local (one that raises, raises at run time)."""
+        if not any(isinstance(a, str) for a in args):
+            try:
+                return fn(*args)
+            except (ArithmeticError, ValueError, SingularEvaluation):
+                pass
+        key = [a if isinstance(a, str) else repr(a) for a in args]
+        key = (fmt, *(sorted(key) if commutative else key))
+        if key not in self.memo:
+            self.memo[key] = f"t{len(self.memo)}"
+            self.lines.append(f"{self.pad}{self.memo[key]} = " + fmt.format(*map(self.src, args)))
+        return self.memo[key]
+
+    def check(self, cond: str, x, message: str) -> None:
+        self.lines.append(f"{self.pad}if {cond.format(self.src(x))}: "
+                          f"raise SingularEvaluation({message!r})")
+
+    @contextlib.contextmanager
+    def wrapped(self, where: str, zero: bool = False):
+        """Statements emitted inside re-raise a SingularEvaluation with
+        ``where`` appended, and with ``zero`` a ZeroDivisionError as a
+        division by zero, as the operation at ``where`` reports them."""
+        start = len(self.lines)
+        self.lines.append(self.pad + "try:")
+        self.pad += "    "
+        yield
+        self.pad = self.pad[:-4]
+        if len(self.lines) == start + 1:
+            del self.lines[start]
+            return
+        if zero:
+            self.lines.append(f"{self.pad}except ZeroDivisionError:\n{self.pad}    raise "
+                              f"SingularEvaluation('division by zero' + {where!r}) from None")
+        self.lines.append(f"{self.pad}except SingularEvaluation as e:\n{self.pad}    raise "
+                          f"SingularEvaluation(str(e) + {where!r}) from None")
+
+    def emit(self, node: Node):
+        """Operand of ``node``, or its jet when it reads a slot at order 1 or 2."""
+        if isinstance(node, Num):
+            return node.value
+        if isinstance(node, Var):
+            name = f"s{node.slot}"
+            return name if not self.order else (
+                name, [float(k == node.slot) for k in range(self.n)], self.lift(0.0)[2])
+        if isinstance(node, Neg):
+            arg = self.emit(node.arg)
+            return self.jmap(self.neg, arg) if isinstance(arg, tuple) else self.neg(arg)
+        if isinstance(node, Call):
+            arg = self.emit(node.arg)
+            with self.wrapped(f" in {node.func}(...) at offset {node.offset}"):
+                if isinstance(arg, tuple):
+                    return self.chain(arg, *self.rule(node.func, arg[0]))
+                return self.op(f"d_{node.func}({{}})", FUNCTIONS[node.func], arg)
+        where = f" in '{node.op}' at offset {node.offset}"
+        left = self.emit(node.left)
+        if node.op == "^":
+            k = _literal_int(node.right)
+            with self.wrapped(where):
+                return self.power(left, k if k is not None else self.emit(node.right), k is not None)
+        right = self.emit(node.right)
+        with self.wrapped(where, zero=node.op == "/"):
+            return self.binary(node.op, left, right)
+
+    def binary(self, op: str, a, b):
+        """``a op b`` for + - * /, as the operators on floats and jets do it."""
+        if not isinstance(a, tuple) and not isinstance(b, tuple):
+            return self.op("{} %s {}" % op, _BINARY[op], a, b)
+        if op == "/":
+            if isinstance(b, tuple):  # a * (1/b), a float times the jet 1/b
+                r = self.recip(b)
+                return self.jmul(a, r) if isinstance(a, tuple) else self.jscale(r, a)
+            self.check("{} == 0", b, "division by zero")
+            return self.jscale(a, self.div(1.0, b))
+        if op == "-":  # a + (-b)
+            op, b = "+", self.jmap(self.neg, b) if isinstance(b, tuple) else self.neg(b)
+        if not isinstance(a, tuple):  # float + jet, float * jet: the jet's rule
+            a, b = b, a
+        if not isinstance(b, tuple):
+            return self.jscale(a, b) if op == "*" else (self.add(a[0], b), a[1], a[2])
+        return self.jmul(a, b) if op == "*" else self.jmap(self.add, a, b)
+
+    def power(self, base, k, literal: bool):
+        """``dual.integer_power`` for a literal ``k``, else ``dual.power``."""
+        if not isinstance(base, tuple) and not isinstance(k, tuple):
+            if literal:
+                return self.op(f"ipow({{}}, {k})", lambda b: dual.integer_power(b, k), base)
+            return self.op("pow_({}, {})", dual.power, base, k)
+        if not literal and not (isinstance(k, float) and k.is_integer()):
+            # exp(k * ln(base)); a constant k that raises before use lands here
+            self.check("{} <= 0.0", base[0] if isinstance(base, tuple) else base,
+                       "non-integer power of a non-positive base")
+            if not isinstance(base, tuple):
+                return self.exp_of(self.jscale(k, self.call("log", base)))
+            log = self.chain(base, *self.rule("ln", base[0]))
+            return self.exp_of(self.jmul(log, k) if isinstance(k, tuple) else self.jscale(log, k))
+        k = int(k)
+        if k < 0:
+            self.check("{} == 0.0", base[0], "zero raised to a negative power")
+            base, k = self.recip(base), -k  # 1.0 / base: the factor 1.0 is exact
+        result = self.lift(1.0)
+        while k > 0:
+            if k & 1:
+                result = self.jmul(result, base)
+            k >>= 1
+            if k:
+                base = self.jmul(base, base)
+        return result
+
+    def exp_of(self, a):
+        return self.chain(a, *self.rule("exp", a[0]))
+
+    # -- float operations and the Jet rules over them
+
+    add = functools.partialmethod(op, "{} + {}", operator.add, commutative=True)
+    neg = functools.partialmethod(op, "-{}", operator.neg)
+    div = functools.partialmethod(op, "{} / {}", operator.truediv)
+
+    def mul(self, a, b):
+        if a == 1.0 or b == 1.0:
+            return b if a == 1.0 else a
+        return self.op("{} * {}", operator.mul, a, b, commutative=True)
+
+    def call(self, name: str, a):
+        return self.op(f"m_{name}({{}})", _MATH[name], a)
+
+    def lift(self, c):
+        n = self.n
+        return c, [0.0] * n, [[0.0] * n for _ in range(n)] if self.order == 2 else None
+
+    def jmap(self, fn: Callable, *jets):
+        """``fn`` over the value, gradient and Hessian entries of ``jets``."""
+        hess = None if jets[0][2] is None else [
+            [fn(*xs) for xs in zip(*rows)] for rows in zip(*(j[2] for j in jets))
+        ]
+        return fn(*(j[0] for j in jets)), [fn(*xs) for xs in zip(*(j[1] for j in jets))], hess
+
+    def jscale(self, a, c):
+        return self.jmap(lambda x: self.mul(x, c), a)
+
+    def jmul(self, a, b):
+        (av, ag, ah), (bv, bg, bh), n = a, b, range(self.n)
+        hess = None if ah is None else [[self.add(self.add(self.add(
+            self.mul(av, bh[i][j]), self.mul(bv, ah[i][j])), self.mul(ag[i], bg[j])),
+            self.mul(ag[j], bg[i])) for j in n] for i in n]
+        grad = [self.add(self.mul(av, y), self.mul(bv, x)) for x, y in zip(ag, bg)]
+        return self.mul(av, bv), grad, hess
+
+    def chain(self, a, f, df, d2f):
+        _, ag, ah = a
+        hess = None if ah is None else [[self.add(self.mul(df, ah[i][j]), self.mul(
+            d2f, self.mul(ag[i], ag[j]))) for j in range(self.n)] for i in range(self.n)]
+        return f, [self.mul(df, x) for x in ag], hess
+
+    def recip(self, a):
+        self.check("{} == 0.0", a[0], "division by zero")
+        inv = self.div(1.0, a[0])
+        d2f = self.mul(self.mul(self.mul(2.0, inv), inv), inv)
+        return self.chain(a, inv, self.mul(self.neg(inv), inv), d2f)
+
+    def rule(self, func: str, v):
+        """(f, f', f'') of ``func`` at ``v``, computed as ``dual`` does."""
+        call, mul, neg = self.call, self.mul, self.neg
+        if func in ("sqrt", "ln"):
+            self.check("{} <= 0.0", v, f"{func} of a non-positive argument")
+        if func == "sin":
+            s = call("sin", v)
+            return s, call("cos", v), neg(s)
+        if func == "cos":
+            c = call("cos", v)
+            return c, neg(call("sin", v)), neg(c)
+        if func == "tan":
+            self.check("abs({}) < 1e-300", call("cos", v), "tan at a pole")
+            t = call("tan", v)
+            sec2 = self.add(1.0, mul(t, t))
+            return t, sec2, mul(mul(2.0, t), sec2)
+        if func == "sqrt":
+            r = call("sqrt", v)
+            return r, self.div(0.5, r), self.div(-0.25, mul(r, v))
+        if func == "exp":
+            e = call("exp", v)
+            return e, e, e
+        if func == "ln":
+            inv = self.div(1.0, v)
+            return call("log", v), inv, mul(neg(inv), inv)
+        self.check("{} == 0.0", v, "abs at zero has no derivative")
+        sign = self.op("1.0 if {} > 0 else -1.0", lambda x: 1.0 if x > 0 else -1.0, v)
+        return call("abs", v), sign, 0.0
 
 
 def unparse(expr: "Expression | Node") -> str:

@@ -12,6 +12,7 @@ phi, psi)`` that means ``x1 = r`` and so on.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -48,6 +49,9 @@ class MetricSpec:
     params: tuple[tuple[str, float], ...]
     components: ComponentGrid = None
     momentum_space: bool = False
+    # per-order component kernels and gather indices, see _component_table
+    _tables: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
+                                      compare=False)
 
     def param(self, name: str) -> float:
         for key, value in self.params:
@@ -215,21 +219,26 @@ def _check_point(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
     return pt
 
 
-def _component_groups(spec: MetricSpec):
-    """Distinct expression objects with the upper-triangle slots they fill."""
-    groups: dict[int, tuple[Expression, list[tuple[int, int]]]] = {}
-    grid = spec.components
-    assert grid is not None
-    for i in range(spec.dim):
-        for j in range(i, spec.dim):
-            e = grid[i][j]
-            if e is None:
-                continue
-            key = id(e)
-            if key not in groups:
-                groups[key] = (e, [])
-            groups[key][1].append((i, j))
-    return groups.values()
+def _component_table(spec: MetricSpec, order: int):
+    """The distinct component kernels of ``spec`` at ``order`` and the flat
+    indices that gather ``g``, ``dg`` and ``d2g`` from their concatenated
+    outputs; index ``-1`` reads the 0.0 appended for ``None`` entries."""
+    table = spec._tables.get(order)
+    if table is None:
+        n = spec.dim
+        width = 1 + n + n * n if order == 2 else 1 + n * order
+        exprs: dict[int, tuple[int, Expression]] = {}
+        start = np.full((n, n), -1, dtype=np.intp)
+        for i, j in itertools.product(range(n), repeat=2):
+            e = spec.components[min(i, j)][max(i, j)]  # the upper triangle is read
+            if e is not None:
+                start[i, j] = exprs.setdefault(id(e), (len(exprs) * width, e))[0]
+        offsets = [np.zeros((1, 1), dtype=np.intp), 1 + np.arange(n)[:, None, None],
+                   1 + n + np.arange(n * n).reshape(n, n, 1, 1)]
+        gather = [np.where(start < 0, -1, start + off) for off in offsets[: order + 1]]
+        kernels = tuple(exprmod._kernel(e, order) for _, e in exprs.values())
+        table = spec._tables[order] = (kernels, gather)
+    return table
 
 
 def metric_components_at(spec: MetricSpec, point: Sequence[float], order: int = 0):
@@ -240,33 +249,21 @@ def metric_components_at(spec: MetricSpec, point: Sequence[float], order: int = 
     """
     pt = _check_point(spec, point)
     n = spec.dim
-    g = np.zeros((n, n))
-    dg = np.zeros((n, n, n)) if order >= 1 else None
-    d2g = np.zeros((n, n, n, n)) if order >= 2 else None
     if spec.components is None:
-        np.fill_diagonal(g, 1.0)
+        out = [np.eye(n)] + [np.zeros((n,) * (k + 3)) for k in range(order)]
     else:
+        kernels, gather = _component_table(spec, order)
         coords = [float(v) for v in pt]
-        for e, slots in _component_groups(spec):
-            if order == 0:
-                val = exprmod.eval_value(e, coords)
-                grad = hess = None
-            else:
-                d = (exprmod.eval1 if order == 1 else exprmod.eval2)(e, coords)
-                val, grad, hess = d.value, d.gradient, d.hessian
-            for (i, j) in slots:
-                g[i, j] = g[j, i] = val
-                if grad is not None:
-                    dg[:, i, j] = dg[:, j, i] = grad
-                if hess is not None:
-                    d2g[:, :, i, j] = d2g[:, :, j, i] = hess
-    if not np.isfinite(g).all():
+        if order == 0:
+            values = [k(coords) for k in kernels]
+        else:
+            values = [v for k in kernels for v in k(coords)]
+        values.append(0.0)
+        flat = np.array(values)
+        out = [flat[idx] for idx in gather]
+    if not np.isfinite(out[0]).all():
         raise SingularMetric("metric evaluated to non-finite components")
-    if order == 0:
-        return g
-    if order == 1:
-        return g, dg
-    return g, dg, d2g
+    return out[0] if order == 0 else tuple(out)
 
 
 def metric_at(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
@@ -419,7 +416,10 @@ def load_manifold(source) -> MetricSpec:
     if not isinstance(obj, dict):
         raise KyanoError("manifold description must be a JSON object")
     kind = obj.get("kind")
-    params = {k: _finite_param(k, v) for k, v in (obj.get("params") or {}).items()}
+    params = obj.get("params") or {}
+    if not isinstance(params, dict):
+        raise KyanoError(f"manifold 'params' must be an object, got {params!r}")
+    params = {k: _finite_param(k, v) for k, v in params.items()}
     if kind == "flat":
         spec = flat(int(obj["dim"]))
     elif kind == "const-curvature":

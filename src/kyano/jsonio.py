@@ -59,13 +59,17 @@ def dumps(obj, indent: int = 2) -> str:
 @contextlib.contextmanager
 def atomic_open(path: str):
     """Text file at a temporary name beside ``path``, written verbatim (no
-    newline translation); it replaces ``path`` when the block completes
-    and is removed when the block raises."""
+    newline translation); it replaces ``path`` with the mode a newly
+    created file gets under the umask when the block completes, and is
+    removed when the block raises."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kyano-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

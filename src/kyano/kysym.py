@@ -167,6 +167,16 @@ def nondegeneracy(
 # verification report
 
 
+def _nan_max(acc: float, value: float) -> float:
+    """``max(acc, value)`` that keeps a NaN from either side, so that a NaN
+    residual fails the check it feeds."""
+    return value if value > acc or value != value else acc
+
+
+def _nan_min(acc: float, value: float) -> float:
+    return value if value < acc or value != value else acc
+
+
 @dataclass(frozen=True)
 class KYReport:
     """Residual maxima and flags from sampling a field over a metric."""
@@ -223,12 +233,12 @@ def verify_field(
     for pt in points:
         count += 1
         D = covariant_constancy_residual(spec, field, pt)
-        max_cc = max(max_cc, float(np.abs(D).max()))
-        max_ky = max(max_ky, float(np.abs(D + D.swapaxes(0, 1)).max()))
+        max_cc = _nan_max(max_cc, float(np.abs(D).max()))
+        max_ky = _nan_max(max_ky, float(np.abs(D + D.swapaxes(0, 1)).max()))
         if field.rank == 2:
             d = abs(float(np.linalg.det(field.values_at(pt))))
-            min_det = min(min_det, d)
-            max_det = max(max_det, d)
+            min_det = _nan_min(min_det, d)
+            max_det = _nan_max(max_det, d)
     if not count:
         raise ValueError("verify_field needs at least one sample point")
     if math.isinf(min_det):
@@ -289,21 +299,21 @@ def symplectic_from_ky(
     points = [np.asarray(pt, dtype=float) for pt in points]
     min_det = math.inf
     for pt in points:
-        min_det = min(min_det, abs(float(np.linalg.det(field.values_at(pt)))))
-    if min_det <= det_tol:
+        min_det = _nan_min(min_det, abs(float(np.linalg.det(field.values_at(pt)))))
+    if not min_det > det_tol:
         raise SymplecticRejection("degenerate", f"min |det f| = {min_det:.3e}")
     max_cc = 0.0
     for pt in points:
         D = covariant_constancy_residual(spec, field, pt)
-        max_cc = max(max_cc, float(np.abs(D).max()))
-    if max_cc > cc_tol:
+        max_cc = _nan_max(max_cc, float(np.abs(D).max()))
+    if not max_cc <= cc_tol:
         raise SymplecticRejection(
             "not-covariant-constant", f"max |D f| = {max_cc:.3e}"
         )
     max_closed = 0.0
     for pt in points:
-        max_closed = max(max_closed, float(np.abs(closedness_residual(field, pt)).max()))
-    if max_closed > closed_tol:
+        max_closed = _nan_max(max_closed, float(np.abs(closedness_residual(field, pt)).max()))
+    if not max_closed <= closed_tol:
         raise SymplecticRejection("not-closed", f"max |d f| = {max_closed:.3e}")
     return SymplecticForm(
         spec=spec,

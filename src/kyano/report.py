@@ -14,6 +14,7 @@ import numpy as np
 
 from . import __version__, geometry, kysym, multipole
 from .errors import SymplecticRejection
+from .kysym import _nan_max, _nan_min
 
 SECTION_NAMES = (
     "flat-ky",
@@ -38,12 +39,10 @@ def section_flat_ky(rng: np.random.Generator, samples: int = 100) -> dict:
             x = rng.uniform(-1.0, 1.0, n)
             p = rng.uniform(-1.0, 1.0, n)
             f, ft = kysym.flat_ky_pair(n, x, p)
-            max_round = max(
-                max_round,
-                float(np.abs(kysym.reconstruct_position(f) - x).max()),
-                float(np.abs(kysym.reconstruct_momentum(ft) - p).max()),
-            )
-            max_res = max(
+            err = np.concatenate([kysym.reconstruct_position(f) - x,
+                                  kysym.reconstruct_momentum(ft) - p])
+            max_round = _nan_max(max_round, float(np.abs(err).max()))
+            max_res = _nan_max(
                 max_res, float(np.abs(kysym.ky_residual(spec, field, x)).max())
             )
         passed = max_res <= 1e-12 and max_round <= 1e-15
@@ -70,8 +69,8 @@ def section_taub_nut(rng: np.random.Generator, samples: int = 20, m: float = 1.0
         for index in (1, 2, 3):
             field = kysym.taubnut_ky_field(index, m)
             rep = kysym.verify_field(spec, field, points)
-            max_cc = max(max_cc, rep.max_cc_residual)
-            min_det = min(min_det, rep.min_abs_det)
+            max_cc = _nan_max(max_cc, rep.max_cc_residual)
+            min_det = _nan_min(min_det, rep.min_abs_det)
         entry = {
             "max_cc_residual": max_cc,
             "min_abs_det": min_det,
@@ -113,7 +112,7 @@ def section_const_curvature(rng: np.random.Generator, samples: int = 50) -> dict
         points = geometry.sample_points(spec, samples, rng)
         worst = 0.0
         for pt in points:
-            worst = max(worst, abs(geometry.curvature_at(spec, pt).scalar - 6.0 * K))
+            worst = _nan_max(worst, abs(geometry.curvature_at(spec, pt).scalar - 6.0 * K))
         passed = worst <= 1e-8
         ok = ok and passed
         per_k[f"K={K:g}"] = {
@@ -125,7 +124,7 @@ def section_const_curvature(rng: np.random.Generator, samples: int = 50) -> dict
     for n in (3, 4):
         spec = geometry.flat(n)
         for pt in rng.uniform(-1.0, 1.0, (10, n)):
-            flat_worst = max(
+            flat_worst = _nan_max(
                 flat_worst, float(np.abs(geometry.curvature_at(spec, pt).riemann).max())
             )
     flat_ok = flat_worst <= 1e-12
@@ -156,7 +155,7 @@ def section_printed_constcurv_ky(rng: np.random.Generator, samples: int = 20, K:
             field = kysym.constcurv_ky_field(index, K, momentum=momentum)
             worst = 0.0
             for pt in points:
-                worst = max(
+                worst = _nan_max(
                     worst, float(np.abs(kysym.ky_residual(use_spec, field, pt)).max())
                 )
             is_ky = worst <= 1e-10

@@ -137,6 +137,20 @@ def test_inadmissible_sampling_box_is_usage_error(tmp_path, manifold):
     assert "Traceback" not in proc.stderr
 
 
+def test_manifold_params_must_be_an_object(tmp_path):
+    manifold = write_json(tmp_path / "m.json", {"kind": "taub-nut", "params": [1]})
+    src = os.path.dirname(os.path.dirname(kyano.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kyano.cli", "verify-ky", "--manifold", manifold,
+         "--field", "flat-position", "--samples", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "'params' must be an object" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-ky", "--bogus"])
@@ -287,6 +301,24 @@ def test_report_deterministic_bytes(tmp_path, capsys):
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
     assert not list(tmp_path.glob("*.tmp*"))
+
+
+def test_outputs_follow_the_umask(tmp_path, capsys):
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run(
+            capsys, "geodesic", "--manifold", "flat3", "--x0", "0,0,0", "--p0", "1,0,0",
+            "--dt", "0.01", "--steps", "3", "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == 0
+        code, _, _ = run(
+            capsys, "report", "--samples", "2", "--out", str(tmp_path / "r.json")
+        )
+        assert code == 0
+    finally:
+        os.umask(old)
+    for name in ("t.csv", "t.csv.json", "r.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o644, name
 
 
 def test_report_skip_section(capsys):

@@ -264,6 +264,25 @@ def test_negative_control_drifts():
     assert rel_d > 1e-3
 
 
+class _NanAfterStart:
+    """A monitored quantity that reads NaN on every state after the first."""
+
+    n = 3
+
+    def value(self, z):
+        return 1.0 if z.x[0] == 0.0 else math.nan
+
+    def gradient(self, z):
+        return np.zeros(6)
+
+
+def test_nan_quantity_gives_nan_drift():
+    flat = geometry.flat(3)
+    traj = geodesic_integrate(flat, PhasePoint([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]), 1e-3, 10)
+    abs_d, rel_d = conservation_monitor(traj, _NanAfterStart())
+    assert math.isnan(abs_d) and math.isnan(rel_d)
+
+
 def test_relative_drift_inf_from_zero_start():
     flat = geometry.flat(3)
     traj = geodesic_integrate(

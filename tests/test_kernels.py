@@ -1,0 +1,201 @@
+"""Compiled expression kernels against the AST-walking jet evaluator they
+replace, kept here as the reference.  Results are compared by bytes; NaNs
+are compared as NaN, because IEEE arithmetic leaves the sign and payload
+of a NaN result unspecified."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kyano import dual, expr, geometry
+from kyano.dual import Jet, value_of
+from kyano.errors import SingularEvaluation
+from kyano.expr import FUNCTIONS, Call, Neg, Num, Var, _literal_int
+
+
+def _ref_eval(node, scalars):
+    """The per-node AST walk over floats or jets."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return scalars[node.slot]
+    if isinstance(node, Neg):
+        return -_ref_eval(node.arg, scalars)
+    if isinstance(node, Call):
+        arg = _ref_eval(node.arg, scalars)
+        try:
+            return FUNCTIONS[node.func](arg)
+        except SingularEvaluation as e:
+            raise SingularEvaluation(
+                f"{e} in {node.func}(...) at offset {node.offset}"
+            ) from None
+    left = _ref_eval(node.left, scalars)
+    if node.op == "^":
+        k = _literal_int(node.right)
+        try:
+            if k is not None:
+                return dual.integer_power(left, k)
+            return dual.power(left, _ref_eval(node.right, scalars))
+        except SingularEvaluation as e:
+            raise SingularEvaluation(f"{e} in '^' at offset {node.offset}") from None
+    right = _ref_eval(node.right, scalars)
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    try:
+        return left / right
+    except ZeroDivisionError:
+        raise SingularEvaluation(
+            f"division by zero in '/' at offset {node.offset}"
+        ) from None
+    except SingularEvaluation as e:
+        raise SingularEvaluation(f"{e} in '/' at offset {node.offset}") from None
+
+
+def _ref_value(e, point):
+    return value_of(_ref_eval(e.root, [float(v) for v in point]))
+
+
+def _ref_jet(e, point, order):
+    if len(point) != e.nvars:
+        raise ValueError(f"expected {e.nvars} values, got {len(point)}")
+    return Jet.lift(_ref_eval(e.root, Jet.seeds(point, order)), e.nvars, order)
+
+
+def _canon(x):
+    """Bytes of a float, a jet or an array, with every NaN the same NaN."""
+    if isinstance(x, Jet):
+        parts = [x.value, x.gradient] + ([] if x.hessian is None else [x.hessian])
+        return tuple(_canon(p) for p in parts)
+    a = np.asarray(x, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+def _outcome(fn, *args):
+    try:
+        with np.errstate(all="ignore"):  # the jet walk's numpy overflow warnings
+            return "ok", _canon(fn(*args))
+    except Exception as e:  # the exception type and message must match too
+        return "raises", type(e).__name__, str(e)
+
+
+# -- random trees ----------------------------------------------------------------
+
+_LEAVES = ("x1", "x2", "x3", "0", "2", "0.5", "1.5e-3")
+_EXPONENTS = ("2", "-2", "0", "2.0", "3", "-1", "(x2)", "(0.5)", "(1+1)", "(x1 - x2)", "(1/0)")
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(st.sampled_from(sorted(FUNCTIONS)), children).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(children, st.sampled_from("+-*/"), children).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"
+        ),
+        children.map(lambda c: f"-{c}"),
+        st.tuples(children, st.sampled_from(_EXPONENTS)).map(lambda t: f"({t[0]})^{t[1]}"),
+    )
+
+
+_SOURCES = st.recursive(st.sampled_from(_LEAVES), _extend, max_leaves=10)
+_COORD = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-170, 800.0, float("inf")]),
+)
+_POINTS = st.tuples(_COORD, _COORD, _COORD)
+
+
+@given(_SOURCES, _POINTS)
+@settings(max_examples=400, deadline=None)
+def test_kernels_match_reference_walk(src, pt):
+    e = expr.parse_expression(src, 3)
+    assert _outcome(expr.eval_value, e, pt) == _outcome(_ref_value, e, pt), src
+    for order, fn in ((1, expr.eval1), (2, expr.eval2)):
+        assert _outcome(fn, e, pt) == _outcome(_ref_jet, e, pt, order), (src, order)
+    for order in (1, 2):
+        seeds = Jet.seeds(pt, order)
+        assert _outcome(expr.evaluate, e, seeds) == _outcome(_ref_eval, e.root, seeds), (src, order)
+
+
+@pytest.mark.parametrize(
+    "src, point, message",
+    [
+        ("sqrt(x1)", 0.0, "sqrt of a non-positive argument in sqrt(...) at offset 0"),
+        ("1/x1", 0.0, "division by zero in '/' at offset 1"),
+        ("ln(x1)", -1.0, "ln of a non-positive argument in ln(...) at offset 0"),
+        ("x1^-2", 0.0, "zero raised to a negative power in '^' at offset 2"),
+        ("x1^(0.5/0)", 2.0, "division by zero in '/' at offset 7 in '^' at offset 2"),
+    ],
+)
+def test_singular_messages_unchanged(src, point, message):
+    e = expr.parse_expression(src, 1)
+    for fn in (expr.eval_value, expr.eval1, expr.eval2):
+        with pytest.raises(SingularEvaluation) as info:
+            fn(e, (point,))
+        assert str(info.value) == message
+    for order in (1, 2):
+        with pytest.raises(SingularEvaluation) as info:
+            expr.evaluate(e, Jet.seeds((point,), order))
+        assert str(info.value) == message
+
+
+def test_kernel_is_compiled_once_per_order():
+    e = expr.parse_expression("x1*sin(x2)", 2)
+    assert expr._kernel(e, 1) is expr._kernel(e, 1)
+    assert expr._kernel(e, 1) is not expr._kernel(e, 2)
+    assert e == expr.parse_expression("x1*sin(x2)", 2)
+
+
+# -- metric jets -----------------------------------------------------------------
+
+
+def _ref_metric(spec, point, order):
+    """Per-slot fill from the reference walk, as the metric code did it."""
+    n = spec.dim
+    g = np.zeros((n, n))
+    dg = np.zeros((n, n, n))
+    d2g = np.zeros((n, n, n, n))
+    coords = [float(v) for v in point]
+    for i in range(n):
+        for j in range(n):
+            e = spec.components[i][j]
+            if e is None:
+                continue
+            if order == 0:
+                g[i, j] = _ref_value(e, coords)
+                continue
+            d = _ref_jet(e, coords, order)
+            g[i, j], dg[:, i, j] = d.value, d.gradient
+            if order == 2:
+                d2g[:, :, i, j] = d.hessian
+    return (g, dg, d2g)[: order + 1]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        geometry.taub_nut(1.0),
+        geometry.const_curvature3(1.0),
+        geometry.const_curvature3(-1.0),
+        geometry.const_curvature3(-4.0),
+        geometry.const_curvature3_spherical(1.0),
+        # Hessians that are not bitwise symmetric, so the gather layout shows
+        geometry.custom([
+            ["5 + sin(x1*x2)*exp(x3)/(3 + x1 + x2*x3)", "(x1 + x2*x3)*(x2 + x1*x3)/9", "0"],
+            ["0", "3 + cos(x2*x3)", "x1/(4 + x2^2)"],
+            ["0", "0", "4 + x3^2*x1*x2"],
+        ]),
+    ],
+    ids=["taub-nut", "K=1", "K=-1", "K=-4", "spherical", "custom"],
+)
+def test_metric_jets_match_reference(spec):
+    points = geometry.sample_points(spec, 1000, np.random.default_rng(2024))
+    for pt in points:
+        for order in (0, 1, 2):
+            got = geometry.metric_components_at(spec, pt, order)
+            got = got if isinstance(got, tuple) else (got,)
+            want = _ref_metric(spec, pt, order)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]

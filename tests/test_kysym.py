@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kyano import geometry, kysym
+from kyano.dual import Jet
 from kyano.errors import SymplecticRejection
 from kyano.fields import AntisymTensorField, levi_civita
 
@@ -195,6 +196,25 @@ def test_verify_field_flags():
 
 
 # -- symplectic structure --------------------------------------------------------
+
+
+def test_verify_field_nan_residual_fails():
+    field = AntisymTensorField(3, 2, {"12": "x1^2"})
+    rep = kysym.verify_field(geometry.flat(3), field, [[math.nan, 0.0, 0.0]])
+    assert math.isnan(rep.max_ky_residual)
+    assert not rep.is_ky and not rep.is_covariant_constant
+
+
+def test_symplectic_rejects_nan_derivative():
+    def unit_with_nan_gradient(xs):
+        if isinstance(xs[0], Jet):
+            return Jet(1.0, np.full(4, math.nan))
+        return 1.0
+
+    field = AntisymTensorField(4, 2, {"12": unit_with_nan_gradient, "34": 1.0})
+    with pytest.raises(SymplecticRejection) as info:
+        kysym.symplectic_from_ky(geometry.flat(4), field, points=[[0.5, 0.0, 0.0, 0.0]])
+    assert info.value.reason == "not-covariant-constant"
 
 
 def test_symplectic_accepts_constant_block():
