@@ -193,28 +193,27 @@ def power(base: Scalar, k) -> Scalar:
     return math.pow(base, k)
 
 
-def _apply(x: Scalar, f: float, df: float, d2f: float) -> Scalar:
-    return x._chain(f, df, d2f) if isinstance(x, Jet) else f
-
-
 def sin(x: Scalar) -> Scalar:
     v = value_of(x)
-    return _apply(x, math.sin(v), math.cos(v), -math.sin(v))
+    s = math.sin(v)
+    return x._chain(s, math.cos(v), -s) if isinstance(x, Jet) else s
 
 
 def cos(x: Scalar) -> Scalar:
     v = value_of(x)
-    return _apply(x, math.cos(v), -math.sin(v), -math.cos(v))
+    c = math.cos(v)
+    return x._chain(c, -math.sin(v), -c) if isinstance(x, Jet) else c
 
 
 def tan(x: Scalar) -> Scalar:
     v = value_of(x)
-    c = math.cos(v)
-    if abs(c) < 1e-300:
+    if abs(math.cos(v)) < 1e-300:
         raise SingularEvaluation("tan at a pole")
     t = math.tan(v)
+    if not isinstance(x, Jet):
+        return t
     sec2 = 1.0 + t * t
-    return _apply(x, t, sec2, 2.0 * t * sec2)
+    return x._chain(t, sec2, 2.0 * t * sec2)
 
 
 def sqrt(x: Scalar) -> Scalar:
@@ -222,25 +221,34 @@ def sqrt(x: Scalar) -> Scalar:
     if v <= 0.0:
         raise SingularEvaluation("sqrt of a non-positive argument")
     r = math.sqrt(v)
-    return _apply(x, r, 0.5 / r, -0.25 / (r * v))
+    if not isinstance(x, Jet):
+        return r
+    if x.hessian is None:
+        return x._chain(r, 0.5 / r, 0.0)
+    if r * v == 0.0:
+        raise SingularEvaluation("sqrt argument too small for a second derivative")
+    return x._chain(r, 0.5 / r, -0.25 / (r * v))
 
 
 def exp(x: Scalar) -> Scalar:
     e = math.exp(value_of(x))
-    return _apply(x, e, e, e)
+    return x._chain(e, e, e) if isinstance(x, Jet) else e
 
 
 def log(x: Scalar) -> Scalar:
     v = value_of(x)
     if v <= 0.0:
         raise SingularEvaluation("ln of a non-positive argument")
+    if not isinstance(x, Jet):
+        return math.log(v)
     inv = 1.0 / v
-    return _apply(x, math.log(v), inv, -inv * inv)
+    return x._chain(math.log(v), inv, -inv * inv)
 
 
 def absolute(x: Scalar) -> Scalar:
     v = value_of(x)
     if v == 0.0:
         raise SingularEvaluation("abs at zero has no derivative")
-    s = 1.0 if v > 0 else -1.0
-    return _apply(x, abs(v), s, 0.0)
+    if not isinstance(x, Jet):
+        return abs(v)
+    return x._chain(abs(v), 1.0 if v > 0 else -1.0, 0.0)

@@ -230,7 +230,11 @@ def _rk4(rhs: Callable, start: PhasePoint, dt: float, steps: int) -> Trajectory:
     if steps < 1:
         raise ValueError("steps must be at least 1")
     z = start.as_vector()
-    states = np.empty((steps + 1, z.shape[0]))
+    try:
+        states = np.empty((steps + 1, z.shape[0]))
+    except MemoryError:
+        raise ValueError(f"steps={steps} is too large: the trajectory of "
+                         f"{steps + 1} states does not fit in memory") from None
     states[0] = z
     done = 0
     reason = None

@@ -257,11 +257,19 @@ class _Parser:
 
 
 def parse_expression(source: str, dim: int, prefixes: Sequence[str] = ("x",)) -> Expression:
-    """Parse ``source`` over a chart of ``dim`` coordinates per prefix."""
+    """Parse ``source`` over a chart of ``dim`` coordinates per prefix.
+
+    Equal arguments return the same :class:`Expression`, so its compiled
+    kernels are built once per process however often it is parsed."""
+    return _parse(source, dim, tuple(prefixes))
+
+
+@functools.lru_cache(maxsize=1024)
+def _parse(source: str, dim: int, prefixes: tuple[str, ...]) -> Expression:
     if dim < 1:
         raise ValueError("chart dimension must be at least 1")
     root = _Parser(source, dim, prefixes).parse()
-    return Expression(root, dim * len(prefixes), dim, tuple(prefixes))
+    return Expression(root, dim * len(prefixes), dim, prefixes)
 
 
 def _literal_int(node: Node) -> "int | None":
@@ -540,7 +548,11 @@ class _Emitter:
             return t, sec2, mul(mul(2.0, t), sec2)
         if func == "sqrt":
             r = call("sqrt", v)
-            return r, self.div(0.5, r), self.div(-0.25, mul(r, v))
+            if self.order == 1:
+                return r, self.div(0.5, r), 0.0
+            rv = mul(r, v)
+            self.check("{} == 0.0", rv, "sqrt argument too small for a second derivative")
+            return r, self.div(0.5, r), self.div(-0.25, rv)
         if func == "exp":
             e = call("exp", v)
             return e, e, e

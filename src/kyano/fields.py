@@ -128,14 +128,19 @@ class AntisymTensorField:
         return self._scatter(np.array(vals, dtype=float))
 
     def jacobian_at(self, point: Sequence[float]) -> np.ndarray:
-        """``jac[a, i1.. ir] = d_a f_{i1..ir}`` from one jet evaluation."""
+        """``jac[a, i1.. ir] = d_a f_{i1..ir}``: expression components from
+        their compiled order-1 kernels, the others from one jet evaluation."""
         pt = np.asarray(point, dtype=float)
         if pt.shape != (self.dim,):
             raise ValueError(f"expected a point of dimension {self.dim}")
         n = self.dim
-        seeds = Jet.seeds(pt, 1)
-        grads = [Jet.lift(self._component_scalar(c, seeds), n, 1).gradient
-                 for c in self._comps.values()]
+        coords, seeds, grads = pt.tolist(), None, []
+        for c in self._comps.values():
+            if isinstance(c, Expression):
+                grads.append(exprmod._kernel(c, 1)(coords)[1:])
+            else:
+                seeds = seeds or Jet.seeds(pt, 1)
+                grads.append(Jet.lift(self._component_scalar(c, seeds), n, 1).gradient)
         return self._scatter(np.array(grads, dtype=float).reshape(-1, n).T)
 
     @property

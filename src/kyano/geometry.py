@@ -333,9 +333,11 @@ def curvature_at(spec: MetricSpec, point: Sequence[float]) -> CurvatureValue:
 
 
 def covariant_derivative_2form(
-    spec: MetricSpec, field: AntisymTensorField, point: Sequence[float]
+    spec: MetricSpec, field: AntisymTensorField, point: Sequence[float],
+    values: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """``D[l, m, n] = D_l f_mn`` for a rank-2 antisymmetric field."""
+    """``D[l, m, n] = D_l f_mn`` for a rank-2 antisymmetric field;
+    ``values``, if given, is ``field.values_at(point)``."""
     if field.rank != 2:
         raise ValueError("covariant derivative is implemented for rank-2 fields")
     if field.dim != spec.dim:
@@ -343,7 +345,7 @@ def covariant_derivative_2form(
     jac = field.jacobian_at(point)
     if spec.components is None:
         return jac
-    f = field.values_at(point)
+    f = field.values_at(point) if values is None else values
     gamma = christoffel_at(spec, point)
     t1 = np.einsum("slm,sn->lmn", gamma, f)
     t2 = np.einsum("sln,ms->lmn", gamma, f)

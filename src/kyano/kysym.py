@@ -85,12 +85,14 @@ flat_ky_momentum_field = flat_ky_position_field
 
 
 def covariant_constancy_residual(
-    spec: MetricSpec, field: AntisymTensorField, point: Sequence[float]
+    spec: MetricSpec, field: AntisymTensorField, point: Sequence[float],
+    values: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """D_l f_{m n ...}; zero for covariant-constant fields."""
+    """D_l f_{m n ...}; zero for covariant-constant fields.  ``values``, if
+    given, is ``field.values_at(point)``."""
     if spec.components is None:
         return field.jacobian_at(point)
-    return geometry.covariant_derivative_2form(spec, field, point)
+    return geometry.covariant_derivative_2form(spec, field, point, values)
 
 
 def ky_residual(
@@ -232,11 +234,12 @@ def verify_field(
     count = 0
     for pt in points:
         count += 1
-        D = covariant_constancy_residual(spec, field, pt)
+        f = field.values_at(pt) if field.rank == 2 else None
+        D = covariant_constancy_residual(spec, field, pt, f)
         max_cc = _nan_max(max_cc, float(np.abs(D).max()))
         max_ky = _nan_max(max_ky, float(np.abs(D + D.swapaxes(0, 1)).max()))
-        if field.rank == 2:
-            d = abs(float(np.linalg.det(field.values_at(pt))))
+        if f is not None:
+            d = abs(float(np.linalg.det(f)))
             min_det = _nan_min(min_det, d)
             max_det = _nan_max(max_det, d)
     if not count:
@@ -297,14 +300,15 @@ def symplectic_from_ky(
         rng = rng if rng is not None else np.random.default_rng(0)
         points = geometry.sample_points(spec, n_points, rng)
     points = [np.asarray(pt, dtype=float) for pt in points]
+    values = [field.values_at(pt) for pt in points]
     min_det = math.inf
-    for pt in points:
-        min_det = _nan_min(min_det, abs(float(np.linalg.det(field.values_at(pt)))))
+    for f in values:
+        min_det = _nan_min(min_det, abs(float(np.linalg.det(f))))
     if not min_det > det_tol:
         raise SymplecticRejection("degenerate", f"min |det f| = {min_det:.3e}")
     max_cc = 0.0
-    for pt in points:
-        D = covariant_constancy_residual(spec, field, pt)
+    for pt, f in zip(points, values):
+        D = covariant_constancy_residual(spec, field, pt, f)
         max_cc = _nan_max(max_cc, float(np.abs(D).max()))
     if not max_cc <= cc_tol:
         raise SymplecticRejection(
@@ -368,26 +372,23 @@ def constcurv_ky(index: int, point: Sequence[float], K: float) -> np.ndarray:
     return constcurv_ky_field(index, K).values_at(point)
 
 
-def _taubnut_component(i: int, mu: int, nu: int, coords, m: float):
+def _taubnut_source(i: int, mu: int, nu: int, m: float) -> str:
     """Entry (mu, nu) of f_i = 4m (dpsi + cos th dphi) ^ dx_i
-    - (1 + 2m/r) eps_ijk dx_j ^ dx_k, pulled back to (r, theta, phi, psi)."""
-    from . import dual
-
-    r, th, ph = coords[0], coords[1], coords[2]
-    sth, cth = dual.sin(th), dual.cos(th)
-    sph, cph = dual.sin(ph), dual.cos(ph)
+    - (1 + 2m/r) eps_ijk dx_j ^ dx_k, pulled back to (r, theta, phi, psi)
+    = (x1, x2, x3, x4), as expression source."""
+    r, sth, cth, sph, cph = "x1", "sin(x2)", "cos(x2)", "sin(x3)", "cos(x3)"
     # rows: differentials of x = r sth cph, y = r sth sph, z = r cth
     J = (
-        (sth * cph, r * cth * cph, -(r * sth * sph), 0.0),
-        (sth * sph, r * cth * sph, r * sth * cph, 0.0),
-        (cth, -(r * sth), 0.0, 0.0),
+        (f"({sth} * {cph})", f"(({r} * {cth}) * {cph})", f"(-(({r} * {sth}) * {sph}))", "0.0"),
+        (f"({sth} * {sph})", f"(({r} * {cth}) * {sph})", f"(({r} * {sth}) * {cph})", "0.0"),
+        (cth, f"(-({r} * {sth}))", "0.0", "0.0"),
     )
-    sigma = (0.0, 0.0, cth, 1.0)
-    V = 1.0 + (2.0 * m) / r
-    out = 4.0 * m * (sigma[mu] * J[i][nu] - sigma[nu] * J[i][mu])
+    sigma = ("0.0", "0.0", cth, "1.0")
+    V = f"(1.0 + ({2.0 * m!r} / {r}))"
+    out = f"({4.0 * m!r} * (({sigma[mu]} * {J[i][nu]}) - ({sigma[nu]} * {J[i][mu]})))"
     j, k = [(1, 2), (2, 0), (0, 1)][i]
-    wedge = J[j][mu] * J[k][nu] - J[j][nu] * J[k][mu]
-    return out - V * (2.0 * wedge)
+    wedge = f"(({J[j][mu]} * {J[k][nu]}) - ({J[j][nu]} * {J[k][mu]}))"
+    return f"{out} - ({V} * (2.0 * {wedge}))"
 
 
 def taubnut_ky_field(index: int, m: float) -> AntisymTensorField:
@@ -396,13 +397,12 @@ def taubnut_ky_field(index: int, m: float) -> AntisymTensorField:
     if index not in (1, 2, 3):
         raise ValueError("index must be 1, 2, or 3")
     m = float(m)
-    comps = {}
-    for mu, nu in itertools.combinations(range(4), 2):
-        def comp(coords, mu=mu, nu=nu):
-            return _taubnut_component(index - 1, mu, nu, coords, m)
-
-        comps[(mu, nu)] = comp
-    return AntisymTensorField(4, 2, comps)
+    if not math.isfinite(m):
+        raise ValueError("mass parameter must be finite")
+    return AntisymTensorField(4, 2, {
+        (mu, nu): _taubnut_source(index - 1, mu, nu, m)
+        for mu, nu in itertools.combinations(range(4), 2)
+    })
 
 
 def taubnut_ky(index: int, point: Sequence[float], m: float) -> np.ndarray:

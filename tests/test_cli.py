@@ -3,6 +3,7 @@ codes, emitted files, and output determinism."""
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -258,6 +259,48 @@ def test_geodesic_bad_vector_length(capsys):
     )
     assert code == 2
     assert "--x0" in err
+
+
+def test_geodesic_steps_too_large_for_memory(capsys):
+    # 1e15 states of 6 floats are about 42 PiB: refused before any step,
+    # with the process's peak resident size (KiB on Linux) left as it was
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    code, out, err = run(
+        capsys, "geodesic", "--manifold", "flat3", "--x0=0,0,0", "--p0=1,0,0",
+        "--dt", "0.01", "--steps", "1000000000000000", "--format", "json",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: steps=1000000000000000 is too large")
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss < 2**16
+
+
+def _python_m_kyano(*argv):
+    src = os.path.dirname(os.path.dirname(kyano.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "kyano", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_m_kyano_runs_the_cli():
+    proc = _python_m_kyano("--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: kyano")
+
+
+def test_geodesic_from_tiny_sqrt_argument_has_no_traceback(tmp_path):
+    # sqrt's second-derivative factor underflows there; the 1-jets the
+    # integrator uses do not need it
+    manifold = write_json(tmp_path / "m.json", {
+        "kind": "custom",
+        "metric": [["1 + sqrt(x1)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    })
+    proc = _python_m_kyano(
+        "geodesic", "--manifold", manifold, "--x0=5e-324,0,0", "--p0=1,0,0",
+        "--dt", "0.01", "--steps", "10", "--out", str(tmp_path / "t.csv"),
+    )
+    assert proc.returncode in (0, 1)
+    assert "Traceback" not in proc.stderr
+    assert (tmp_path / "t.csv.json").exists()
 
 
 # -- multipole ----------------------------------------------------------------

@@ -199,3 +199,57 @@ def test_metric_jets_match_reference(spec):
             got = got if isinstance(got, tuple) else (got,)
             want = _ref_metric(spec, pt, order)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+# -- one parse and one compile per distinct source --------------------------------
+
+
+def test_parse_returns_one_expression_per_source():
+    src = "x1*sin(x2) + p1^2"
+    assert expr.parse_expression("x1 + 1", 2) is expr.parse_expression("x1 + 1", 2)
+    e = expr.parse_expression(src, 2, ("x", "p"))
+    assert expr.parse_expression(src, 2, ["x", "p"]) is e
+    assert expr.parse_expression(src, 3, ("x", "p")) is not e
+
+
+def test_second_report_compiles_no_kernel(monkeypatch):
+    from kyano import report
+
+    report.assemble_report(seed=3, samples=4)
+    compiled = []
+
+    class CountingEmitter(expr._Emitter):
+        def __init__(self, n, order):
+            compiled.append(order)
+            super().__init__(n, order)
+
+    monkeypatch.setattr(expr, "_Emitter", CountingEmitter)
+    report.assemble_report(seed=3, samples=4)
+    assert compiled == []
+
+
+# -- the float fast path and the sqrt second-derivative underflow ----------------
+
+
+@pytest.mark.parametrize("fn", [dual.sin, dual.cos, dual.tan, dual.sqrt, dual.exp,
+                                dual.log, dual.absolute])
+def test_float_arguments_skip_derivative_factors(fn):
+    for x in (0.3, 1.7, 42.0):
+        got = fn(x)
+        assert type(got) is float
+        for order in (1, 2):
+            assert got == fn(Jet.seeds([x], order)[0]).value
+
+
+def test_sqrt_of_tiny_argument():
+    e = expr.parse_expression("sqrt(x1)", 1)
+    tiny = 5e-324
+    assert expr.eval_value(e, [tiny]) == dual.sqrt(tiny) > 0.0
+    jet = expr.eval1(e, [tiny])
+    assert jet.value == dual.sqrt(tiny) and np.isfinite(jet.gradient).all()
+    assert _outcome(expr.eval1, e, [tiny]) == _outcome(_ref_jet, e, [tiny], 1)
+    message = "sqrt argument too small for a second derivative in sqrt(...) at offset 0"
+    for fn, arg in ((expr.eval2, [tiny]), (expr.evaluate, Jet.seeds([tiny], 2))):
+        with pytest.raises(SingularEvaluation) as info:
+            fn(e, arg)
+        assert str(info.value) == message

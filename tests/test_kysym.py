@@ -1,12 +1,14 @@
 """KY machinery: pairs, residuals, Killing tensors, symplectic forms,
 catalog fields, and the ansatz solver."""
 
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from kyano import geometry, kysym
+from kyano import dual, geometry, kysym
 from kyano.dual import Jet
 from kyano.errors import SymplecticRejection
 from kyano.fields import AntisymTensorField, levi_civita
@@ -354,6 +356,75 @@ def test_taubnut_m_to_zero_limit():
         assert np.count_nonzero(f[:, 3]) == 0
         f_half = kysym.taubnut_ky(index, pt, 0.0)
         assert np.array_equal(f, f_half)
+
+
+def _ref_taubnut_component(i, mu, nu, coords, m):
+    """The callable the triplet's expression sources are built from, over
+    floats or jets: entry (mu, nu) of f_i = 4m (dpsi + cos th dphi) ^ dx_i
+    - (1 + 2m/r) eps_ijk dx_j ^ dx_k, pulled back to (r, theta, phi, psi)."""
+    r, th, ph = coords[0], coords[1], coords[2]
+    sth, cth = dual.sin(th), dual.cos(th)
+    sph, cph = dual.sin(ph), dual.cos(ph)
+    J = (
+        (sth * cph, r * cth * cph, -(r * sth * sph), 0.0),
+        (sth * sph, r * cth * sph, r * sth * cph, 0.0),
+        (cth, -(r * sth), 0.0, 0.0),
+    )
+    sigma = (0.0, 0.0, cth, 1.0)
+    V = 1.0 + (2.0 * m) / r
+    out = 4.0 * m * (sigma[mu] * J[i][nu] - sigma[nu] * J[i][mu])
+    j, k = [(1, 2), (2, 0), (0, 1)][i]
+    wedge = J[j][mu] * J[k][nu] - J[j][nu] * J[k][mu]
+    return out - V * (2.0 * wedge)
+
+
+def _ref_taubnut_field(index, m):
+    return AntisymTensorField(4, 2, {
+        (mu, nu): (lambda coords, mu=mu, nu=nu:
+                   _ref_taubnut_component(index - 1, mu, nu, coords, m))
+        for mu, nu in itertools.combinations(range(4), 2)
+    })
+
+
+@pytest.mark.parametrize("m", (1.0, 0.7))
+def test_taubnut_expressions_match_reference_callable(m):
+    # m = 0.7 puts constants other than 4.0 and 2.0 into the sources
+    spec = geometry.taub_nut(m)
+    pts = geometry.sample_points(spec, 1000, np.random.default_rng(11))
+    for index in (1, 2, 3):
+        field, ref = kysym.taubnut_ky_field(index, m), _ref_taubnut_field(index, m)
+        assert field.is_serializable
+        for pt in pts:
+            assert field.values_at(pt).tobytes() == ref.values_at(pt).tobytes()
+            assert field.jacobian_at(pt).tobytes() == ref.jacobian_at(pt).tobytes()
+
+
+def test_taubnut_field_round_trips_through_json():
+    spec, pts = taub_nut_points(30, seed=12)
+    for index in (1, 2, 3):
+        field = kysym.taubnut_ky_field(index, 1.0)
+        back = AntisymTensorField.from_dict(json.loads(json.dumps(field.to_dict())))
+        for pt in pts:
+            assert back.values_at(pt).tobytes() == field.values_at(pt).tobytes()
+            assert back.jacobian_at(pt).tobytes() == field.jacobian_at(pt).tobytes()
+        assert kysym.verify_field(spec, back, pts) == kysym.verify_field(spec, field, pts)
+
+
+def test_taubnut_field_rejects_non_finite_mass():
+    with pytest.raises(ValueError, match="finite"):
+        kysym.taubnut_ky_field(1, math.inf)
+
+
+def test_verify_field_evaluates_values_once_per_point():
+    spec, pts = taub_nut_points(7, seed=13)
+    field = kysym.taubnut_ky_field(1, 1.0)
+    calls = []
+    values_at = field.values_at
+    field.values_at = lambda pt: calls.append(pt) or values_at(pt)
+    rep = kysym.verify_field(spec, field, pts)
+    assert len(calls) == len(pts)
+    del field.values_at
+    assert rep == kysym.verify_field(spec, field, pts)
 
 
 # -- dual symmetry ------------------------------------------------------------------
