@@ -18,7 +18,7 @@ import numpy as np
 from . import expr as exprmod
 from . import geometry
 from .dual import Jet
-from .errors import DomainError, SingularEvaluation, SingularMetric
+from .errors import DomainError, SingularEvaluation
 from .expr import Expression
 from .fields import AntisymTensorField
 from .geometry import MetricSpec
@@ -223,10 +223,8 @@ class Trajectory:
 
 def _rk4(rhs: Callable, start: PhasePoint, dt: float, steps: int) -> Trajectory:
     """Fixed-step classic RK4 from ``start``, truncated with a ``reason``
-    in ``meta`` when ``rhs`` leaves the domain or the state stops being
-    finite."""
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError("dt must be positive and finite")
+    in ``meta`` where a state stops being finite or ``rhs`` raises at a
+    stage; a state is retained only once ``rhs`` has run there."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
     z = start.as_vector()
@@ -235,31 +233,31 @@ def _rk4(rhs: Callable, start: PhasePoint, dt: float, steps: int) -> Trajectory:
     except MemoryError:
         raise ValueError(f"steps={steps} is too large: the trajectory of "
                          f"{steps + 1} states does not fit in memory") from None
+    if not (dt > 0 and math.isfinite(dt * steps)):
+        raise ValueError("dt must be positive and dt * steps finite")
+
+    def stage(state: np.ndarray) -> np.ndarray:
+        if not all(map(math.isfinite, state.tolist())):
+            raise DomainError("state left the finite range")
+        return rhs(state)
+
     states[0] = z
     done = 0
     reason = None
-    for k in range(steps):
+    # an overflow is no warning but a truncation: stage() rejects its result
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            k1 = rhs(z)
-        except (DomainError, SingularEvaluation) as e:
-            # the retained state itself is inadmissible: drop it so every
-            # state of a truncated trajectory stays evaluable
-            reason = str(e)
-            done = max(done - 1, 0)
-            break
-        try:
-            k2 = rhs(z + (0.5 * dt) * k1)
-            k3 = rhs(z + (0.5 * dt) * k2)
-            k4 = rhs(z + dt * k3)
+            k1 = stage(z)
+            for k in range(steps):
+                k2 = stage(z + (0.5 * dt) * k1)
+                k3 = stage(z + (0.5 * dt) * k2)
+                k4 = stage(z + dt * k3)
+                z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                k1 = stage(z)
+                states[k + 1] = z
+                done = k + 1
         except (DomainError, SingularEvaluation) as e:
             reason = str(e)
-            break
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(z).all():
-            reason = "state left the finite range"
-            break
-        states[k + 1] = z
-        done = k + 1
     meta = {
         "method": "rk4",
         "dt": float(dt),
@@ -280,8 +278,8 @@ def geodesic_integrate(
 
     The trajectory is truncated (``meta["completed"] = False``) if a step
     leaves the chart domain or the state stops being finite; the initial
-    point must be admissible.  Every retained state is evaluable, so
-    conserved quantities can be monitored on truncated trajectories.
+    point must be admissible.  Every retained state passes ``metric_at``,
+    so conserved quantities can be monitored on truncated trajectories.
     """
     if start.n != spec.dim:
         raise ValueError("phase point dimension does not match the metric")
@@ -312,12 +310,13 @@ def conservation_monitor(traj: Trajectory, quantity: PhaseFunction):
 
     Relative drift is measured against the initial value; it is reported
     as ``inf`` when the initial value is zero but the drift is not.  A
-    value that is NaN makes both drifts NaN.
+    value that is NaN makes both drifts NaN; one that overflows is inf.
     """
-    q0 = quantity.value(traj.point(0))
-    max_abs = 0.0
-    for k in range(1, len(traj)):
-        max_abs = _nan_max(max_abs, abs(quantity.value(traj.point(k)) - q0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q0 = quantity.value(traj.point(0))
+        max_abs = 0.0
+        for k in range(1, len(traj)):
+            max_abs = _nan_max(max_abs, abs(quantity.value(traj.point(k)) - q0))
     if q0 != 0.0:
         max_rel = max_abs / abs(q0)
     else:

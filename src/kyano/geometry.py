@@ -40,7 +40,9 @@ class MetricSpec:
     entries mean 0); a ``None`` grid means the identity metric.  The grid is
     symmetric by construction: entry (j, i) is the same object as (i, j).
     ``momentum_space`` records whether the chart variables are momenta,
-    which is what :func:`dual_metric` toggles.
+    which is what :func:`dual_metric` toggles.  The chart domain is where
+    each of ``guards`` evaluates, without raising, to at least a margin;
+    ``box`` is the default sampling box, ``[-1, 1]^n`` when ``None``.
     """
 
     kind: str
@@ -49,6 +51,8 @@ class MetricSpec:
     params: tuple[tuple[str, float], ...]
     components: ComponentGrid = None
     momentum_space: bool = False
+    guards: tuple[Expression, ...] = ()
+    box: Optional[tuple[tuple[float, float], ...]] = None
     # per-order component kernels and gather indices, see _component_table
     _tables: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
                                       compare=False)
@@ -105,6 +109,7 @@ def const_curvature3(K: float) -> MetricSpec:
         chart=("x1", "x2", "x3"),
         params=(("K", K),),
         components=_grid_from_upper(entries, 3),
+        guards=(exprmod.parse_expression(f"abs(1 + {K!r} * (x1^2 + x2^2 + x3^2) / 4)", 3),),
     )
 
 
@@ -142,6 +147,8 @@ def taub_nut(m: float, fiber_scale: float = 2.0) -> MetricSpec:
         chart=("r", "theta", "phi", "psi"),
         params=(("m", m), ("fiber_scale", fiber_scale)),
         components=_grid_from_upper(entries, 4),
+        guards=(exprmod.parse_expression("x1", 4), exprmod.parse_expression("abs(sin(x2))", 4)),
+        box=((0.5, 2.5), (0.3, math.pi - 0.3), (0.0, 2.0 * math.pi), (0.0, 4.0 * math.pi)),
     )
 
 
@@ -200,23 +207,22 @@ def const_curvature3_spherical(K: float) -> MetricSpec:
 # evaluation
 
 
-def _check_point(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
+def _check_point(spec: MetricSpec, point: Sequence[float], margin: float = DOMAIN_MARGIN):
+    """``point`` as floats, checked finite and at least ``margin`` inside every guard."""
     pt = np.asarray(point, dtype=float)
     if pt.shape != (spec.dim,):
         raise ValueError(f"expected a point of dimension {spec.dim}, got shape {pt.shape}")
-    if not np.isfinite(pt).all():
+    coords = pt.tolist()
+    if not all(map(math.isfinite, coords)):
         raise DomainError("point has non-finite coordinates")
-    if spec.kind == "const-curvature":
-        K = spec.param("K")
-        u = 1.0 + K * float(pt @ pt) / 4.0
-        if abs(u) < DOMAIN_MARGIN:
-            raise DomainError("singular conformal factor 1 + K r^2/4 = 0")
-    elif spec.kind == "taub-nut":
-        if pt[0] < DOMAIN_MARGIN:
-            raise DomainError("taub-nut chart requires r > 0")
-        if abs(math.sin(pt[1])) < DOMAIN_MARGIN:
-            raise DomainError("taub-nut chart is singular on the polar axis")
-    return pt
+    for guard in spec.guards:
+        try:
+            inside = exprmod._kernel(guard, 0)(coords) >= margin
+        except SingularEvaluation:
+            inside = False
+        if not inside:
+            raise DomainError(f"outside the chart domain: {exprmod.unparse(guard)} < {margin:g}")
+    return coords
 
 
 def _component_table(spec: MetricSpec, order: int):
@@ -247,13 +253,12 @@ def metric_components_at(spec: MetricSpec, point: Sequence[float], order: int = 
     Returns ``g``; ``(g, dg)`` with ``dg[a,i,j] = d_a g_ij``; or
     ``(g, dg, d2g)`` with ``d2g[a,b,i,j] = d_a d_b g_ij``.
     """
-    pt = _check_point(spec, point)
+    coords = _check_point(spec, point)
     n = spec.dim
     if spec.components is None:
         out = [np.eye(n)] + [np.zeros((n,) * (k + 3)) for k in range(order)]
     else:
         kernels, gather = _component_table(spec, order)
-        coords = [float(v) for v in pt]
         if order == 0:
             values = [k(coords) for k in kernels]
         else:
@@ -269,24 +274,24 @@ def metric_components_at(spec: MetricSpec, point: Sequence[float], order: int = 
 def metric_at(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
     """Metric matrix at ``point``; symmetric and checked invertible."""
     g = metric_components_at(spec, point, order=0)
-    s = np.linalg.svd(g, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= s[0] * 1e-13:
-        raise SingularMetric("metric matrix is singular at this point")
+    _invert(g)
     return g
 
 
 def inverse_metric_at(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
-    return np.linalg.inv(metric_at(spec, point))
+    return _invert(metric_components_at(spec, point, order=0))
 
 
 def _invert(g: np.ndarray) -> np.ndarray:
+    """``g^-1`` if ``max|g| max|g^-1| < 1e13 / n^2``, else SingularMetric; as
+    cond_2(g) <= n^2 max|g| max|g^-1|, every g with cond_2 >= 1e13 fails."""
     try:
         ginv = np.linalg.inv(g)
+        if float(np.abs(g).max()) * float(np.abs(ginv).max()) < 1e13 / len(g) ** 2:
+            return ginv
     except np.linalg.LinAlgError:
-        raise SingularMetric("metric matrix is singular at this point") from None
-    if not np.isfinite(ginv).all():
-        raise SingularMetric("metric matrix is singular at this point")
-    return ginv
+        pass
+    raise SingularMetric("metric matrix is singular at this point")
 
 
 def christoffel_at(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
@@ -346,10 +351,12 @@ def covariant_derivative_2form(
     if spec.components is None:
         return jac
     f = field.values_at(point) if values is None else values
-    gamma = christoffel_at(spec, point)
-    t1 = np.einsum("slm,sn->lmn", gamma, f)
-    t2 = np.einsum("sln,ms->lmn", gamma, f)
-    return jac - t1 - t2
+    return _covariant_derivative(christoffel_at(spec, point), f, jac)
+
+
+def _covariant_derivative(gamma: np.ndarray, f: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """``D_l f_mn`` from the Christoffels and a two-form's values and partials."""
+    return jac - np.einsum("slm,sn->lmn", gamma, f) - np.einsum("sln,ms->lmn", gamma, f)
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +492,7 @@ def resolve_manifold(text: str) -> MetricSpec:
 
 
 def default_box(spec: MetricSpec) -> list[tuple[float, float]]:
-    if spec.kind == "taub-nut":
-        return [(0.5, 2.5), (0.3, math.pi - 0.3), (0.0, 2.0 * math.pi), (0.0, 4.0 * math.pi)]
-    return [(-1.0, 1.0)] * spec.dim
+    return list(spec.box) if spec.box else [(-1.0, 1.0)] * spec.dim
 
 
 def sample_points(
@@ -495,14 +500,12 @@ def sample_points(
     count: int,
     rng: np.random.Generator,
     box: Optional[Sequence[tuple[float, float]]] = None,
-    margin: float = 0.1,
 ) -> np.ndarray:
     """Admissible chart points, uniform over ``box`` with rejection.
 
-    Points closer than ``margin`` to a known singular locus (the
-    constant-curvature conformal pole) are rejected, as is anything the
-    metric itself rejects.  Raises :class:`DomainError` when fewer than
-    one draw in a thousand is admissible.
+    Draws are kept where every guard is at least 0.1 and :func:`metric_at`
+    accepts them.  Raises :class:`DomainError` when fewer than one draw in
+    a thousand is admissible.
     """
     if box is None:
         box = default_box(spec)
@@ -516,13 +519,10 @@ def sample_points(
         if attempts > 1000 * max(count, 1):
             raise DomainError("sampling box appears to be mostly inadmissible")
         pt = lo + (hi - lo) * rng.random(spec.dim)
-        if spec.kind == "const-curvature":
-            K = spec.param("K")
-            if abs(1.0 + K * float(pt @ pt) / 4.0) < margin:
-                continue
         try:
+            _check_point(spec, pt, 0.1)
             metric_at(spec, pt)
-        except (DomainError, SingularMetric, SingularEvaluation):
+        except (DomainError, SingularEvaluation):
             continue
         out[produced] = pt
         produced += 1

@@ -107,7 +107,10 @@ def closedness_residual(field: AntisymTensorField, point: Sequence[float]) -> np
     """Antisymmetrized derivative d_[l f_mn]; zero for closed two-forms."""
     if field.rank != 2:
         raise ValueError("closedness check is implemented for rank-2 fields")
-    jac = field.jacobian_at(point)
+    return _cyclic_sum(field.jacobian_at(point))
+
+
+def _cyclic_sum(jac: np.ndarray) -> np.ndarray:
     return jac + jac.transpose(2, 0, 1) + jac.transpose(1, 2, 0)
 
 
@@ -306,17 +309,19 @@ def symplectic_from_ky(
         min_det = _nan_min(min_det, abs(float(np.linalg.det(f))))
     if not min_det > det_tol:
         raise SymplecticRejection("degenerate", f"min |det f| = {min_det:.3e}")
+    jacs = [field.jacobian_at(pt) for pt in points]
     max_cc = 0.0
-    for pt, f in zip(points, values):
-        D = covariant_constancy_residual(spec, field, pt, f)
+    for pt, f, jac in zip(points, values, jacs):
+        D = jac if spec.components is None else geometry._covariant_derivative(
+            geometry.christoffel_at(spec, pt), f, jac)
         max_cc = _nan_max(max_cc, float(np.abs(D).max()))
     if not max_cc <= cc_tol:
         raise SymplecticRejection(
             "not-covariant-constant", f"max |D f| = {max_cc:.3e}"
         )
     max_closed = 0.0
-    for pt in points:
-        max_closed = _nan_max(max_closed, float(np.abs(closedness_residual(field, pt)).max()))
+    for jac in jacs:
+        max_closed = _nan_max(max_closed, float(np.abs(_cyclic_sum(jac)).max()))
     if not max_closed <= closed_tol:
         raise SymplecticRejection("not-closed", f"max |d f| = {max_closed:.3e}")
     return SymplecticForm(
@@ -457,11 +462,7 @@ def ky_solve_ansatz(
                 f[a, b], f[b, a] = jet.value, -jet.value
                 df = np.zeros((n, n, n))
                 df[:, a, b], df[:, b, a] = jet.gradient, -jet.gradient
-                D = (
-                    df
-                    - np.einsum("slm,sn->lmn", gamma, f)
-                    - np.einsum("sln,ms->lmn", gamma, f)
-                )
+                D = geometry._covariant_derivative(gamma, f, df)
                 R = D + D.swapaxes(0, 1)
                 rows[pi * n ** 3:(pi + 1) * n ** 3, ai * nb + bi] = R.ravel()
     _, svals, vh = np.linalg.svd(rows, full_matrices=True)

@@ -1,13 +1,18 @@
 """Command-line interface driven in-process through main(argv): exit
 codes, emitted files, and output determinism."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import kyano
 from kyano.cli import main
@@ -22,6 +27,13 @@ def run(capsys, *argv):
 def write_json(path, obj):
     path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
+
+
+# g = diag(1, x1^2) degenerates on the line x1 = 0
+DEGENERATE = {"kind": "custom", "metric": [["1", "0"], ["0", "x1^2"]]}
+# the sqrt's derivative overflows as x1 -> 0
+TINY_SQRT = {"kind": "custom",
+             "metric": [["1 + sqrt(x1)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
 
 
 # -- verify-ky ----------------------------------------------------------------
@@ -290,17 +302,30 @@ def test_python_m_kyano_runs_the_cli():
 def test_geodesic_from_tiny_sqrt_argument_has_no_traceback(tmp_path):
     # sqrt's second-derivative factor underflows there; the 1-jets the
     # integrator uses do not need it
-    manifold = write_json(tmp_path / "m.json", {
-        "kind": "custom",
-        "metric": [["1 + sqrt(x1)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
-    })
+    manifold = write_json(tmp_path / "m.json", TINY_SQRT)
     proc = _python_m_kyano(
         "geodesic", "--manifold", manifold, "--x0=5e-324,0,0", "--p0=1,0,0",
         "--dt", "0.01", "--steps", "10", "--out", str(tmp_path / "t.csv"),
     )
-    assert proc.returncode in (0, 1)
-    assert "Traceback" not in proc.stderr
+    # an RK4 stage reaches infinite momenta: the run truncates before numpy
+    # sees them, so no RuntimeWarning joins the one warning line
+    assert proc.returncode == 1
+    assert proc.stderr == "warning: truncated after 0 steps (state left the finite range)\n"
     assert (tmp_path / "t.csv.json").exists()
+
+
+def test_geodesic_through_a_degenerate_metric_truncates(tmp_path, capsys):
+    manifold = write_json(tmp_path / "m.json", DEGENERATE)
+    out = str(tmp_path / "t.csv")
+    code, _, err = run(
+        capsys, "geodesic", "--manifold", manifold, "--x0=0.5,0", "--p0=-1,1e-8",
+        "--dt", "0.01", "--steps", "100", "--out", out,
+    )
+    assert code == 1
+    assert err == "warning: truncated after 49 steps (metric matrix is singular at this point)\n"
+    sidecar = json.loads((tmp_path / "t.csv.json").read_text())
+    assert sidecar["integration"]["steps_completed"] == 49
+    assert sidecar["drift"]["H"]["abs"] < 1e-12
 
 
 # -- multipole ----------------------------------------------------------------
@@ -381,3 +406,81 @@ def test_report_unknown_section_rejected(capsys):
         main(["report", "--skip", "bogus"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# -- argv fuzzing -------------------------------------------------------------
+
+NUMBERS = ["0", "1", "-1", "0.5", "0.01", "5e-324", "-5e-324", "1e308", "-1e308",
+           "nan", "inf", "-inf"]
+# kyano's own lines, and argparse's usage block and error line
+STDERR_LINE = re.compile(r"(error|warning): |usage: |\s|kyano( [a-z-]+)?: error: ")
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    return {"out": str(base / "out.csv"), "manifolds": [
+        write_json(base / "degenerate.json", DEGENERATE),
+        write_json(base / "tiny_sqrt.json", TINY_SQRT),
+    ]}
+
+
+@st.composite
+def cli_argv(draw, files):
+    """Argv for one subcommand: its required options, one of them perhaps
+    dropped, and any of the rest; values from valid and hostile sets."""
+    manifold, dim = draw(st.sampled_from([
+        ("flat2", 2), ("flat3", 3), ("flat4", 4), ("const-curvature", 3),
+        ("const-curvature:K=-1", 3), ("const-curvature:K=1e308", 3),
+        ("const-curvature:K=5e-324", 3), ("taub-nut", 4), ("taub-nut:m=2,fiber_scale=4", 4),
+        ("taub-nut:m=5e-324", 4), ("taub-nut:m=1e308", 4), ("torus", 3),
+        (files["manifolds"][0], 2), (files["manifolds"][1], 3)]))
+    # mostly of the manifold's dimension, so that runs get past the parser
+    vector = st.sampled_from([dim, dim, dim, 1, 5]).flatmap(
+        lambda k: st.lists(st.sampled_from(NUMBERS), min_size=k, max_size=k)).map(",".join)
+    options = {
+        "--manifold": st.just(manifold),
+        "--field": st.sampled_from(["flat-position", "flat-momentum", "taubnut-1",
+                                    "taubnut-3", "taubnut-4"]),
+        "--x0": vector,
+        "--p0": vector,
+        "--dt": st.sampled_from(NUMBERS),
+        "--steps": st.sampled_from(["-1", "0", "1", "10", "200", "1e3"]),
+        "--samples": st.sampled_from(["-3", "0", "1", "5", "20"]),
+        "--monitor": st.sampled_from(["H", "K", "H,K", "L1", "H,L3", "Q"]),
+        "--format": st.sampled_from(["json", "table", "csv"]),
+        "--seed": st.sampled_from(["0", "7", "-1", "x"]),
+        "--tol": st.sampled_from(NUMBERS),
+        "--skip": st.sampled_from(["multipole", "flat-ky", "taub-nut", "bogus"]),
+        "--out": st.just(files["out"]),
+    }
+    required = {
+        "verify-ky": ["--manifold", "--field", "--samples"],
+        "geodesic": ["--manifold", "--x0", "--p0", "--dt", "--steps", "--out"],
+        "multipole": ["--samples"],
+        "report": ["--samples"],
+        "torus": [],
+    }
+    command = draw(st.sampled_from(sorted(required)))
+    names = list(required[command])
+    dropped = draw(st.sampled_from([None, *names]))
+    extra = draw(st.sets(st.sampled_from(sorted(set(options) - set(names)))))
+    names = [k for k in names if k != dropped] + sorted(extra)
+    return [command] + [f"{k}={draw(options[k])}" for k in names]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_fuzz_keeps_the_exit_code_contract(fuzz_files, data):
+    argv = data.draw(cli_argv(fuzz_files), label="argv")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse usage errors
+            code = e.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    for line in err.getvalue().splitlines():
+        assert STDERR_LINE.match(line), line

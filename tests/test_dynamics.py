@@ -215,6 +215,20 @@ def test_truncation_on_domain_exit():
     assert np.all(np.diff(traj.times) > 0)
 
 
+@pytest.mark.parametrize("steps", [50, 100])
+def test_truncation_where_the_metric_degenerates(steps):
+    # g = diag(1, x1^2) degenerates at x1 = 0; state 50 of this geodesic
+    # has x1 = 3.8e-14, so it goes, also when it would be the last one
+    spec = geometry.custom([["1", "0"], ["0", "x1^2"]])
+    traj = geodesic_integrate(spec, PhasePoint([0.5, 0.0], [-1.0, 1e-8]), 0.01, steps)
+    assert not traj.meta["completed"]
+    assert traj.meta["steps_completed"] == 49
+    assert "singular" in traj.meta["reason"]
+    for x in traj.x:
+        geometry.metric_at(spec, x)
+    assert conservation_monitor(traj, free_hamiltonian(spec))[0] < 1e-12
+
+
 def test_const_curvature_energy_drift():
     spec = geometry.const_curvature3(1.0)
     z0 = PhasePoint([0.1, 0.2, -0.1], [0.3, -0.2, 0.25])

@@ -1,11 +1,14 @@
 """Metric catalog: values, Christoffels, curvature, duality, serialization."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kyano import geometry
+from kyano import expr, geometry
 from kyano.errors import DomainError, KyanoError, SingularMetric
 from kyano.fields import AntisymTensorField, levi_civita
 from kyano.kysym import flat_ky_position_field
@@ -58,6 +61,53 @@ def test_singular_custom_metric():
     with pytest.raises(SingularMetric):
         geometry.inverse_metric_at(spec, [0.0, 1.0])
     assert issubclass(SingularMetric, DomainError)
+
+
+def _svd_rejects(g):
+    # the singular-metric test metric_at made before the max-abs bound
+    s = np.linalg.svd(g, compute_uv=False)
+    return s[0] == 0.0 or s[-1] <= s[0] * 1e-13
+
+
+def _symmetric(singular_values, signs, seed):
+    n = len(singular_values)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    g = q @ np.diag(np.multiply(singular_values, signs)) @ q.T
+    return 0.5 * (g + g.T)
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-13, 1e-14, 1e-15, 1e-16])
+def test_condition_bound_rejects_what_the_svd_test_rejected(eps):
+    for g in (np.diag([1.0, eps]), _symmetric([3.0, 1.0, 0.5, eps], [1, -1, 1, 1], seed=7)):
+        assert _svd_rejects(g) == (eps < 1e-12)
+        if _svd_rejects(g):
+            with pytest.raises(SingularMetric):
+                geometry._invert(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    exponents=st.lists(st.floats(-17.0, 3.0), min_size=1, max_size=6),
+    signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=6, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_condition_bound_is_at_least_as_strict_as_svd(exponents, signs, seed):
+    g = _symmetric(10.0 ** np.array(exponents), signs[: len(exponents)], seed)
+    if _svd_rejects(g):
+        with pytest.raises(SingularMetric):
+            geometry._invert(g)
+
+
+def test_guards_on_the_spec_decide_the_domain():
+    spec = dataclasses.replace(
+        geometry.flat(2), guards=(expr.parse_expression("x1 - x2", 2),
+                                  expr.parse_expression("sqrt(x1 + 1)", 2)))
+    assert np.array_equal(geometry.metric_at(spec, [1.0, 0.0]), np.eye(2))
+    for pt in ([0.0, 1.0], [0.5, 0.5], [-2.0, -3.0]):  # negative, zero, raises
+        with pytest.raises(DomainError, match="outside the chart domain"):
+            geometry.metric_at(spec, pt)
+    pts = sample(spec, 100)
+    assert (pts[:, 0] - pts[:, 1] >= 0.1).all() and (np.sqrt(pts[:, 0] + 1) >= 0.1).all()
 
 
 def test_domain_guards():
@@ -295,6 +345,10 @@ def test_sample_points_respect_domain():
     for pt in sample(tn, 50, seed=2):
         assert pt[0] > 0
         assert abs(math.sin(pt[1])) > 1e-9
+    # a box reaching the Taub-NUT guards keeps the sampler's 0.1 margin to them
+    box = [(-0.5, 1.0), (-0.5, 0.5), (0.0, 1.0), (0.0, 1.0)]
+    for pt in geometry.sample_points(tn, 50, np.random.default_rng(3), box=box):
+        assert pt[0] >= 0.1 and abs(math.sin(pt[1])) >= 0.1
 
 
 def test_sample_points_deterministic():

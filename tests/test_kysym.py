@@ -200,6 +200,8 @@ def test_verify_field_flags():
 # -- symplectic structure --------------------------------------------------------
 
 
+# the NaN point is injected on purpose, and det of the NaN values warns
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
 def test_verify_field_nan_residual_fails():
     field = AntisymTensorField(3, 2, {"12": "x1^2"})
     rep = kysym.verify_field(geometry.flat(3), field, [[math.nan, 0.0, 0.0]])
@@ -425,6 +427,18 @@ def test_verify_field_evaluates_values_once_per_point():
     assert len(calls) == len(pts)
     del field.values_at
     assert rep == kysym.verify_field(spec, field, pts)
+
+
+def test_symplectic_from_ky_evaluates_jacobian_once_per_point():
+    spec, pts = taub_nut_points(30, seed=13)
+    field = kysym.taubnut_ky_field(1, 1.0)
+    calls = []
+    jacobian_at = field.jacobian_at
+    field.jacobian_at = lambda pt: calls.append(pt) or jacobian_at(pt)
+    form = kysym.symplectic_from_ky(spec, field, points=pts)
+    assert len(calls) == len(pts) == 30
+    del field.jacobian_at
+    assert form == kysym.symplectic_from_ky(spec, field, points=pts)
 
 
 # -- dual symmetry ------------------------------------------------------------------
