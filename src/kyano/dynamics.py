@@ -8,7 +8,6 @@ finite differences.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
@@ -18,12 +17,12 @@ import numpy as np
 from . import expr as exprmod
 from . import geometry
 from .dual import Jet
-from .errors import DomainError, SingularEvaluation
+from .errors import DomainError, KyanoError, SingularEvaluation
 from .expr import Expression
 from .fields import AntisymTensorField
 from .geometry import MetricSpec
 from .jsonio import atomic_open
-from .kysym import _nan_max, killing_tensor_jet
+from .kysym import killing_tensor_jet
 
 
 @dataclass
@@ -57,7 +56,9 @@ class PhaseFunction(Protocol):
     """Differentiable scalar on phase space over an ``n``-dimensional chart.
 
     ``value`` returns a float; ``gradient`` returns the length-2n array
-    (dF/dx1..dF/dxn, dF/dp1..dF/dpn).
+    (dF/dx1..dF/dxn, dF/dp1..dF/dpn).  An implementation may also have
+    ``values(X, P)``, the values at N states given as (N, n) arrays, which
+    :func:`conservation_monitor` then calls once per trajectory.
     """
 
     n: int
@@ -71,8 +72,25 @@ class PhaseFunction(Protocol):
         return PhaseExpression(exprmod.parse_expression(source, n, prefixes=("x", "p")))
 
 
+class _RowValues:
+    """``value(z)`` as the one-row case of ``values(X, P)``; where the rows at
+    once raise, each row runs in turn, so the first failing row raises."""
+
+    def value(self, z: PhasePoint) -> float:
+        return float(self.values(z.x[None], z.p[None])[0])
+
+    def values(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
+        X, P = np.asarray(X, dtype=float), np.asarray(P, dtype=float)
+        try:
+            return self._values(X, P)
+        except KyanoError:
+            for i in range(len(X)):
+                self._values(X[i:i + 1], P[i:i + 1])
+            raise
+
+
 @dataclass(frozen=True)
-class PhaseExpression:
+class PhaseExpression(_RowValues):
     """A phase function given by an expression in ``x1..xn, p1..pn``."""
 
     expr: Expression
@@ -81,36 +99,37 @@ class PhaseExpression:
     def n(self) -> int:
         return self.expr.dim
 
-    def value(self, z: PhasePoint) -> float:
-        return exprmod.eval_value(self.expr, z.as_vector())
+    def _values(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
+        return exprmod.eval_columns(self.expr, np.concatenate([X, P], axis=1).T)
 
     def gradient(self, z: PhasePoint) -> np.ndarray:
         return exprmod.eval1(self.expr, z.as_vector()).gradient
 
 
-class GeodesicHamiltonian:
+class GeodesicHamiltonian(_RowValues):
     """H = (1/2) g^{mn}(x) p_m p_n with jet-based exact gradients."""
 
     def __init__(self, spec: MetricSpec):
         self.spec = spec
         self.n = spec.dim
 
-    def value(self, z: PhasePoint) -> float:
-        ginv = geometry._invert(geometry.metric_components_at(self.spec, z.x, order=0))
-        return 0.5 * float(z.p @ ginv @ z.p)
+    def _values(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
+        ginv = geometry._invert(geometry._metric_rows(self.spec, X))
+        return 0.5 * (P[:, None, :] @ ginv @ P[:, :, None])[:, 0, 0]
 
     def gradient(self, z: PhasePoint) -> np.ndarray:
         # Hamilton's equations read backwards: dH/dx = -dp/dt, dH/dp = dx/dt
+        geometry._check_point(self.spec, z.x)  # rhs() takes the state as finite
         zdot = self.rhs(z.as_vector())
         return np.concatenate([-zdot[self.n:], zdot[:self.n]])
 
     def rhs(self, zvec: np.ndarray) -> np.ndarray:
-        """(dx/dt, dp/dt) = (g^{-1} p, -(1/2) d_x g^{mn} p_m p_n) at ``zvec``."""
-        n = self.n
-        x, p = zvec[:n], zvec[n:]
-        if self.spec.components is None:
+        """(dx/dt, dp/dt) = (g^{-1} p, -(1/2) d_x g^{mn} p_m p_n) at a finite ``zvec``."""
+        n, spec = self.n, self.spec
+        p = zvec[n:]
+        if spec.components is None:
             return np.concatenate([p, np.zeros(n)])
-        g, dg = geometry.metric_components_at(self.spec, x, order=1)
+        g, dg = geometry._metric_jet(spec, geometry._check_guards(spec, zvec[:n].tolist()), 1)
         ginv = geometry._invert(g)
         gip = ginv @ p
         # d_a g^{mn} = -(ginv dg_a ginv)^{mn}
@@ -122,7 +141,7 @@ def free_hamiltonian(spec: MetricSpec) -> GeodesicHamiltonian:
     return GeodesicHamiltonian(spec)
 
 
-class KillingQuadratic:
+class KillingQuadratic(_RowValues):
     """Q = K^{ij}(x) p_i p_j with K_ij = (f g^{-1} f)_ij from a rank-2 KY field.
 
     The indices of K are raised with g^{-1}, so Q = u.K.u with u = g^{-1} p;
@@ -134,11 +153,11 @@ class KillingQuadratic:
         self.ky_field = ky_field
         self.n = spec.dim
 
-    def value(self, z: PhasePoint) -> float:
-        f = self.ky_field.values_at(z.x)
-        ginv = geometry.inverse_metric_at(self.spec, z.x)
-        u = ginv @ z.p
-        return float(u @ f @ ginv @ f @ u)
+    def _values(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
+        f = self.ky_field.values_at(X)
+        ginv = geometry._invert(geometry._metric_rows(self.spec, X))
+        u = ginv @ P[:, :, None]
+        return (u.transpose(0, 2, 1) @ f @ ginv @ f @ u)[:, 0, 0]
 
     def gradient(self, z: PhasePoint) -> np.ndarray:
         K, dK = killing_tensor_jet(self.spec, self.ky_field, z.x)
@@ -313,10 +332,10 @@ def conservation_monitor(traj: Trajectory, quantity: PhaseFunction):
     value that is NaN makes both drifts NaN; one that overflows is inf.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        q0 = quantity.value(traj.point(0))
-        max_abs = 0.0
-        for k in range(1, len(traj)):
-            max_abs = _nan_max(max_abs, abs(quantity.value(traj.point(k)) - q0))
+        q = np.asarray(quantity.values(traj.x, traj.p) if hasattr(quantity, "values") else
+                       [quantity.value(traj.point(k)) for k in range(len(traj))], dtype=float)
+        q0 = float(q[0])
+        max_abs = float(np.max(np.abs(q[1:] - q0), initial=0.0))
     if q0 != 0.0:
         max_rel = max_abs / abs(q0)
     else:
@@ -332,8 +351,7 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     """Write ``t,x1..xn,p1..pn`` rows with 17 significant digits, atomically."""
     n = traj.n
     header = ["t"] + [f"x{i}" for i in range(1, n + 1)] + [f"p{i}" for i in range(1, n + 1)]
+    row = ",".join(["%.17g"] * (2 * n + 1)) + "\r\n"
     with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, state in zip(traj.times, traj.states):
-            writer.writerow([format(v, ".17g") for v in (t, *state)])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row % tuple(r) for r in np.column_stack([traj.times, traj.states]).tolist())

@@ -334,24 +334,56 @@ _GLOBALS = {"SingularEvaluation": SingularEvaluation, "ipow": dual.integer_power
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _kernel(expr: Expression, order: int) -> Callable:
+def _per_point(*args):
+    raise ArithmeticError("evaluated per point")
+
+
+def _elementwise(fn: Callable) -> Callable:
+    return lambda col: np.fromiter(map(fn, np.atleast_1d(col).tolist()), float)
+
+
+# The order-0 source over (N,) columns of finite floats: numpy arithmetic is
+# IEEE-exact like float arithmetic and flags where floats raise or overflow,
+# except inf or NaN over 0, so a non-finite constant (``float('inf')`` in the
+# source), like a non-literal power, runs per point.  Functions map ``dual``'s.
+_COLUMNS = {**_GLOBALS, "float": _per_point, "pow_": _per_point,
+            "ipow": lambda b, k: dual.integer_power(b if k >= 0 else 1.0 / b, abs(k)),
+            **{f"d_{k}": _elementwise(f) for k, f in FUNCTIONS.items()}}
+
+
+def _kernel(expr: Expression, order: "int | str") -> Callable:
     """The compiled function of ``expr`` at jet ``order``, built once: order
     0 maps ``nvars`` scalars (floats or jets) to a scalar, orders 1 and 2
-    map ``nvars`` floats to (value, *gradient, *row-major Hessian)."""
+    map ``nvars`` floats to (value, *gradient, *row-major Hessian), and
+    ``"columns"`` runs the order-0 source on ``nvars`` columns of floats."""
     fn = expr._kernels.get(order)
     if fn is None:
-        em = _Emitter(expr.nvars, order)
+        em = _Emitter(expr.nvars, 0 if order == "columns" else order)
         out = em.emit(expr.root)
-        if order:
+        if em.order:
             value, grad, hess = out if isinstance(out, tuple) else em.lift(out)
             out = [value, *grad, *itertools.chain(*hess or ())]
-        ret = ", ".join(map(em.src, out)) + "," if order else em.src(out)
+        ret = ", ".join(map(em.src, out)) + "," if em.order else em.src(out)
         args = "".join(f"s{i}, " for i in range(expr.nvars))
         source = "\n".join(["def kernel(s):", f"    {args}= s", *em.lines, f"    return {ret}"])
-        namespace = dict(_GLOBALS)
+        namespace = dict(_COLUMNS if order == "columns" else _GLOBALS)
         exec(compile(source, f"<kyano kernel, order {order}>", "exec"), namespace)
         fn = expr._kernels[order] = namespace["kernel"]
     return fn
+
+
+def eval_columns(expr: Expression, columns) -> np.ndarray:
+    """Values of ``expr`` at N points, one ``(N,)`` column per slot, bytewise the
+    per-point kernel's: where a column is not finite, or the columns raise or
+    overflow, each row runs per point, so the first failing row raises."""
+    try:
+        if not np.isfinite(columns).all():
+            raise ArithmeticError("non-finite coordinates")
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return np.broadcast_to(_kernel(expr, "columns")(columns), (len(columns[0]),)).copy()
+    except (ArithmeticError, ValueError, SingularEvaluation):
+        kernel = _kernel(expr, 0)
+        return np.array([kernel(row) for row in zip(*(c.tolist() for c in columns))], float)
 
 
 class _Emitter:

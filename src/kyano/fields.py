@@ -120,8 +120,15 @@ class AntisymTensorField:
         return arr.reshape(lead + (self.dim,) * self.rank)
 
     def values_at(self, point: Sequence[float]) -> np.ndarray:
-        """Full component array at ``point``; exactly antisymmetric."""
-        coords = [float(v) for v in np.asarray(point, dtype=float)]
+        """Full component array at ``point``, or at each row of an (N, dim)
+        array (expressions over columns); exactly antisymmetric."""
+        pts = np.asarray(point, dtype=float)
+        if pts.ndim == 2 and pts.shape[1] == self.dim:
+            vals = [exprmod.eval_columns(c, pts.T) if isinstance(c, Expression) else
+                    [value_of(self._component_scalar(c, row)) for row in pts.tolist()]
+                    for c in self._comps.values()]
+            return self._scatter(np.array(vals, dtype=float).reshape(-1, len(pts)).T)
+        coords = [float(v) for v in pts]
         if len(coords) != self.dim:
             raise ValueError(f"expected a point of dimension {self.dim}")
         vals = [value_of(self._component_scalar(c, coords)) for c in self._comps.values()]

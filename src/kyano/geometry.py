@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import expr as exprmod
 from .errors import DomainError, KyanoError, SingularEvaluation, SingularMetric
@@ -190,8 +191,8 @@ def const_curvature3_spherical(K: float) -> MetricSpec:
     """Spherical chart (r, theta, phi) of the constant-curvature 3-space.
 
     ds^2 = (1 + K r^2/4)^{-2} (dr^2 + r^2 dtheta^2 + r^2 sin^2 theta dphi^2).
-    Built as a custom metric; admissible for r > 0 away from the polar axis
-    and the conformal pole.
+    Built as a custom metric with guards: admissible for r > 0 away from the
+    polar axis and the conformal pole.
     """
     K = float(K)
     conf = f"(1 + {K!r}*x1^2/4)^2"
@@ -200,7 +201,10 @@ def const_curvature3_spherical(K: float) -> MetricSpec:
         ["0", f"x1^2/{conf}", "0"],
         ["0", "0", f"x1^2*sin(x2)^2/{conf}"],
     ]
-    return custom(rows, chart=("r", "theta", "phi"))
+    guards = ("x1", "abs(sin(x2))", f"abs(1 + {K!r}*x1^2/4)")
+    return dataclasses.replace(custom(rows, chart=("r", "theta", "phi")),
+                               guards=tuple(exprmod.parse_expression(g, 3) for g in guards),
+                               box=((0.0, 2.0), (0.0, math.pi), (0.0, 2.0 * math.pi)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +219,15 @@ def _check_point(spec: MetricSpec, point: Sequence[float], margin: float = DOMAI
     coords = pt.tolist()
     if not all(map(math.isfinite, coords)):
         raise DomainError("point has non-finite coordinates")
+    return _check_guards(spec, coords, margin)
+
+
+def _check_guards(spec: MetricSpec, coords, margin: float = DOMAIN_MARGIN, rows: bool = False):
+    """``coords`` (a point's floats, or with ``rows`` N points' columns) inside every guard."""
     for guard in spec.guards:
-        try:
-            inside = exprmod._kernel(guard, 0)(coords) >= margin
+        try:  # a NaN minimum, like a NaN value, is outside
+            inside = (exprmod.eval_columns(guard, coords).min() if rows
+                      else exprmod._kernel(guard, 0)(coords)) >= margin
         except SingularEvaluation:
             inside = False
         if not inside:
@@ -242,8 +252,9 @@ def _component_table(spec: MetricSpec, order: int):
         offsets = [np.zeros((1, 1), dtype=np.intp), 1 + np.arange(n)[:, None, None],
                    1 + n + np.arange(n * n).reshape(n, n, 1, 1)]
         gather = [np.where(start < 0, -1, start + off) for off in offsets[: order + 1]]
-        kernels = tuple(exprmod._kernel(e, order) for _, e in exprs.values())
-        table = spec._tables[order] = (kernels, gather)
+        exprs = tuple(e for _, e in exprs.values())
+        kernels = tuple(exprmod._kernel(e, order) for e in exprs)
+        table = spec._tables[order] = (exprs, kernels, gather)
     return table
 
 
@@ -253,22 +264,42 @@ def metric_components_at(spec: MetricSpec, point: Sequence[float], order: int = 
     Returns ``g``; ``(g, dg)`` with ``dg[a,i,j] = d_a g_ij``; or
     ``(g, dg, d2g)`` with ``d2g[a,b,i,j] = d_a d_b g_ij``.
     """
-    coords = _check_point(spec, point)
+    return _metric_jet(spec, _check_point(spec, point), order)
+
+
+def _metric_jet(spec: MetricSpec, coords: list, order: int):
+    """:func:`metric_components_at` at the floats of a checked point."""
     n = spec.dim
     if spec.components is None:
         out = [np.eye(n)] + [np.zeros((n,) * (k + 3)) for k in range(order)]
     else:
-        kernels, gather = _component_table(spec, order)
+        _, kernels, gather = _component_table(spec, order)
         if order == 0:
             values = [k(coords) for k in kernels]
         else:
             values = [v for k in kernels for v in k(coords)]
+        # every kernel's first output is an entry of g
+        if not all(map(math.isfinite, values[::len(values) // max(len(kernels), 1)])):
+            raise SingularMetric("metric evaluated to non-finite components")
         values.append(0.0)
         flat = np.array(values)
         out = [flat[idx] for idx in gather]
-    if not np.isfinite(out[0]).all():
-        raise SingularMetric("metric evaluated to non-finite components")
     return out[0] if order == 0 else tuple(out)
+
+
+def _metric_rows(spec: MetricSpec, X: np.ndarray) -> np.ndarray:
+    """``g`` at each row of ``X`` (N, dim) as an (N, dim, dim) stack, checked
+    as :func:`metric_components_at` checks a point, on order-0 columns."""
+    if not np.isfinite(X).all():
+        raise DomainError("point has non-finite coordinates")
+    cols = _check_guards(spec, X.T, rows=True)
+    if spec.components is None:
+        return np.broadcast_to(np.eye(spec.dim), (len(X), spec.dim, spec.dim))
+    exprs, _, (idx,) = _component_table(spec, 0)
+    flat = np.column_stack([*(exprmod.eval_columns(e, cols) for e in exprs), np.zeros(len(X))])
+    if not np.isfinite(flat).all():
+        raise SingularMetric("metric evaluated to non-finite components")
+    return flat[:, idx]
 
 
 def metric_at(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
@@ -282,15 +313,17 @@ def inverse_metric_at(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
     return _invert(metric_components_at(spec, point, order=0))
 
 
+@np.errstate(all="ignore")  # the gufunc flags a singular g as invalid
 def _invert(g: np.ndarray) -> np.ndarray:
-    """``g^-1`` if ``max|g| max|g^-1| < 1e13 / n^2``, else SingularMetric; as
-    cond_2(g) <= n^2 max|g| max|g^-1|, every g with cond_2 >= 1e13 fails."""
-    try:
-        ginv = np.linalg.inv(g)
-        if float(np.abs(g).max()) * float(np.abs(ginv).max()) < 1e13 / len(g) ** 2:
-            return ginv
-    except np.linalg.LinAlgError:
-        pass
+    """``g^-1`` (of each matrix of a stack) if ``max|g| max|g^-1| < 1e13 / n^2``,
+    else SingularMetric; as cond_2(g) <= n^2 max|g| max|g^-1|, every g with
+    cond_2 >= 1e13 fails, and so does the NaN the bare gufunc gives if singular."""
+    ginv = _umath_linalg.inv(g, signature="d->d")
+    axes = (-2, -1) if g.ndim > 2 else None  # one matrix reduces faster without axes
+    bound = np.maximum.reduce(abs(g), axes) * np.maximum.reduce(abs(ginv), axes)
+    ok = bound < 1e13 / g.shape[-1] ** 2
+    if ok.all() if axes else ok:  # a numpy scalar's .all() costs more than the reductions
+        return ginv
     raise SingularMetric("metric matrix is singular at this point")
 
 
@@ -305,10 +338,11 @@ def christoffel_at(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
 
 
 def christoffel_and_partial(spec: MetricSpec, point: Sequence[float]):
-    """Christoffels and their coordinate partials ``dGamma[a, l, m, n]``."""
+    """Christoffels, their coordinate partials ``dGamma[a, l, m, n]`` and the
+    inverse metric they are built from, all from one order-2 metric jet."""
     n = spec.dim
     if spec.components is None:
-        return np.zeros((n,) * 3), np.zeros((n,) * 4)
+        return np.zeros((n,) * 3), np.zeros((n,) * 4), np.eye(n)
     g, dg, d2g = metric_components_at(spec, point, order=2)
     ginv = _invert(g)
     dginv = -np.einsum("li,aij,js->als", ginv, dg, ginv)
@@ -319,21 +353,17 @@ def christoffel_and_partial(spec: MetricSpec, point: Sequence[float]):
         np.einsum("als,smn->almn", dginv, A)
         + np.einsum("ls,asmn->almn", ginv, dA)
     )
-    return gamma, dgamma
+    return gamma, dgamma, ginv
 
 
 def curvature_at(spec: MetricSpec, point: Sequence[float]) -> CurvatureValue:
     """Riemann, Ricci, and scalar curvature from the metric's 2-jet."""
-    gamma, dgamma = christoffel_and_partial(spec, point)
+    gamma, dgamma, ginv = christoffel_and_partial(spec, point)
     term1 = dgamma.transpose(1, 3, 0, 2)
     term3 = np.einsum("rml,lns->rsmn", gamma, gamma)
     riemann = term1 - term1.swapaxes(2, 3) + term3 - term3.swapaxes(2, 3)
     ricci = np.einsum("rsrn->sn", riemann)
-    if spec.components is None:
-        scalar = 0.0
-    else:
-        ginv = _invert(metric_components_at(spec, point, order=0))
-        scalar = float(np.einsum("sn,sn->", ginv, ricci))
+    scalar = float(np.einsum("sn,sn->", ginv, ricci))
     return CurvatureValue(riemann=riemann, ricci=ricci, scalar=scalar)
 
 
@@ -415,6 +445,12 @@ def _finite_param(key: str, value) -> float:
     return v
 
 
+def _reject_unknown(params: dict, kind: str) -> None:
+    if params:  # the parameters the manifold did not take
+        names = ", ".join(map(repr, params))
+        raise KyanoError(f"unknown parameter(s) {names} for manifold {kind!r}")
+
+
 def load_manifold(source) -> MetricSpec:
     """Build a metric from a JSON dict, a JSON file path, or a dict."""
     if isinstance(source, (str, os.PathLike)):
@@ -432,13 +468,14 @@ def load_manifold(source) -> MetricSpec:
     if kind == "flat":
         spec = flat(int(obj["dim"]))
     elif kind == "const-curvature":
-        spec = const_curvature3(params.get("K", 1.0))
+        spec = const_curvature3(params.pop("K", 1.0))
     elif kind == "taub-nut":
-        spec = taub_nut(params.get("m", 1.0), params.get("fiber_scale", 2.0))
+        spec = taub_nut(params.pop("m", 1.0), params.pop("fiber_scale", 2.0))
     elif kind == "custom":
         spec = custom(obj["metric"], chart=obj.get("chart"))
     else:
         raise KyanoError(f"unknown manifold kind {kind!r}")
+    _reject_unknown(params, kind)
     if int(obj.get("dim", spec.dim)) != spec.dim:
         raise KyanoError(f"declared dim {obj.get('dim')} does not match kind {kind!r}")
     if obj.get("momentum_space"):
@@ -480,10 +517,7 @@ def resolve_manifold(text: str) -> MetricSpec:
         spec = taub_nut(kwargs.pop("m", 1.0), kwargs.pop("fiber_scale", 2.0))
     else:
         raise KyanoError(f"unrecognized manifold name {text!r}")
-    if kwargs:
-        raise KyanoError(
-            f"unknown parameter(s) {', '.join(map(repr, kwargs))} for manifold {head.strip()!r}"
-        )
+    _reject_unknown(kwargs, head.strip())
     return spec
 
 

@@ -484,3 +484,14 @@ def test_cli_fuzz_keeps_the_exit_code_contract(fuzz_files, data):
     assert "Traceback" not in err.getvalue()
     for line in err.getvalue().splitlines():
         assert STDERR_LINE.match(line), line
+
+
+def test_manifold_file_with_an_unknown_parameter_is_an_input_error(tmp_path, capsys):
+    path = write_json(tmp_path / "m.json", {"kind": "taub-nut", "params": {"mass": 3}})
+    code, _, err = run(capsys, "verify-ky", "--manifold", path, "--field", "taubnut-1",
+                       "--samples", "2")
+    assert code == 2
+    assert err == "error: unknown parameter(s) 'mass' for manifold 'taub-nut'\n"
+    code, _, err = run(capsys, "verify-ky", "--manifold", "taub-nut:mass=3", "--field",
+                       "taubnut-1", "--samples", "2")
+    assert code == 2 and "Traceback" not in err and "'mass'" in err

@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from kyano import geometry, kysym
+from kyano import expr, geometry, kysym
 from kyano.dynamics import (
     PhaseFunction,
     PhasePoint,
+    Trajectory,
     angular_momentum,
     conservation_monitor,
     free_hamiltonian,
@@ -21,6 +22,7 @@ from kyano.dynamics import (
     unified_hamilton_flow,
     write_trajectory_csv,
 )
+from kyano.errors import DomainError
 
 
 def random_phase_points(count, seed=0, n=3):
@@ -409,3 +411,84 @@ def test_csv_bytes_match_reference_writer(tmp_path):
     assert data == (tmp_path / "ref.csv").read_bytes()
     assert data.count(b"\r\n") == len(traj) + 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "ref.csv"]
+
+
+def test_csv_bytes_match_reference_writer_on_special_values(tmp_path):
+    states = np.array([[0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan],
+                       [1.0 / 3.0, -1e308, 2.5e-310, 1e22, 123456789.0, -7.0]])
+    traj = Trajectory(times=np.array([0.0, 0.1]), states=states, n=3)
+    write_trajectory_csv(traj, str(tmp_path / "new.csv"))
+    _reference_csv(traj, str(tmp_path / "ref.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# -- batched phase functions -----------------------------------------------------
+
+
+def _per_state(label, spec, field, quantity):
+    """The per-state value of each built-in quantity, as computed one state at a time."""
+    def hamiltonian(x, p):
+        return 0.5 * float(p @ geometry.inverse_metric_at(spec, x) @ p)
+
+    def killing(x, p):
+        f = field.values_at(x)
+        ginv = geometry.inverse_metric_at(spec, x)
+        u = ginv @ p
+        return float(u @ f @ ginv @ f @ u)
+
+    def l3(x, p):
+        return expr.eval_value(quantity.expr, np.concatenate([x, p]))
+
+    return {"H": hamiltonian, "K": killing, "L3": l3}[label]
+
+
+@pytest.mark.parametrize("label", ["H", "K", "L3"])
+@pytest.mark.parametrize("manifold", ["taub-nut", "K=1"])
+def test_batched_values_equal_per_state_values(manifold, label):
+    if manifold == "taub-nut":
+        spec, field = geometry.taub_nut(1.0), kysym.taubnut_ky_field(1, 1.0)
+        start = PhasePoint([1.3, 1.0, 0.4, 0.2], [0.2, -0.3, 0.1, 0.4])
+    else:
+        spec, field = geometry.const_curvature3(1.0), kysym.flat_ky_position_field(3)
+        start = PhasePoint([0.2, -0.1, 0.3], [0.5, 0.2, -0.4])
+    if label == "L3" and spec.dim != 3:
+        # L3 reads x1, x2, p1, p2 of any chart when parsed over it
+        quantity = PhaseFunction.from_expression("x1*p2 - x2*p1", spec.dim)
+    else:
+        quantity = {"H": free_hamiltonian(spec), "K": killing_quadratic(spec, field),
+                    "L3": angular_momentum(3)}[label]
+    traj = geodesic_integrate(spec, start, 0.01, 300)
+    assert traj.meta["completed"]
+    got = quantity.values(traj.x, traj.p)
+    reference = _per_state(label, spec, field, quantity)
+    want = np.array([reference(traj.x[k], traj.p[k]) for k in range(len(traj))])
+    assert got.tobytes() == want.tobytes()
+    assert [quantity.value(traj.point(k)) for k in (0, 150, 300)] == got[[0, 150, 300]].tolist()
+
+
+def test_batched_values_raise_the_first_failing_rows_error():
+    spec = geometry.taub_nut(1.0)
+    H = free_hamiltonian(spec)
+    X = np.array([[1.2, 1.0, 0.3, 0.1], [1.2, 0.0, 0.3, 0.1], [-1.0, 1.0, 0.3, 0.1]])
+    P = np.ones_like(X)
+    for rows in ([0, 1, 2], [0, 2, 1]):
+        with pytest.raises(DomainError) as want:
+            geometry.metric_components_at(spec, X[rows[1]])
+        with pytest.raises(DomainError) as got:
+            H.values(X[rows], P[rows])
+        assert str(got.value) == str(want.value)
+
+
+def test_monitor_of_a_quantity_without_values_matches_the_batched_monitor():
+    spec = geometry.taub_nut(1.0)
+    traj = geodesic_integrate(spec, PhasePoint([1.3, 1.0, 0.4, 0.2], [0.2, -0.3, 0.1, 0.4]),
+                              0.01, 100)
+    H = free_hamiltonian(spec)
+
+    class PerState:
+        n = 4
+
+        def value(self, z):
+            return H.value(z)
+
+    assert conservation_monitor(traj, PerState()) == conservation_monitor(traj, H)

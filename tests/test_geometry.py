@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -355,3 +356,62 @@ def test_sample_points_deterministic():
     a = sample(geometry.taub_nut(1.0), 10, seed=4)
     b = sample(geometry.taub_nut(1.0), 10, seed=4)
     assert np.array_equal(np.asarray(a), np.asarray(b))
+
+
+def test_spherical_chart_samples_keep_off_its_singular_loci():
+    for K in (1.0, -1.0, -4.0):
+        spec = geometry.const_curvature3_spherical(K)
+        for box in (None, [(-1.0, 2.0), (-0.5, 3.5), (0.0, 6.0)]):
+            pts = geometry.sample_points(spec, 200, np.random.default_rng(0), box=box)
+            assert pts[:, 0].min() >= 0.1
+            assert np.abs(np.sin(pts[:, 1])).min() >= 0.1
+            assert np.abs(1.0 + K * pts[:, 0] ** 2 / 4.0).min() >= 0.1 - 1e-12
+    with pytest.raises(DomainError):
+        geometry.metric_at(geometry.const_curvature3_spherical(1.0), [-0.8, 1.1, 2.0])
+
+
+def test_curvature_evaluates_the_metric_once_per_point(monkeypatch):
+    orders = []
+    inner = geometry.metric_components_at
+
+    def counting(spec, point, order=0):
+        orders.append(order)
+        return inner(spec, point, order)
+
+    specs = (geometry.const_curvature3(-1.0), geometry.taub_nut(1.0))
+    points = [sample(spec, 1)[0] for spec in specs]
+    monkeypatch.setattr(geometry, "metric_components_at", counting)
+    for spec, point in zip(specs, points):
+        orders.clear()
+        geometry.curvature_at(spec, point)
+        assert orders == [2]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, math.nan], [math.nan, 1.0]],
+     [[1.0, 0.0], [0.0, math.inf]], [[1.0, 0.0], [0.0, 1e-14]]],
+    ids=["singular", "zero", "nan-entry", "inf-entry", "near-singular"],
+)
+def test_invert_rejects_without_a_warning(g):
+    # the inverse gufunc returns NaN and flags invalid where np.linalg.inv raised;
+    # no caller may see that as a warning or a FloatingPointError
+    g = np.array(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for errors in ("warn", "raise"):
+            with np.errstate(all=errors):
+                with pytest.raises(SingularMetric):
+                    geometry._invert(g)
+                with pytest.raises(SingularMetric):
+                    geometry._invert(np.stack([np.eye(2), g, np.eye(2)]))
+
+
+def test_invert_matches_numpy_inverse():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4):
+        stack = rng.normal(size=(20, n, n)) + 3.0 * np.eye(n)
+        got = geometry._invert(stack)
+        assert got.tobytes() == np.linalg.inv(stack).tobytes()
+        for g, ginv in zip(stack, got):
+            assert geometry._invert(g).tobytes() == ginv.tobytes()

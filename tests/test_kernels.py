@@ -3,6 +3,8 @@ replace, kept here as the reference.  Results are compared by bytes; NaNs
 are compared as NaN, because IEEE arithmetic leaves the sign and payload
 of a NaN result unspecified."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,3 +255,88 @@ def test_sqrt_of_tiny_argument():
         with pytest.raises(SingularEvaluation) as info:
             fn(e, arg)
         assert str(info.value) == message
+
+
+# -- column kernels: the order-0 source over (N,) columns ------------------------
+
+
+@given(_SOURCES, st.lists(_POINTS, min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_column_kernels_match_per_point_kernels(src, points):
+    # values bytewise, or the first failing row's exception and message
+    e = expr.parse_expression(src, 3)
+    per_point = _outcome(lambda: np.array([expr.eval_value(e, pt) for pt in points]))
+    assert _outcome(expr.eval_columns, e, np.array(points).T) == per_point, src
+
+
+def _catalog_expressions():
+    """(expression, points) for every catalog metric component and guard and
+    every catalog field component, at points sampled from its chart."""
+    from kyano import kysym
+
+    taubnut = geometry.taub_nut(1.0)
+    spherical = geometry.const_curvature3_spherical(1.0)
+    specs = [taubnut, geometry.taub_nut(2.5, 4.0), spherical,
+             geometry.const_curvature3_spherical(-1.0),
+             *(geometry.const_curvature3(K) for K in (1.0, -1.0, 0.5, -4.0))]
+    fields = [(taubnut, kysym.taubnut_ky_field(i, 1.0)) for i in (1, 2, 3)]
+    fields += [(spherical, kysym.constcurv_ky_field(i, 1.0, momentum=m))
+               for i in (1, 2, 3) for m in (False, True)]
+    fields.append((geometry.const_curvature3(1.0), kysym.flat_ky_position_field(3)))
+    out = []
+    for spec in specs:
+        pts = geometry.sample_points(spec, 300, np.random.default_rng(11))
+        out += [(e, pts) for row in spec.components for e in row if e is not None]
+        out += [(g, pts) for g in spec.guards]
+    for spec, field in fields:
+        pts = geometry.sample_points(spec, 300, np.random.default_rng(12))
+        out += [(c, pts) for _, c in field.component_items() if isinstance(c, expr.Expression)]
+    return out
+
+
+def test_column_kernels_match_on_the_catalog():
+    cases = _catalog_expressions()
+    assert len(cases) > 40
+    for e, pts in cases:
+        kernel = expr._kernel(e, 0)
+        want = np.array([kernel(row) for row in pts.tolist()])
+        assert expr.eval_columns(e, pts.T).tobytes() == want.tobytes(), str(e)
+
+
+@pytest.mark.parametrize(
+    "src, bad, message",
+    [
+        ("1/x1", 0.0, "division by zero in '/' at offset 1"),
+        ("sqrt(x1)", -1.0, "sqrt of a non-positive argument in sqrt(...) at offset 0"),
+        ("x1^-2", 0.0, "zero raised to a negative power in '^' at offset 2"),
+        # numpy divides inf by zero without a flag: a non-finite constant runs per point
+        ("1e400/x1", 0.0, "division by zero in '/' at offset 5"),
+        ("x1^0.5", -1.0, "non-integer power of a non-positive base in '^' at offset 2"),
+    ],
+)
+def test_column_fallback_raises_the_per_point_error(src, bad, message):
+    e = expr.parse_expression(src, 1)
+    with pytest.raises(SingularEvaluation) as info:
+        expr.eval_columns(e, [np.array([2.0, 0.5, bad, 3.0, bad])])
+    assert str(info.value) == message
+
+
+def test_column_overflow_falls_back_to_per_point_values():
+    # numpy raises on the overflow inside the columns; floats carry the inf
+    e = expr.parse_expression("x1 * 1e300 * 1e300 / 1e300 + sin(x2)", 2)
+    cols = np.array([[1.0, 1e-300, -2.0], [0.5, 0.1, 3.0]])
+    want = [expr.eval_value(e, row) for row in cols.T.tolist()]
+    assert expr.eval_columns(e, cols).tolist() == want
+    assert math.isinf(want[0]) and math.isfinite(want[1])
+
+
+def test_column_kernel_of_non_finite_inputs_runs_per_point():
+    # numpy gives inf / 0 = inf without a flag, where a float division raises
+    e = expr.parse_expression("x2/x1", 2)
+    with pytest.raises(SingularEvaluation, match="division by zero in '/' at offset 2"):
+        expr.eval_columns(e, [np.array([1.0, 0.0]), np.array([1.0, math.inf])])
+
+
+def test_column_kernel_of_a_constant_fills_every_row():
+    e = expr.parse_expression("2 + sin(1)", 1)
+    assert expr.eval_columns(e, [np.zeros(3)]).tolist() == [expr.eval_value(e, [0.0])] * 3
