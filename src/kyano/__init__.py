@@ -25,7 +25,6 @@ from .geometry import (
     christoffel_at,
     const_curvature3,
     const_curvature3_spherical,
-    covariant_derivative_2form,
     curvature_at,
     custom,
     dual_metric,

@@ -172,7 +172,19 @@ class AntisymTensorField:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "AntisymTensorField":
-        return cls(int(obj["dim"]), int(obj["rank"]), dict(obj["components"]))
+        """Inverse of :meth:`to_dict`; a malformed object is a ValueError
+        naming the bad key."""
+        if not isinstance(obj, Mapping):
+            raise ValueError("field description must be a JSON object")
+        for key in ("dim", "rank"):
+            if type(obj.get(key)) is not int:  # JSON true and 3.0 are not integers
+                raise ValueError(f"field {key!r} must be an integer, got {obj.get(key)!r}")
+        comps = obj.get("components")
+        if not (isinstance(comps, Mapping)
+                and all(isinstance(c, (str, int, float)) for c in comps.values())):
+            raise ValueError("field 'components' must map index keys to expression"
+                             " strings or numbers")
+        return cls(obj["dim"], obj["rank"], dict(comps))
 
     def __repr__(self) -> str:
         keys = ", ".join(_key_string(i, self.dim) for i in sorted(self._comps))

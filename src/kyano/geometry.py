@@ -26,7 +26,6 @@ from numpy.linalg import _umath_linalg
 from . import expr as exprmod
 from .errors import DomainError, KyanoError, SingularEvaluation, SingularMetric
 from .expr import Expression
-from .fields import AntisymTensorField
 
 DOMAIN_MARGIN = 1e-9
 
@@ -367,26 +366,14 @@ def curvature_at(spec: MetricSpec, point: Sequence[float]) -> CurvatureValue:
     return CurvatureValue(riemann=riemann, ricci=ricci, scalar=scalar)
 
 
-def covariant_derivative_2form(
-    spec: MetricSpec, field: AntisymTensorField, point: Sequence[float],
-    values: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """``D[l, m, n] = D_l f_mn`` for a rank-2 antisymmetric field;
-    ``values``, if given, is ``field.values_at(point)``."""
-    if field.rank != 2:
-        raise ValueError("covariant derivative is implemented for rank-2 fields")
-    if field.dim != spec.dim:
-        raise ValueError("field and metric dimensions differ")
-    jac = field.jacobian_at(point)
-    if spec.components is None:
-        return jac
-    f = field.values_at(point) if values is None else values
-    return _covariant_derivative(christoffel_at(spec, point), f, jac)
-
-
 def _covariant_derivative(gamma: np.ndarray, f: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """``D_l f_mn`` from the Christoffels and a two-form's values and partials."""
-    return jac - np.einsum("slm,sn->lmn", gamma, f) - np.einsum("sln,ms->lmn", gamma, f)
+    """``D_l f_{i1..ir} = d_l f_{i1..ir} - sum_k Gamma^s_{l i_k} f_{i1..s..ir}``
+    from the Christoffels and a rank-r field's values and partials."""
+    idx = "mnopqrtuvwxyz"[: f.ndim]  # free indices: any letter but l (derivative) and s (summed)
+    D = jac
+    for k, i in enumerate(idx):
+        D = D - np.einsum(f"sl{i},{idx[:k]}s{idx[k + 1:]}->l{idx}", gamma, f)
+    return D
 
 
 # ---------------------------------------------------------------------------
@@ -465,19 +452,31 @@ def load_manifold(source) -> MetricSpec:
     if not isinstance(params, dict):
         raise KyanoError(f"manifold 'params' must be an object, got {params!r}")
     params = {k: _finite_param(k, v) for k, v in params.items()}
+    dim = obj.get("dim")  # required for "flat", a cross-check for the other kinds
+    if (dim is not None or kind == "flat") and type(dim) is not int:
+        raise KyanoError(f"manifold 'dim' must be an integer, got {dim!r}")
     if kind == "flat":
-        spec = flat(int(obj["dim"]))
+        spec = flat(dim)
     elif kind == "const-curvature":
         spec = const_curvature3(params.pop("K", 1.0))
     elif kind == "taub-nut":
         spec = taub_nut(params.pop("m", 1.0), params.pop("fiber_scale", 2.0))
     elif kind == "custom":
-        spec = custom(obj["metric"], chart=obj.get("chart"))
+        rows, chart = obj.get("metric"), obj.get("chart")
+        if not (isinstance(rows, list) and rows and all(
+                isinstance(row, list) and all(isinstance(c, (str, int, float)) for c in row)
+                for row in rows)):
+            raise KyanoError("manifold 'metric' must be a list of rows of expression"
+                             " strings or numbers")
+        if chart is not None and not (isinstance(chart, list)
+                                      and all(isinstance(c, str) for c in chart)):
+            raise KyanoError(f"manifold 'chart' must be a list of names, got {chart!r}")
+        spec = custom(rows, chart=chart)
     else:
         raise KyanoError(f"unknown manifold kind {kind!r}")
     _reject_unknown(params, kind)
-    if int(obj.get("dim", spec.dim)) != spec.dim:
-        raise KyanoError(f"declared dim {obj.get('dim')} does not match kind {kind!r}")
+    if dim is not None and dim != spec.dim:
+        raise KyanoError(f"declared dim {dim} does not match kind {kind!r}")
     if obj.get("momentum_space"):
         spec = dual_metric(spec)
     return spec

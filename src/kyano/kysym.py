@@ -85,14 +85,28 @@ flat_ky_momentum_field = flat_ky_position_field
 
 
 def covariant_constancy_residual(
-    spec: MetricSpec, field: AntisymTensorField, point: Sequence[float],
-    values: Optional[np.ndarray] = None,
+    spec: MetricSpec, field: AntisymTensorField, point: Sequence[float]
 ) -> np.ndarray:
-    """D_l f_{m n ...}; zero for covariant-constant fields.  ``values``, if
-    given, is ``field.values_at(point)``."""
-    if spec.components is None:
-        return field.jacobian_at(point)
-    return geometry.covariant_derivative_2form(spec, field, point, values)
+    """D_l f_{i1..ir} for a field of any rank; zero for covariant-constant
+    fields.  On the identity metric D is the partial derivative d_l f."""
+    return next(_derivatives(spec, field, [point]))[2]
+
+
+def _derivatives(spec: MetricSpec, field: AntisymTensorField, points):
+    """``(f, jac, D)`` at each of ``points`` in turn, so that each D can be
+    reduced before the next is computed: the field's values, partials and
+    covariant derivative.  On the identity metric D is jac, and f is
+    evaluated only for a two-form, whose determinant the checks read."""
+    if field.dim != spec.dim:
+        raise ValueError("field and metric dimensions differ")
+    if not len(points):
+        raise ValueError("at least one sample point is needed")
+    flat = spec.components is None
+    for pt in points:
+        f = field.values_at(pt) if field.rank == 2 or not flat else None
+        jac = field.jacobian_at(pt)
+        yield f, jac, jac if flat else geometry._covariant_derivative(
+            geometry.christoffel_at(spec, pt), f, jac)
 
 
 def ky_residual(
@@ -104,14 +118,17 @@ def ky_residual(
 
 
 def closedness_residual(field: AntisymTensorField, point: Sequence[float]) -> np.ndarray:
-    """Antisymmetrized derivative d_[l f_mn]; zero for closed two-forms."""
-    if field.rank != 2:
-        raise ValueError("closedness check is implemented for rank-2 fields")
-    return _cyclic_sum(field.jacobian_at(point))
+    """Exterior derivative (d f)_{l i1..ir} of a field of any rank; zero for
+    closed fields."""
+    return _exterior(field.jacobian_at(point))
 
 
-def _cyclic_sum(jac: np.ndarray) -> np.ndarray:
-    return jac + jac.transpose(2, 0, 1) + jac.transpose(1, 2, 0)
+def _exterior(jac: np.ndarray) -> np.ndarray:
+    """Alternating sum over k of ``jac`` with its derivative slot moved to k."""
+    d = jac
+    for k in range(1, jac.ndim):
+        d = d - np.moveaxis(jac, 0, k) if k % 2 else d + np.moveaxis(jac, 0, k)
+    return d
 
 
 def killing_from_ky(
@@ -172,16 +189,6 @@ def nondegeneracy(
 # verification report
 
 
-def _nan_max(acc: float, value: float) -> float:
-    """``max(acc, value)`` that keeps a NaN from either side, so that a NaN
-    residual fails the check it feeds."""
-    return value if value > acc or value != value else acc
-
-
-def _nan_min(acc: float, value: float) -> float:
-    return value if value < acc or value != value else acc
-
-
 @dataclass(frozen=True)
 class KYReport:
     """Residual maxima and flags from sampling a field over a metric."""
@@ -230,31 +237,19 @@ def verify_field(
     det_tol: float = 1e-12,
 ) -> KYReport:
     """Evaluate KY and covariant-constancy residuals over sample points."""
-    max_ky = 0.0
-    max_cc = 0.0
-    min_det = math.inf
-    max_det = 0.0
-    count = 0
-    for pt in points:
-        count += 1
-        f = field.values_at(pt) if field.rank == 2 else None
-        D = covariant_constancy_residual(spec, field, pt, f)
-        max_cc = _nan_max(max_cc, float(np.abs(D).max()))
-        max_ky = _nan_max(max_ky, float(np.abs(D + D.swapaxes(0, 1)).max()))
-        if f is not None:
-            d = abs(float(np.linalg.det(f)))
-            min_det = _nan_min(min_det, d)
-            max_det = _nan_max(max_det, d)
-    if not count:
-        raise ValueError("verify_field needs at least one sample point")
-    if math.isinf(min_det):
-        min_det = 0.0
+    values, cc, ky = [], [], []
+    for f, _, D in _derivatives(spec, field, points):
+        values.append(f)
+        cc.append(np.abs(D).max())
+        ky.append(np.abs(D + D.swapaxes(0, 1)).max())
+    # a field of another rank has no determinant: both bounds read 0
+    dets = np.abs(np.linalg.det(values)) if field.rank == 2 else np.zeros(1)
     return KYReport(
-        n_points=count,
-        max_ky_residual=max_ky,
-        max_cc_residual=max_cc,
-        min_abs_det=min_det,
-        max_abs_det=max_det,
+        n_points=len(values),
+        max_ky_residual=float(np.max(ky)),
+        max_cc_residual=float(np.max(cc)),
+        min_abs_det=float(np.min(dets)),
+        max_abs_det=float(np.max(dets)),
         ky_tol=ky_tol,
         cc_tol=cc_tol,
         det_tol=det_tol,
@@ -302,32 +297,25 @@ def symplectic_from_ky(
     if points is None:
         rng = rng if rng is not None else np.random.default_rng(0)
         points = geometry.sample_points(spec, n_points, rng)
-    points = [np.asarray(pt, dtype=float) for pt in points]
-    values = [field.values_at(pt) for pt in points]
-    min_det = math.inf
-    for f in values:
-        min_det = _nan_min(min_det, abs(float(np.linalg.det(f))))
+    values, cc, closed = [], [], []
+    for f, jac, D in _derivatives(spec, field, points):
+        values.append(f)
+        cc.append(np.abs(D).max())
+        closed.append(np.abs(_exterior(jac)).max())
+    min_det = float(np.min(np.abs(np.linalg.det(values))))
     if not min_det > det_tol:
         raise SymplecticRejection("degenerate", f"min |det f| = {min_det:.3e}")
-    jacs = [field.jacobian_at(pt) for pt in points]
-    max_cc = 0.0
-    for pt, f, jac in zip(points, values, jacs):
-        D = jac if spec.components is None else geometry._covariant_derivative(
-            geometry.christoffel_at(spec, pt), f, jac)
-        max_cc = _nan_max(max_cc, float(np.abs(D).max()))
+    max_cc, max_closed = float(np.max(cc)), float(np.max(closed))
     if not max_cc <= cc_tol:
         raise SymplecticRejection(
             "not-covariant-constant", f"max |D f| = {max_cc:.3e}"
         )
-    max_closed = 0.0
-    for jac in jacs:
-        max_closed = _nan_max(max_closed, float(np.abs(_cyclic_sum(jac)).max()))
     if not max_closed <= closed_tol:
         raise SymplecticRejection("not-closed", f"max |d f| = {max_closed:.3e}")
     return SymplecticForm(
         spec=spec,
         field=field,
-        n_points=len(points),
+        n_points=len(values),
         max_cc_residual=max_cc,
         max_closedness_residual=max_closed,
         min_abs_det=min_det,
@@ -471,24 +459,18 @@ def ky_solve_ansatz(
     else:
         mask = np.ones(vh.shape[0], dtype=bool)
         mask[: svals.size] = svals <= rel_threshold * svals[0]
+    sources = [exprmod.unparse(phi) for phi in parsed]
     fields = []
     for coeffs in vh[mask]:
         comps = {}
-        for ai, (a, b) in enumerate(pairs):
-            terms = [
-                (float(coeffs[ai * nb + bi]), parsed[bi])
-                for bi in range(nb)
-                if coeffs[ai * nb + bi] != 0.0
-            ]
-            if not terms:
-                continue
-
-            def comp(coords, terms=tuple(terms)):
-                acc = 0.0
-                for c, e in terms:
-                    acc = acc + c * exprmod.evaluate(e, coords)
-                return acc
-
-            comps[(a, b)] = comp
+        for ai, pair in enumerate(pairs):
+            # the running sum 0.0 + c1 phi1 + ..., term by term, as expression source
+            src = "0.0"
+            for bi, phi in enumerate(sources):
+                c = float(coeffs[ai * nb + bi])
+                if c != 0.0:
+                    src = f"({src} + ({c!r} * ({phi})))"
+            if src != "0.0":
+                comps[pair] = src
         fields.append(AntisymTensorField(n, 2, comps))
     return fields

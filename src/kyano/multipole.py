@@ -232,7 +232,8 @@ class IdentityReport:
 
 
 def _max_abs(*arrays) -> float:
-    return max(float(np.max(np.abs(a))) for a in arrays)
+    """Largest |entry| over ``arrays``; NaN if any entry is NaN."""
+    return float(np.max([np.max(np.abs(a)) for a in arrays]))
 
 
 def _generator_two_forms(m: MultipoleSet) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import __version__, geometry, kysym, multipole
 from .errors import SymplecticRejection
-from .kysym import _nan_max, _nan_min
 
 SECTION_NAMES = (
     "flat-ky",
@@ -33,18 +32,17 @@ def section_flat_ky(rng: np.random.Generator, samples: int = 100) -> dict:
     for n in range(3, 7):
         spec = geometry.flat(n)
         field = kysym.flat_ky_position_field(n)
-        max_res = 0.0
-        max_round = 0.0
+        xs, round_errors = [], []
         for _ in range(samples):
             x = rng.uniform(-1.0, 1.0, n)
             p = rng.uniform(-1.0, 1.0, n)
             f, ft = kysym.flat_ky_pair(n, x, p)
             err = np.concatenate([kysym.reconstruct_position(f) - x,
                                   kysym.reconstruct_momentum(ft) - p])
-            max_round = _nan_max(max_round, float(np.abs(err).max()))
-            max_res = _nan_max(
-                max_res, float(np.abs(kysym.ky_residual(spec, field, x)).max())
-            )
+            round_errors.append(np.abs(err).max())
+            xs.append(x)
+        max_round = float(np.max(round_errors))
+        max_res = kysym.verify_field(spec, field, xs).max_ky_residual
         passed = max_res <= 1e-12 and max_round <= 1e-15
         ok = ok and passed
         per_dim[str(n)] = {
@@ -64,13 +62,10 @@ def section_taub_nut(rng: np.random.Generator, samples: int = 20, m: float = 1.0
     for scale in (2.0, 4.0):
         spec = geometry.taub_nut(m, fiber_scale=scale)
         points = geometry.sample_points(spec, samples, rng)
-        max_cc = 0.0
-        min_det = float("inf")
-        for index in (1, 2, 3):
-            field = kysym.taubnut_ky_field(index, m)
-            rep = kysym.verify_field(spec, field, points)
-            max_cc = _nan_max(max_cc, rep.max_cc_residual)
-            min_det = _nan_min(min_det, rep.min_abs_det)
+        reps = [kysym.verify_field(spec, kysym.taubnut_ky_field(index, m), points)
+                for index in (1, 2, 3)]
+        max_cc = float(np.max([rep.max_cc_residual for rep in reps]))
+        min_det = float(np.min([rep.min_abs_det for rep in reps]))
         entry = {
             "max_cc_residual": max_cc,
             "min_abs_det": min_det,
@@ -110,9 +105,8 @@ def section_const_curvature(rng: np.random.Generator, samples: int = 50) -> dict
     for K in (-1.0, 0.5, 1.0):
         spec = geometry.const_curvature3(K)
         points = geometry.sample_points(spec, samples, rng)
-        worst = 0.0
-        for pt in points:
-            worst = _nan_max(worst, abs(geometry.curvature_at(spec, pt).scalar - 6.0 * K))
+        worst = float(np.max([abs(geometry.curvature_at(spec, pt).scalar - 6.0 * K)
+                              for pt in points]))
         passed = worst <= 1e-8
         ok = ok and passed
         per_k[f"K={K:g}"] = {
@@ -120,13 +114,11 @@ def section_const_curvature(rng: np.random.Generator, samples: int = 50) -> dict
             "n_points": samples,
             "pass": passed,
         }
-    flat_worst = 0.0
-    for n in (3, 4):
-        spec = geometry.flat(n)
-        for pt in rng.uniform(-1.0, 1.0, (10, n)):
-            flat_worst = _nan_max(
-                flat_worst, float(np.abs(geometry.curvature_at(spec, pt).riemann).max())
-            )
+    flat_worst = float(np.max([
+        np.abs(geometry.curvature_at(spec, pt).riemann).max()
+        for spec in (geometry.flat(3), geometry.flat(4))
+        for pt in rng.uniform(-1.0, 1.0, (10, spec.dim))
+    ]))
     flat_ok = flat_worst <= 1e-12
     ok = ok and flat_ok
     return {
@@ -153,11 +145,7 @@ def section_printed_constcurv_ky(rng: np.random.Generator, samples: int = 20, K:
         use_spec = dual_spec if momentum else spec
         for index in (1, 2, 3):
             field = kysym.constcurv_ky_field(index, K, momentum=momentum)
-            worst = 0.0
-            for pt in points:
-                worst = _nan_max(
-                    worst, float(np.abs(kysym.ky_residual(use_spec, field, pt)).max())
-                )
+            worst = kysym.verify_field(use_spec, field, points).max_ky_residual
             is_ky = worst <= 1e-10
             label = f"{'momentum' if momentum else 'position'}-{index}"
             results[label] = {"max_ky_residual": worst, "is_ky": is_ky}

@@ -3,6 +3,7 @@ codes, emitted files, and output determinism."""
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -91,6 +92,34 @@ def test_verify_ky_malformed_field_file(tmp_path, capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("option, obj", [
+    ("--manifold", {"kind": "flat"}),
+    ("--manifold", {"kind": "custom"}),
+    ("--manifold", {"kind": "custom", "metric": 5}),
+    ("--manifold", {"kind": "custom", "metric": [[None]]}),
+    ("--manifold", {"kind": "custom", "metric": [["1"]], "chart": 5}),
+    ("--field", {"dim": 3, "components": {"12": "x1"}}),
+    ("--field", [1, 2]),
+])
+def test_verify_ky_malformed_input_file_is_usage_error(tmp_path, capsys, option, obj):
+    args = {"--manifold": "flat3", "--field": "flat-position"}
+    args[option] = write_json(tmp_path / "bad.json", obj)
+    code, _, err = run(capsys, "verify-ky", *itertools.chain(*args.items()), "--samples", "2")
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_verify_ky_rank3_volume_form_on_const_curvature(tmp_path, capsys):
+    u = "(1 + 0.5*(x1^2+x2^2+x3^2)/4)"
+    field = write_json(tmp_path / "vol.json",
+                       {"dim": 3, "rank": 3, "components": {"123": f"1/{u}^3"}})
+    code, out, _ = run(capsys, "verify-ky", "--manifold", "const-curvature:K=0.5",
+                       "--field", field, "--samples", "20")
+    assert code == 0
+    assert json.loads(out)["report"]["is_covariant_constant"] is True
 
 
 def test_verify_ky_rejects_zero_samples(capsys):

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from kyano import expr, geometry
 from kyano.errors import DomainError, KyanoError, SingularMetric
-from kyano.fields import AntisymTensorField, levi_civita
-from kyano.kysym import flat_ky_position_field
+from kyano.fields import AntisymTensorField
 
 CATALOG = (
     geometry.flat(3),
@@ -179,30 +178,6 @@ def test_metric_compatibility(spec):
         )
         worst = max(worst, float(np.abs(Dg).max()))
     assert worst <= 1e-10
-
-
-# -- covariant derivative of two-forms ---------------------------------------
-
-
-def test_covariant_derivative_constant_flat():
-    field = AntisymTensorField.constant(
-        3, 2, np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, -2.0, 0.0]])
-    )
-    D = geometry.covariant_derivative_2form(geometry.flat(3), field, [0.4, 0.5, 0.6])
-    assert np.count_nonzero(D) == 0
-
-
-def test_covariant_derivative_linear_flat():
-    # f_ij = eps_kij x_k has D f = partial f = eps itself
-    field = flat_ky_position_field(3)
-    D = geometry.covariant_derivative_2form(geometry.flat(3), field, [1.0, -2.0, 0.5])
-    assert np.array_equal(D, levi_civita(3))
-
-
-def test_covariant_derivative_rank_guard():
-    field = AntisymTensorField(4, 3, {(0, 1, 2): "1"})
-    with pytest.raises(ValueError):
-        geometry.covariant_derivative_2form(geometry.flat(4), field, np.zeros(4))
 
 
 # -- curvature ----------------------------------------------------------------

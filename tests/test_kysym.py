@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from kyano import dual, geometry, kysym
+from kyano import dual, expr, geometry, kysym
 from kyano.dual import Jet
 from kyano.errors import SymplecticRejection
 from kyano.fields import AntisymTensorField, levi_civita
@@ -105,6 +105,50 @@ def test_closedness_residual_flat_pair():
     c = kysym.closedness_residual(field, [0.1, 0.2, 0.3])
     # d(eps . x) has the totally antisymmetric cyclic sum 3*eps
     assert np.array_equal(c, 3.0 * levi_civita(3))
+
+
+def test_closedness_residual_rank3_flat4():
+    pt = [0.3, -0.4, 0.5, 0.7]
+    closed = kysym.closedness_residual(AntisymTensorField(4, 3, {"123": "x1"}), pt)
+    assert np.count_nonzero(closed) == 0
+    # d(x4 dx1^dx2^dx3) = dx4^dx1^dx2^dx3 = -dx1^dx2^dx3^dx4
+    d = kysym.closedness_residual(AntisymTensorField(4, 3, {"123": "x4"}), pt)
+    assert np.array_equal(d, -levi_civita(4))
+
+
+def conformal_volume_form(K, power):
+    u = f"(1 + {K!r}*(x1^2 + x2^2 + x3^2)/4)"
+    return AntisymTensorField(3, 3, {"123": f"1/{u}^{power}"})
+
+
+@pytest.mark.parametrize("K", [1.0, -1.0, 0.5])
+def test_const_curvature_volume_form_is_covariantly_constant(K):
+    # g = u^-2 delta has volume form u^-3 dx1^dx2^dx3; the power 2 is wrong
+    spec = geometry.const_curvature3(K)
+    pts = geometry.sample_points(spec, 40, np.random.default_rng(3))
+    rep = kysym.verify_field(spec, conformal_volume_form(K, 3), pts)
+    assert rep.is_ky and rep.max_cc_residual <= 1e-13
+    assert rep.min_abs_det == rep.max_abs_det == 0.0  # not a two-form
+    wrong = kysym.verify_field(spec, conformal_volume_form(K, 2), pts)
+    assert wrong.max_ky_residual > 0.1 and not wrong.is_covariant_constant
+
+
+def rank2_reference(spec, field, pt):
+    """D and d f from the two-form formulas the general-rank code replaced."""
+    f, jac = field.values_at(pt), field.jacobian_at(pt)
+    gamma = geometry.christoffel_at(spec, pt)
+    D = jac - np.einsum("slm,sn->lmn", gamma, f) - np.einsum("sln,ms->lmn", gamma, f)
+    return D, jac + jac.transpose(2, 0, 1) + jac.transpose(1, 2, 0)
+
+
+@pytest.mark.parametrize("index", [1, 2, 3])
+def test_general_rank_derivatives_match_rank2_formulas_bytewise(index):
+    spec, pts = taub_nut_points(300, seed=21)
+    field = kysym.taubnut_ky_field(index, 1.0)
+    for pt in pts:
+        D, closed = rank2_reference(spec, field, pt)
+        assert kysym.covariant_constancy_residual(spec, field, pt).tobytes() == D.tobytes()
+        assert kysym.closedness_residual(field, pt).tobytes() == closed.tobytes()
 
 
 # -- Killing tensors ----------------------------------------------------------
@@ -260,6 +304,13 @@ def test_symplectic_rejects_not_closed():
     with pytest.raises(SymplecticRejection) as ei:
         kysym.symplectic_from_ky(geometry.flat(4), field, points=points, cc_tol=10.0)
     assert ei.value.reason == "not-closed"
+
+
+def test_symplectic_rejects_empty_point_set():
+    field = AntisymTensorField(4, 2, {"12": "1", "34": "1"})
+    for check in (kysym.symplectic_from_ky, kysym.verify_field):
+        with pytest.raises(ValueError, match="at least one sample point"):
+            check(geometry.flat(4), field, points=[])
 
 
 def test_symplectic_rejects_rank_mismatch():
@@ -526,3 +577,49 @@ def test_ansatz_underdetermined_warns():
 def test_ansatz_empty_basis():
     with pytest.raises(ValueError):
         kysym.ky_solve_ansatz(geometry.flat(3), [])
+
+
+def ansatz_closure_reference(field, basis):
+    """The field with each component rebuilt as the closure the solver once
+    returned: acc = 0.0, then acc + c * phi term by term."""
+    by_source = {expr.unparse(phi): phi for phi in basis}
+    comps = {}
+    for idx, comp in field.component_items():
+        terms, node = [], comp.root
+        while isinstance(node, expr.BinOp) and node.op == "+":
+            c, phi = node.right.left, node.right.right
+            c = -c.arg.value if isinstance(c, expr.Neg) else c.value
+            terms.append((c, by_source[expr.unparse(phi)]))
+            node = node.left
+        assert isinstance(node, expr.Num) and node.value == 0.0
+
+        def closure(coords, terms=tuple(reversed(terms))):
+            acc = 0.0
+            for c, e in terms:
+                acc = acc + c * expr.evaluate(e, coords)
+            return acc
+
+        comps[idx] = closure
+    return AntisymTensorField(field.dim, field.rank, comps)
+
+
+def test_ansatz_solutions_are_serializable_expressions():
+    u = "(1 + 1.0*(x1^2 + x2^2 + x3^2)/4)"
+    curved = [f"1/{u}^2"] + [f"x{k}/{u}^3" for k in (1, 2, 3)]
+    curved += [f"x{k}*x{l}/{u}^3" for k in (1, 2, 3) for l in (1, 2, 3) if l >= k]
+    cases = [(geometry.flat(3), ["1", "x1", "x2", "x3"]),
+             (geometry.const_curvature3(1.0), curved)]
+    solved = 0
+    for spec, basis in cases:
+        parsed = [expr.parse_expression(b, 3) for b in basis]
+        pts = geometry.sample_points(spec, 200, np.random.default_rng(8))
+        for field in kysym.ky_solve_ansatz(spec, parsed, rng=np.random.default_rng(0)):
+            solved += 1
+            assert field.is_serializable
+            back = AntisymTensorField.from_dict(json.loads(json.dumps(field.to_dict())))
+            assert back.to_dict() == field.to_dict()
+            reference = ansatz_closure_reference(field, parsed)
+            for pt in pts:
+                assert field.values_at(pt).tobytes() == reference.values_at(pt).tobytes()
+                assert field.jacobian_at(pt).tobytes() == reference.jacobian_at(pt).tobytes()
+    assert solved == 8

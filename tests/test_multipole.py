@@ -185,9 +185,13 @@ def test_identity_suite_needs_points():
 
 
 def test_identity_suite_non_finite_point_fails():
-    report = identity_suite([PhasePoint((np.nan, 0.0, 0.0), (0.0, 1.0, 0.0))])
-    assert report.entry("I01").verdict == "fails"
-    assert np.isnan(report.entry("I01").residual)
+    # I01 folds an x array and a p array: a finite maximum from the first
+    # must not hide a NaN in the second
+    for z in (PhasePoint((np.nan, 0.0, 0.0), (0.0, 1.0, 0.0)),
+              PhasePoint((0.3, 0.2, 0.1), (np.nan, 0.1, 0.2))):
+        report = identity_suite([z])
+        assert report.entry("I01").verdict == "fails"
+        assert np.isnan(report.entry("I01").residual)
 
 
 def test_report_structure():
