@@ -87,7 +87,8 @@ def cmd_verify_ky(args) -> int:
             f"points: {rep.n_points}",
             f"max KY residual: {rep.max_ky_residual:.3e} (tol {rep.ky_tol:g})",
             f"max covariant-constancy residual: {rep.max_cc_residual:.3e}",
-            f"min |det f|: {rep.min_abs_det:.3e}",
+            f"min |det f|: {rep.min_abs_det:.3e}" if rep.min_abs_det is not None
+            else f"min |det f|: n/a (rank {field.rank})",
             f"verdict: {'KY' if rep.is_ky else 'not KY'}"
             + (", covariant-constant" if rep.is_covariant_constant else "")
             + (", non-degenerate" if rep.is_nondegenerate else ""),

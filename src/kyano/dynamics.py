@@ -160,9 +160,7 @@ class KillingQuadratic(_RowValues):
         return (u.transpose(0, 2, 1) @ f @ ginv @ f @ u)[:, 0, 0]
 
     def gradient(self, z: PhasePoint) -> np.ndarray:
-        K, dK = killing_tensor_jet(self.spec, self.ky_field, z.x)
-        g, dg = geometry.metric_components_at(self.spec, z.x, order=1)
-        ginv = geometry._invert(g)
+        K, dK, ginv, dg = killing_tensor_jet(self.spec, self.ky_field, z.x)
         u = ginv @ z.p
         w = ginv @ (K @ u)
         # d_a g^{mn} = -(ginv dg_a ginv)^{mn}

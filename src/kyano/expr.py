@@ -342,55 +342,65 @@ def _elementwise(fn: Callable) -> Callable:
     return lambda col: np.fromiter(map(fn, np.atleast_1d(col).tolist()), float)
 
 
-# The order-0 source over (N,) columns of finite floats: numpy arithmetic is
+# The same source over (N,) columns of finite floats: numpy arithmetic is
 # IEEE-exact like float arithmetic and flags where floats raise or overflow,
 # except inf or NaN over 0, so a non-finite constant (``float('inf')`` in the
-# source), like a non-literal power, runs per point.  Functions map ``dual``'s.
-_COLUMNS = {**_GLOBALS, "float": _per_point, "pow_": _per_point,
+# source), like a non-literal power, runs per point.  Functions map ``math``'s
+# over the elements (``dual``'s where they check a float's domain), and a
+# check raises if any row fails it.
+_COLUMNS = {**_GLOBALS, "float": _per_point, "pow_": _per_point, "np": np,
             "ipow": lambda b, k: dual.integer_power(b if k >= 0 else 1.0 / b, abs(k)),
-            **{f"d_{k}": _elementwise(f) for k, f in FUNCTIONS.items()}}
+            **{f"d_{k}": _elementwise(_MATH[k] if k in ("sin", "cos", "exp") else f)
+               for k, f in FUNCTIONS.items()},
+            **{f"m_{k}": _elementwise(f) for k, f in _MATH.items()}}
 
 
-def _kernel(expr: Expression, order: "int | str") -> Callable:
+def _kernel(expr: Expression, order: int, columns: bool = False) -> Callable:
     """The compiled function of ``expr`` at jet ``order``, built once: order
     0 maps ``nvars`` scalars (floats or jets) to a scalar, orders 1 and 2
-    map ``nvars`` floats to (value, *gradient, *row-major Hessian), and
-    ``"columns"`` runs the order-0 source on ``nvars`` columns of floats."""
-    fn = expr._kernels.get(order)
+    map ``nvars`` floats to (value, *gradient, *row-major Hessian); with
+    ``columns``, ``nvars`` columns of floats to a tuple of those outputs."""
+    key = (order, "columns") if columns else order
+    fn = expr._kernels.get(key)
     if fn is None:
-        em = _Emitter(expr.nvars, 0 if order == "columns" else order)
+        em = _Emitter(expr.nvars, order, columns)
         out = em.emit(expr.root)
         if em.order:
             value, grad, hess = out if isinstance(out, tuple) else em.lift(out)
-            out = [value, *grad, *itertools.chain(*hess or ())]
-        ret = ", ".join(map(em.src, out)) + "," if em.order else em.src(out)
+        outs = [value, *grad, *itertools.chain(*hess or ())] if em.order else [out]
+        ret = ", ".join(map(em.src, outs)) + ("," if order or columns else "")
         args = "".join(f"s{i}, " for i in range(expr.nvars))
         source = "\n".join(["def kernel(s):", f"    {args}= s", *em.lines, f"    return {ret}"])
-        namespace = dict(_COLUMNS if order == "columns" else _GLOBALS)
+        namespace = dict(_COLUMNS if columns else _GLOBALS)
         exec(compile(source, f"<kyano kernel, order {order}>", "exec"), namespace)
-        fn = expr._kernels[order] = namespace["kernel"]
+        fn = expr._kernels[key] = namespace["kernel"]
     return fn
 
 
-def eval_columns(expr: Expression, columns) -> np.ndarray:
-    """Values of ``expr`` at N points, one ``(N,)`` column per slot, bytewise the
-    per-point kernel's: where a column is not finite, or the columns raise or
-    overflow, each row runs per point, so the first failing row raises."""
+def eval_columns(expr: Expression, columns, order: int = 0) -> np.ndarray:
+    """``expr`` at N points, one ``(N,)`` column per slot, bytewise the per-point
+    kernel's: the (N,) values at order 0, else the (width, N) outputs of order
+    1 or 2.  Where a column is not finite, or the columns raise or overflow,
+    each row runs per point, so the first failing row raises."""
     try:
         if not np.isfinite(columns).all():
             raise ArithmeticError("non-finite coordinates")
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return np.broadcast_to(_kernel(expr, "columns")(columns), (len(columns[0]),)).copy()
+            outs = _kernel(expr, order, columns=True)(columns)
+        rows = np.empty((len(outs), len(columns[0])))
+        for row, out in zip(rows, outs):
+            row[...] = out
+        return rows if order else rows[0]
     except (ArithmeticError, ValueError, SingularEvaluation):
-        kernel = _kernel(expr, 0)
-        return np.array([kernel(row) for row in zip(*(c.tolist() for c in columns))], float)
+        kernel = _kernel(expr, order)
+        return np.array([kernel(row) for row in zip(*(c.tolist() for c in columns))], float).T
 
 
 class _Emitter:
     """Statements of one kernel, emitted in evaluation order."""
 
-    def __init__(self, n: int, order: int):
-        self.n, self.order = n, order
+    def __init__(self, n: int, order: int, columns: bool = False):
+        self.n, self.order, self.columns = n, order, columns
         self.lines: list[str] = []
         self.pad = "    "
         self.memo: dict = {}
@@ -417,7 +427,8 @@ class _Emitter:
         return self.memo[key]
 
     def check(self, cond: str, x, message: str) -> None:
-        self.lines.append(f"{self.pad}if {cond.format(self.src(x))}: "
+        cond = cond.format(self.src(x))
+        self.lines.append(f"{self.pad}if {f'np.any({cond})' if self.columns else cond}: "
                           f"raise SingularEvaluation({message!r})")
 
     @contextlib.contextmanager
@@ -592,7 +603,8 @@ class _Emitter:
             inv = self.div(1.0, v)
             return call("log", v), inv, mul(neg(inv), inv)
         self.check("{} == 0.0", v, "abs at zero has no derivative")
-        sign = self.op("1.0 if {} > 0 else -1.0", lambda x: 1.0 if x > 0 else -1.0, v)
+        fmt = "np.where({} > 0, 1.0, -1.0)" if self.columns else "1.0 if {} > 0 else -1.0"
+        sign = self.op(fmt, lambda x: 1.0 if x > 0 else -1.0, v)
         return call("abs", v), sign, 0.0
 
 

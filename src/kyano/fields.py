@@ -104,13 +104,6 @@ class AntisymTensorField:
         """(sorted 0-based index tuple, component) pairs."""
         return self._comps.items()
 
-    def _component_scalar(self, comp: Component, coords: Sequence[Scalar]) -> Scalar:
-        if isinstance(comp, Expression):
-            return exprmod.evaluate(comp, coords)
-        if callable(comp):
-            return comp(coords)
-        return float(comp)
-
     def _scatter(self, vals: np.ndarray) -> np.ndarray:
         """Full antisymmetric arrays from one value per stored component
         along the last axis of ``vals``; leading axes are kept."""
@@ -119,36 +112,35 @@ class AntisymTensorField:
         arr[..., self._dst] = vals[..., self._src] * self._sign
         return arr.reshape(lead + (self.dim,) * self.rank)
 
+    def _rows(self, point) -> tuple[np.ndarray, bool]:
+        """``point`` (dim,) or (N, dim) as an (N, dim) array, and whether it was one point."""
+        pts = np.asarray(point, dtype=float)
+        if pts.ndim not in (1, 2) or pts.shape[-1] != self.dim:
+            raise ValueError(f"expected a point of dimension {self.dim}")
+        return pts.reshape(-1, self.dim), pts.ndim == 1
+
     def values_at(self, point: Sequence[float]) -> np.ndarray:
         """Full component array at ``point``, or at each row of an (N, dim)
         array (expressions over columns); exactly antisymmetric."""
-        pts = np.asarray(point, dtype=float)
-        if pts.ndim == 2 and pts.shape[1] == self.dim:
-            vals = [exprmod.eval_columns(c, pts.T) if isinstance(c, Expression) else
-                    [value_of(self._component_scalar(c, row)) for row in pts.tolist()]
-                    for c in self._comps.values()]
-            return self._scatter(np.array(vals, dtype=float).reshape(-1, len(pts)).T)
-        coords = [float(v) for v in pts]
-        if len(coords) != self.dim:
-            raise ValueError(f"expected a point of dimension {self.dim}")
-        vals = [value_of(self._component_scalar(c, coords)) for c in self._comps.values()]
-        return self._scatter(np.array(vals, dtype=float))
+        X, one = self._rows(point)
+        vals = [exprmod.eval_columns(c, X.T) if isinstance(c, Expression) else
+                [value_of(c(row)) if callable(c) else float(c) for row in X.tolist()]
+                for c in self._comps.values()]
+        out = self._scatter(np.array(vals, dtype=float).reshape(-1, len(X)).T)
+        return out[0] if one else out
 
     def jacobian_at(self, point: Sequence[float]) -> np.ndarray:
-        """``jac[a, i1.. ir] = d_a f_{i1..ir}``: expression components from
-        their compiled order-1 kernels, the others from one jet evaluation."""
-        pt = np.asarray(point, dtype=float)
-        if pt.shape != (self.dim,):
-            raise ValueError(f"expected a point of dimension {self.dim}")
+        """``jac[..., a, i1.. ir] = d_a f_{i1..ir}`` at ``point``, or at each row
+        of an (N, dim) array: expression components from their order-1 column
+        kernels, the others from one jet evaluation per row."""
+        X, one = self._rows(point)
         n = self.dim
-        coords, seeds, grads = pt.tolist(), None, []
-        for c in self._comps.values():
-            if isinstance(c, Expression):
-                grads.append(exprmod._kernel(c, 1)(coords)[1:])
-            else:
-                seeds = seeds or Jet.seeds(pt, 1)
-                grads.append(Jet.lift(self._component_scalar(c, seeds), n, 1).gradient)
-        return self._scatter(np.array(grads, dtype=float).reshape(-1, n).T)
+        grads = [exprmod.eval_columns(c, X.T, 1)[1:] if isinstance(c, Expression) else
+                 np.array([Jet.lift(c(Jet.seeds(x, 1)) if callable(c) else float(c), n, 1)
+                           .gradient for x in X]).T
+                 for c in self._comps.values()]
+        out = self._scatter(np.array(grads, dtype=float).reshape(-1, n, len(X)).T)
+        return out[0] if one else out
 
     @property
     def is_serializable(self) -> bool:

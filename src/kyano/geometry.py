@@ -286,19 +286,26 @@ def _metric_jet(spec: MetricSpec, coords: list, order: int):
     return out[0] if order == 0 else tuple(out)
 
 
-def _metric_rows(spec: MetricSpec, X: np.ndarray) -> np.ndarray:
-    """``g`` at each row of ``X`` (N, dim) as an (N, dim, dim) stack, checked
-    as :func:`metric_components_at` checks a point, on order-0 columns."""
+def _metric_rows(spec: MetricSpec, X: np.ndarray, order: int = 0):
+    """:func:`metric_components_at` at each row of ``X`` (N, dim), checked as
+    it checks a point, on column kernels: ``g``, ``(g, dg)`` or ``(g, dg,
+    d2g)`` as stacks with a leading N axis."""
     if not np.isfinite(X).all():
         raise DomainError("point has non-finite coordinates")
     cols = _check_guards(spec, X.T, rows=True)
+    n, N = spec.dim, len(X)
     if spec.components is None:
-        return np.broadcast_to(np.eye(spec.dim), (len(X), spec.dim, spec.dim))
-    exprs, _, (idx,) = _component_table(spec, 0)
-    flat = np.column_stack([*(exprmod.eval_columns(e, cols) for e in exprs), np.zeros(len(X))])
-    if not np.isfinite(flat).all():
-        raise SingularMetric("metric evaluated to non-finite components")
-    return flat[:, idx]
+        out = [np.broadcast_to(np.eye(n), (N, n, n))] + [np.zeros((N,) + (n,) * (k + 3))
+                                                          for k in range(order)]
+    else:
+        exprs, _, gather = _component_table(spec, order)
+        blocks = [exprmod.eval_columns(e, cols, order).reshape(-1, N) for e in exprs]
+        # every block's first row is an entry of g
+        if not all(np.isfinite(b[0]).all() for b in blocks):
+            raise SingularMetric("metric evaluated to non-finite components")
+        flat = np.concatenate([*blocks, np.zeros((1, N))]).T
+        out = [flat[:, idx] for idx in gather]
+    return out[0] if order == 0 else tuple(out)
 
 
 def metric_at(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
@@ -313,17 +320,28 @@ def inverse_metric_at(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
 
 
 @np.errstate(all="ignore")  # the gufunc flags a singular g as invalid
-def _invert(g: np.ndarray) -> np.ndarray:
+def _invert(g: np.ndarray, rows: bool = False):
     """``g^-1`` (of each matrix of a stack) if ``max|g| max|g^-1| < 1e13 / n^2``,
     else SingularMetric; as cond_2(g) <= n^2 max|g| max|g^-1|, every g with
-    cond_2 >= 1e13 fails, and so does the NaN the bare gufunc gives if singular."""
+    cond_2 >= 1e13 fails, and so does the NaN the bare gufunc gives if singular.
+    With ``rows``, return the stack's inverses and its mask of passing matrices."""
     ginv = _umath_linalg.inv(g, signature="d->d")
     axes = (-2, -1) if g.ndim > 2 else None  # one matrix reduces faster without axes
     bound = np.maximum.reduce(abs(g), axes) * np.maximum.reduce(abs(ginv), axes)
     ok = bound < 1e13 / g.shape[-1] ** 2
+    if rows:
+        return ginv, ok
     if ok.all() if axes else ok:  # a numpy scalar's .all() costs more than the reductions
         return ginv
     raise SingularMetric("metric matrix is singular at this point")
+
+
+def _christoffel(ginv: np.ndarray, dg: np.ndarray):
+    """``Gamma[..., l, m, n] = Gamma^l_{mn}`` and the bracket ``A[..., s, m, n] =
+    d_m g_sn + d_n g_sm - d_s g_mn`` it contracts, for any leading batch axes."""
+    dgs = dg.swapaxes(-3, -2)  # dgs[s, m, n] = d_m g_sn
+    A = dgs + dgs.swapaxes(-2, -1) - dg
+    return 0.5 * np.einsum("...ls,...smn->...lmn", ginv, A), A
 
 
 def christoffel_at(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
@@ -331,9 +349,7 @@ def christoffel_at(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
     if spec.components is None:
         return np.zeros((spec.dim,) * 3)
     g, dg = metric_components_at(spec, point, order=1)
-    ginv = _invert(g)
-    A = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-    return 0.5 * np.einsum("ls,smn->lmn", ginv, A)
+    return _christoffel(_invert(g), dg)[0]
 
 
 def christoffel_and_partial(spec: MetricSpec, point: Sequence[float]):
@@ -345,9 +361,8 @@ def christoffel_and_partial(spec: MetricSpec, point: Sequence[float]):
     g, dg, d2g = metric_components_at(spec, point, order=2)
     ginv = _invert(g)
     dginv = -np.einsum("li,aij,js->als", ginv, dg, ginv)
-    A = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
+    gamma, A = _christoffel(ginv, dg)
     dA = d2g.transpose(0, 2, 1, 3) + d2g.transpose(0, 2, 3, 1) - d2g
-    gamma = 0.5 * np.einsum("ls,smn->lmn", ginv, A)
     dgamma = 0.5 * (
         np.einsum("als,smn->almn", dginv, A)
         + np.einsum("ls,asmn->almn", ginv, dA)
@@ -368,11 +383,12 @@ def curvature_at(spec: MetricSpec, point: Sequence[float]) -> CurvatureValue:
 
 def _covariant_derivative(gamma: np.ndarray, f: np.ndarray, jac: np.ndarray) -> np.ndarray:
     """``D_l f_{i1..ir} = d_l f_{i1..ir} - sum_k Gamma^s_{l i_k} f_{i1..s..ir}``
-    from the Christoffels and a rank-r field's values and partials."""
-    idx = "mnopqrtuvwxyz"[: f.ndim]  # free indices: any letter but l (derivative) and s (summed)
+    from the Christoffels and a rank-r field's values and partials, which may
+    share leading batch axes."""
+    idx = "mnopqrtuvwxyz"[: f.ndim - gamma.ndim + 3]  # free: not l (derivative) or s (summed)
     D = jac
     for k, i in enumerate(idx):
-        D = D - np.einsum(f"sl{i},{idx[:k]}s{idx[k + 1:]}->l{idx}", gamma, f)
+        D = D - np.einsum(f"...sl{i},...{idx[:k]}s{idx[k + 1:]}->...l{idx}", gamma, f)
     return D
 
 
@@ -420,6 +436,8 @@ def dump_manifold(spec: MetricSpec) -> dict:
              for j in range(spec.dim)]
             for i in range(spec.dim)
         ]
+        if spec.guards:
+            obj["domain"] = [exprmod.unparse(g) for g in spec.guards]
     if spec.momentum_space:
         obj["momentum_space"] = True
     return obj
@@ -471,7 +489,12 @@ def load_manifold(source) -> MetricSpec:
         if chart is not None and not (isinstance(chart, list)
                                       and all(isinstance(c, str) for c in chart)):
             raise KyanoError(f"manifold 'chart' must be a list of names, got {chart!r}")
-        spec = custom(rows, chart=chart)
+        domain = obj.get("domain", [])  # guards: expressions that must stay positive
+        if not (isinstance(domain, list) and all(isinstance(d, str) for d in domain)):
+            raise KyanoError(f"manifold 'domain' must be a list of expression strings,"
+                             f" got {domain!r}")
+        spec = dataclasses.replace(custom(rows, chart=chart), guards=tuple(
+            exprmod.parse_expression(d, len(rows)) for d in domain))
     else:
         raise KyanoError(f"unknown manifold kind {kind!r}")
     _reject_unknown(params, kind)
@@ -538,25 +561,39 @@ def sample_points(
 
     Draws are kept where every guard is at least 0.1 and :func:`metric_at`
     accepts them.  Raises :class:`DomainError` when fewer than one draw in
-    a thousand is admissible.
+    a thousand is admissible.  Draws come in blocks, and the generator is
+    rewound to redraw only the draws used, so the points and the generator's
+    final state are those of drawing one point at a time.
     """
     if box is None:
         box = default_box(spec)
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
-    out = np.empty((count, spec.dim))
-    produced = 0
-    attempts = 0
-    while produced < count:
-        attempts += 1
-        if attempts > 1000 * max(count, 1):
+    out, drawn, budget = np.empty((0, spec.dim)), 0, 1000 * max(count, 1)
+    while len(out) < count:
+        if drawn >= budget:
             raise DomainError("sampling box appears to be mostly inadmissible")
-        pt = lo + (hi - lo) * rng.random(spec.dim)
-        try:
-            _check_point(spec, pt, 0.1)
-            metric_at(spec, pt)
-        except (DomainError, SingularEvaluation):
-            continue
-        out[produced] = pt
-        produced += 1
+        need, state = count - len(out), rng.bit_generator.state
+        k = min(budget - drawn, max(2 * need, drawn) + 16, 1 << 14)  # draws in this block
+        X = lo + (hi - lo) * rng.random((k, spec.dim))
+        kept = np.flatnonzero(_admissible_rows(spec, X))[:need]
+        if len(kept) == need:  # the last block: rewind and redraw the draws used
+            k = kept[-1] + 1
+            rng.bit_generator.state = state
+            rng.random((k, spec.dim))
+        out, drawn = np.concatenate([out, X[kept]]), drawn + k
     return out
+
+
+def _admissible_rows(spec: MetricSpec, X: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``X`` that :func:`sample_points` keeps; where the rows
+    at once raise, each row is decided alone, and one that raises is outside."""
+    ok = np.isfinite(X).all(axis=1)
+    try:
+        for guard in spec.guards:
+            ok[ok] = exprmod.eval_columns(guard, X[ok].T) >= 0.1
+        if ok.any():
+            ok[ok] = _invert(_metric_rows(spec, X[ok]), rows=True)[1]
+    except (DomainError, SingularEvaluation):
+        return np.array([len(X) > 1 and _admissible_rows(spec, x[None])[0] for x in X], bool)
+    return ok

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expr as exprmod
 from . import geometry
-from .errors import SymplecticRejection
+from .errors import KyanoError, SymplecticRejection
 from .expr import Expression
 from .fields import AntisymTensorField, levi_civita
 from .geometry import MetricSpec
@@ -89,24 +89,41 @@ def covariant_constancy_residual(
 ) -> np.ndarray:
     """D_l f_{i1..ir} for a field of any rank; zero for covariant-constant
     fields.  On the identity metric D is the partial derivative d_l f."""
-    return next(_derivatives(spec, field, [point]))[2]
+    return next(_derivatives(spec, field, [point]))[2][0]
 
 
 def _derivatives(spec: MetricSpec, field: AntisymTensorField, points):
-    """``(f, jac, D)`` at each of ``points`` in turn, so that each D can be
-    reduced before the next is computed: the field's values, partials and
-    covariant derivative.  On the identity metric D is jac, and f is
-    evaluated only for a two-form, whose determinant the checks read."""
+    """``(f, jac, D)`` for blocks of rows of ``points`` (a leading row axis), so
+    each block can be reduced before the next is computed: the field's values,
+    partials and covariant derivative.  On the identity metric D is jac, and f
+    is evaluated only for a two-form, whose determinant the checks read.  A
+    block holds at most 2**15 elements of D, or one row; if it raises, its
+    rows run one at a time, so the first failing row raises."""
     if field.dim != spec.dim:
         raise ValueError("field and metric dimensions differ")
     if not len(points):
         raise ValueError("at least one sample point is needed")
     flat = spec.components is None
-    for pt in points:
-        f = field.values_at(pt) if field.rank == 2 or not flat else None
-        jac = field.jacobian_at(pt)
-        yield f, jac, jac if flat else geometry._covariant_derivative(
-            geometry.christoffel_at(spec, pt), f, jac)
+
+    def block(X):
+        f = field.values_at(X) if field.rank == 2 or not flat else None
+        jac = field.jacobian_at(X)
+        if flat:
+            return f, jac, jac
+        g, dg = geometry._metric_rows(spec, X, 1)
+        gamma = geometry._christoffel(geometry._invert(g), dg)[0]
+        return f, jac, geometry._covariant_derivative(gamma, f, jac)
+
+    X = np.asarray(points, dtype=float)
+    step = max(1, 2 ** 15 // spec.dim ** (field.rank + 1))  # rank 5 on R^6: a row, as per point
+    for rows in (X[i:i + step] for i in range(0, len(X), step)):
+        try:
+            out = block(rows)
+        except KyanoError:
+            for i in range(len(rows)):
+                block(rows[i:i + 1])
+            raise
+        yield out
 
 
 def ky_residual(
@@ -120,14 +137,14 @@ def ky_residual(
 def closedness_residual(field: AntisymTensorField, point: Sequence[float]) -> np.ndarray:
     """Exterior derivative (d f)_{l i1..ir} of a field of any rank; zero for
     closed fields."""
-    return _exterior(field.jacobian_at(point))
+    return _exterior(field.jacobian_at([point]))[0]
 
 
 def _exterior(jac: np.ndarray) -> np.ndarray:
-    """Alternating sum over k of ``jac`` with its derivative slot moved to k."""
+    """Alternating sum over k of ``jac`` (rows first) with its derivative slot moved to k."""
     d = jac
-    for k in range(1, jac.ndim):
-        d = d - np.moveaxis(jac, 0, k) if k % 2 else d + np.moveaxis(jac, 0, k)
+    for k in range(1, jac.ndim - 1):
+        d = d - np.moveaxis(jac, 1, k + 1) if k % 2 else d + np.moveaxis(jac, 1, k + 1)
     return d
 
 
@@ -144,7 +161,8 @@ def killing_from_ky(
 def killing_tensor_jet(
     spec: MetricSpec, field: AntisymTensorField, point: Sequence[float]
 ):
-    """K and its coordinate partials dK[a, m, n] = d_a K_mn."""
+    """K, its coordinate partials dK[a, m, n] = d_a K_mn, and the inverse
+    metric and metric partials dg[a, i, j] = d_a g_ij they are built from."""
     f = field.values_at(point)
     df = field.jacobian_at(point)
     g, dg = geometry.metric_components_at(spec, point, order=1)
@@ -156,15 +174,15 @@ def killing_tensor_jet(
         + np.einsum("ml,als,sn->amn", f, dginv, f)
         + np.einsum("ml,ls,asn->amn", f, ginv, df)
     )
-    return 0.5 * (K + K.T), 0.5 * (dK + dK.swapaxes(1, 2))
+    return 0.5 * (K + K.T), 0.5 * (dK + dK.swapaxes(1, 2)), ginv, dg
 
 
 def killing_equation_residual(
     spec: MetricSpec, field: AntisymTensorField, point: Sequence[float]
 ) -> np.ndarray:
     """Symmetrized covariant derivative D_(a K_mn); zero for Killing tensors."""
-    K, dK = killing_tensor_jet(spec, field, point)
-    gamma = geometry.christoffel_at(spec, point)
+    K, dK, ginv, dg = killing_tensor_jet(spec, field, point)
+    gamma = geometry._christoffel(ginv, dg)[0]
     DK = (
         dK
         - np.einsum("sam,sn->amn", gamma, K)
@@ -196,8 +214,8 @@ class KYReport:
     n_points: int
     max_ky_residual: float
     max_cc_residual: float
-    min_abs_det: float
-    max_abs_det: float
+    min_abs_det: Optional[float]  # None for a field that is not a two-form
+    max_abs_det: Optional[float]
     ky_tol: float
     cc_tol: float
     det_tol: float
@@ -211,8 +229,8 @@ class KYReport:
         return self.max_cc_residual <= self.cc_tol
 
     @property
-    def is_nondegenerate(self) -> bool:
-        return self.min_abs_det > self.det_tol
+    def is_nondegenerate(self) -> Optional[bool]:
+        return None if self.min_abs_det is None else self.min_abs_det > self.det_tol
 
     def to_dict(self) -> dict:
         return {
@@ -236,20 +254,21 @@ def verify_field(
     cc_tol: float = 1e-8,
     det_tol: float = 1e-12,
 ) -> KYReport:
-    """Evaluate KY and covariant-constancy residuals over sample points."""
+    """Evaluate KY and covariant-constancy residuals over sample points; the
+    determinant bounds are None for a field that is not a two-form."""
     values, cc, ky = [], [], []
     for f, _, D in _derivatives(spec, field, points):
         values.append(f)
-        cc.append(np.abs(D).max())
-        ky.append(np.abs(D + D.swapaxes(0, 1)).max())
-    # a field of another rank has no determinant: both bounds read 0
-    dets = np.abs(np.linalg.det(values)) if field.rank == 2 else np.zeros(1)
+        cc.append(np.max(np.abs(D)))
+        S = D + D.swapaxes(1, 2)
+        ky.append(np.max(np.abs(S, out=S)))  # in place: a second large temporary faults in pages
+    dets = np.abs(np.linalg.det(np.concatenate(values))) if field.rank == 2 else None
     return KYReport(
-        n_points=len(values),
+        n_points=len(points),
         max_ky_residual=float(np.max(ky)),
         max_cc_residual=float(np.max(cc)),
-        min_abs_det=float(np.min(dets)),
-        max_abs_det=float(np.max(dets)),
+        min_abs_det=None if dets is None else float(np.min(dets)),
+        max_abs_det=None if dets is None else float(np.max(dets)),
         ky_tol=ky_tol,
         cc_tol=cc_tol,
         det_tol=det_tol,
@@ -300,9 +319,9 @@ def symplectic_from_ky(
     values, cc, closed = [], [], []
     for f, jac, D in _derivatives(spec, field, points):
         values.append(f)
-        cc.append(np.abs(D).max())
-        closed.append(np.abs(_exterior(jac)).max())
-    min_det = float(np.min(np.abs(np.linalg.det(values))))
+        cc.append(np.max(np.abs(D)))
+        closed.append(np.max(np.abs(_exterior(jac))))
+    min_det = float(np.min(np.abs(np.linalg.det(np.concatenate(values)))))
     if not min_det > det_tol:
         raise SymplecticRejection("degenerate", f"min |det f| = {min_det:.3e}")
     max_cc, max_closed = float(np.max(cc)), float(np.max(closed))
@@ -315,7 +334,7 @@ def symplectic_from_ky(
     return SymplecticForm(
         spec=spec,
         field=field,
-        n_points=len(values),
+        n_points=len(points),
         max_cc_residual=max_cc,
         max_closedness_residual=max_closed,
         min_abs_det=min_det,
@@ -434,16 +453,17 @@ def ky_solve_ansatz(
         count = max(4, (2 * unknowns) // (n ** 3) + 4)
         rng = rng if rng is not None else np.random.default_rng(12345)
         points = geometry.sample_points(spec, count, rng)
-    points = [np.asarray(pt, dtype=float) for pt in points]
+    points = np.asarray(points, dtype=float)
     if len(points) * n ** 3 < unknowns:
         warnings.warn(
             "fewer residual equations than unknowns; the null space may be inflated",
             stacklevel=2,
         )
+    g, dg = geometry._metric_rows(spec, points, 1)
+    gammas = geometry._christoffel(geometry._invert(g), dg)[0]
     rows = np.zeros((len(points) * n ** 3, unknowns))
-    for pi, pt in enumerate(points):
-        gamma = geometry.christoffel_at(spec, pt)
-        jets = [exprmod.eval1(phi, [float(v) for v in pt]) for phi in parsed]
+    for pi, (pt, gamma) in enumerate(zip(points.tolist(), gammas)):
+        jets = [exprmod.eval1(phi, pt) for phi in parsed]
         for ai, (a, b) in enumerate(pairs):
             for bi, jet in enumerate(jets):
                 f = np.zeros((n, n))

@@ -122,6 +122,31 @@ def test_verify_ky_rank3_volume_form_on_const_curvature(tmp_path, capsys):
     assert json.loads(out)["report"]["is_covariant_constant"] is True
 
 
+def test_verify_ky_reports_no_determinant_for_other_ranks(tmp_path, capsys):
+    u = "(1 + 0.5*(x1^2+x2^2+x3^2)/4)"
+    field = write_json(tmp_path / "vol.json",
+                       {"dim": 3, "rank": 3, "components": {"123": f"1/{u}^3"}})
+    argv = ("verify-ky", "--manifold", "const-curvature:K=0.5", "--field", field,
+            "--samples", "5")
+    code, out, _ = run(capsys, *argv)
+    report = json.loads(out)["report"]
+    assert code == 0
+    assert report["min_abs_det"] is report["max_abs_det"] is report["is_nondegenerate"] is None
+    code, out, _ = run(capsys, *argv, "--format", "table")
+    assert code == 0 and "min |det f|: n/a (rank 3)" in out.splitlines()
+
+
+@pytest.mark.parametrize("domain", ["x1", [1], ["x1 +"]])
+def test_verify_ky_malformed_manifold_domain_is_usage_error(tmp_path, capsys, domain):
+    manifold = write_json(tmp_path / "m.json",
+                          {"kind": "custom", "metric": [["1", "0"], ["0", "1"]], "domain": domain})
+    code, _, err = run(capsys, "verify-ky", "--manifold", manifold, "--field", "flat-position",
+                       "--samples", "2")
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "'domain'" in err or "offset" in err  # the key, or where its expression breaks
+
+
 def test_verify_ky_rejects_zero_samples(capsys):
     code, _, err = run(
         capsys, "verify-ky", "--manifold", "flat3", "--field", "flat-position",

@@ -132,6 +132,31 @@ def test_jacobian_matches_finite_differences():
             assert np.abs(jac[a] - fd).max() < 1e-8
 
 
+def test_row_jacobians_and_values_match_single_points():
+    # expression, callable and numeric components; one row at a time by the old kernels
+    def callable_component(xs):
+        return xs[0] * xs[1] - xs[2]
+
+    field = AntisymTensorField(
+        4, 2, {"12": "x1*sin(x3)", "14": callable_component, "23": 2.5, "34": "x4^2/x2"})
+    X = np.random.default_rng(7).uniform(0.5, 2.0, (40, 4))
+    jac = field.jacobian_at(X)
+    vals = field.values_at(X)
+    assert jac.shape == (40, 4, 4, 4) and vals.shape == (40, 4, 4)
+    for x, j, v in zip(X, jac, vals):
+        want = np.zeros((4, 4, 4))
+        for (a, b), c in field.component_items():
+            if isinstance(c, exprmod.Expression):
+                grad = exprmod._kernel(c, 1)(x.tolist())[1:]
+            else:
+                grad = Jet.lift(c(Jet.seeds(x, 1)) if callable(c) else float(c), 4, 1).gradient
+            want[:, a, b], want[:, b, a] = grad, -np.array(grad)
+        assert j.tobytes() == want.tobytes() == field.jacobian_at(x).tobytes()
+        assert v.tobytes() == field.values_at(x).tobytes()
+    with pytest.raises(ValueError, match="dimension 4"):
+        field.jacobian_at(X[:, :3])
+
+
 def test_rank_bounds():
     with pytest.raises(ValueError):
         AntisymTensorField(3, 4, {})

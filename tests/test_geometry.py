@@ -1,6 +1,7 @@
 """Metric catalog: values, Christoffels, curvature, duality, serialization."""
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kyano import expr, geometry
-from kyano.errors import DomainError, KyanoError, SingularMetric
+from kyano.errors import DomainError, KyanoError, SingularEvaluation, SingularMetric
 from kyano.fields import AntisymTensorField
 
 CATALOG = (
@@ -390,3 +391,98 @@ def test_invert_matches_numpy_inverse():
         assert got.tobytes() == np.linalg.inv(stack).tobytes()
         for g, ginv in zip(stack, got):
             assert geometry._invert(g).tobytes() == ginv.tobytes()
+
+
+# -- row paths: the block sampler and metric stacks ------------------------------
+
+
+def _ref_sample_points(spec, count, rng, box=None):
+    """The per-draw sampler the block sampler replaced."""
+    box = geometry.default_box(spec) if box is None else box
+    lo, hi = np.array([b[0] for b in box]), np.array([b[1] for b in box])
+    out = np.empty((count, spec.dim))
+    produced = attempts = 0
+    while produced < count:
+        attempts += 1
+        if attempts > 1000 * max(count, 1):
+            raise DomainError("sampling box appears to be mostly inadmissible")
+        pt = lo + (hi - lo) * rng.random(spec.dim)
+        try:
+            geometry._check_point(spec, pt, 0.1)
+            geometry.metric_at(spec, pt)
+        except (DomainError, SingularEvaluation):
+            continue
+        out[produced] = pt
+        produced += 1
+    return out
+
+
+def _draw_and_next(sampler, spec, count, seed, box):
+    rng = np.random.default_rng(seed)
+    try:
+        pts = sampler(spec, count, rng, box=box).tobytes()
+    except DomainError as e:
+        pts = str(e)
+    return pts, rng.random()
+
+
+SPHERICAL_REPORT_BOX = [(0.4, 1.6), (0.4, np.pi - 0.4), (0.2, 2 * np.pi - 0.2)]
+
+
+@pytest.mark.parametrize(
+    "spec, count, box",
+    [
+        (geometry.taub_nut(1.0), 100, None),
+        (geometry.const_curvature3(-4.0), 100, None),
+        (geometry.const_curvature3_spherical(1.0), 20, SPHERICAL_REPORT_BOX),
+        # about one draw in a hundred is admissible
+        (geometry.taub_nut(1.0), 30, [(-10.0, 0.2), (0.3, 2.8), (0.0, 6.0), (0.0, 12.0)]),
+        # the metric raises on half the box, so single rows decide
+        (geometry.custom([["sqrt(x1 - 5)", "0"], ["0", "1"]]), 40, [(4.0, 6.0), (-1.0, 1.0)]),
+        # nothing is admissible: both give up after the same 3000 draws
+        (geometry.taub_nut(1.0, 0.0), 3, None),
+    ],
+    ids=["taub-nut", "K=-4", "spherical-report-box", "sparse", "raising-metric", "inadmissible"],
+)
+def test_block_sampler_keeps_the_per_draw_stream(spec, count, box):
+    for seed in (0, 1, 2):
+        want = _draw_and_next(_ref_sample_points, spec, count, seed, box)
+        assert _draw_and_next(geometry.sample_points, spec, count, seed, box) == want
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [geometry.taub_nut(1.0), geometry.const_curvature3(-4.0),
+     geometry.const_curvature3_spherical(1.0), geometry.flat(4)],
+    ids=["taub-nut", "K=-4", "spherical", "flat4"],
+)
+def test_metric_rows_and_christoffels_match_the_per_point_path(spec):
+    X = sample(spec, 300, seed=8)
+    for order in (0, 1, 2):
+        rows = geometry._metric_rows(spec, X, order)
+        rows = rows if isinstance(rows, tuple) else (rows,)
+        for k, stack in enumerate(rows):
+            want = [np.asarray(geometry.metric_components_at(spec, x, order)[k] if order
+                               else geometry.metric_components_at(spec, x)) for x in X]
+            assert np.ascontiguousarray(stack).tobytes() == np.array(want).tobytes(), (order, k)
+    g, dg = geometry._metric_rows(spec, X, 1)
+    gamma = geometry._christoffel(geometry._invert(g), dg)[0]
+    want = np.array([geometry.christoffel_at(spec, x) for x in X])
+    assert gamma.tobytes() == want.tobytes()
+
+
+def test_custom_domain_round_trips_through_the_manifold_file():
+    spec = geometry.const_curvature3_spherical(1.0)
+    loaded = geometry.load_manifold(json.loads(json.dumps(geometry.dump_manifold(spec))))
+    assert [str(g) for g in loaded.guards] == [str(g) for g in spec.guards]
+    with pytest.raises(DomainError, match="x1 < 1e-09"):
+        geometry.metric_at(loaded, [0.0, 1.0, 1.0])
+    a, b = (geometry.sample_points(s, 50, np.random.default_rng(4), box=SPHERICAL_REPORT_BOX)
+            for s in (spec, loaded))
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("domain", ["x1", [1], [["x1"]], {"x1": 1}])
+def test_custom_domain_must_be_a_list_of_expressions(domain):
+    with pytest.raises(KyanoError, match="'domain' must be a list of expression strings"):
+        geometry.load_manifold({"kind": "custom", "metric": [["1"]], "domain": domain})

@@ -260,6 +260,13 @@ def test_sqrt_of_tiny_argument():
 # -- column kernels: the order-0 source over (N,) columns ------------------------
 
 
+def _per_point_rows(e, points, order):
+    """The (width, N) outputs of the per-point kernel, row by row, as the
+    column kernels must reproduce them (the values alone at order 0)."""
+    kernel = expr._kernel(e, order)
+    return np.array([kernel([float(v) for v in pt]) for pt in points], float).T
+
+
 @given(_SOURCES, st.lists(_POINTS, min_size=1, max_size=6))
 @settings(max_examples=300, deadline=None)
 def test_column_kernels_match_per_point_kernels(src, points):
@@ -267,6 +274,9 @@ def test_column_kernels_match_per_point_kernels(src, points):
     e = expr.parse_expression(src, 3)
     per_point = _outcome(lambda: np.array([expr.eval_value(e, pt) for pt in points]))
     assert _outcome(expr.eval_columns, e, np.array(points).T) == per_point, src
+    for order in (1, 2):
+        per_point = _outcome(_per_point_rows, e, points, order)
+        assert _outcome(expr.eval_columns, e, np.array(points).T, order) == per_point, (src, order)
 
 
 def _catalog_expressions():
@@ -298,9 +308,11 @@ def test_column_kernels_match_on_the_catalog():
     cases = _catalog_expressions()
     assert len(cases) > 40
     for e, pts in cases:
-        kernel = expr._kernel(e, 0)
-        want = np.array([kernel(row) for row in pts.tolist()])
-        assert expr.eval_columns(e, pts.T).tobytes() == want.tobytes(), str(e)
+        for order in (0, 1, 2):
+            want = _per_point_rows(e, pts, order)
+            assert expr.eval_columns(e, pts.T, order).tobytes() == want.tobytes(), (str(e), order)
+            with np.errstate(all="raise"):  # the columns run whole, with no per-point fallback
+                expr._kernel(e, order, columns=True)(pts.T)
 
 
 @pytest.mark.parametrize(
@@ -340,3 +352,35 @@ def test_column_kernel_of_non_finite_inputs_runs_per_point():
 def test_column_kernel_of_a_constant_fills_every_row():
     e = expr.parse_expression("2 + sin(1)", 1)
     assert expr.eval_columns(e, [np.zeros(3)]).tolist() == [expr.eval_value(e, [0.0])] * 3
+
+
+@pytest.mark.parametrize(
+    "src, order, bad",
+    [
+        ("abs(x1) + x2", 1, 0.0),       # the sign has no derivative at 0
+        ("abs(x1) * x2", 2, 0.0),
+        ("sqrt(x1) * x2", 2, 0.0),      # sqrt of a non-positive argument
+        ("sqrt(x1) * x2", 2, 5e-324),   # its second derivative underflows
+        ("x2 / (x1 - 1.5)", 1, 1.5),    # division by zero
+        ("x2 / (x1 - 1.5)", 2, 1.5),
+    ],
+)
+def test_column_jets_raise_the_first_failing_rows_error(src, order, bad):
+    e = expr.parse_expression(src, 2)
+    cols = np.array([[2.0, 0.5, bad, 3.0, bad], [1.0, 2.0, 3.0, 4.0, 5.0]])
+    with pytest.raises(SingularEvaluation) as want:
+        expr._kernel(e, order)([bad, 3.0])
+    with pytest.raises(SingularEvaluation) as got:
+        expr.eval_columns(e, cols, order)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_column_jets_of_rows_that_pass_or_hold_inf_match_per_point(order):
+    # a row that fails alone runs per point with the rest; an inf row is carried
+    for src, cols in (("sqrt(x1) * x2", [[5e-324, 1.0], [2.0, 3.0]]),
+                      ("x1 * x2 + abs(x2)", [[0.5, math.inf], [2.0, 3.0]])):
+        e = expr.parse_expression(src, 2)
+        cols = np.array(cols)
+        want = _outcome(_per_point_rows, e, cols.T.tolist(), order)
+        assert _outcome(expr.eval_columns, e, cols, order) == want, (src, order)

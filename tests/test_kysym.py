@@ -10,7 +10,7 @@ import pytest
 
 from kyano import dual, expr, geometry, kysym
 from kyano.dual import Jet
-from kyano.errors import SymplecticRejection
+from kyano.errors import DomainError, SingularEvaluation, SymplecticRejection
 from kyano.fields import AntisymTensorField, levi_civita
 
 
@@ -128,7 +128,7 @@ def test_const_curvature_volume_form_is_covariantly_constant(K):
     pts = geometry.sample_points(spec, 40, np.random.default_rng(3))
     rep = kysym.verify_field(spec, conformal_volume_form(K, 3), pts)
     assert rep.is_ky and rep.max_cc_residual <= 1e-13
-    assert rep.min_abs_det == rep.max_abs_det == 0.0  # not a two-form
+    assert rep.min_abs_det is rep.max_abs_det is rep.is_nondegenerate is None  # not a two-form
     wrong = kysym.verify_field(spec, conformal_volume_form(K, 2), pts)
     assert wrong.max_ky_residual > 0.1 and not wrong.is_covariant_constant
 
@@ -149,6 +149,50 @@ def test_general_rank_derivatives_match_rank2_formulas_bytewise(index):
         D, closed = rank2_reference(spec, field, pt)
         assert kysym.covariant_constancy_residual(spec, field, pt).tobytes() == D.tobytes()
         assert kysym.closedness_residual(field, pt).tobytes() == closed.tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [(geometry.taub_nut(1.0), kysym.taubnut_ky_field(3, 1.0)),
+     (geometry.taub_nut(1.0, 4.0), kysym.taubnut_ky_field(1, 1.0)),
+     (geometry.const_curvature3(-4.0), kysym.flat_ky_position_field(3)),
+     (geometry.const_curvature3(0.5), conformal_volume_form(0.5, 3))],
+    ids=["taub-nut", "fiber-scale-4", "K=-4-control", "volume-form"],
+)
+def test_row_derivatives_match_the_per_point_formula_bytewise(spec, field):
+    pts = geometry.sample_points(spec, 200, np.random.default_rng(17))
+    (f, jac, D), = kysym._derivatives(spec, field, pts)
+    for k, pt in enumerate(pts):
+        want = geometry._covariant_derivative(
+            geometry.christoffel_at(spec, pt), field.values_at(pt), field.jacobian_at(pt))
+        assert D[k].tobytes() == want.tobytes()
+    rep = kysym.verify_field(spec, field, pts)
+    assert rep.max_cc_residual == max(float(np.abs(d).max()) for d in D)
+    assert rep.max_ky_residual == max(float(np.abs(d + d.swapaxes(0, 1)).max()) for d in D)
+
+
+def test_row_blocks_hold_at_most_2_15_elements_of_d():
+    # D has n**(rank + 1) elements a row: 6**6 for the n = 6 rank-5 flat field,
+    # more than a block holds, so it runs one row at a time, as it did per point
+    def blocks(spec, field, count):
+        pts = geometry.sample_points(spec, count, np.random.default_rng(0))
+        return [len(D) for _, _, D in kysym._derivatives(spec, field, pts)]
+
+    assert blocks(geometry.flat(6), kysym.flat_ky_position_field(6), 3) == [1, 1, 1]
+    assert blocks(geometry.flat(5), kysym.flat_ky_position_field(5), 23) == [10, 10, 3]
+    spec = geometry.taub_nut(1.0)
+    assert blocks(spec, kysym.taubnut_ky_field(1, 1.0), 1100) == [512, 512, 76]
+
+
+def test_block_errors_name_the_first_failing_point():
+    # row 1 leaves the chart domain; row 2 has a singular field value first
+    spec = geometry.taub_nut(1.0)
+    field = AntisymTensorField(4, 2, {"12": "1/(x1 - 2)"})
+    pts = [[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, 1.0], [2.0, 1.0, 1.0, 1.0]]
+    with pytest.raises(DomainError, match="outside the chart domain"):
+        kysym.verify_field(spec, field, pts)
+    with pytest.raises(SingularEvaluation, match="division by zero"):
+        kysym.verify_field(spec, field, pts[::2])
 
 
 # -- Killing tensors ----------------------------------------------------------
@@ -194,6 +238,30 @@ def test_killing_equation_taub_nut():
         for pt in pts:
             res = kysym.killing_equation_residual(spec, field, pt)
             assert np.abs(res).max() <= 1e-8
+
+
+def test_killing_equation_evaluates_the_metric_once_per_point(monkeypatch):
+    spec, pts = taub_nut_points(20, seed=9)
+    field = kysym.taubnut_ky_field(2, 1.0)
+    # the formula with its own Christoffel jet, as the residual computed it before
+    want = []
+    for pt in pts:
+        K, dK = kysym.killing_tensor_jet(spec, field, pt)[:2]
+        gamma = geometry.christoffel_at(spec, pt)
+        DK = dK - np.einsum("sam,sn->amn", gamma, K) - np.einsum("san,ms->amn", gamma, K)
+        want.append((DK + DK.transpose(1, 2, 0) + DK.transpose(2, 0, 1)) / 3.0)
+    orders = []
+    inner = geometry.metric_components_at
+
+    def counting(spec, point, order=0):
+        orders.append(order)
+        return inner(spec, point, order)
+
+    monkeypatch.setattr(geometry, "metric_components_at", counting)
+    for pt, res in zip(pts, want):
+        orders.clear()
+        assert kysym.killing_equation_residual(spec, field, pt).tobytes() == res.tobytes()
+        assert orders == [1]
 
 
 # -- nondegeneracy -------------------------------------------------------------
@@ -475,7 +543,7 @@ def test_verify_field_evaluates_values_once_per_point():
     values_at = field.values_at
     field.values_at = lambda pt: calls.append(pt) or values_at(pt)
     rep = kysym.verify_field(spec, field, pts)
-    assert len(calls) == len(pts)
+    assert [len(rows) for rows in calls] == [len(pts)]  # one block, each point once
     del field.values_at
     assert rep == kysym.verify_field(spec, field, pts)
 
@@ -487,7 +555,7 @@ def test_symplectic_from_ky_evaluates_jacobian_once_per_point():
     jacobian_at = field.jacobian_at
     field.jacobian_at = lambda pt: calls.append(pt) or jacobian_at(pt)
     form = kysym.symplectic_from_ky(spec, field, points=pts)
-    assert len(calls) == len(pts) == 30
+    assert [len(rows) for rows in calls] == [len(pts)] == [30]  # one block, each point once
     del field.jacobian_at
     assert form == kysym.symplectic_from_ky(spec, field, points=pts)
 
