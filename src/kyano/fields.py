@@ -11,7 +11,7 @@ labels are), plain numbers, or callables that accept a list of scalars
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -131,16 +131,34 @@ class AntisymTensorField:
 
     def jacobian_at(self, point: Sequence[float]) -> np.ndarray:
         """``jac[..., a, i1.. ir] = d_a f_{i1..ir}`` at ``point``, or at each row
-        of an (N, dim) array: expression components from their order-1 column
-        kernels, the others from one jet evaluation per row."""
+        of an (N, dim) array."""
         X, one = self._rows(point)
+        out = self._scatter(self._gradients(X))
+        return out[0] if one else out
+
+    def _gradients(self, X: np.ndarray) -> np.ndarray:
+        """``G[row, a, c] = d_a`` of stored component c at each row of an (N, dim)
+        array: expression components from their order-1 column kernels, the
+        others from one jet evaluation per row."""
         n = self.dim
         grads = [exprmod.eval_columns(c, X.T, 1)[1:] if isinstance(c, Expression) else
                  np.array([Jet.lift(c(Jet.seeds(x, 1)) if callable(c) else float(c), n, 1)
                            .gradient for x in X]).T
                  for c in self._comps.values()]
-        out = self._scatter(np.array(grads, dtype=float).reshape(-1, n, len(X)).T)
-        return out[0] if one else out
+        return np.array(grads, dtype=float).reshape(-1, n, len(X)).T
+
+    @cached_property
+    def _ky_pairs(self):
+        """``(i1, s1, i2, s2)``: with G the (N, dim, ncomp) gradients plus a zero
+        column, flattened per row, ``G[:, i1]*s1 + G[:, i2]*s2`` is D_l f_{m rest} +
+        D_m f_{l rest} for each l <= m and sorted rest, as the scatter table fills D."""
+        n, rank, width = self.dim, self.rank, len(self._comps) + 1
+        comp, sign = np.full(n ** rank, width - 1), np.ones(n ** rank)  # unfilled: zero column
+        comp[self._dst], sign[self._dst] = self._src, self._sign
+        rest = np.flatnonzero((np.diff(np.indices((n,) * (rank - 1)), axis=0) > 0).all(axis=0))
+        l, m = (np.repeat(k, len(rest)) for k in np.triu_indices(n))
+        a, b = (k * n ** (rank - 1) + np.tile(rest, len(l) // len(rest)) for k in (m, l))
+        return l * width + comp[a], sign[a], m * width + comp[b], sign[b]
 
     @property
     def is_serializable(self) -> bool:

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import re
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -438,6 +439,8 @@ def dump_manifold(spec: MetricSpec) -> dict:
         ]
         if spec.guards:
             obj["domain"] = [exprmod.unparse(g) for g in spec.guards]
+        if spec.box:
+            obj["box"] = [list(b) for b in spec.box]
     if spec.momentum_space:
         obj["momentum_space"] = True
     return obj
@@ -457,7 +460,8 @@ def _reject_unknown(params: dict, kind: str) -> None:
 
 
 def load_manifold(source) -> MetricSpec:
-    """Build a metric from a JSON dict, a JSON file path, or a dict."""
+    """Build a metric from a JSON dict, a JSON file path, or a dict.  A key
+    the manifold's kind does not read is an error."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -493,10 +497,23 @@ def load_manifold(source) -> MetricSpec:
         if not (isinstance(domain, list) and all(isinstance(d, str) for d in domain)):
             raise KyanoError(f"manifold 'domain' must be a list of expression strings,"
                              f" got {domain!r}")
+        box = obj.get("box")  # the default sampling box: one [lo, hi] per coordinate
+        if "box" in obj and not (isinstance(box, list) and len(box) == len(rows) and all(
+                isinstance(b, list) and len(b) == 2
+                and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in b)
+                and b[0] < b[1] for b in box)):
+            raise KyanoError(f"manifold 'box' must be a list of {len(rows)} [lo, hi] pairs of"
+                             f" finite numbers with lo < hi, got {box!r}")
         spec = dataclasses.replace(custom(rows, chart=chart), guards=tuple(
-            exprmod.parse_expression(d, len(rows)) for d in domain))
+            exprmod.parse_expression(d, len(rows)) for d in domain),
+            box=box and tuple((float(lo), float(hi)) for lo, hi in box))
     else:
         raise KyanoError(f"unknown manifold kind {kind!r}")
+    read = ("schema", "kind", "dim", "params", "momentum_space") + (
+        ("metric", "chart", "domain", "box") if kind == "custom" else ())
+    stray = [key for key in obj if key not in read]
+    if stray:
+        raise KyanoError(f"manifold key {stray[0]!r} is not read for kind {kind!r}")
     _reject_unknown(params, kind)
     if dim is not None and dim != spec.dim:
         raise KyanoError(f"declared dim {dim} does not match kind {kind!r}")

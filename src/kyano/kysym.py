@@ -46,18 +46,21 @@ def flat_ky_pair(n: int, x: Sequence[float], p: Sequence[float]):
 
 
 def reconstruct_position(f: np.ndarray) -> np.ndarray:
-    """x_k = eps_{k j1..j(n-1)} f_{j1..j(n-1)} / (n-1)!; exact inverse of
-    the pair construction."""
-    rank = f.ndim
-    n = f.shape[0] if rank else 0
-    if rank == 0 or f.shape != (n,) * rank or rank != n - 1:
+    """x_k = eps_{k j1..j(n-1)} f_{j1..j(n-1)} / (n-1)!, n the last axis's size,
+    over any leading batch axes; exact inverse of the pair construction."""
+    n = f.shape[-1] if f.ndim else 0
+    rank = n - 1
+    if rank < 1 or f.shape[f.ndim - rank:] != (n,) * rank:
         raise ValueError("expected a rank-(n-1) array over an n-dimensional chart")
-    scale = max(1.0, float(np.abs(f).max()))
-    for a in range(rank - 1):
-        if float(np.abs(f + f.swapaxes(a, a + 1)).max()) > 1e-12 * scale:
+    rows = f.reshape((-1,) + (n,) * rank)
+    t = np.abs(rows)  # one buffer for every check: fresh large temporaries fault in pages
+    scale = np.maximum(1.0, t.reshape(-1, n ** rank).max(axis=1))  # each row's own
+    for a in range(1, rank):
+        np.add(rows, rows.swapaxes(a, a + 1), out=t)
+        if np.any(np.abs(t, out=t).reshape(-1, n ** rank).max(axis=1) > 1e-12 * scale):
             raise ValueError("input array is not antisymmetric")
-    eps = levi_civita(n)
-    return np.tensordot(eps, f, axes=rank) / math.factorial(rank)
+    x = levi_civita(n).reshape(n, -1) @ rows.reshape(-1, n ** rank, 1)  # per-point bytes
+    return x.reshape(f.shape[:f.ndim - rank] + (n,)) / math.factorial(rank)
 
 
 # The pair's twin is the same contraction with p, so it inverts the same way.
@@ -66,14 +69,9 @@ reconstruct_momentum = reconstruct_position
 
 def flat_ky_position_field(n: int) -> AntisymTensorField:
     """The pair's position member as a field (components linear in x)."""
-    eps = levi_civita(n)
-    comps = {}
-    for idx in itertools.combinations(range(n), n - 1):
-        k = next(iter(set(range(n)) - set(idx)))
-        sign = eps[(k,) + idx]
-        src = f"x{k + 1}" if sign > 0 else f"-x{k + 1}"
-        comps[idx] = exprmod.parse_expression(src, n)
-    return AntisymTensorField(n, n - 1, comps)
+    return AntisymTensorField(n, n - 1, {  # eps_{k, the rest in order} = (-1)^k
+        tuple(i for i in range(n) if i != k): f"{'-' if k % 2 else ''}x{k + 1}"
+        for k in reversed(range(n))})
 
 
 # The momentum twin has the same functional form over the momentum chart.
@@ -92,22 +90,24 @@ def covariant_constancy_residual(
     return next(_derivatives(spec, field, [point]))[2][0]
 
 
-def _derivatives(spec: MetricSpec, field: AntisymTensorField, points):
+def _derivatives(spec: MetricSpec, field: AntisymTensorField, points, stored: bool = False):
     """``(f, jac, D)`` for blocks of rows of ``points`` (a leading row axis), so
     each block can be reduced before the next is computed: the field's values,
     partials and covariant derivative.  On the identity metric D is jac, and f
-    is evaluated only for a two-form, whose determinant the checks read.  A
-    block holds at most 2**15 elements of D, or one row; if it raises, its
-    rows run one at a time, so the first failing row raises."""
+    is evaluated only for a two-form, whose determinant the checks read; with
+    ``stored`` there, jac and D are ``field._gradients``.  A block holds at most
+    2**15 elements of D (of ``field._ky_pairs`` when stored), or one row; if it
+    raises, its rows run one at a time, so the first failing row raises."""
     if field.dim != spec.dim:
         raise ValueError("field and metric dimensions differ")
     if not len(points):
         raise ValueError("at least one sample point is needed")
     flat = spec.components is None
+    stored = stored and flat
 
     def block(X):
         f = field.values_at(X) if field.rank == 2 or not flat else None
-        jac = field.jacobian_at(X)
+        jac = field._gradients(field._rows(X)[0]) if stored else field.jacobian_at(X)
         if flat:
             return f, jac, jac
         g, dg = geometry._metric_rows(spec, X, 1)
@@ -115,7 +115,8 @@ def _derivatives(spec: MetricSpec, field: AntisymTensorField, points):
         return f, jac, geometry._covariant_derivative(gamma, f, jac)
 
     X = np.asarray(points, dtype=float)
-    step = max(1, 2 ** 15 // spec.dim ** (field.rank + 1))  # rank 5 on R^6: a row, as per point
+    size = len(field._ky_pairs[0]) if stored else spec.dim ** (field.rank + 1)
+    step = max(1, 2 ** 15 // size)  # D of rank 5 on R^6: a row, as per point
     for rows in (X[i:i + step] for i in range(0, len(X), step)):
         try:
             out = block(rows)
@@ -257,10 +258,15 @@ def verify_field(
     """Evaluate KY and covariant-constancy residuals over sample points; the
     determinant bounds are None for a field that is not a two-form."""
     values, cc, ky = [], [], []
-    for f, _, D in _derivatives(spec, field, points):
+    for f, _, D in _derivatives(spec, field, points, stored=True):
         values.append(f)
+        if spec.components is None:  # every entry of the full D is +-G or 0: same maxima
+            D = np.concatenate([D, np.zeros(D.shape[:2] + (1,))], axis=2).reshape(len(D), -1)
+            i1, s1, i2, s2 = field._ky_pairs
+            S = D[:, i1] * s1 + D[:, i2] * s2
+        else:
+            S = D + D.swapaxes(1, 2)
         cc.append(np.max(np.abs(D)))
-        S = D + D.swapaxes(1, 2)
         ky.append(np.max(np.abs(S, out=S)))  # in place: a second large temporary faults in pages
     dets = np.abs(np.linalg.det(np.concatenate(values))) if field.rank == 2 else None
     return KYReport(

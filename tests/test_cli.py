@@ -147,6 +147,20 @@ def test_verify_ky_malformed_manifold_domain_is_usage_error(tmp_path, capsys, do
     assert "'domain'" in err or "offset" in err  # the key, or where its expression breaks
 
 
+@pytest.mark.parametrize("obj, key", [
+    ({"kind": "taub-nut", "domain": ["x1 - 5"]}, "'domain'"),
+    ({"kind": "flat", "dim": 3, "metric": [["1"]]}, "'metric'"),
+    ({"kind": "custom", "metric": [["1", "0"], ["0", "1"]], "box": [[0, 1]]}, "'box'"),
+    ({"kind": "custom", "metric": [["1", "0"], ["0", "1"]], "box": [[0, 1], [2, 1]]}, "'box'"),
+])
+def test_verify_ky_unread_or_malformed_manifold_key_is_usage_error(tmp_path, capsys, obj, key):
+    manifold = write_json(tmp_path / "m.json", obj)
+    code, _, err = run(capsys, "verify-ky", "--manifold", manifold, "--field", "flat-position",
+                       "--samples", "2")
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and key in err
+
+
 def test_verify_ky_rejects_zero_samples(capsys):
     code, _, err = run(
         capsys, "verify-ky", "--manifold", "flat3", "--field", "flat-position",

@@ -475,11 +475,44 @@ def test_custom_domain_round_trips_through_the_manifold_file():
     spec = geometry.const_curvature3_spherical(1.0)
     loaded = geometry.load_manifold(json.loads(json.dumps(geometry.dump_manifold(spec))))
     assert [str(g) for g in loaded.guards] == [str(g) for g in spec.guards]
+    assert loaded.box == spec.box
     with pytest.raises(DomainError, match="x1 < 1e-09"):
         geometry.metric_at(loaded, [0.0, 1.0, 1.0])
-    a, b = (geometry.sample_points(s, 50, np.random.default_rng(4), box=SPHERICAL_REPORT_BOX)
-            for s in (spec, loaded))
+    a, b = (geometry.sample_points(s, 50, np.random.default_rng(4)) for s in (spec, loaded))
     assert a.tobytes() == b.tobytes()
+
+
+def test_custom_box_is_the_default_sampling_box():
+    spec = geometry.load_manifold({"kind": "custom", "metric": [["1", "0"], ["0", "1"]],
+                                   "box": [[5, 6], [-3.5, -3.25]]})
+    assert spec.box == ((5.0, 6.0), (-3.5, -3.25))
+    pts = geometry.sample_points(spec, 40, np.random.default_rng(2))
+    assert (pts.min(axis=0) >= [5.0, -3.5]).all() and (pts.max(axis=0) <= [6.0, -3.25]).all()
+    assert geometry.dump_manifold(spec)["box"] == [[5.0, 6.0], [-3.5, -3.25]]
+
+
+@pytest.mark.parametrize("box", [
+    [[0, 1]], [[0, 1], [0, 1], [0, 1]], [[0, 1], [1, 0]], [[0, 1], [1, 1]],
+    [[0, 1], [0, "2"]], [[0, 1], [0, 1, 2]], [[0, 1], [True, 2]], [[0, 1], [0, math.inf]],
+    [[0, 1], [math.nan, 1]], [[0, 1], [0, 10 ** 400]], None, {"x1": [0, 1]}, "[[0, 1]]",
+])
+def test_custom_box_must_be_finite_increasing_pairs(box):
+    with pytest.raises(KyanoError, match="'box' must be a list of 2 \\[lo, hi\\] pairs"):
+        geometry.load_manifold({"kind": "custom", "metric": [["1", "0"], ["0", "1"]],
+                                "box": box})
+
+
+@pytest.mark.parametrize("obj, key", [
+    ({"kind": "taub-nut", "domain": ["x1 - 5"]}, "domain"),
+    ({"kind": "taub-nut", "metric": [["1"]]}, "metric"),
+    ({"kind": "const-curvature", "chart": ["r", "s", "t"]}, "chart"),
+    ({"kind": "flat", "dim": 2, "box": [[0, 1], [0, 1]]}, "box"),
+    ({"kind": "flat", "dim": 2, "momentum": True}, "momentum"),
+    ({"kind": "custom", "metric": [["1"]], "domains": ["x1"]}, "domains"),
+])
+def test_load_manifold_rejects_keys_it_does_not_read(obj, key):
+    with pytest.raises(KyanoError, match=f"manifold key '{key}' is not read"):
+        geometry.load_manifold(obj)
 
 
 @pytest.mark.parametrize("domain", ["x1", [1], [["x1"]], {"x1": 1}])

@@ -7,8 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kyano import dual, expr, geometry, kysym
+from kyano import dual, expr, geometry, kysym, report
 from kyano.dual import Jet
 from kyano.errors import DomainError, SingularEvaluation, SymplecticRejection
 from kyano.fields import AntisymTensorField, levi_civita
@@ -65,6 +67,73 @@ def test_reconstruction_roundtrip(n):
 def test_reconstruction_rejects_non_antisymmetric():
     with pytest.raises(ValueError):
         kysym.reconstruct_position(np.ones((3, 3)))
+
+
+def reconstruct_reference(f):
+    """The per-point contraction that batched reconstruction replaced."""
+    n = f.shape[0]
+    return np.tensordot(levi_civita(n), f, axes=n - 1) / math.factorial(n - 1)
+
+
+@pytest.mark.parametrize("batch", (1, 4, 5, 100))
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_batched_reconstruction_matches_per_point_bytewise(n, batch):
+    rng = np.random.default_rng(10 * n + batch)
+    f, ft = kysym.flat_ky_pair(n, rng.uniform(-1, 1, (batch, n)), rng.uniform(-1, 1, (batch, n)))
+    for arr in (f, ft):
+        want = np.array([reconstruct_reference(row) for row in arr])
+        assert kysym.reconstruct_position(arr).tobytes() == want.tobytes()
+        one_by_one = np.array([kysym.reconstruct_momentum(row) for row in arr])
+        assert one_by_one.tobytes() == want.tobytes()
+    stacked = kysym.reconstruct_position(ft.reshape((1, batch) + ft.shape[1:]))
+    assert stacked.shape == (1, batch, n) and stacked.tobytes() == want.tobytes()
+
+
+def test_batched_reconstruction_checks_each_row_against_its_own_scale():
+    X = np.array([[1e6, -2e6, 3e6, 5e5], [0.1, 0.2, -0.3, 0.4], [0.5, 0.5, 0.5, 0.5]])
+    f, _ = kysym.flat_ky_pair(4, X, X)
+    f[0, 0, 1, 2] += 1e-7  # within 1e-12 of row 0's scale, 3e6
+    assert np.abs(kysym.reconstruct_position(f) - X).max() < 1e-6
+    f[1, 0, 1, 2] += 1e-7  # beyond 1e-12 of row 1's scale, 1
+    for bad in (f, f[1:2], f[1]):
+        with pytest.raises(ValueError, match="input array is not antisymmetric"):
+            kysym.reconstruct_position(bad)
+    assert kysym.reconstruct_position(f[::2]).shape == (2, 4)
+    # n is the last axis, and the n - 1 axes before it must all be n
+    for shape in [(), (0,), (1,), (3,), (3, 3, 4), (4, 4), (2, 4, 3, 4)]:
+        with pytest.raises(ValueError, match="rank-\\(n-1\\) array"):
+            kysym.reconstruct_position(np.zeros(shape))
+
+
+def flat_ky_section_reference(rng, samples):
+    """The per-sample section that the batched section replaced, with per-point
+    reconstruction and per-point KY residuals."""
+    per_dim, ok = {}, True
+    for n in range(3, 7):
+        spec, field = geometry.flat(n), kysym.flat_ky_position_field(n)
+        max_res = max_round = 0.0
+        for _ in range(samples):
+            x = rng.uniform(-1.0, 1.0, n)
+            p = rng.uniform(-1.0, 1.0, n)
+            f, ft = kysym.flat_ky_pair(n, x, p)
+            max_round = max(max_round, np.abs(reconstruct_reference(f) - x).max(),
+                            np.abs(reconstruct_reference(ft) - p).max())
+            max_res = max(max_res, np.abs(kysym.ky_residual(spec, field, x)).max())
+        passed = max_res <= 1e-12 and max_round <= 1e-15
+        ok = ok and passed
+        per_dim[str(n)] = {"max_ky_residual": float(max_res),
+                           "max_roundtrip_error": float(max_round),
+                           "n_points": samples, "pass": passed}
+    return {"per_dim": per_dim, "pass": ok}
+
+
+@pytest.mark.parametrize("samples", (1, 7, 100))
+def test_flat_ky_section_matches_the_per_sample_reference(samples):
+    for seed in (0, 1, 5):
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        got = report.section_flat_ky(rngs[0], samples)
+        assert got == flat_ky_section_reference(rngs[1], samples)
+        assert rngs[0].random() == rngs[1].random()  # the same draws were taken
 
 
 # -- residuals ----------------------------------------------------------------
@@ -182,6 +251,62 @@ def test_row_blocks_hold_at_most_2_15_elements_of_d():
     assert blocks(geometry.flat(5), kysym.flat_ky_position_field(5), 23) == [10, 10, 3]
     spec = geometry.taub_nut(1.0)
     assert blocks(spec, kysym.taubnut_ky_field(1, 1.0), 1100) == [512, 512, 76]
+
+
+def test_flat_verify_folds_stored_gradients_in_one_block():
+    # the rank-5 field on R^6 needs 6**6 elements of D a row, but its fold over
+    # the stored gradients needs 21 * 15, so 100 rows are one block
+    field = kysym.flat_ky_position_field(6)
+    pts = np.random.default_rng(3).uniform(-1, 1, (100, 6))
+    want = kysym.verify_field(geometry.flat(6), field, pts)
+    calls = []
+    gradients = field._gradients
+    field._gradients = lambda X: calls.append(len(X)) or gradients(X)
+    field.jacobian_at = None  # the scattered jacobian is not needed
+    assert kysym.verify_field(geometry.flat(6), field, pts) == want
+    assert calls == [100] and len(field._ky_pairs[0]) == 21 * 15
+    assert want.max_ky_residual == 0.0 and want.max_cc_residual == 1.0
+
+
+_FOLD_SOURCES = ("x{i}*x{j}", "sin(x{i}) - x{j}^2", "1/(3 + x{i})", "x{i}^3*x{j}", "-2.5*x{j}",
+                 "cos(x{i}*x{j})", "0.75")
+
+
+@st.composite
+def random_fields(draw):
+    """A field on R^n of any rank whose components are expressions, numbers,
+    callables, missing, or a callable whose gradient is NaN."""
+    n = draw(st.integers(1, 5))
+    rank = draw(st.integers(1, n))
+    comps = {}
+    for key in itertools.combinations(range(n), rank):
+        kind = draw(st.sampled_from(["expr", "expr", "number", "callable", "missing", "nan"]))
+        i, j = draw(st.integers(1, n)), draw(st.integers(1, n))
+        if kind == "expr":
+            comps[key] = draw(st.sampled_from(_FOLD_SOURCES)).format(i=i, j=j)
+        elif kind == "number":
+            comps[key] = draw(st.floats(-4.0, 4.0))
+        elif kind == "callable":
+            c = draw(st.floats(-3.0, 3.0))
+            comps[key] = lambda xs, i=i, j=j, c=c: c * xs[i - 1] * xs[j - 1] + xs[j - 1]
+        elif kind == "nan":
+            comps[key] = lambda xs: (Jet(1.0, np.full(n, math.nan)) if isinstance(xs[0], Jet)
+                                     else 1.0)
+    # no subnormal products: np.linalg.det warns on them for a two-form's values
+    coord = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=6))
+    return AntisymTensorField(n, rank, comps), np.array(pts, dtype=float)
+
+
+@given(random_fields())
+@settings(max_examples=300, deadline=None)
+def test_identity_metric_fold_equals_the_full_d_fold_bitwise(case):
+    field, pts = case
+    rep = kysym.verify_field(geometry.flat(field.dim), field, pts)
+    D = field.jacobian_at(pts)
+    assert np.float64(rep.max_cc_residual).tobytes() == np.max(np.abs(D)).tobytes()
+    S = D + D.swapaxes(1, 2)
+    assert np.float64(rep.max_ky_residual).tobytes() == np.max(np.abs(S)).tobytes()
 
 
 def test_block_errors_name_the_first_failing_point():
