@@ -1,13 +1,14 @@
 """Phase-space functions, brackets, and fixed-step geodesic integration.
 
 The Hamiltonian of free geodesic motion is H = (1/2) g^{mn}(x) p_m p_n.
-Integration is classic fourth-order Runge-Kutta with a fixed step; all
-right-hand sides come from forward-mode jets of the metric, never from
-finite differences.
+Integration is classic fourth-order Runge-Kutta with a fixed step.  The
+right-hand side is the jet of H where g^-1 has a closed form, else of the
+metric with g^-1 numeric; never finite differences.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
@@ -107,7 +108,8 @@ class PhaseExpression(_RowValues):
 
 
 class GeodesicHamiltonian(_RowValues):
-    """H = (1/2) g^{mn}(x) p_m p_n with jet-based exact gradients."""
+    """H = (1/2) g^{mn}(x) p_m p_n with jet-based exact gradients; ``values``
+    inverts g numerically, so an H monitor checks a closed-form ``rhs``."""
 
     def __init__(self, spec: MetricSpec):
         self.spec = spec
@@ -123,13 +125,32 @@ class GeodesicHamiltonian(_RowValues):
         zdot = self.rhs(z.as_vector())
         return np.concatenate([-zdot[self.n:], zdot[:self.n]])
 
+    @functools.cached_property
+    def _fused(self):
+        """One kernel of g's distinct entries, the closed-form g^-1 and H's 1-jet."""
+        upper = [(i, j, e) for i, row in enumerate(self.spec.inverse)
+                 for j, e in enumerate(row) if i <= j and e is not None]
+        H = PhaseFunction.from_expression("0.5 * (" + " + ".join(
+            f"{1 + (i < j)} * {exprmod.unparse(e)} * (p{i + 1} * p{j + 1})"
+            for i, j, e in upper) + ")", self.n)
+        values = geometry._component_table(self.spec, 0)[0] + tuple(e for *_, e in upper)
+        parts = tuple((e.root, 0) for e in values) + ((H.expr.root, 1),)
+        return exprmod._compile(2 * self.n, parts), len(values) - len(upper), len(values)
+
     def rhs(self, zvec: np.ndarray) -> np.ndarray:
-        """(dx/dt, dp/dt) = (g^{-1} p, -(1/2) d_x g^{mn} p_m p_n) at a finite ``zvec``."""
+        """(dx/dt, dp/dt) = (dH/dp, -dH/dx) at a finite ``zvec``, by H's kernel or g's 1-jet."""
         n, spec = self.n, self.spec
         p = zvec[n:]
         if spec.components is None:
             return np.concatenate([p, np.zeros(n)])
-        g, dg = geometry._metric_jet(spec, geometry._check_guards(spec, zvec[:n].tolist()), 1)
+        z = zvec.tolist()
+        geometry._check_guards(spec, z[:n])
+        if spec.inverse is not None:
+            kernel, a, b = self._fused
+            out = kernel(z)
+            geometry._check_entries(out[:a], out[a:b], n)
+            return np.array([*out[b + 1 + n:], *[-v for v in out[b + 1:b + 1 + n]]])
+        g, dg = geometry._metric_jet(spec, z[:n], 1)
         ginv = geometry._invert(g)
         gip = ginv @ p
         # d_a g^{mn} = -(ginv dg_a ginv)^{mn}

@@ -363,18 +363,26 @@ def _kernel(expr: Expression, order: int, columns: bool = False) -> Callable:
     key = (order, "columns") if columns else order
     fn = expr._kernels.get(key)
     if fn is None:
-        em = _Emitter(expr.nvars, order, columns)
-        out = em.emit(expr.root)
+        fn = expr._kernels[key] = _compile(expr.nvars, ((expr.root, order),), columns)
+    return fn
+
+
+@functools.lru_cache(maxsize=256)
+def _compile(nvars: int, parts: tuple, columns: bool = False) -> Callable:
+    """``kernel(s)`` of ``nvars`` slots returning the outputs of each ``(root, order)`` of
+    ``parts`` in turn, a tuple unless just one per point; a shared operation runs once."""
+    em, outs = _Emitter(nvars, 0, columns), []
+    for root, em.order in parts:
+        out = em.emit(root)
         if em.order:
             value, grad, hess = out if isinstance(out, tuple) else em.lift(out)
-        outs = [value, *grad, *itertools.chain(*hess or ())] if em.order else [out]
-        ret = ", ".join(map(em.src, outs)) + ("," if order or columns else "")
-        args = "".join(f"s{i}, " for i in range(expr.nvars))
-        source = "\n".join(["def kernel(s):", f"    {args}= s", *em.lines, f"    return {ret}"])
-        namespace = dict(_COLUMNS if columns else _GLOBALS)
-        exec(compile(source, f"<kyano kernel, order {order}>", "exec"), namespace)
-        fn = expr._kernels[key] = namespace["kernel"]
-    return fn
+        outs += [value, *grad, *itertools.chain(*hess or ())] if em.order else [out]
+    ret = ", ".join(map(em.src, outs)) + ("," if columns or len(outs) > 1 else "")
+    args = "".join(f"s{i}, " for i in range(nvars))
+    source = "\n".join(["def kernel(s):", f"    {args}= s", *em.lines, f"    return {ret}"])
+    namespace = dict(_COLUMNS if columns else _GLOBALS)
+    exec(compile(source, "<kyano kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def eval_columns(expr: Expression, columns, order: int = 0) -> np.ndarray:

@@ -29,6 +29,7 @@ from .errors import DomainError, KyanoError, SingularEvaluation, SingularMetric
 from .expr import Expression
 
 DOMAIN_MARGIN = 1e-9
+SINGULAR_BOUND = 1e13  # a metric is singular where max|g| max|g^-1| >= this / n^2
 
 ComponentGrid = Optional[tuple[tuple[Optional[Expression], ...], ...]]
 
@@ -44,6 +45,7 @@ class MetricSpec:
     which is what :func:`dual_metric` toggles.  The chart domain is where
     each of ``guards`` evaluates, without raising, to at least a margin;
     ``box`` is the default sampling box, ``[-1, 1]^n`` when ``None``.
+    ``inverse`` is g^-1 in closed form, a grid like ``components``, or ``None``.
     """
 
     kind: str
@@ -54,6 +56,7 @@ class MetricSpec:
     momentum_space: bool = False
     guards: tuple[Expression, ...] = ()
     box: Optional[tuple[tuple[float, float], ...]] = None
+    inverse: ComponentGrid = None
     # per-order component kernels and gather indices, see _component_table
     _tables: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
                                       compare=False)
@@ -74,15 +77,12 @@ class CurvatureValue:
     scalar: float
 
 
-def _grid_from_upper(entries: dict[tuple[int, int], Expression], n: int) -> ComponentGrid:
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            key = (i, j) if i <= j else (j, i)
-            row.append(entries.get(key))
-        rows.append(tuple(row))
-    return tuple(rows)
+def _grid_from_upper(entries: dict, n: int) -> ComponentGrid:
+    """The symmetric n x n grid of the upper-triangle ``entries``, expressions
+    or their sources in ``x1 .. xn``; a missing entry is ``None``."""
+    parsed = {k: exprmod.parse_expression(e, n) if isinstance(e, str) else e
+              for k, e in entries.items()}
+    return tuple(tuple(parsed.get((min(i, j), max(i, j))) for j in range(n)) for i in range(n))
 
 
 def flat(n: int) -> MetricSpec:
@@ -100,17 +100,15 @@ def const_curvature3(K: float) -> MetricSpec:
     only admissible away from the conformal pole 1 + K r^2/4 = 0.
     """
     K = float(K)
-    conf = exprmod.parse_expression(
-        f"1 / (1 + {K!r} * (x1^2 + x2^2 + x3^2) / 4)^2", 3
-    )
-    entries = {(i, i): conf for i in range(3)}
+    u = f"(1 + {K!r} * (x1^2 + x2^2 + x3^2) / 4)"
     return MetricSpec(
         kind="const-curvature",
         dim=3,
         chart=("x1", "x2", "x3"),
         params=(("K", K),),
-        components=_grid_from_upper(entries, 3),
-        guards=(exprmod.parse_expression(f"abs(1 + {K!r} * (x1^2 + x2^2 + x3^2) / 4)", 3),),
+        components=_grid_from_upper({(i, i): f"1 / {u}^2" for i in range(3)}, 3),
+        guards=(exprmod.parse_expression(f"abs{u}", 3),),
+        inverse=_grid_from_upper({(i, i): f"{u}^2" for i in range(3)}, 3),
     )
 
 
@@ -124,7 +122,7 @@ def taub_nut(m: float, fiber_scale: float = 2.0) -> MetricSpec:
     triplet of two-forms (see :func:`kyano.kysym.taubnut_ky`) is covariantly
     constant; ``fiber_scale = 4`` is a common alternate that fails that
     check.  Both are evaluable; verification reports record which one
-    passes.
+    passes.  ``inverse`` is read off the orthonormal frame (Gibbons & Ruback 1987).
     """
     m = float(m)
     if m <= 0:
@@ -132,24 +130,26 @@ def taub_nut(m: float, fiber_scale: float = 2.0) -> MetricSpec:
     fiber_scale = float(fiber_scale)
     c2 = (fiber_scale * m) ** 2
     two_m = 2.0 * m
-    vinv = f"(1 + {two_m!r}/x1)"
-    entries = {
-        (0, 0): exprmod.parse_expression(f"1 + {two_m!r}/x1", 4),
-        (1, 1): exprmod.parse_expression(f"x1^2 + {two_m!r}*x1", 4),
-        (2, 2): exprmod.parse_expression(
-            f"(x1^2 + {two_m!r}*x1)*sin(x2)^2 + {c2!r}*cos(x2)^2/{vinv}", 4
-        ),
-        (2, 3): exprmod.parse_expression(f"{c2!r}*cos(x2)/{vinv}", 4),
-        (3, 3): exprmod.parse_expression(f"{c2!r}/{vinv}", 4),
-    }
+    V = f"(1 + {two_m!r}/x1)"
+    base = f"({V}*x1^2*sin(x2)^2)"  # V r^2 sin^2(theta)
     return MetricSpec(
         kind="taub-nut",
         dim=4,
         chart=("r", "theta", "phi", "psi"),
         params=(("m", m), ("fiber_scale", fiber_scale)),
-        components=_grid_from_upper(entries, 4),
+        components=_grid_from_upper({
+            (0, 0): f"1 + {two_m!r}/x1",
+            (1, 1): f"x1^2 + {two_m!r}*x1",
+            (2, 2): f"(x1^2 + {two_m!r}*x1)*sin(x2)^2 + {c2!r}*cos(x2)^2/{V}",
+            (2, 3): f"{c2!r}*cos(x2)/{V}",
+            (3, 3): f"{c2!r}/{V}",
+        }, 4),
         guards=(exprmod.parse_expression("x1", 4), exprmod.parse_expression("abs(sin(x2))", 4)),
         box=((0.5, 2.5), (0.3, math.pi - 0.3), (0.0, 2.0 * math.pi), (0.0, 4.0 * math.pi)),
+        inverse=_grid_from_upper({
+            (0, 0): f"1/{V}", (1, 1): f"1/({V}*x1^2)", (2, 2): f"1/{base}",
+            (2, 3): f"-cos(x2)/{base}", (3, 3): f"cos(x2)^2/{base} + {V}/{c2!r}",
+        }, 4),
     )
 
 
@@ -163,28 +163,24 @@ def custom(rows: Sequence[Sequence[object]], chart: Optional[Sequence[str]] = No
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("metric matrix must be square")
-    entries: dict[tuple[int, int], Expression] = {}
+    entries = {}
     for i in range(n):
         for j in range(i, n):
             cell = rows[i][j]
-            if isinstance(cell, Expression):
-                e: Optional[Expression] = cell
-            elif isinstance(cell, str):
-                e = exprmod.parse_expression(cell, n)
-            elif isinstance(cell, (int, float)):
-                e = None if cell == 0 else exprmod.parse_expression(repr(float(cell)), n)
-            else:
+            if isinstance(cell, (int, float)):
+                cell = None if cell == 0 else repr(float(cell))
+            elif not isinstance(cell, (Expression, str)):
                 raise TypeError(f"unsupported metric entry of type {type(cell).__name__}")
-            if e is not None:
-                entries[(i, j)] = e
+            if cell is not None:
+                entries[(i, j)] = cell
+    components = _grid_from_upper(entries, n)
     if chart is None:
         chart_t = tuple(f"x{i}" for i in range(1, n + 1))
     else:
         chart_t = tuple(chart)
         if len(chart_t) != n:
             raise ValueError("chart names must match the matrix dimension")
-    return MetricSpec(kind="custom", dim=n, chart=chart_t, params=(),
-                      components=_grid_from_upper(entries, n))
+    return MetricSpec(kind="custom", dim=n, chart=chart_t, params=(), components=components)
 
 
 def const_curvature3_spherical(K: float) -> MetricSpec:
@@ -329,12 +325,22 @@ def _invert(g: np.ndarray, rows: bool = False):
     ginv = _umath_linalg.inv(g, signature="d->d")
     axes = (-2, -1) if g.ndim > 2 else None  # one matrix reduces faster without axes
     bound = np.maximum.reduce(abs(g), axes) * np.maximum.reduce(abs(ginv), axes)
-    ok = bound < 1e13 / g.shape[-1] ** 2
+    ok = bound < SINGULAR_BOUND / g.shape[-1] ** 2
     if rows:
         return ginv, ok
     if ok.all() if axes else ok:  # a numpy scalar's .all() costs more than the reductions
         return ginv
     raise SingularMetric("metric matrix is singular at this point")
+
+
+def _check_entries(g, ginv, n: int) -> None:
+    """:func:`_metric_jet`'s and :func:`_invert`'s checks on the entry values of
+    an n x n ``g`` and its closed-form inverse; a non-finite ``g^-1`` fails."""
+    if not all(map(math.isfinite, g)):
+        raise SingularMetric("metric evaluated to non-finite components")
+    if not (all(map(math.isfinite, ginv))
+            and max(map(abs, g)) * max(map(abs, ginv)) < SINGULAR_BOUND / n ** 2):
+        raise SingularMetric("metric matrix is singular at this point")
 
 
 def _christoffel(ginv: np.ndarray, dg: np.ndarray):
@@ -430,7 +436,7 @@ def dump_manifold(spec: MetricSpec) -> dict:
         "params": {k: v for k, v in spec.params},
     }
     if spec.kind == "custom":
-        obj["chart"] = list(spec.chart)
+        obj["chart"] = list(dual_metric(spec).chart if spec.momentum_space else spec.chart)
         grid = spec.components
         obj["metric"] = [
             [exprmod.unparse(grid[i][j]) if grid[i][j] is not None else "0"
@@ -447,7 +453,10 @@ def dump_manifold(spec: MetricSpec) -> dict:
 
 
 def _finite_param(key: str, value) -> float:
-    v = float(value)
+    try:  # a JSON null, list or bool is no number
+        v = float(value) if type(value) in (int, float, str) else math.nan
+    except OverflowError:  # an int too large for a float
+        v = math.inf
     if not math.isfinite(v):
         raise KyanoError(f"manifold parameter {key!r} must be finite, got {value!r}")
     return v

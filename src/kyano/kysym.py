@@ -201,7 +201,8 @@ def nondegeneracy(
     if field.dim != spec.dim:
         raise ValueError("field and metric dimensions differ")
     geometry.metric_at(spec, point)  # domain check only
-    return float(np.linalg.det(field.values_at(point)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # LU warns on subnormals
+        return float(np.linalg.det(field.values_at(point)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +269,8 @@ def verify_field(
             S = D + D.swapaxes(1, 2)
         cc.append(np.max(np.abs(D)))
         ky.append(np.max(np.abs(S, out=S)))  # in place: a second large temporary faults in pages
-    dets = np.abs(np.linalg.det(np.concatenate(values))) if field.rank == 2 else None
+    with np.errstate(divide="ignore", invalid="ignore"):  # LU warns on subnormals
+        dets = np.abs(np.linalg.det(np.concatenate(values))) if field.rank == 2 else None
     return KYReport(
         n_points=len(points),
         max_ky_residual=float(np.max(ky)),

@@ -554,6 +554,16 @@ def test_cli_fuzz_keeps_the_exit_code_contract(fuzz_files, data):
         assert STDERR_LINE.match(line), line
 
 
+@pytest.mark.parametrize("value", [10**400, None, [1.0], True],
+                         ids=["int-too-large-for-a-float", "null", "list", "bool"])
+def test_manifold_file_parameter_that_is_no_float_is_an_input_error(tmp_path, capsys, value):
+    path = write_json(tmp_path / "m.json", {"kind": "taub-nut", "params": {"m": value}})
+    code, _, err = run(capsys, "verify-ky", "--manifold", path, "--field", "taubnut-1",
+                       "--samples", "2")
+    assert code == 2
+    assert err.startswith("error: manifold parameter 'm' must be finite") and err.count("\n") == 1
+
+
 def test_manifold_file_with_an_unknown_parameter_is_an_input_error(tmp_path, capsys):
     path = write_json(tmp_path / "m.json", {"kind": "taub-nut", "params": {"mass": 3}})
     code, _, err = run(capsys, "verify-ky", "--manifold", path, "--field", "taubnut-1",

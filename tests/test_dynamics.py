@@ -1,6 +1,7 @@
 """Brackets, geodesic integration, drift monitoring, unified flow."""
 
 import csv
+import dataclasses
 import itertools
 import math
 
@@ -22,7 +23,7 @@ from kyano.dynamics import (
     unified_hamilton_flow,
     write_trajectory_csv,
 )
-from kyano.errors import DomainError
+from kyano.errors import DomainError, SingularMetric
 
 
 def random_phase_points(count, seed=0, n=3):
@@ -229,6 +230,54 @@ def test_truncation_where_the_metric_degenerates(steps):
     for x in traj.x:
         geometry.metric_at(spec, x)
     assert conservation_monitor(traj, free_hamiltonian(spec))[0] < 1e-12
+
+
+def _numeric(spec):
+    """``spec`` without its closed-form inverse: the RHS on the metric's 1-jet."""
+    return dataclasses.replace(spec, inverse=None)
+
+
+@pytest.mark.parametrize("spec", [geometry.taub_nut(m, fs) for m in (0.7, 1.0, 2.5)
+                                  for fs in (2.0, 4.0)]
+                         + [geometry.const_curvature3(K) for K in (-4.0, -1.0, 1.0)],
+                         ids=lambda s: f"{s.kind}:{s.params}")
+def test_closed_form_rhs_matches_the_numeric_rhs(spec):
+    # relative to the conditioning kappa = max|g| max|g^-1| that the singular
+    # rule bounds: the numeric inverse errs by about kappa ulps, the closed form
+    # does not (unscaled, the two differ by up to 1.2e-14 of max|rhs| here)
+    rng = np.random.default_rng(2)
+    closed, numeric = free_hamiltonian(spec), free_hamiltonian(_numeric(spec))
+    for x in geometry.sample_points(spec, 200, rng):
+        z = np.concatenate([x, rng.uniform(-1, 1, spec.dim)])
+        got, want = closed.rhs(z), numeric.rhs(z)
+        g = geometry.metric_at(spec, x)
+        kappa = np.abs(g).max() * np.abs(geometry.inverse_metric_at(spec, x)).max()
+        assert np.abs(got - want).max() <= 1e-15 * kappa * np.abs(want).max()
+
+
+def test_both_rhs_paths_truncate_at_the_singular_bound():
+    # the guards do not imply the bound: at theta = 1e-6 the point is inside
+    # abs(sin(x2)) >= 1e-9 but max|g| max|g^-1| is past 1e13 / n^2
+    spec = geometry.taub_nut(1.0)
+    geometry._check_point(spec, [1.3, 1e-6, 0.3, 0.1])
+    with pytest.raises(SingularMetric, match="singular"):
+        geometry.metric_at(spec, [1.3, 1e-6, 0.3, 0.1])
+    start = PhasePoint([1.3, 1e-5, 0.3, 0.1], [0.0, -1e-4, 0.0, 0.0])
+    for s in (spec, _numeric(spec)):
+        traj = geodesic_integrate(s, start, 0.01, 50)
+        assert traj.meta["steps_completed"] == 37
+        assert traj.meta["reason"] == "metric matrix is singular at this point"
+
+
+@pytest.mark.parametrize("spec", [geometry.taub_nut(1.0), geometry.const_curvature3(1.0),
+                                  geometry.const_curvature3_spherical(1.0)],
+                         ids=lambda s: s.kind)
+def test_a_dumped_and_reloaded_metric_integrates_to_the_same_bytes(spec):
+    clone = geometry.load_manifold(geometry.dump_manifold(spec))
+    x0 = geometry.sample_points(spec, 1, np.random.default_rng(4))[0]
+    start = PhasePoint(x0, np.full(spec.dim, 0.3))
+    want = geodesic_integrate(spec, start, 0.01, 200).states
+    assert geodesic_integrate(clone, start, 0.01, 200).states.tobytes() == want.tobytes()
 
 
 def test_const_curvature_energy_drift():

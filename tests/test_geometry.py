@@ -57,6 +57,25 @@ def test_metric_symmetric_and_inverse(spec):
         assert np.abs(g @ ginv - np.eye(spec.dim)).max() < 1e-12
 
 
+@pytest.mark.parametrize("spec", [geometry.taub_nut(m, fs) for m in (0.7, 1.0, 2.5)
+                                  for fs in (2.0, 4.0)]
+                         + [geometry.const_curvature3(K) for K in (-4.0, -1.0, 0.5, 1.0)],
+                         ids=lambda s: f"{s.kind}:{s.params}")
+def test_closed_form_inverse_inverts_the_metric(spec):
+    X = sample(spec, 1000, seed=5)
+    g = geometry._metric_rows(spec, X)
+    ginv = geometry._metric_rows(dataclasses.replace(spec, components=spec.inverse), X)
+    assert np.abs(g @ ginv - np.eye(spec.dim)).max() <= 1e-14
+
+
+def test_custom_metrics_have_no_closed_form_inverse():
+    spherical = geometry.const_curvature3_spherical(1.0)
+    assert spherical.inverse is None
+    assert geometry.load_manifold(geometry.dump_manifold(spherical)).inverse is None
+    assert geometry.load_manifold(geometry.dump_manifold(geometry.taub_nut(1.0))).inverse \
+        == geometry.taub_nut(1.0).inverse
+
+
 def test_singular_custom_metric():
     spec = geometry.custom([["x1", "0"], ["0", "1"]])
     with pytest.raises(SingularMetric):
@@ -277,6 +296,8 @@ def test_custom_manifold_roundtrip():
                            chart=("u", "v"))
     clone = geometry.load_manifold(geometry.dump_manifold(spec))
     assert clone.chart == ("u", "v")
+    dual = geometry.load_manifold(geometry.dump_manifold(geometry.dual_metric(spec)))
+    assert dual.chart == ("p_u", "p_v") and dual.momentum_space
     for pt in ([0.3, 0.4], [1.0, -1.0]):
         assert np.abs(
             geometry.metric_at(clone, pt) - geometry.metric_at(spec, pt)
