@@ -1,14 +1,17 @@
 """Phase-space functions, brackets, and fixed-step geodesic integration.
 
 The Hamiltonian of free geodesic motion is H = (1/2) g^{mn}(x) p_m p_n.
-Integration is classic fourth-order Runge-Kutta with a fixed step.  The
-right-hand side is the jet of H where g^-1 has a closed form, else of the
-metric with g^-1 numeric; never finite differences.
+Integration is classic fourth-order Runge-Kutta with a fixed step on a
+list of Python floats, each stage in numpy's operation order.  The
+right-hand side is the jet of H where g^-1 has a closed form, from one
+float kernel that also gives the guard values, else of the metric with
+g^-1 numeric; never finite differences.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
@@ -122,40 +125,48 @@ class GeodesicHamiltonian(_RowValues):
     def gradient(self, z: PhasePoint) -> np.ndarray:
         # Hamilton's equations read backwards: dH/dx = -dp/dt, dH/dp = dx/dt
         geometry._check_point(self.spec, z.x)  # rhs() takes the state as finite
-        zdot = self.rhs(z.as_vector())
+        zdot = np.asarray(self.rhs(z.as_vector().tolist()))
         return np.concatenate([-zdot[self.n:], zdot[:self.n]])
 
     @functools.cached_property
     def _fused(self):
-        """One kernel of g's distinct entries, the closed-form g^-1 and H's 1-jet."""
+        """One float kernel of the guards, g's distinct entries, the closed-form
+        g^-1 and H's 1-jet, and the ends of those blocks in its outputs."""
         upper = [(i, j, e) for i, row in enumerate(self.spec.inverse)
                  for j, e in enumerate(row) if i <= j and e is not None]
         H = PhaseFunction.from_expression("0.5 * (" + " + ".join(
             f"{1 + (i < j)} * {exprmod.unparse(e)} * (p{i + 1} * p{j + 1})"
             for i, j, e in upper) + ")", self.n)
-        values = geometry._component_table(self.spec, 0)[0] + tuple(e for *_, e in upper)
-        parts = tuple((e.root, 0) for e in values) + ((H.expr.root, 1),)
-        return exprmod._compile(2 * self.n, parts), len(values) - len(upper), len(values)
+        blocks = (self.spec.guards, geometry._component_table(self.spec, 0)[0],
+                  tuple(e for *_, e in upper))
+        parts = tuple((e.root, 0) for b in blocks for e in b) + ((H.expr.root, 1),)
+        ends = tuple(itertools.accumulate(map(len, blocks)))
+        return (exprmod._compile(2 * self.n, parts), *ends)
 
-    def rhs(self, zvec: np.ndarray) -> np.ndarray:
-        """(dx/dt, dp/dt) = (dH/dp, -dH/dx) at a finite ``zvec``, by H's kernel or g's 1-jet."""
+    def rhs(self, z: list) -> list:
+        """(dx/dt, dp/dt) = (dH/dp, -dH/dx) as a list, at the list ``z`` of finite
+        floats, by H's kernel or g's 1-jet; a state outside a guard raises as
+        :func:`geometry._check_guards` does, before any other error."""
         n, spec = self.n, self.spec
-        p = zvec[n:]
         if spec.components is None:
-            return np.concatenate([p, np.zeros(n)])
-        z = zvec.tolist()
-        geometry._check_guards(spec, z[:n])
-        if spec.inverse is not None:
-            kernel, a, b = self._fused
+            return z[n:] + [0.0] * n
+        if spec.inverse is None:
+            geometry._check_guards(spec, z[:n])
+            g, dg = geometry._metric_jet(spec, z[:n], 1)
+            gip = geometry._invert(g) @ np.array(z[n:])
+            # d_a g^{mn} = -(ginv dg_a ginv)^{mn}
+            pdot = 0.5 * np.einsum("m,amn,n->a", gip, dg, gip)
+            return np.concatenate([gip, pdot]).tolist()
+        kernel, a, b, c = self._fused
+        try:
             out = kernel(z)
-            geometry._check_entries(out[:a], out[a:b], n)
-            return np.array([*out[b + 1 + n:], *[-v for v in out[b + 1:b + 1 + n]]])
-        g, dg = geometry._metric_jet(spec, z[:n], 1)
-        ginv = geometry._invert(g)
-        gip = ginv @ p
-        # d_a g^{mn} = -(ginv dg_a ginv)^{mn}
-        pdot = 0.5 * np.einsum("m,amn,n->a", gip, dg, gip)
-        return np.concatenate([gip, pdot])
+        except Exception:
+            geometry._check_guards(spec, z[:n])
+            raise
+        if not all(map(geometry.DOMAIN_MARGIN.__le__, out[:a])):  # NaN is outside
+            geometry._check_guards(spec, z[:n])
+        geometry._check_entries(out[a:b], out[b:c], n)
+        return [*out[c + 1 + n:], *[-v for v in out[c + 1:c + 1 + n]]]
 
 
 def free_hamiltonian(spec: MetricSpec) -> GeodesicHamiltonian:
@@ -265,32 +276,35 @@ def _rk4(rhs: Callable, start: PhasePoint, dt: float, steps: int) -> Trajectory:
     stage; a state is retained only once ``rhs`` has run there."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    z = start.as_vector()
+    z = start.as_vector().tolist()
     try:
-        states = np.empty((steps + 1, z.shape[0]))
+        states = np.empty((steps + 1, len(z)))
     except MemoryError:
         raise ValueError(f"steps={steps} is too large: the trajectory of "
                          f"{steps + 1} states does not fit in memory") from None
     if not (dt > 0 and math.isfinite(dt * steps)):
         raise ValueError("dt must be positive and dt * steps finite")
 
-    def stage(state: np.ndarray) -> np.ndarray:
-        if not all(map(math.isfinite, state.tolist())):
+    def stage(state: list) -> list:
+        if not all(map(math.isfinite, state)):
             raise DomainError("state left the finite range")
         return rhs(state)
 
     states[0] = z
     done = 0
     reason = None
-    # an overflow is no warning but a truncation: stage() rejects its result
+    half, sixth = 0.5 * dt, dt / 6.0
+    # the state is a list of floats, each update numpy's z + c * k in its
+    # operation order; an overflow is a truncation: stage() rejects its result
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             k1 = stage(z)
             for k in range(steps):
-                k2 = stage(z + (0.5 * dt) * k1)
-                k3 = stage(z + (0.5 * dt) * k2)
-                k4 = stage(z + dt * k3)
-                z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                k2 = stage([a + half * b for a, b in zip(z, k1)])
+                k3 = stage([a + half * b for a, b in zip(z, k2)])
+                k4 = stage([a + dt * b for a, b in zip(z, k3)])
+                z = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                     for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
                 k1 = stage(z)
                 states[k + 1] = z
                 done = k + 1
@@ -336,9 +350,9 @@ def unified_hamilton_flow(
     """
     n = H.n
 
-    def rhs(zvec: np.ndarray) -> np.ndarray:
-        grad = H.gradient(PhasePoint.from_vector(zvec))
-        return np.concatenate([grad[n:], -grad[:n]])
+    def rhs(z: list) -> list:
+        grad = H.gradient(PhasePoint.from_vector(z))
+        return np.concatenate([grad[n:], -grad[:n]]).tolist()
 
     return _rk4(rhs, start, dt, steps)
 

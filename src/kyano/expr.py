@@ -286,12 +286,12 @@ def evaluate(expr: Expression, scalars: Sequence[Scalar]) -> Scalar:
     """Evaluate over pre-lifted scalars (floats or jets), one per slot."""
     if len(scalars) != expr.nvars:
         raise ValueError(f"expected {expr.nvars} values, got {len(scalars)}")
-    return _kernel(expr, 0)(scalars)
+    return _kernel(expr, 0, jets=True)(scalars)
 
 
 def eval_value(expr: Expression, point: Sequence[float]) -> float:
     """Value only, no derivative bookkeeping."""
-    return dual.value_of(evaluate(expr, [float(v) for v in point]))
+    return _jet(expr, point, 0)
 
 
 def eval1(expr: Expression, point: Sequence[float]) -> Jet:
@@ -304,11 +304,13 @@ def eval2(expr: Expression, point: Sequence[float]) -> Jet:
     return _jet(expr, point, 2)
 
 
-def _jet(expr: Expression, point: Sequence[float], order: int) -> Jet:
+def _jet(expr: Expression, point: Sequence[float], order: int) -> "Jet | float":
     pt = [float(v) for v in point]
     if len(pt) != expr.nvars:
         raise ValueError(f"expected {expr.nvars} values, got {len(pt)}")
     out = _kernel(expr, order)(pt)
+    if not order:
+        return float(out)
     n = expr.nvars
     hess = np.array(out[n + 1:]).reshape(n, n) if order == 2 else None
     return Jet(out[0], np.array(out[1:n + 1]), hess)
@@ -316,62 +318,60 @@ def _jet(expr: Expression, point: Sequence[float], order: int) -> Jet:
 
 # ---------------------------------------------------------------------------
 # compilation: one straight-line Python function per expression and jet
-# order, one statement per operation.  Order 0 applies the operators and
-# ``dual`` functions, so it runs on floats and pre-lifted jets alike.
-# Orders 1 and 2 unroll the ``Jet`` rules into float locals, each step the
-# operation ``Jet`` does in its order (products with the zeros of seeds
-# and lifted constants included), so results are bit-identical to jet
-# arithmetic.  Operations on constants are done at compile time, the exact
-# identity ``x * 1.0`` is dropped and a repeated operation is done once.
-# An operand is a float constant or a local's name; a jet is a (value,
-# gradient, hessian) tuple of operands, hessian None at order 1.
+# order, one statement per operation.  Order 0 runs on floats: a literal
+# integer power is the chain of products ``dual.integer_power`` makes and a
+# function is ``math``'s behind the domain check ``dual`` makes, with its
+# message.  Orders 1 and 2 unroll the ``Jet`` rules into float locals, each
+# step the operation ``Jet`` does in its order (products with the zeros of
+# seeds and lifted constants included), so results are bit-identical to jet
+# arithmetic.  Order 0 ``jets`` applies the operators and ``dual``
+# functions, so it also runs on pre-lifted jets.  Operations on constants
+# are done at compile time, the exact identity ``x * 1.0`` is dropped and a
+# repeated operation is done once.  An operand is a float constant or a
+# local's name; a jet is a (value, gradient, hessian) tuple of operands,
+# hessian None at order 1.
 
 _MATH = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "sqrt": math.sqrt,
-         "exp": math.exp, "log": math.log, "abs": abs}
+         "exp": math.exp, "ln": math.log, "abs": abs}
 _GLOBALS = {"SingularEvaluation": SingularEvaluation, "ipow": dual.integer_power,
             "pow_": dual.power, **{f"d_{k}": f for k, f in FUNCTIONS.items()},
             **{f"m_{k}": f for k, f in _MATH.items()}}
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_COLUMN_ROWS = 32  # fewer rows run faster through the per-point kernel
 
 
 def _per_point(*args):
     raise ArithmeticError("evaluated per point")
 
 
-def _elementwise(fn: Callable) -> Callable:
-    return lambda col: np.fromiter(map(fn, np.atleast_1d(col).tolist()), float)
-
-
 # The same source over (N,) columns of finite floats: numpy arithmetic is
 # IEEE-exact like float arithmetic and flags where floats raise or overflow,
 # except inf or NaN over 0, so a non-finite constant (``float('inf')`` in the
 # source), like a non-literal power, runs per point.  Functions map ``math``'s
-# over the elements (``dual``'s where they check a float's domain), and a
-# check raises if any row fails it.
+# over the elements, and a check raises if any row fails it.
 _COLUMNS = {**_GLOBALS, "float": _per_point, "pow_": _per_point, "np": np,
-            "ipow": lambda b, k: dual.integer_power(b if k >= 0 else 1.0 / b, abs(k)),
-            **{f"d_{k}": _elementwise(_MATH[k] if k in ("sin", "cos", "exp") else f)
-               for k, f in FUNCTIONS.items()},
-            **{f"m_{k}": _elementwise(f) for k, f in _MATH.items()}}
+            **{f"m_{k}": lambda col, f=f: np.fromiter(map(f, np.atleast_1d(col).tolist()), float)
+               for k, f in _MATH.items()}}
 
 
-def _kernel(expr: Expression, order: int, columns: bool = False) -> Callable:
+def _kernel(expr: Expression, order: int, columns: bool = False, jets: bool = False) -> Callable:
     """The compiled function of ``expr`` at jet ``order``, built once: order
-    0 maps ``nvars`` scalars (floats or jets) to a scalar, orders 1 and 2
-    map ``nvars`` floats to (value, *gradient, *row-major Hessian); with
-    ``columns``, ``nvars`` columns of floats to a tuple of those outputs."""
-    key = (order, "columns") if columns else order
+    0 maps ``nvars`` floats (with ``jets``, floats or jets) to a scalar,
+    orders 1 and 2 map ``nvars`` floats to (value, *gradient, *row-major
+    Hessian); with ``columns``, ``nvars`` columns of floats to a tuple of
+    those outputs."""
+    key = (order, columns, jets)
     fn = expr._kernels.get(key)
     if fn is None:
-        fn = expr._kernels[key] = _compile(expr.nvars, ((expr.root, order),), columns)
+        fn = expr._kernels[key] = _compile(expr.nvars, ((expr.root, order),), columns, jets)
     return fn
 
 
 @functools.lru_cache(maxsize=256)
-def _compile(nvars: int, parts: tuple, columns: bool = False) -> Callable:
+def _compile(nvars: int, parts: tuple, columns: bool = False, jets: bool = False) -> Callable:
     """``kernel(s)`` of ``nvars`` slots returning the outputs of each ``(root, order)`` of
     ``parts`` in turn, a tuple unless just one per point; a shared operation runs once."""
-    em, outs = _Emitter(nvars, 0, columns), []
+    em, outs = _Emitter(nvars, 0, columns, jets), []
     for root, em.order in parts:
         out = em.emit(root)
         if em.order:
@@ -389,8 +389,11 @@ def eval_columns(expr: Expression, columns, order: int = 0) -> np.ndarray:
     """``expr`` at N points, one ``(N,)`` column per slot, bytewise the per-point
     kernel's: the (N,) values at order 0, else the (width, N) outputs of order
     1 or 2.  Where a column is not finite, or the columns raise or overflow,
-    each row runs per point, so the first failing row raises."""
+    each row runs per point, so the first failing row raises; so do fewer
+    than ``_COLUMN_ROWS`` rows, where the per-point kernel is faster."""
     try:
+        if 0 < len(columns[0]) < _COLUMN_ROWS:
+            raise ArithmeticError("few rows")
         if not np.isfinite(columns).all():
             raise ArithmeticError("non-finite coordinates")
         with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -407,8 +410,8 @@ def eval_columns(expr: Expression, columns, order: int = 0) -> np.ndarray:
 class _Emitter:
     """Statements of one kernel, emitted in evaluation order."""
 
-    def __init__(self, n: int, order: int, columns: bool = False):
-        self.n, self.order, self.columns = n, order, columns
+    def __init__(self, n: int, order: int, columns: bool = False, jets: bool = False):
+        self.n, self.order, self.columns, self.jets = n, order, columns, jets
         self.lines: list[str] = []
         self.pad = "    "
         self.memo: dict = {}
@@ -474,7 +477,10 @@ class _Emitter:
             with self.wrapped(f" in {node.func}(...) at offset {node.offset}"):
                 if isinstance(arg, tuple):
                     return self.chain(arg, *self.rule(node.func, arg[0]))
-                return self.op(f"d_{node.func}({{}})", FUNCTIONS[node.func], arg)
+                if self.jets or not isinstance(arg, str):  # a constant folds
+                    return self.op(f"d_{node.func}({{}})", FUNCTIONS[node.func], arg)
+                self.domain(node.func, arg)
+                return self.call(node.func, arg)
         where = f" in '{node.op}' at offset {node.offset}"
         left = self.emit(node.left)
         if node.op == "^":
@@ -505,29 +511,32 @@ class _Emitter:
 
     def power(self, base, k, literal: bool):
         """``dual.integer_power`` for a literal ``k``, else ``dual.power``."""
-        if not isinstance(base, tuple) and not isinstance(k, tuple):
-            if literal:
+        scalar = not isinstance(base, tuple)
+        if scalar and not isinstance(k, tuple):
+            if not literal:
+                return self.op("pow_({}, {})", dual.power, base, k)
+            if self.jets or not isinstance(base, str):  # a constant folds
                 return self.op(f"ipow({{}}, {k})", lambda b: dual.integer_power(b, k), base)
-            return self.op("pow_({}, {})", dual.power, base, k)
-        if not literal and not (isinstance(k, float) and k.is_integer()):
+        elif not literal and not (isinstance(k, float) and k.is_integer()):
             # exp(k * ln(base)); a constant k that raises before use lands here
-            self.check("{} <= 0.0", base[0] if isinstance(base, tuple) else base,
+            self.check("{} <= 0.0", base if scalar else base[0],
                        "non-integer power of a non-positive base")
-            if not isinstance(base, tuple):
-                return self.exp_of(self.jscale(k, self.call("log", base)))
+            if scalar:
+                return self.exp_of(self.jscale(k, self.call("ln", base)))
             log = self.chain(base, *self.rule("ln", base[0]))
             return self.exp_of(self.jmul(log, k) if isinstance(k, tuple) else self.jscale(log, k))
-        k = int(k)
+        k, mul = int(k), self.mul if scalar else self.jmul
         if k < 0:
-            self.check("{} == 0.0", base[0], "zero raised to a negative power")
-            base, k = self.recip(base), -k  # 1.0 / base: the factor 1.0 is exact
-        result = self.lift(1.0)
+            self.check("{} == 0.0", base if scalar else base[0], "zero raised to a negative power")
+            # 1.0 / base: the factor 1.0 is exact
+            base, k = self.div(1.0, base) if scalar else self.recip(base), -k
+        result = 1.0 if scalar else self.lift(1.0)
         while k > 0:
             if k & 1:
-                result = self.jmul(result, base)
+                result = mul(result, base)
             k >>= 1
             if k:
-                base = self.jmul(base, base)
+                base = mul(base, base)
         return result
 
     def exp_of(self, a):
@@ -581,11 +590,19 @@ class _Emitter:
         d2f = self.mul(self.mul(self.mul(2.0, inv), inv), inv)
         return self.chain(a, inv, self.mul(self.neg(inv), inv), d2f)
 
+    def domain(self, func: str, v) -> None:
+        """The check ``dual`` makes of the argument ``v`` of ``func``."""
+        if func in ("sqrt", "ln"):
+            self.check("{} <= 0.0", v, f"{func} of a non-positive argument")
+        elif func == "tan":
+            self.check("abs({}) < 1e-300", self.call("cos", v), "tan at a pole")
+        elif func == "abs":
+            self.check("{} == 0.0", v, "abs at zero has no derivative")
+
     def rule(self, func: str, v):
         """(f, f', f'') of ``func`` at ``v``, computed as ``dual`` does."""
         call, mul, neg = self.call, self.mul, self.neg
-        if func in ("sqrt", "ln"):
-            self.check("{} <= 0.0", v, f"{func} of a non-positive argument")
+        self.domain(func, v)
         if func == "sin":
             s = call("sin", v)
             return s, call("cos", v), neg(s)
@@ -593,7 +610,6 @@ class _Emitter:
             c = call("cos", v)
             return c, neg(call("sin", v)), neg(c)
         if func == "tan":
-            self.check("abs({}) < 1e-300", call("cos", v), "tan at a pole")
             t = call("tan", v)
             sec2 = self.add(1.0, mul(t, t))
             return t, sec2, mul(mul(2.0, t), sec2)
@@ -609,8 +625,7 @@ class _Emitter:
             return e, e, e
         if func == "ln":
             inv = self.div(1.0, v)
-            return call("log", v), inv, mul(neg(inv), inv)
-        self.check("{} == 0.0", v, "abs at zero has no derivative")
+            return call("ln", v), inv, mul(neg(inv), inv)
         fmt = "np.where({} > 0, 1.0, -1.0)" if self.columns else "1.0 if {} > 0 else -1.0"
         sign = self.op(fmt, lambda x: 1.0 if x > 0 else -1.0, v)
         return call("abs", v), sign, 0.0

@@ -128,7 +128,13 @@ def taub_nut(m: float, fiber_scale: float = 2.0) -> MetricSpec:
     if m <= 0:
         raise ValueError("mass parameter must be positive")
     fiber_scale = float(fiber_scale)
-    c2 = (fiber_scale * m) ** 2
+    try:
+        c2 = (fiber_scale * m) ** 2
+    except OverflowError:
+        c2 = math.inf
+    if not math.isfinite(c2):
+        raise ValueError(f"fiber coefficient (fiber_scale * m)^2 is not finite for m={m!r},"
+                         f" fiber_scale={fiber_scale!r}")
     two_m = 2.0 * m
     V = f"(1 + {two_m!r}/x1)"
     base = f"({V}*x1^2*sin(x2)^2)"  # V r^2 sin^2(theta)

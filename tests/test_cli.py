@@ -573,3 +573,21 @@ def test_manifold_file_with_an_unknown_parameter_is_an_input_error(tmp_path, cap
     code, _, err = run(capsys, "verify-ky", "--manifold", "taub-nut:mass=3", "--field",
                        "taubnut-1", "--samples", "2")
     assert code == 2 and "Traceback" not in err and "'mass'" in err
+
+
+@pytest.mark.parametrize("params", ["m=1e200", "m=1e160", "m=1e154,fiber_scale=4"])
+@pytest.mark.parametrize("command", ["verify-ky", "geodesic"])
+def test_taub_nut_mass_whose_fiber_coefficient_overflows_is_an_input_error(
+        tmp_path, capsys, params, command):
+    # (fiber_scale * m)^2 overflows a float: one error line, exit 2, from a name or a file
+    kwargs = dict(p.split("=") for p in params.split(","))
+    path = write_json(tmp_path / "m.json", {"kind": "taub-nut", "params": {
+        k: float(v) for k, v in kwargs.items()}})
+    args = {"verify-ky": ["--field", "taubnut-1", "--samples", "2"],
+            "geodesic": ["--x0", "1,1,0,0", "--p0", "1,0,0,0", "--dt", "0.1", "--steps", "2",
+                         "--out", str(tmp_path / "g.csv")]}[command]
+    for manifold in (f"taub-nut:{params}", path):
+        code, _, err = run(capsys, command, "--manifold", manifold, *args)
+        assert code == 2
+        assert err.startswith("error: fiber coefficient") and err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "g.csv")

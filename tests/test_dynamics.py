@@ -10,6 +10,7 @@ import pytest
 
 from kyano import expr, geometry, kysym
 from kyano.dynamics import (
+    GeodesicHamiltonian,
     PhaseFunction,
     PhasePoint,
     Trajectory,
@@ -23,7 +24,7 @@ from kyano.dynamics import (
     unified_hamilton_flow,
     write_trajectory_csv,
 )
-from kyano.errors import DomainError, SingularMetric
+from kyano.errors import DomainError, SingularEvaluation, SingularMetric
 
 
 def random_phase_points(count, seed=0, n=3):
@@ -248,8 +249,8 @@ def test_closed_form_rhs_matches_the_numeric_rhs(spec):
     rng = np.random.default_rng(2)
     closed, numeric = free_hamiltonian(spec), free_hamiltonian(_numeric(spec))
     for x in geometry.sample_points(spec, 200, rng):
-        z = np.concatenate([x, rng.uniform(-1, 1, spec.dim)])
-        got, want = closed.rhs(z), numeric.rhs(z)
+        z = np.concatenate([x, rng.uniform(-1, 1, spec.dim)]).tolist()
+        got, want = np.asarray(closed.rhs(z)), np.asarray(numeric.rhs(z))
         g = geometry.metric_at(spec, x)
         kappa = np.abs(g).max() * np.abs(geometry.inverse_metric_at(spec, x)).max()
         assert np.abs(got - want).max() <= 1e-15 * kappa * np.abs(want).max()
@@ -267,6 +268,82 @@ def test_both_rhs_paths_truncate_at_the_singular_bound():
         traj = geodesic_integrate(s, start, 0.01, 50)
         assert traj.meta["steps_completed"] == 37
         assert traj.meta["reason"] == "metric matrix is singular at this point"
+
+
+def _numpy_rk4(rhs, start, dt, steps):
+    """Classic RK4 on numpy arrays, the reference for the driver's float lists:
+    the retained states and the truncation reason."""
+    z = start.as_vector()
+
+    def stage(state):
+        if not np.isfinite(state).all():
+            raise DomainError("state left the finite range")
+        return np.asarray(rhs(state.tolist()))
+
+    states, reason = [z], None
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            k1 = stage(z)
+            for _ in range(steps):
+                k2 = stage(z + (0.5 * dt) * k1)
+                k3 = stage(z + (0.5 * dt) * k2)
+                k4 = stage(z + dt * k3)
+                z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                k1 = stage(z)
+                states.append(z)
+        except (DomainError, SingularEvaluation) as e:
+            reason = str(e)
+    return np.array(states), reason
+
+
+_TN, _K3 = ([1.3, 1.0, 0.4, 0.2], [0.2, -0.3, 0.1, 0.4]), ([0.2, -0.1, 0.3], [0.5, 0.2, -0.4])
+_DRIVER_CASES = {
+    "taub-nut": (geometry.taub_nut(1.0), _TN, 0.01, None),
+    "taub-nut-fiber-4": (geometry.taub_nut(1.0, 4.0), _TN, 0.01, None),
+    "K=1": (geometry.const_curvature3(1.0), _K3, 0.01, None),
+    "K=-1": (geometry.const_curvature3(-1.0), _K3, 0.01, None),
+    "flat3": (geometry.flat(3), _K3, 0.01, None),
+    "diag(1,x1^2)": (geometry.custom([["1", "0"], ["0", "x1^2"]]),
+                     ([1.0, 0.0], [0.3, 0.2]), 0.01, None),
+    "spherical": (geometry.const_curvature3_spherical(1.0),
+                  ([1.0, 1.0, 0.5], [0.3, -0.2, 0.1]), 0.01, None),
+    # truncations: at a guard, at the singular bound and past the finite range
+    "guard": (geometry.taub_nut(1.0), ([1.0, 1.0, 0.0, 0.0], [-3.0, 0.0, 0.0, 0.0]), 0.01,
+              (175, "outside the chart domain: x1 < 1e-09")),
+    "singular-bound": (geometry.taub_nut(1.0), ([1.3, 1e-5, 0.3, 0.1], [0.0, -1e-4, 0.0, 0.0]),
+                       0.01, (37, "metric matrix is singular at this point")),
+    "overflow": (geometry.flat(2), ([1.79e308, 0.0], [1e306, 0.0]), 0.01,
+                 (76, "state left the finite range")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DRIVER_CASES))
+def test_list_driver_equals_a_numpy_rk4_bitwise(case):
+    spec, (x0, p0), dt, truncation = _DRIVER_CASES[case]
+    start = PhasePoint(x0, p0)
+    specs = [spec] + ([_numeric(spec)] if spec.inverse is not None else [])
+    for s in specs:  # the compiled RHS and, where there is one, the numeric RHS
+        traj = geodesic_integrate(s, start, dt, 1000)
+        want, reason = _numpy_rk4(GeodesicHamiltonian(s).rhs, start, dt, 1000)
+        assert traj.states.tobytes() == want.tobytes()
+        assert traj.meta.get("reason") == reason
+        if truncation is None:
+            assert traj.meta["completed"]
+        else:
+            assert (traj.meta["steps_completed"], reason) == truncation
+
+
+def test_unified_flow_driver_equals_a_numpy_rk4_bitwise():
+    H = PhaseFunction.from_expression("0.5*(p1^2 + p2^2) + 0.5*(x1^2 + x2^2) + 0.1*x1^2*x2", 2)
+    start = PhasePoint([0.3, 0.1], [0.2, -0.4])
+
+    def rhs(z):
+        grad = H.gradient(PhasePoint.from_vector(z))
+        return np.concatenate([grad[2:], -grad[:2]])
+
+    want, reason = _numpy_rk4(rhs, start, 0.01, 1000)
+    traj = unified_hamilton_flow(H, start, 0.01, 1000)
+    assert reason is None and traj.states.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("spec", [geometry.taub_nut(1.0), geometry.const_curvature3(1.0),

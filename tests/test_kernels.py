@@ -130,6 +130,8 @@ def test_kernels_match_reference_walk(src, pt):
         ("ln(x1)", -1.0, "ln of a non-positive argument in ln(...) at offset 0"),
         ("x1^-2", 0.0, "zero raised to a negative power in '^' at offset 2"),
         ("x1^(0.5/0)", 2.0, "division by zero in '/' at offset 7 in '^' at offset 2"),
+        ("2 * abs(x1)", 0.0, "abs at zero has no derivative in abs(...) at offset 4"),
+        ("x1^-3", 0.0, "zero raised to a negative power in '^' at offset 2"),
     ],
 )
 def test_singular_messages_unchanged(src, point, message):
@@ -138,10 +140,40 @@ def test_singular_messages_unchanged(src, point, message):
         with pytest.raises(SingularEvaluation) as info:
             fn(e, (point,))
         assert str(info.value) == message
+    # the float-only kernel and the jet-capable one, both on a float
+    for jets in (False, True):
+        with pytest.raises(SingularEvaluation) as info:
+            expr._kernel(e, 0, jets=jets)([point])
+        assert str(info.value) == message
     for order in (1, 2):
         with pytest.raises(SingularEvaluation) as info:
             expr.evaluate(e, Jet.seeds((point,), order))
         assert str(info.value) == message
+
+
+def test_float_kernels_equal_the_jet_capable_kernels_on_floats():
+    # every catalog metric component, closed-form inverse entry and guard
+    specs = [geometry.taub_nut(m, fs) for m in (0.7, 2.5) for fs in (2.0, 4.0)]
+    specs += [geometry.const_curvature3(K) for K in (-4.0, -1.0, 0.5, 1.0)]
+    specs += [geometry.const_curvature3_spherical(K) for K in (-1.0, 1.0)]
+    for spec in specs:
+        pts = geometry.sample_points(spec, 1000, np.random.default_rng(5)).tolist()
+        grids = [spec.components] + ([spec.inverse] if spec.inverse else [])
+        exprs = {id(e): e for grid in grids for row in grid for e in row if e is not None}
+        exprs.update((id(g), g) for g in spec.guards)
+        for e in exprs.values():
+            floats, jets = expr._kernel(e, 0), expr._kernel(e, 0, jets=True)
+            got = np.array([floats(pt) for pt in pts])
+            assert got.tobytes() == np.array([jets(pt) for pt in pts]).tobytes(), str(e)
+
+
+def test_fewer_rows_than_the_column_threshold_run_per_point():
+    e = expr.parse_expression("x1 * sin(x2) + x1^-2 - sqrt(x2 + 4)", 2)
+    cols = np.array([[0.5, 2.0, -1.5], [1.0, -3.0, 0.25]])
+    for order in (0, 1, 2):
+        want = _per_point_rows(e, cols.T.tolist(), order)
+        assert expr.eval_columns(e, cols, order).tobytes() == want.tobytes()
+    assert not any(columns for _, columns, _ in e._kernels)  # no column kernel was built
 
 
 def test_kernel_is_compiled_once_per_order():
@@ -260,6 +292,14 @@ def test_sqrt_of_tiny_argument():
 # -- column kernels: the order-0 source over (N,) columns ------------------------
 
 
+def _tall(cols):
+    """``cols`` repeated along the rows to at least ``_COLUMN_ROWS`` rows, so that
+    ``eval_columns`` runs them through the column kernel; the first failing row
+    stays the first."""
+    cols = np.asarray(cols, dtype=float)
+    return np.tile(cols, (1, -(-expr._COLUMN_ROWS // cols.shape[1])))
+
+
 def _per_point_rows(e, points, order):
     """The (width, N) outputs of the per-point kernel, row by row, as the
     column kernels must reproduce them (the values alone at order 0)."""
@@ -272,11 +312,13 @@ def _per_point_rows(e, points, order):
 def test_column_kernels_match_per_point_kernels(src, points):
     # values bytewise, or the first failing row's exception and message
     e = expr.parse_expression(src, 3)
+    cols = _tall(np.array(points).T)
+    points = cols.T.tolist()
     per_point = _outcome(lambda: np.array([expr.eval_value(e, pt) for pt in points]))
-    assert _outcome(expr.eval_columns, e, np.array(points).T) == per_point, src
+    assert _outcome(expr.eval_columns, e, cols) == per_point, src
     for order in (1, 2):
         per_point = _outcome(_per_point_rows, e, points, order)
-        assert _outcome(expr.eval_columns, e, np.array(points).T, order) == per_point, (src, order)
+        assert _outcome(expr.eval_columns, e, cols, order) == per_point, (src, order)
 
 
 def _catalog_expressions():
@@ -329,14 +371,14 @@ def test_column_kernels_match_on_the_catalog():
 def test_column_fallback_raises_the_per_point_error(src, bad, message):
     e = expr.parse_expression(src, 1)
     with pytest.raises(SingularEvaluation) as info:
-        expr.eval_columns(e, [np.array([2.0, 0.5, bad, 3.0, bad])])
+        expr.eval_columns(e, _tall([[2.0, 0.5, bad, 3.0, bad]]))
     assert str(info.value) == message
 
 
 def test_column_overflow_falls_back_to_per_point_values():
     # numpy raises on the overflow inside the columns; floats carry the inf
     e = expr.parse_expression("x1 * 1e300 * 1e300 / 1e300 + sin(x2)", 2)
-    cols = np.array([[1.0, 1e-300, -2.0], [0.5, 0.1, 3.0]])
+    cols = _tall([[1.0, 1e-300, -2.0], [0.5, 0.1, 3.0]])
     want = [expr.eval_value(e, row) for row in cols.T.tolist()]
     assert expr.eval_columns(e, cols).tolist() == want
     assert math.isinf(want[0]) and math.isfinite(want[1])
@@ -346,12 +388,13 @@ def test_column_kernel_of_non_finite_inputs_runs_per_point():
     # numpy gives inf / 0 = inf without a flag, where a float division raises
     e = expr.parse_expression("x2/x1", 2)
     with pytest.raises(SingularEvaluation, match="division by zero in '/' at offset 2"):
-        expr.eval_columns(e, [np.array([1.0, 0.0]), np.array([1.0, math.inf])])
+        expr.eval_columns(e, _tall([[1.0, 0.0], [1.0, math.inf]]))
 
 
 def test_column_kernel_of_a_constant_fills_every_row():
     e = expr.parse_expression("2 + sin(1)", 1)
-    assert expr.eval_columns(e, [np.zeros(3)]).tolist() == [expr.eval_value(e, [0.0])] * 3
+    rows = expr._COLUMN_ROWS
+    assert expr.eval_columns(e, [np.zeros(rows)]).tolist() == [expr.eval_value(e, [0.0])] * rows
 
 
 @pytest.mark.parametrize(
@@ -367,7 +410,7 @@ def test_column_kernel_of_a_constant_fills_every_row():
 )
 def test_column_jets_raise_the_first_failing_rows_error(src, order, bad):
     e = expr.parse_expression(src, 2)
-    cols = np.array([[2.0, 0.5, bad, 3.0, bad], [1.0, 2.0, 3.0, 4.0, 5.0]])
+    cols = _tall([[2.0, 0.5, bad, 3.0, bad], [1.0, 2.0, 3.0, 4.0, 5.0]])
     with pytest.raises(SingularEvaluation) as want:
         expr._kernel(e, order)([bad, 3.0])
     with pytest.raises(SingularEvaluation) as got:
@@ -381,6 +424,6 @@ def test_column_jets_of_rows_that_pass_or_hold_inf_match_per_point(order):
     for src, cols in (("sqrt(x1) * x2", [[5e-324, 1.0], [2.0, 3.0]]),
                       ("x1 * x2 + abs(x2)", [[0.5, math.inf], [2.0, 3.0]])):
         e = expr.parse_expression(src, 2)
-        cols = np.array(cols)
+        cols = _tall(cols)
         want = _outcome(_per_point_rows, e, cols.T.tolist(), order)
         assert _outcome(expr.eval_columns, e, cols, order) == want, (src, order)
