@@ -119,12 +119,12 @@ class GeodesicHamiltonian(_RowValues):
         self.n = spec.dim
 
     def _values(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
-        ginv = geometry._invert(geometry._metric_rows(self.spec, X))
+        ginv = geometry.inverse_metric_at(self.spec, X)
         return 0.5 * (P[:, None, :] @ ginv @ P[:, :, None])[:, 0, 0]
 
     def gradient(self, z: PhasePoint) -> np.ndarray:
         # Hamilton's equations read backwards: dH/dx = -dp/dt, dH/dp = dx/dt
-        geometry._check_point(self.spec, z.x)  # rhs() takes the state as finite
+        geometry._metric(self.spec, z.x)  # rhs() takes a finite state inside the chart
         zdot = np.asarray(self.rhs(z.as_vector().tolist()))
         return np.concatenate([-zdot[self.n:], zdot[:self.n]])
 
@@ -151,9 +151,8 @@ class GeodesicHamiltonian(_RowValues):
         if spec.components is None:
             return z[n:] + [0.0] * n
         if spec.inverse is None:
-            geometry._check_guards(spec, z[:n])
-            g, dg = geometry._metric_jet(spec, z[:n], 1)
-            gip = geometry._invert(g) @ np.array(z[n:])
+            _, dg, ginv = geometry._metric(spec, z[:n], 1, inverse=True)
+            gip = ginv @ np.array(z[n:])
             # d_a g^{mn} = -(ginv dg_a ginv)^{mn}
             pdot = 0.5 * np.einsum("m,amn,n->a", gip, dg, gip)
             return np.concatenate([gip, pdot]).tolist()
@@ -187,7 +186,7 @@ class KillingQuadratic(_RowValues):
 
     def _values(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
         f = self.ky_field.values_at(X)
-        ginv = geometry._invert(geometry._metric_rows(self.spec, X))
+        ginv = geometry.inverse_metric_at(self.spec, X)
         u = ginv @ P[:, :, None]
         return (u.transpose(0, 2, 1) @ f @ ginv @ f @ u)[:, 0, 0]
 

@@ -391,20 +391,18 @@ def eval_columns(expr: Expression, columns, order: int = 0) -> np.ndarray:
     1 or 2.  Where a column is not finite, or the columns raise or overflow,
     each row runs per point, so the first failing row raises; so do fewer
     than ``_COLUMN_ROWS`` rows, where the per-point kernel is faster."""
-    try:
-        if 0 < len(columns[0]) < _COLUMN_ROWS:
-            raise ArithmeticError("few rows")
-        if not np.isfinite(columns).all():
-            raise ArithmeticError("non-finite coordinates")
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            outs = _kernel(expr, order, columns=True)(columns)
-        rows = np.empty((len(outs), len(columns[0])))
-        for row, out in zip(rows, outs):
-            row[...] = out
-        return rows if order else rows[0]
-    except (ArithmeticError, ValueError, SingularEvaluation):
-        kernel = _kernel(expr, order)
-        return np.array([kernel(row) for row in zip(*(c.tolist() for c in columns))], float).T
+    if not 0 < len(columns[0]) < _COLUMN_ROWS and np.isfinite(columns).all():
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                outs = _kernel(expr, order, columns=True)(columns)
+            rows = np.empty((len(outs), len(columns[0])))
+            for row, out in zip(rows, outs):
+                row[...] = out
+            return rows if order else rows[0]
+        except (ArithmeticError, ValueError, SingularEvaluation):
+            pass
+    kernel = _kernel(expr, order)
+    return np.array([kernel(row) for row in zip(*(c.tolist() for c in columns))], float).T
 
 
 class _Emitter:
@@ -415,6 +413,7 @@ class _Emitter:
         self.lines: list[str] = []
         self.pad = "    "
         self.memo: dict = {}
+        self.raises = False  # whether a statement since the innermost wrapped() began can raise
 
     @staticmethod
     def src(x) -> str:
@@ -435,9 +434,12 @@ class _Emitter:
         if key not in self.memo:
             self.memo[key] = f"t{len(self.memo)}"
             self.lines.append(f"{self.pad}{self.memo[key]} = " + fmt.format(*map(self.src, args)))
+            # a division, or a dual function's domain check, can raise
+            self.raises |= "/" in fmt or fmt.startswith(("d_", "ipow", "pow_"))
         return self.memo[key]
 
     def check(self, cond: str, x, message: str) -> None:
+        self.raises = True
         cond = cond.format(self.src(x))
         self.lines.append(f"{self.pad}if {f'np.any({cond})' if self.columns else cond}: "
                           f"raise SingularEvaluation({message!r})")
@@ -446,14 +448,16 @@ class _Emitter:
     def wrapped(self, where: str, zero: bool = False):
         """Statements emitted inside re-raise a SingularEvaluation with
         ``where`` appended, and with ``zero`` a ZeroDivisionError as a
-        division by zero, as the operation at ``where`` reports them."""
-        start = len(self.lines)
+        division by zero, as the operation at ``where`` reports them; there
+        is no handler where none can raise (+, -, * and math functions)."""
+        start, outer, self.raises = len(self.lines), self.raises, False
         self.lines.append(self.pad + "try:")
         self.pad += "    "
         yield
         self.pad = self.pad[:-4]
-        if len(self.lines) == start + 1:
-            del self.lines[start]
+        raises, self.raises = self.raises, outer or self.raises
+        if not raises:
+            self.lines[start:] = [line[4:] for line in self.lines[start + 1:]]
             return
         if zero:
             self.lines.append(f"{self.pad}except ZeroDivisionError:\n{self.pad}    raise "

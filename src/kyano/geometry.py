@@ -3,6 +3,9 @@
 All derivative quantities (Christoffel symbols, their partials, curvature)
 come from first- and second-order jet evaluations of the metric
 components, so there is no finite differencing anywhere in the chain.
+Every ``*_at`` function takes a point ``(dim,)`` or a block ``(N, dim)``;
+for a block its arrays gain a leading N axis, row i the bytes of the call
+at point i.  One private evaluator, :func:`_metric`, runs the metric.
 
 Charts are labeled by coordinate names but expressions always refer to
 slots ``x1 .. xn`` in chart order; for the Taub-NUT chart ``(r, theta,
@@ -70,11 +73,12 @@ class MetricSpec:
 
 @dataclass(frozen=True)
 class CurvatureValue:
-    """Riemann tensor R^rho_{sigma mu nu}, Ricci tensor, scalar curvature."""
+    """Riemann tensor R^rho_{sigma mu nu}, Ricci tensor, scalar curvature: at a
+    block of N points, arrays with a leading N axis, the scalar an (N,) array."""
 
     riemann: np.ndarray
     ricci: np.ndarray
-    scalar: float
+    scalar: "float | np.ndarray"
 
 
 def _grid_from_upper(entries: dict, n: int) -> ComponentGrid:
@@ -213,23 +217,16 @@ def const_curvature3_spherical(K: float) -> MetricSpec:
 # evaluation
 
 
-def _check_point(spec: MetricSpec, point: Sequence[float], margin: float = DOMAIN_MARGIN):
-    """``point`` as floats, checked finite and at least ``margin`` inside every guard."""
-    pt = np.asarray(point, dtype=float)
-    if pt.shape != (spec.dim,):
-        raise ValueError(f"expected a point of dimension {spec.dim}, got shape {pt.shape}")
-    coords = pt.tolist()
-    if not all(map(math.isfinite, coords)):
+def _check_guards(spec: MetricSpec, coords, margin: float = DOMAIN_MARGIN):
+    """``coords``, a point's list of floats or N points' (dim, N) columns, finite
+    and at least ``margin`` inside every guard."""
+    point = isinstance(coords, list)
+    if not (all(map(math.isfinite, coords)) if point else np.isfinite(coords).all()):
         raise DomainError("point has non-finite coordinates")
-    return _check_guards(spec, coords, margin)
-
-
-def _check_guards(spec: MetricSpec, coords, margin: float = DOMAIN_MARGIN, rows: bool = False):
-    """``coords`` (a point's floats, or with ``rows`` N points' columns) inside every guard."""
     for guard in spec.guards:
-        try:  # a NaN minimum, like a NaN value, is outside
-            inside = (exprmod.eval_columns(guard, coords).min() if rows
-                      else exprmod._kernel(guard, 0)(coords)) >= margin
+        try:  # a NaN value is outside
+            inside = (exprmod._kernel(guard, 0)(coords) >= margin if point
+                      else (exprmod.eval_columns(guard, coords) >= margin).all())
         except SingularEvaluation:
             inside = False
         if not inside:
@@ -238,88 +235,94 @@ def _check_guards(spec: MetricSpec, coords, margin: float = DOMAIN_MARGIN, rows:
 
 
 def _component_table(spec: MetricSpec, order: int):
-    """The distinct component kernels of ``spec`` at ``order`` and the flat
-    indices that gather ``g``, ``dg`` and ``d2g`` from their concatenated
-    outputs; index ``-1`` reads the 0.0 appended for ``None`` entries."""
+    """The distinct component kernels of ``spec`` at ``order``, their output width and
+    the indices that gather g, dg and d2g from their outputs followed by 1.0, 0.0."""
     table = spec._tables.get(order)
     if table is None:
         n = spec.dim
         width = 1 + n + n * n if order == 2 else 1 + n * order
         exprs: dict[int, tuple[int, Expression]] = {}
         start = np.full((n, n), -1, dtype=np.intp)
-        for i, j in itertools.product(range(n), repeat=2):
-            e = spec.components[min(i, j)][max(i, j)]  # the upper triangle is read
-            if e is not None:
-                start[i, j] = exprs.setdefault(id(e), (len(exprs) * width, e))[0]
-        offsets = [np.zeros((1, 1), dtype=np.intp), 1 + np.arange(n)[:, None, None],
-                   1 + n + np.arange(n * n).reshape(n, n, 1, 1)]
-        gather = [np.where(start < 0, -1, start + off) for off in offsets[: order + 1]]
+        if spec.components is None:
+            np.fill_diagonal(start, -2)
+        else:
+            for i, j in itertools.product(range(n), repeat=2):
+                e = spec.components[min(i, j)][max(i, j)]  # the upper triangle is read
+                if e is not None:
+                    start[i, j] = exprs.setdefault(id(e), (len(exprs) * width, e))[0]
+        offsets = [1 + np.arange(n)[:, None, None], 1 + n + np.arange(n * n).reshape(n, n, 1, 1)]
+        gather = [start] + [np.where(start < 0, -1, start + off) for off in offsets[:order]]
         exprs = tuple(e for _, e in exprs.values())
         kernels = tuple(exprmod._kernel(e, order) for e in exprs)
-        table = spec._tables[order] = (exprs, kernels, gather)
+        table = spec._tables[order] = (exprs, kernels, width, gather)
     return table
 
 
-def metric_components_at(spec: MetricSpec, point: Sequence[float], order: int = 0):
+def _point_values(spec: MetricSpec, kernels, width: int, coords: list) -> list:
+    """The checked outputs of ``kernels`` at a point's floats, and 1.0, 0.0."""
+    _check_guards(spec, coords)
+    if width == 1:
+        values = [k(coords) for k in kernels]
+    else:
+        values = []
+        for k in kernels:
+            values += k(coords)
+    # every kernel's first output is an entry of g
+    if not all(map(math.isfinite, values[::width])):
+        raise SingularMetric("metric evaluated to non-finite components")
+    values += 1.0, 0.0
+    return values
+
+
+def _metric(spec: MetricSpec, X, order: int = 0, inverse: bool = False) -> list:
+    """``[g, dg, d2g][:order + 1]``, and with ``inverse`` then ``g^-1``, at a point
+    (dim,) or at each row of a block (N, dim): the kernels run per point, or over
+    columns from ``expr._COLUMN_ROWS`` rows on.  A block that raises reruns its
+    rows one at a time, so the first failing row raises its own error."""
+    X = np.asarray(X, dtype=float)
+    if X.shape[-1:] != (spec.dim,) or X.ndim > 2:
+        raise ValueError(f"expected a point of dimension {spec.dim}, got shape {X.shape}")
+    exprs, kernels, width, gather = _component_table(spec, order)
+    try:
+        if X.ndim == 1:
+            flat = np.array(_point_values(spec, kernels, width, X.tolist()), float)
+        elif 0 < len(X) < exprmod._COLUMN_ROWS:
+            flat = np.array([_point_values(spec, kernels, width, x) for x in X.tolist()], float)
+        else:
+            cols = _check_guards(spec, X.T)
+            blocks = [exprmod.eval_columns(e, cols, order).reshape(width, len(X)) for e in exprs]
+            # every block's first row is an entry of g
+            if not all(np.isfinite(b[0]).all() for b in blocks):
+                raise SingularMetric("metric evaluated to non-finite components")
+            flat = np.concatenate([*blocks, np.ones((1, len(X))), np.zeros((1, len(X)))]).T
+        out = [flat[idx] if X.ndim == 1 else flat[:, idx] for idx in gather]
+        if inverse:
+            out.append(_invert(out[0]))
+    except KyanoError:
+        if X.ndim == 2:  # the first failing row raises its own error
+            for x in X:
+                _metric(spec, x, order, inverse)
+        raise
+    return out
+
+
+def metric_components_at(spec: MetricSpec, point, order: int = 0):
     """Metric matrix and, for ``order`` 1 or 2, its coordinate derivatives.
 
     Returns ``g``; ``(g, dg)`` with ``dg[a,i,j] = d_a g_ij``; or
     ``(g, dg, d2g)`` with ``d2g[a,b,i,j] = d_a d_b g_ij``.
     """
-    return _metric_jet(spec, _check_point(spec, point), order)
+    out = _metric(spec, point, order)
+    return tuple(out) if order else out[0]
 
 
-def _metric_jet(spec: MetricSpec, coords: list, order: int):
-    """:func:`metric_components_at` at the floats of a checked point."""
-    n = spec.dim
-    if spec.components is None:
-        out = [np.eye(n)] + [np.zeros((n,) * (k + 3)) for k in range(order)]
-    else:
-        _, kernels, gather = _component_table(spec, order)
-        if order == 0:
-            values = [k(coords) for k in kernels]
-        else:
-            values = [v for k in kernels for v in k(coords)]
-        # every kernel's first output is an entry of g
-        if not all(map(math.isfinite, values[::len(values) // max(len(kernels), 1)])):
-            raise SingularMetric("metric evaluated to non-finite components")
-        values.append(0.0)
-        flat = np.array(values)
-        out = [flat[idx] for idx in gather]
-    return out[0] if order == 0 else tuple(out)
-
-
-def _metric_rows(spec: MetricSpec, X: np.ndarray, order: int = 0):
-    """:func:`metric_components_at` at each row of ``X`` (N, dim), checked as
-    it checks a point, on column kernels: ``g``, ``(g, dg)`` or ``(g, dg,
-    d2g)`` as stacks with a leading N axis."""
-    if not np.isfinite(X).all():
-        raise DomainError("point has non-finite coordinates")
-    cols = _check_guards(spec, X.T, rows=True)
-    n, N = spec.dim, len(X)
-    if spec.components is None:
-        out = [np.broadcast_to(np.eye(n), (N, n, n))] + [np.zeros((N,) + (n,) * (k + 3))
-                                                          for k in range(order)]
-    else:
-        exprs, _, gather = _component_table(spec, order)
-        blocks = [exprmod.eval_columns(e, cols, order).reshape(-1, N) for e in exprs]
-        # every block's first row is an entry of g
-        if not all(np.isfinite(b[0]).all() for b in blocks):
-            raise SingularMetric("metric evaluated to non-finite components")
-        flat = np.concatenate([*blocks, np.zeros((1, N))]).T
-        out = [flat[:, idx] for idx in gather]
-    return out[0] if order == 0 else tuple(out)
-
-
-def metric_at(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
+def metric_at(spec: MetricSpec, point) -> np.ndarray:
     """Metric matrix at ``point``; symmetric and checked invertible."""
-    g = metric_components_at(spec, point, order=0)
-    _invert(g)
-    return g
+    return _metric(spec, point, inverse=True)[0]
 
 
-def inverse_metric_at(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
-    return _invert(metric_components_at(spec, point, order=0))
+def inverse_metric_at(spec: MetricSpec, point) -> np.ndarray:
+    return _metric(spec, point, inverse=True)[1]
 
 
 @np.errstate(all="ignore")  # the gufunc flags a singular g as invalid
@@ -340,8 +343,8 @@ def _invert(g: np.ndarray, rows: bool = False):
 
 
 def _check_entries(g, ginv, n: int) -> None:
-    """:func:`_metric_jet`'s and :func:`_invert`'s checks on the entry values of
-    an n x n ``g`` and its closed-form inverse; a non-finite ``g^-1`` fails."""
+    """:func:`_metric`'s checks on the entry values of an n x n ``g`` and its
+    closed-form inverse; a non-finite ``g^-1`` fails."""
     if not all(map(math.isfinite, g)):
         raise SingularMetric("metric evaluated to non-finite components")
     if not (all(map(math.isfinite, ginv))
@@ -357,41 +360,36 @@ def _christoffel(ginv: np.ndarray, dg: np.ndarray):
     return 0.5 * np.einsum("...ls,...smn->...lmn", ginv, A), A
 
 
-def christoffel_at(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
-    """Christoffel symbols ``Gamma[l, m, n] = Gamma^l_{mn}``."""
-    if spec.components is None:
-        return np.zeros((spec.dim,) * 3)
-    g, dg = metric_components_at(spec, point, order=1)
-    return _christoffel(_invert(g), dg)[0]
+def christoffel_at(spec: MetricSpec, point) -> np.ndarray:
+    """Christoffel symbols ``Gamma[..., l, m, n] = Gamma^l_{mn}``."""
+    _, dg, ginv = _metric(spec, point, 1, inverse=True)
+    return _christoffel(ginv, dg)[0]
 
 
-def christoffel_and_partial(spec: MetricSpec, point: Sequence[float]):
-    """Christoffels, their coordinate partials ``dGamma[a, l, m, n]`` and the
+def christoffel_and_partial(spec: MetricSpec, point):
+    """Christoffels, their coordinate partials ``dGamma[..., a, l, m, n]`` and the
     inverse metric they are built from, all from one order-2 metric jet."""
-    n = spec.dim
-    if spec.components is None:
-        return np.zeros((n,) * 3), np.zeros((n,) * 4), np.eye(n)
-    g, dg, d2g = metric_components_at(spec, point, order=2)
-    ginv = _invert(g)
-    dginv = -np.einsum("li,aij,js->als", ginv, dg, ginv)
+    _, dg, d2g, ginv = _metric(spec, point, 2, inverse=True)
+    dginv = -np.einsum("...li,...aij,...js->...als", ginv, dg, ginv)
     gamma, A = _christoffel(ginv, dg)
-    dA = d2g.transpose(0, 2, 1, 3) + d2g.transpose(0, 2, 3, 1) - d2g
+    dA = d2g.swapaxes(-3, -2) + d2g.swapaxes(-3, -2).swapaxes(-2, -1) - d2g  # d_a of A
     dgamma = 0.5 * (
-        np.einsum("als,smn->almn", dginv, A)
-        + np.einsum("ls,asmn->almn", ginv, dA)
+        np.einsum("...als,...smn->...almn", dginv, A)
+        + np.einsum("...ls,...asmn->...almn", ginv, dA)
     )
     return gamma, dgamma, ginv
 
 
-def curvature_at(spec: MetricSpec, point: Sequence[float]) -> CurvatureValue:
+def curvature_at(spec: MetricSpec, point) -> CurvatureValue:
     """Riemann, Ricci, and scalar curvature from the metric's 2-jet."""
     gamma, dgamma, ginv = christoffel_and_partial(spec, point)
-    term1 = dgamma.transpose(1, 3, 0, 2)
-    term3 = np.einsum("rml,lns->rsmn", gamma, gamma)
-    riemann = term1 - term1.swapaxes(2, 3) + term3 - term3.swapaxes(2, 3)
-    ricci = np.einsum("rsrn->sn", riemann)
-    scalar = float(np.einsum("sn,sn->", ginv, ricci))
-    return CurvatureValue(riemann=riemann, ricci=ricci, scalar=scalar)
+    lead = tuple(range(ginv.ndim - 2))  # the row axis of a block
+    term1 = dgamma.transpose(*lead, -3, -1, -4, -2)  # term1[r, s, m, n] = d_m Gamma^r_ns
+    term3 = np.einsum("...rml,...lns->...rsmn", gamma, gamma)
+    riemann = term1 - term1.swapaxes(-2, -1) + term3 - term3.swapaxes(-2, -1)
+    ricci = np.einsum("...rsrn->...sn", riemann)
+    scalar = np.einsum("...sn,...sn->...", ginv, ricci)
+    return CurvatureValue(riemann=riemann, ricci=ricci, scalar=scalar if lead else float(scalar))
 
 
 def _covariant_derivative(gamma: np.ndarray, f: np.ndarray, jac: np.ndarray) -> np.ndarray:
@@ -625,7 +623,7 @@ def _admissible_rows(spec: MetricSpec, X: np.ndarray) -> np.ndarray:
         for guard in spec.guards:
             ok[ok] = exprmod.eval_columns(guard, X[ok].T) >= 0.1
         if ok.any():
-            ok[ok] = _invert(_metric_rows(spec, X[ok]), rows=True)[1]
+            ok[ok] = _invert(_metric(spec, X[ok])[0], rows=True)[1]
     except (DomainError, SingularEvaluation):
         return np.array([len(X) > 1 and _admissible_rows(spec, x[None])[0] for x in X], bool)
     return ok

@@ -110,9 +110,7 @@ def _derivatives(spec: MetricSpec, field: AntisymTensorField, points, stored: bo
         jac = field._gradients(field._rows(X)[0]) if stored else field.jacobian_at(X)
         if flat:
             return f, jac, jac
-        g, dg = geometry._metric_rows(spec, X, 1)
-        gamma = geometry._christoffel(geometry._invert(g), dg)[0]
-        return f, jac, geometry._covariant_derivative(gamma, f, jac)
+        return f, jac, geometry._covariant_derivative(geometry.christoffel_at(spec, X), f, jac)
 
     X = np.asarray(points, dtype=float)
     size = len(field._ky_pairs[0]) if stored else spec.dim ** (field.rank + 1)
@@ -166,8 +164,7 @@ def killing_tensor_jet(
     metric and metric partials dg[a, i, j] = d_a g_ij they are built from."""
     f = field.values_at(point)
     df = field.jacobian_at(point)
-    g, dg = geometry.metric_components_at(spec, point, order=1)
-    ginv = geometry._invert(g)
+    _, dg, ginv = geometry._metric(spec, point, 1, inverse=True)
     dginv = -np.einsum("li,aij,js->als", ginv, dg, ginv)
     K = f @ ginv @ f
     dK = (
@@ -467,8 +464,7 @@ def ky_solve_ansatz(
             "fewer residual equations than unknowns; the null space may be inflated",
             stacklevel=2,
         )
-    g, dg = geometry._metric_rows(spec, points, 1)
-    gammas = geometry._christoffel(geometry._invert(g), dg)[0]
+    gammas = geometry.christoffel_at(spec, points)
     rows = np.zeros((len(points) * n ** 3, unknowns))
     for pi, (pt, gamma) in enumerate(zip(points.tolist(), gammas)):
         jets = [exprmod.eval1(phi, pt) for phi in parsed]

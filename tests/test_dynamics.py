@@ -260,7 +260,7 @@ def test_both_rhs_paths_truncate_at_the_singular_bound():
     # the guards do not imply the bound: at theta = 1e-6 the point is inside
     # abs(sin(x2)) >= 1e-9 but max|g| max|g^-1| is past 1e13 / n^2
     spec = geometry.taub_nut(1.0)
-    geometry._check_point(spec, [1.3, 1e-6, 0.3, 0.1])
+    geometry._check_guards(spec, [1.3, 1e-6, 0.3, 0.1])
     with pytest.raises(SingularMetric, match="singular"):
         geometry.metric_at(spec, [1.3, 1e-6, 0.3, 0.1])
     start = PhasePoint([1.3, 1e-5, 0.3, 0.1], [0.0, -1e-4, 0.0, 0.0])

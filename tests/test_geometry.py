@@ -1,6 +1,7 @@
 """Metric catalog: values, Christoffels, curvature, duality, serialization."""
 
 import dataclasses
+import itertools
 import json
 import math
 import warnings
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kyano import expr, geometry
+from kyano import expr, geometry, report
 from kyano.errors import DomainError, KyanoError, SingularEvaluation, SingularMetric
 from kyano.fields import AntisymTensorField
 
@@ -63,8 +64,8 @@ def test_metric_symmetric_and_inverse(spec):
                          ids=lambda s: f"{s.kind}:{s.params}")
 def test_closed_form_inverse_inverts_the_metric(spec):
     X = sample(spec, 1000, seed=5)
-    g = geometry._metric_rows(spec, X)
-    ginv = geometry._metric_rows(dataclasses.replace(spec, components=spec.inverse), X)
+    g = geometry.metric_components_at(spec, X)
+    ginv = geometry.metric_components_at(dataclasses.replace(spec, components=spec.inverse), X)
     assert np.abs(g @ ginv - np.eye(spec.dim)).max() <= 1e-14
 
 
@@ -369,19 +370,20 @@ def test_spherical_chart_samples_keep_off_its_singular_loci():
 
 def test_curvature_evaluates_the_metric_once_per_point(monkeypatch):
     orders = []
-    inner = geometry.metric_components_at
+    inner = geometry._metric
 
-    def counting(spec, point, order=0):
+    def counting(spec, X, order=0, inverse=False):
         orders.append(order)
-        return inner(spec, point, order)
+        return inner(spec, X, order, inverse)
 
     specs = (geometry.const_curvature3(-1.0), geometry.taub_nut(1.0))
-    points = [sample(spec, 1)[0] for spec in specs]
-    monkeypatch.setattr(geometry, "metric_components_at", counting)
-    for spec, point in zip(specs, points):
-        orders.clear()
-        geometry.curvature_at(spec, point)
-        assert orders == [2]
+    blocks = [sample(spec, 40) for spec in specs]
+    monkeypatch.setattr(geometry, "_metric", counting)
+    for spec, X in zip(specs, blocks):
+        for points in (X[0], X[:5], X):  # a point, and blocks below and above 32 rows
+            orders.clear()
+            geometry.curvature_at(spec, points)
+            assert orders == [2]
 
 
 @pytest.mark.parametrize(
@@ -429,7 +431,7 @@ def _ref_sample_points(spec, count, rng, box=None):
             raise DomainError("sampling box appears to be mostly inadmissible")
         pt = lo + (hi - lo) * rng.random(spec.dim)
         try:
-            geometry._check_point(spec, pt, 0.1)
+            geometry._check_guards(spec, pt.tolist(), 0.1)
             geometry.metric_at(spec, pt)
         except (DomainError, SingularEvaluation):
             continue
@@ -471,25 +473,136 @@ def test_block_sampler_keeps_the_per_draw_stream(spec, count, box):
         assert _draw_and_next(geometry.sample_points, spec, count, seed, box) == want
 
 
+def _ref_christoffel_and_partial(spec, point):
+    """The per-point body the one batched body replaced."""
+    n = spec.dim
+    if spec.components is None:
+        return np.zeros((n,) * 3), np.zeros((n,) * 4), np.eye(n)
+    g, dg, d2g = geometry.metric_components_at(spec, point, order=2)
+    ginv = geometry._invert(g)
+    dginv = -np.einsum("li,aij,js->als", ginv, dg, ginv)
+    dgs = dg.swapaxes(-3, -2)
+    A = dgs + dgs.swapaxes(-2, -1) - dg
+    gamma = 0.5 * np.einsum("...ls,...smn->...lmn", ginv, A)
+    dA = d2g.transpose(0, 2, 1, 3) + d2g.transpose(0, 2, 3, 1) - d2g
+    dgamma = 0.5 * (
+        np.einsum("als,smn->almn", dginv, A)
+        + np.einsum("ls,asmn->almn", ginv, dA)
+    )
+    return gamma, dgamma, ginv
+
+
+def _ref_curvature(spec, point):
+    """The per-point curvature body: Riemann, Ricci and scalar."""
+    gamma, dgamma, ginv = _ref_christoffel_and_partial(spec, point)
+    term1 = dgamma.transpose(1, 3, 0, 2)
+    term3 = np.einsum("rml,lns->rsmn", gamma, gamma)
+    riemann = term1 - term1.swapaxes(2, 3) + term3 - term3.swapaxes(2, 3)
+    ricci = np.einsum("rsrn->sn", riemann)
+    return riemann, ricci, float(np.einsum("sn,sn->", ginv, ricci))
+
+
+def _geometry_at(spec, X):
+    """Every quantity the geometry functions return at ``X``, as arrays."""
+    jets = [geometry.metric_components_at(spec, X)]
+    jets += [*geometry.metric_components_at(spec, X, 1), *geometry.metric_components_at(spec, X, 2)]
+    cv = geometry.curvature_at(spec, X)
+    return [*jets, geometry.metric_at(spec, X), geometry.inverse_metric_at(spec, X),
+            geometry.christoffel_at(spec, X), *geometry.christoffel_and_partial(spec, X),
+            cv.riemann, cv.ricci, np.asarray(cv.scalar)]
+
+
 @pytest.mark.parametrize(
     "spec",
-    [geometry.taub_nut(1.0), geometry.const_curvature3(-4.0),
-     geometry.const_curvature3_spherical(1.0), geometry.flat(4)],
-    ids=["taub-nut", "K=-4", "spherical", "flat4"],
+    [geometry.taub_nut(1.0), geometry.taub_nut(1.0, 4.0), geometry.const_curvature3(-4.0),
+     geometry.const_curvature3(1.0), geometry.const_curvature3_spherical(1.0), geometry.flat(4),
+     geometry.custom([["1", "0"], ["0", "x1^2"]])],
+    ids=["taub-nut", "taub-nut-fs4", "K=-4", "K=1", "spherical", "flat4", "custom"],
 )
 def test_metric_rows_and_christoffels_match_the_per_point_path(spec):
     X = sample(spec, 300, seed=8)
-    for order in (0, 1, 2):
-        rows = geometry._metric_rows(spec, X, order)
-        rows = rows if isinstance(rows, tuple) else (rows,)
-        for k, stack in enumerate(rows):
-            want = [np.asarray(geometry.metric_components_at(spec, x, order)[k] if order
-                               else geometry.metric_components_at(spec, x)) for x in X]
-            assert np.ascontiguousarray(stack).tobytes() == np.array(want).tobytes(), (order, k)
-    g, dg = geometry._metric_rows(spec, X, 1)
-    gamma = geometry._christoffel(geometry._invert(g), dg)[0]
-    want = np.array([geometry.christoffel_at(spec, x) for x in X])
-    assert gamma.tobytes() == want.tobytes()
+    # at a point: the Christoffels and curvature of the per-point body
+    ref = []
+    for x in X:
+        cv = geometry.curvature_at(spec, x)
+        assert isinstance(cv.scalar, float)
+        gamma, dgamma, ginv = _ref_christoffel_and_partial(spec, x)
+        want = [*_ref_curvature(spec, x)]
+        assert [cv.riemann.tobytes(), cv.ricci.tobytes(), cv.scalar] == [
+            want[0].tobytes(), want[1].tobytes(), want[2]]
+        assert [a.tobytes() for a in geometry.christoffel_and_partial(spec, x)] == [
+            a.tobytes() for a in (gamma, dgamma, ginv)]
+        assert geometry.christoffel_at(spec, x).tobytes() == gamma.tobytes()
+        ref.append(_geometry_at(spec, x))
+    # at a block: row by row the point's bytes, on both sides of the column threshold
+    for N in (0, 1, 31, 32, 300):
+        got = _geometry_at(spec, X[:N])
+        assert got[-1].shape == (N,)
+        for k, stack in enumerate(got):
+            want = np.array([r[k] for r in ref[:N]]) if N else np.empty((0,) + ref[0][k].shape)
+            assert stack.shape == want.shape and stack.dtype == want.dtype, (N, k)
+            assert np.ascontiguousarray(stack).tobytes() == want.tobytes(), (N, k)
+
+
+def _ref_section_const_curvature(rng, samples):
+    """The report's const-curvature section with one curvature call per point."""
+    per_k, ok = {}, True
+    for K in (-1.0, 0.5, 1.0):
+        spec = geometry.const_curvature3(K)
+        points = geometry.sample_points(spec, samples, rng)
+        worst = float(np.max([abs(geometry.curvature_at(spec, pt).scalar - 6.0 * K)
+                              for pt in points]))
+        ok = ok and worst <= 1e-8
+        per_k[f"K={K:g}"] = {"max_deviation_from_6K": worst, "n_points": samples,
+                             "pass": worst <= 1e-8}
+    flat_worst = float(np.max([
+        np.abs(geometry.curvature_at(spec, pt).riemann).max()
+        for spec in (geometry.flat(3), geometry.flat(4))
+        for pt in rng.uniform(-1.0, 1.0, (10, spec.dim))
+    ]))
+    return {"per_curvature": per_k, "flat_max_riemann": flat_worst,
+            "flat_pass": flat_worst <= 1e-12, "pass": ok and flat_worst <= 1e-12}
+
+
+@pytest.mark.parametrize("samples", [7, 50])
+def test_const_curvature_section_matches_the_per_point_reference(samples):
+    for seed in range(6):
+        got = report.section_const_curvature(np.random.default_rng(seed), samples)
+        want = _ref_section_const_curvature(np.random.default_rng(seed), samples)
+        assert json.dumps(got) == json.dumps(want)
+
+
+def _first_error(fn, spec, X):
+    """The type and message of the first row of ``X`` at which ``fn`` raises per point."""
+    for x in X:
+        try:
+            fn(spec, x)
+        except KyanoError as e:
+            return type(e), str(e)
+    return None
+
+
+@pytest.mark.parametrize("N", [6, 40])
+def test_a_block_raises_its_first_failing_rows_error(N):
+    spec = geometry.taub_nut(1.0)
+    good = sample(spec, N, seed=3)
+    bad = {"guard": [-1.0, 1.0, 0.3, 0.1],  # r < 0
+           "singular": [1.3, 1e-6, 0.3, 0.1],  # inside the guard, singular g
+           "nan": [1.3, np.nan, 0.3, 0.1]}
+    functions = (geometry.metric_components_at, geometry.metric_at, geometry.inverse_metric_at,
+                 geometry.christoffel_at, geometry.christoffel_and_partial, geometry.curvature_at,
+                 lambda s, x: geometry.metric_components_at(s, x, 2))
+    seen = set()
+    for order in itertools.permutations(bad):
+        X = good.copy()
+        X[[1, 3, 5]] = [bad[k] for k in order]
+        for fn in functions:
+            want = _first_error(fn, spec, X)
+            seen.add(want)
+            with pytest.raises(KyanoError) as got:
+                fn(spec, X)
+            assert (type(got.value), str(got.value)) == want, (order, fn)
+    assert len(seen) == 3  # each bad row is the first to fail somewhere
 
 
 def test_custom_domain_round_trips_through_the_manifold_file():

@@ -3,6 +3,8 @@ replace, kept here as the reference.  Results are compared by bytes; NaNs
 are compared as NaN, because IEEE arithmetic leaves the sign and payload
 of a NaN result unspecified."""
 
+import ast
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kyano import dual, expr, geometry
+from kyano.dynamics import GeodesicHamiltonian
 from kyano.dual import Jet, value_of
 from kyano.errors import SingularEvaluation
 from kyano.expr import FUNCTIONS, Call, Neg, Num, Var, _literal_int
@@ -149,6 +152,50 @@ def test_singular_messages_unchanged(src, point, message):
         with pytest.raises(SingularEvaluation) as info:
             expr.evaluate(e, Jet.seeds((point,), order))
         assert str(info.value) == message
+
+
+def _arithmetic(node) -> bool:
+    """Whether ``node`` is only names, constants, +, - and *."""
+    if isinstance(node, (ast.Name, ast.Constant)):
+        return True
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, ast.USub) and _arithmetic(node.operand)
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult))
+            and _arithmetic(node.left) and _arithmetic(node.right))
+
+
+def test_no_handler_guards_only_additions_and_products(monkeypatch):
+    sources = []
+
+    def capture(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(expr, "compile", capture, raising=False)
+    specs = [geometry.taub_nut(1.0, fs) for fs in (2.0, 4.0)]
+    specs += [geometry.const_curvature3(K) for K in (-4.0, 1.0)]
+    specs += [geometry.const_curvature3_spherical(1.0)]
+    for spec in specs:
+        grids = [spec.components] + ([spec.inverse] if spec.inverse else [])
+        exprs = {id(e): e for grid in grids for row in grid for e in row if e is not None}
+        exprs.update((id(g), g) for g in spec.guards)
+        for e in exprs.values():
+            expr._compile.__wrapped__(e.nvars, ((e.root, 0),), False, True)
+            for order, columns in itertools.product((0, 1, 2), (False, True)):
+                expr._compile.__wrapped__(e.nvars, ((e.root, order),), columns)
+        if spec.inverse:  # the fused geodesic kernel
+            expr._compile.cache_clear()
+            GeodesicHamiltonian(spec)._fused
+    assert len(sources) > 100
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Try):
+                assert not all(isinstance(stmt, ast.Assign) and _arithmetic(stmt.value)
+                               for stmt in node.body), source
+    e = expr.parse_expression("x1*x2 + x3", 3)
+    for order in (0, 1, 2):
+        expr._compile.__wrapped__(3, ((e.root, order),))
+        assert "try:" not in sources[-1]
 
 
 def test_float_kernels_equal_the_jet_capable_kernels_on_floats():
