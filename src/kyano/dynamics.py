@@ -5,7 +5,9 @@ Integration is classic fourth-order Runge-Kutta with a fixed step on a
 list of Python floats, each stage in numpy's operation order.  The
 right-hand side is the jet of H where g^-1 has a closed form, from one
 float kernel that also gives the guard values, else of the metric with
-g^-1 numeric; never finite differences.
+g^-1 numeric; never finite differences.  With the closed form a generated step
+runs four kernel calls under accept tests that imply the exact checks (a finite
+state sum, the guards, sum|g| sum|g^-1| < bound) and replays a failing one per stage.
 """
 
 from __future__ import annotations
@@ -269,10 +271,41 @@ class Trajectory:
         return self.states.shape[0]
 
 
-def _rk4(rhs: Callable, start: PhasePoint, dt: float, steps: int) -> Trajectory:
-    """Fixed-step classic RK4 from ``start``, truncated with a ``reason``
-    in ``meta`` where a state stops being finite or ``rhs`` raises at a
-    stage; a state is retained only once ``rhs`` has run there."""
+@functools.lru_cache(maxsize=256)
+def _compiled_step(kernel: Callable, a: int, b: int, c: int, n: int) -> Callable:
+    """``step(z..., k1..., half, dt, sixth)``: one :func:`_rk4` step in straight-line floats,
+    a stage one call of ``kernel`` (guards ``[:a]``, g ``[a:b]``, g^-1 ``[b:c]``, H's 1-jet
+    ``[c:]``): the next state and k1 as lists, or None where a stage is not accepted."""
+    # Passing the accept tests passes stage()'s and rhs()'s exact checks: a finite sum
+    # of the state has finite terms; max <= sum over non-negative terms, so sum|g|
+    # sum|g^-1| < bound passes max|g| max|g^-1| < bound; and a NaN or inf in either sum
+    # fails the <.  A kernel that raises is not accepted either; _rk4 replays the step.
+    def row(fmt: str, sep: str = ", ") -> str:
+        return sep.join(fmt.format(i=i) for i in range(2 * n))
+    o = [f"o{i}" for i in range(c + 1 + 2 * n)]
+    accept = " and ".join([f"{u} >= {geometry.DOMAIN_MARGIN!r}" for u in o[:a]] + [" * ".join(
+        "(" + " + ".join(f"abs({e})" for e in es) + ")" for es in (o[a:b], o[b:c]))
+        + f" < {geometry.SINGULAR_BOUND / n ** 2!r}"])
+    dzdt = ", ".join(o[c + 1 + n:] + [f"-{v}" for v in o[c + 1:c + 1 + n]])
+    lines = [f"def step({row('z{i}')}, {row('k1_{i}')}, half, dt, sixth):", "    try:"]
+    for j, update in enumerate(["half * k1_{i}", "half * k2_{i}", "dt * k3_{i}",
+                                "sixth * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})"], 2):
+        lines += [f"        {row('y{i}')}, = {row('z{i} + ' + update)}",
+                  f"        if not isfinite({row('y{i}', ' + ')}): return None",
+                  f"        {', '.join(o)}, = kernel(({row('y{i}')},))",
+                  f"        if not ({accept}): return None",
+                  f"        {row(f'k{j}_{{i}}')}, = {dzdt}"]
+    lines += [f"        return [{row('y{i}')}], [{row('k5_{i}')}]", "    except Exception:",
+              "        return None  # the replay raises it, or the error it becomes, exactly"]
+    exec(compile("\n".join(lines), "<kyano rk4 step>", "exec"),
+         namespace := {"kernel": kernel, "isfinite": math.isfinite})
+    return namespace["step"]
+
+
+def _rk4(rhs: Callable, start: PhasePoint, dt: float, steps: int, step=None) -> Trajectory:
+    """Fixed-step classic RK4 from ``start``, truncated with a ``reason`` in ``meta`` where a
+    state stops being finite or ``rhs`` raises at a stage; a state is retained only once ``rhs``
+    has run there.  A step that ``step`` (a :func:`_compiled_step`) declines runs per stage."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
     z = start.as_vector().tolist()
@@ -284,27 +317,31 @@ def _rk4(rhs: Callable, start: PhasePoint, dt: float, steps: int) -> Trajectory:
     if not (dt > 0 and math.isfinite(dt * steps)):
         raise ValueError("dt must be positive and dt * steps finite")
 
+    half, sixth = 0.5 * dt, dt / 6.0
+
     def stage(state: list) -> list:
         if not all(map(math.isfinite, state)):
             raise DomainError("state left the finite range")
         return rhs(state)
 
+    def per_stage(z: list, k1: list):
+        k2 = stage([a + half * b for a, b in zip(z, k1)])
+        k3 = stage([a + half * b for a, b in zip(z, k2)])
+        k4 = stage([a + dt * b for a, b in zip(z, k3)])
+        z = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+             for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
+        return z, stage(z)
+
     states[0] = z
     done = 0
     reason = None
-    half, sixth = 0.5 * dt, dt / 6.0
     # the state is a list of floats, each update numpy's z + c * k in its
     # operation order; an overflow is a truncation: stage() rejects its result
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             k1 = stage(z)
             for k in range(steps):
-                k2 = stage([a + half * b for a, b in zip(z, k1)])
-                k3 = stage([a + half * b for a, b in zip(z, k2)])
-                k4 = stage([a + dt * b for a, b in zip(z, k3)])
-                z = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                     for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
-                k1 = stage(z)
+                z, k1 = step and step(*z, *k1, half, dt, sixth) or per_stage(z, k1)
                 states[k + 1] = z
                 done = k + 1
         except (DomainError, SingularEvaluation) as e:
@@ -335,7 +372,8 @@ def geodesic_integrate(
     if start.n != spec.dim:
         raise ValueError("phase point dimension does not match the metric")
     geometry.metric_at(spec, start.x)
-    return _rk4(GeodesicHamiltonian(spec).rhs, start, dt, steps)
+    H = GeodesicHamiltonian(spec)
+    return _rk4(H.rhs, start, dt, steps, spec.inverse and _compiled_step(*H._fused, spec.dim))
 
 
 def unified_hamilton_flow(

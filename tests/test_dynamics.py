@@ -7,8 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from kyano import expr, geometry, kysym
+from kyano import dynamics, expr, geometry, kysym
 from kyano.dynamics import (
     GeodesicHamiltonian,
     PhaseFunction,
@@ -331,6 +333,99 @@ def test_list_driver_equals_a_numpy_rk4_bitwise(case):
             assert traj.meta["completed"]
         else:
             assert (traj.meta["steps_completed"], reason) == truncation
+
+
+def _failing_stage(spec, start, dt, steps):
+    """The reference's states and reason, and the stage of its first failure:
+    k2, k3, k4 or k1' (the next state's k1)."""
+    rhs, calls, raised = GeodesicHamiltonian(spec).rhs, [], []
+
+    def counted(z):
+        calls.append(1)
+        raised.append(True)
+        out = rhs(z)
+        raised.pop()
+        return out
+
+    want, reason = _numpy_rk4(counted, start, dt, steps)
+    # call 0 is the start's k1; a state that is not finite fails before its call
+    failing = len(calls) - (1 if raised else 0)
+    return want, reason, ["k1'", "k2", "k3", "k4"][failing % 4]
+
+
+_STAGE_CASES = {  # a first failure at each stage of the compiled step
+    "k2": (geometry.taub_nut(1.0), ([1.0, 1.0, 0.0, 0.0], [-3.0, 0.0, 0.0, 0.0]), 0.0054,
+           (325, "outside the chart domain: x1 < 1e-09")),
+    "k3": (geometry.const_curvature3(-4.0),
+           ([-0.8012209454372758, 0.8024837542036916, -0.5618287987950601],
+            [-29.327256049533883, -9.292291482274385, 4.164444431789197]), 0.0496,
+           (2, "state left the finite range")),
+    "k4": (geometry.taub_nut(1.0), ([1.0, 1.0, 0.0, 0.0], [-3.0, 0.0, 0.0, 0.0]), 0.01,
+           (175, "outside the chart domain: x1 < 1e-09")),
+    "k1'": (geometry.taub_nut(1.0),
+            ([1.8082172394725804, 1.485327416294463, 3.2175844406391545, 11.31460573903714],
+             [-1.2622257438667301, -0.9825678806823498, -0.41044526902580464,
+              -0.4122007531376168]), 0.035, (101, "metric matrix is singular at this point")),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(_STAGE_CASES))
+def test_compiled_step_truncates_where_the_reference_does_at_each_stage(stage, monkeypatch):
+    spec, (x0, p0), dt, truncation = _STAGE_CASES[stage]
+    start = PhasePoint(x0, p0)
+    want, reason, failing = _failing_stage(spec, start, dt, 1000)
+    assert failing == stage
+    rhs, calls = GeodesicHamiltonian.rhs, []
+    monkeypatch.setattr(GeodesicHamiltonian, "rhs", lambda self, z: calls.append(z) or rhs(self, z))
+    traj = geodesic_integrate(spec, start, dt, 1000)
+    # rhs runs for the start's k1, the failing step and a step or two that an accept
+    # test declines conservatively: the compiled step ran the rest
+    assert len(calls) <= 10
+    assert traj.states.tobytes() == want.tobytes()
+    assert (traj.meta["steps_completed"], traj.meta["reason"]) == truncation
+    assert reason == truncation[1]
+
+
+@pytest.mark.parametrize("case", ["taub-nut", "K=1", "guard"])
+def test_a_step_declined_every_third_time_replays_to_the_same_bytes(case):
+    spec, (x0, p0), dt, _ = _DRIVER_CASES[case]
+    start, H, calls = PhasePoint(x0, p0), GeodesicHamiltonian(spec), itertools.count()
+    step = dynamics._compiled_step(*H._fused, spec.dim)
+    traj = dynamics._rk4(H.rhs, start, dt, 1000,
+                         lambda *a: None if next(calls) % 3 == 2 else step(*a))
+    want, reason = _numpy_rk4(H.rhs, start, dt, 1000)
+    assert next(calls) > 3
+    assert traj.states.tobytes() == want.tobytes()
+    assert traj.meta.get("reason") == reason
+
+
+_CLOSED_FORM = [geometry.taub_nut(m, fs) for m in (0.7, 1.0) for fs in (2.0, 4.0)] + [
+    geometry.const_curvature3(K) for K in (-4.0, -1.0, 0.5, 1.0)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(which=st.integers(0, len(_CLOSED_FORM) - 1),
+       x=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       p=st.lists(st.floats(-15.0, 15.0), min_size=4, max_size=4), dt=st.floats(1e-3, 0.05))
+def test_compiled_step_equals_the_per_stage_path(which, x, p, dt):
+    # the reference is the same closed-form rhs stage by stage (inverse=None
+    # would switch to the numeric rhs); |p| <= 30
+    spec = _CLOSED_FORM[which]
+    start = PhasePoint(x[:spec.dim], p[:spec.dim])
+    try:
+        geometry.metric_at(spec, start.x)
+    except DomainError:
+        assume(False)
+    traj = geodesic_integrate(spec, start, dt, 200)
+    want = dynamics._rk4(GeodesicHamiltonian(spec).rhs, start, dt, 200)
+    assert traj.states.tobytes() == want.states.tobytes()
+    assert traj.meta == want.meta
+
+
+def test_specs_of_one_metric_share_one_compiled_step():
+    a, b = (GeodesicHamiltonian(geometry.resolve_manifold("taub-nut:m=1")) for _ in "ab")
+    assert a.spec is not b.spec
+    assert dynamics._compiled_step(*a._fused, 4) is dynamics._compiled_step(*b._fused, 4)
 
 
 def test_unified_flow_driver_equals_a_numpy_rk4_bitwise():

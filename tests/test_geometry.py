@@ -119,6 +119,37 @@ def test_condition_bound_is_at_least_as_strict_as_svd(exponents, signs, seed):
             geometry._invert(g)
 
 
+def _exact_entry_checks(g, ginv, n):
+    """The message of the exact checks on closed-form entries, or None if they pass."""
+    if not all(map(math.isfinite, g)):
+        return "metric evaluated to non-finite components"
+    if not (all(map(math.isfinite, ginv))
+            and max(map(abs, g)) * max(map(abs, ginv)) < geometry.SINGULAR_BOUND / n ** 2):
+        return "metric matrix is singular at this point"
+    return None
+
+
+_ENTRIES = st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e-160, 1e154, 1.7e308, math.inf, -math.inf,
+                     math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)), min_size=1, max_size=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_ENTRIES, ginv=_ENTRIES, n=st.integers(1, 4))
+def test_entry_accept_test_implies_the_exact_checks(g, ginv, n):
+    # the Sigma * Sigma test that _check_entries and the compiled RK4 step run first
+    if sum(map(abs, g)) * sum(map(abs, ginv)) < geometry.SINGULAR_BOUND / n ** 2:
+        assert _exact_entry_checks(g, ginv, n) is None
+    want = _exact_entry_checks(g, ginv, n)
+    if want is None:
+        geometry._check_entries(g, ginv, n)
+    else:
+        with pytest.raises(SingularMetric) as err:
+            geometry._check_entries(g, ginv, n)
+        assert str(err.value) == want
+
+
 def test_guards_on_the_spec_decide_the_domain():
     spec = dataclasses.replace(
         geometry.flat(2), guards=(expr.parse_expression("x1 - x2", 2),
