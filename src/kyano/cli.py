@@ -14,6 +14,7 @@ errors.  JSON output is deterministic for fixed inputs and ``--seed``;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -193,6 +194,7 @@ def cmd_report(args) -> int:
     return 0 if rep["pass"] else 1
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kyano",

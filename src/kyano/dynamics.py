@@ -5,9 +5,9 @@ Integration is classic fourth-order Runge-Kutta with a fixed step on a
 list of Python floats, each stage in numpy's operation order.  The
 right-hand side is the jet of H where g^-1 has a closed form, from one
 float kernel that also gives the guard values, else of the metric with
-g^-1 numeric; never finite differences.  With the closed form a generated step
-runs four kernel calls under accept tests that imply the exact checks (a finite
-state sum, the guards, sum|g| sum|g^-1| < bound) and replays a failing one per stage.
+g^-1 numeric; never finite differences.  With the closed form a generated step runs four
+calls of the kernel's sparse twin under accept tests that imply the exact results (a finite
+state sum, the guards, sum|g| sum|g^-1| < bound, a finite witness), else replays per stage.
 """
 
 from __future__ import annotations
@@ -132,8 +132,8 @@ class GeodesicHamiltonian(_RowValues):
 
     @functools.cached_property
     def _fused(self):
-        """One float kernel of the guards, g's distinct entries, the closed-form
-        g^-1 and H's 1-jet, and the ends of those blocks in its outputs."""
+        """One float kernel of the guards, g's distinct entries, the closed-form g^-1
+        and H's 1-jet, its sparse twin, and the ends of those blocks in their outputs."""
         upper = [(i, j, e) for i, row in enumerate(self.spec.inverse)
                  for j, e in enumerate(row) if i <= j and e is not None]
         H = PhaseFunction.from_expression("0.5 * (" + " + ".join(
@@ -143,7 +143,8 @@ class GeodesicHamiltonian(_RowValues):
                   tuple(e for *_, e in upper))
         parts = tuple((e.root, 0) for b in blocks for e in b) + ((H.expr.root, 1),)
         ends = tuple(itertools.accumulate(map(len, blocks)))
-        return (exprmod._compile(2 * self.n, parts), *ends)
+        return (exprmod._compile(2 * self.n, parts),
+                exprmod._compile(2 * self.n, parts, sparse=True), *ends)
 
     def rhs(self, z: list) -> list:
         """(dx/dt, dp/dt) = (dH/dp, -dH/dx) as a list, at the list ``z`` of finite
@@ -158,7 +159,7 @@ class GeodesicHamiltonian(_RowValues):
             # d_a g^{mn} = -(ginv dg_a ginv)^{mn}
             pdot = 0.5 * np.einsum("m,amn,n->a", gip, dg, gip)
             return np.concatenate([gip, pdot]).tolist()
-        kernel, a, b, c = self._fused
+        kernel, _, a, b, c = self._fused
         try:
             out = kernel(z)
         except Exception:
@@ -273,26 +274,31 @@ class Trajectory:
 
 @functools.lru_cache(maxsize=256)
 def _compiled_step(kernel: Callable, a: int, b: int, c: int, n: int) -> Callable:
-    """``step(z..., k1..., half, dt, sixth)``: one :func:`_rk4` step in straight-line floats,
-    a stage one call of ``kernel`` (guards ``[:a]``, g ``[a:b]``, g^-1 ``[b:c]``, H's 1-jet
-    ``[c:]``): the next state and k1 as lists, or None where a stage is not accepted."""
+    """``step(z..., k1..., half, dt, sixth)``: one :func:`_rk4` step, each stage one call of
+    the sparse ``kernel`` (guards ``[:a]``, g ``[a:b]``, g^-1 ``[b:c]``, H's 1-jet, witness):
+    the next state and k1 as lists, or None where a stage is not accepted."""
     # Passing the accept tests passes stage()'s and rhs()'s exact checks: a finite sum
     # of the state has finite terms; max <= sum over non-negative terms, so sum|g|
     # sum|g^-1| < bound passes max|g| max|g^-1| < bound; and a NaN or inf in either sum
     # fails the <.  A kernel that raises is not accepted either; _rk4 replays the step.
+    # The sparse kernel skips x * 0.0 and x + 0.0 for a local x.  Where it returns a finite
+    # witness, the sum of those x, each skipped product is a zero, so the exact kernel returns
+    # the same outputs but for the sign of a zero: no kept operation turns that sign into a
+    # nonzero difference (a division by +-0 raises, as do the checks on sqrt, ln and abs).
+    # A zero's sign moves z + c*k only where z is -0.0, so such starts run per stage.
     def row(fmt: str, sep: str = ", ") -> str:
         return sep.join(fmt.format(i=i) for i in range(2 * n))
     o = [f"o{i}" for i in range(c + 1 + 2 * n)]
     accept = " and ".join([f"{u} >= {geometry.DOMAIN_MARGIN!r}" for u in o[:a]] + [" * ".join(
         "(" + " + ".join(f"abs({e})" for e in es) + ")" for es in (o[a:b], o[b:c]))
-        + f" < {geometry.SINGULAR_BOUND / n ** 2!r}"])
+        + f" < {geometry.SINGULAR_BOUND / n ** 2!r}", "isfinite(witness)"])
     dzdt = ", ".join(o[c + 1 + n:] + [f"-{v}" for v in o[c + 1:c + 1 + n]])
     lines = [f"def step({row('z{i}')}, {row('k1_{i}')}, half, dt, sixth):", "    try:"]
     for j, update in enumerate(["half * k1_{i}", "half * k2_{i}", "dt * k3_{i}",
                                 "sixth * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})"], 2):
         lines += [f"        {row('y{i}')}, = {row('z{i} + ' + update)}",
                   f"        if not isfinite({row('y{i}', ' + ')}): return None",
-                  f"        {', '.join(o)}, = kernel(({row('y{i}')},))",
+                  f"        {', '.join(o)}, witness = kernel(({row('y{i}')},))",
                   f"        if not ({accept}): return None",
                   f"        {row(f'k{j}_{{i}}')}, = {dzdt}"]
     lines += [f"        return [{row('y{i}')}], [{row('k5_{i}')}]", "    except Exception:",
@@ -346,13 +352,8 @@ def _rk4(rhs: Callable, start: PhasePoint, dt: float, steps: int, step=None) -> 
                 done = k + 1
         except (DomainError, SingularEvaluation) as e:
             reason = str(e)
-    meta = {
-        "method": "rk4",
-        "dt": float(dt),
-        "steps_requested": int(steps),
-        "steps_completed": done,
-        "completed": reason is None,
-    }
+    meta = {"method": "rk4", "dt": float(dt), "steps_requested": int(steps),
+            "steps_completed": done, "completed": reason is None}
     if reason:
         meta["reason"] = reason
     return Trajectory(times=dt * np.arange(done + 1), states=states[: done + 1],
@@ -372,8 +373,10 @@ def geodesic_integrate(
     if start.n != spec.dim:
         raise ValueError("phase point dimension does not match the metric")
     geometry.metric_at(spec, start.x)
-    H = GeodesicHamiltonian(spec)
-    return _rk4(H.rhs, start, dt, steps, spec.inverse and _compiled_step(*H._fused, spec.dim))
+    H, z = GeodesicHamiltonian(spec), start.as_vector()
+    # a -0.0 start component can take the other zero sign through the sparse kernel
+    compiled = spec.inverse and not np.signbit(z[z == 0.0]).any()
+    return _rk4(H.rhs, start, dt, steps, compiled and _compiled_step(*H._fused[1:], spec.dim))
 
 
 def unified_hamilton_flow(
@@ -422,6 +425,8 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     n = traj.n
     header = ["t"] + [f"x{i}" for i in range(1, n + 1)] + [f"p{i}" for i in range(1, n + 1)]
     row = ",".join(["%.17g"] * (2 * n + 1)) + "\r\n"
+    rows = np.column_stack([traj.times, traj.states])
     with atomic_open(path) as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(row % tuple(r) for r in np.column_stack([traj.times, traj.states]).tolist())
+        for block in np.split(rows, range(1024, len(rows), 1024)):  # one % per 1024 rows
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))

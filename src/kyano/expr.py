@@ -368,15 +368,21 @@ def _kernel(expr: Expression, order: int, columns: bool = False, jets: bool = Fa
 
 
 @functools.lru_cache(maxsize=256)
-def _compile(nvars: int, parts: tuple, columns: bool = False, jets: bool = False) -> Callable:
+def _compile(nvars: int, parts: tuple, columns: bool = False, jets: bool = False,
+             sparse: bool = False) -> Callable:
     """``kernel(s)`` of ``nvars`` slots returning the outputs of each ``(root, order)`` of
-    ``parts`` in turn, a tuple unless just one per point; a shared operation runs once."""
-    em, outs = _Emitter(nvars, 0, columns, jets), []
+    ``parts`` in turn, a tuple unless just one per point; a shared operation runs once.
+    A ``sparse`` float kernel skips x * 0.0 and x + 0.0 in jets and returns last the sum
+    of the skipped local factors x: where it is finite, the outputs are exact but for
+    the sign of a zero."""
+    em, outs = _Emitter(nvars, columns, jets, sparse), []
     for root, em.order in parts:
         out = em.emit(root)
         if em.order:
             value, grad, hess = out if isinstance(out, tuple) else em.lift(out)
         outs += [value, *grad, *itertools.chain(*hess or ())] if em.order else [out]
+    if sparse:  # a slot is finite where the caller checks the state
+        outs.append(" + ".join(x for x in em.pruned if x[0] == "t") or 0.0)
     ret = ", ".join(map(em.src, outs)) + ("," if columns or len(outs) > 1 else "")
     args = "".join(f"s{i}, " for i in range(nvars))
     source = "\n".join(["def kernel(s):", f"    {args}= s", *em.lines, f"    return {ret}"])
@@ -408,8 +414,9 @@ def eval_columns(expr: Expression, columns, order: int = 0) -> np.ndarray:
 class _Emitter:
     """Statements of one kernel, emitted in evaluation order."""
 
-    def __init__(self, n: int, order: int, columns: bool = False, jets: bool = False):
-        self.n, self.order, self.columns, self.jets = n, order, columns, jets
+    def __init__(self, n: int, columns: bool = False, jets: bool = False, sparse: bool = False):
+        self.n, self.order, self.columns, self.jets, self.sparse = n, 0, columns, jets, sparse
+        self.pruned: dict = {}  # the factors of products a sparse jet skipped, in order
         self.lines: list[str] = []
         self.pad = "    "
         self.memo: dict = {}
@@ -548,13 +555,24 @@ class _Emitter:
 
     # -- float operations and the Jet rules over them
 
-    add = functools.partialmethod(op, "{} + {}", operator.add, commutative=True)
     neg = functools.partialmethod(op, "-{}", operator.neg)
     div = functools.partialmethod(op, "{} / {}", operator.truediv)
+
+    def skips(self, a, b) -> bool:
+        """Whether a sparse jet skips ``a`` op ``b``, a local and a zero."""
+        return self.sparse and self.order > 0 and 0.0 in (a, b) and str in map(type, (a, b))
+
+    def add(self, a, b):
+        if self.skips(a, b):
+            return b if a == 0.0 else a
+        return self.op("{} + {}", operator.add, a, b, commutative=True)
 
     def mul(self, a, b):
         if a == 1.0 or b == 1.0:
             return b if a == 1.0 else a
+        if self.skips(a, b):
+            self.pruned[b if a == 0.0 else a] = None
+            return 0.0
         return self.op("{} * {}", operator.mul, a, b, commutative=True)
 
     def call(self, name: str, a):

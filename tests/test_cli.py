@@ -469,6 +469,16 @@ def test_report_skip_section(capsys):
     assert obj["pass"] is True
 
 
+def test_a_skip_does_not_carry_over_to_the_next_call(capsys):
+    # the parser is built once per process: its append default must stay empty
+    code, out, _ = run(capsys, "report", "--samples", "2", "--skip", "taub-nut")
+    assert code == 0 and json.loads(out)["sections"]["taub-nut"] == {"skipped": True}
+    code, out, _ = run(capsys, "report", "--samples", "2")
+    assert code == 0
+    assert not any(section.get("skipped") for section in json.loads(out)["sections"].values())
+    assert kyano.cli.build_parser() is kyano.cli.build_parser()
+
+
 def test_report_unknown_section_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["report", "--skip", "bogus"])

@@ -390,7 +390,7 @@ def test_compiled_step_truncates_where_the_reference_does_at_each_stage(stage, m
 def test_a_step_declined_every_third_time_replays_to_the_same_bytes(case):
     spec, (x0, p0), dt, _ = _DRIVER_CASES[case]
     start, H, calls = PhasePoint(x0, p0), GeodesicHamiltonian(spec), itertools.count()
-    step = dynamics._compiled_step(*H._fused, spec.dim)
+    step = dynamics._compiled_step(*H._fused[1:], spec.dim)
     traj = dynamics._rk4(H.rhs, start, dt, 1000,
                          lambda *a: None if next(calls) % 3 == 2 else step(*a))
     want, reason = _numpy_rk4(H.rhs, start, dt, 1000)
@@ -401,15 +401,19 @@ def test_a_step_declined_every_third_time_replays_to_the_same_bytes(case):
 
 _CLOSED_FORM = [geometry.taub_nut(m, fs) for m in (0.7, 1.0) for fs in (2.0, 4.0)] + [
     geometry.const_curvature3(K) for K in (-4.0, -1.0, 0.5, 1.0)]
+_EDGES = st.sampled_from([0.0, -0.0, 1e150, -1e150, 1e-300, -1e-300])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(which=st.integers(0, len(_CLOSED_FORM) - 1),
-       x=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
-       p=st.lists(st.floats(-15.0, 15.0), min_size=4, max_size=4), dt=st.floats(1e-3, 0.05))
+       x=st.lists(st.one_of(st.floats(-3.0, 3.0), _EDGES), min_size=4, max_size=4),
+       p=st.lists(st.one_of(st.floats(-15.0, 15.0), _EDGES), min_size=4, max_size=4),
+       dt=st.floats(1e-3, 0.05))
 def test_compiled_step_equals_the_per_stage_path(which, x, p, dt):
     # the reference is the same closed-form rhs stage by stage (inverse=None
-    # would switch to the numeric rhs); |p| <= 30
+    # would switch to the numeric rhs); a component of 1e150 overflows H's jet
+    # or the state within a few steps, and one of 0.0 gives the sparse kernel's
+    # skipped products a zero factor
     spec = _CLOSED_FORM[which]
     start = PhasePoint(x[:spec.dim], p[:spec.dim])
     try:
@@ -422,10 +426,33 @@ def test_compiled_step_equals_the_per_stage_path(which, x, p, dt):
     assert traj.meta == want.meta
 
 
+def test_a_negative_zero_start_component_runs_per_stage():
+    # a skipped product is +0.0 where the exact one can be -0.0, so through the
+    # compiled step p2 = -0.0 becomes +0.0; every other byte is the same
+    spec, start = geometry.taub_nut(1.0), PhasePoint([1.3, 1.0, 0.4, 0.2], [0.2, -0.0, 0.0, -0.0])
+    H = GeodesicHamiltonian(spec)
+    want = dynamics._rk4(H.rhs, start, 0.01, 100).states
+    sparse = dynamics._rk4(H.rhs, start, 0.01, 100, dynamics._compiled_step(*H._fused[1:], 4))
+    assert sparse.states.tobytes() != want.tobytes()
+    assert np.array_equal(sparse.states, want)
+    assert geodesic_integrate(spec, start, 0.01, 100).states.tobytes() == want.tobytes()
+
+
+def test_a_stage_whose_witness_is_not_finite_is_declined():
+    H = GeodesicHamiltonian(geometry.taub_nut(1.0))
+    _, sparse, a, b, c = H._fused
+    z = [1.3, 1.0, 0.4, 0.2, 0.2, -0.3, 0.1, 0.4]
+    args = (*z, *H.rhs(z), 0.005, 0.01, 0.01 / 6.0)
+    assert dynamics._compiled_step(sparse, a, b, c, 4)(*args) is not None
+    for witness in (math.inf, math.nan):
+        kernel = lambda s, w=witness: (*sparse(s)[:-1], w)  # noqa: E731
+        assert dynamics._compiled_step(kernel, a, b, c, 4)(*args) is None
+
+
 def test_specs_of_one_metric_share_one_compiled_step():
     a, b = (GeodesicHamiltonian(geometry.resolve_manifold("taub-nut:m=1")) for _ in "ab")
     assert a.spec is not b.spec
-    assert dynamics._compiled_step(*a._fused, 4) is dynamics._compiled_step(*b._fused, 4)
+    assert dynamics._compiled_step(*a._fused[1:], 4) is dynamics._compiled_step(*b._fused[1:], 4)
 
 
 def test_unified_flow_driver_equals_a_numpy_rk4_bitwise():
@@ -632,6 +659,20 @@ def test_csv_bytes_match_reference_writer(tmp_path):
     assert data == (tmp_path / "ref.csv").read_bytes()
     assert data.count(b"\r\n") == len(traj) + 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "ref.csv"]
+
+
+def test_csv_in_row_blocks_matches_reference_writer(tmp_path):
+    # 2500 rows take three blocks, the last one partial
+    rng = np.random.default_rng(3)
+    states = rng.normal(size=(2500, 6)) * 10.0 ** rng.integers(-300, 300, (2500, 6))
+    states[rng.random(states.shape) < 0.1] = -0.0
+    states[::7, 1], states[::11, 2], states[::13, 3] = 5e-324, 1e300, -1e300
+    traj = Trajectory(times=0.01 * np.arange(2500), states=states, n=3)
+    write_trajectory_csv(traj, str(tmp_path / "new.csv"))
+    _reference_csv(traj, str(tmp_path / "ref.csv"))
+    data = (tmp_path / "new.csv").read_bytes()
+    assert data == (tmp_path / "ref.csv").read_bytes()
+    assert data.count(b"\r\n") == 2501 and b",-0," in data
 
 
 def test_csv_bytes_match_reference_writer_on_special_values(tmp_path):

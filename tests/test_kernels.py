@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kyano import dual, expr, geometry
@@ -196,6 +196,40 @@ def test_no_handler_guards_only_additions_and_products(monkeypatch):
     for order in (0, 1, 2):
         expr._compile.__wrapped__(3, ((e.root, order),))
         assert "try:" not in sources[-1]
+
+
+_SPARSE_SPECS = [geometry.taub_nut(m, fs) for m in (0.3, 1.0, 2.5) for fs in (1.0, 2.0, 4.0)]
+_SPARSE_SPECS += [geometry.const_curvature3(K) for K in (1.0, -1.0, -4.0)]
+_SPARSE_EDGES = st.sampled_from([0.0, -0.0, 1e150, -1e150, 1e-300, -1e-300])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(which=st.integers(0, len(_SPARSE_SPECS) - 1),
+       z=st.lists(st.one_of(st.floats(-5.0, 5.0), st.floats(-1e200, 1e200), _SPARSE_EDGES),
+                  min_size=8, max_size=8))
+def test_sparse_kernel_equals_the_exact_kernel_where_its_witness_is_finite(which, z):
+    spec = _SPARSE_SPECS[which]
+    exact, sparse, *_ = GeodesicHamiltonian(spec)._fused
+    z = z[:2 * spec.dim]
+    try:
+        got = sparse(z)
+    except (SingularEvaluation, ArithmeticError, ValueError):  # the compiled step declines
+        assume(False)
+    assume(math.isfinite(got[-1]))
+    want = exact(z)  # does not raise, as the sparse kernel did not
+    assert len(got) == len(want) + 1
+    for g, w in zip(got, want):
+        # equal as numbers: bitwise where nonzero, and a zero is a zero of either sign
+        assert g == w or math.isnan(g) and math.isnan(w)
+
+
+def test_a_skipped_factor_that_overflows_makes_the_witness_non_finite():
+    exact, sparse, *_ = GeodesicHamiltonian(geometry.taub_nut(1.0))._fused
+    z = [1.3, 1.0, 0.4, 0.2, 1e160, -1e160, 1e160, 1e160]
+    got, want = sparse(z), exact(z)
+    assert math.isinf(got[-1])
+    # the exact kernel's zero products of the infinite factor are NaN where the sparse ones are 0
+    assert any(math.isnan(w) and g == 0.0 for g, w in zip(got, want))
 
 
 def test_float_kernels_equal_the_jet_capable_kernels_on_floats():
