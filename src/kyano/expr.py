@@ -441,8 +441,9 @@ class _Emitter:
         if key not in self.memo:
             self.memo[key] = f"t{len(self.memo)}"
             self.lines.append(f"{self.pad}{self.memo[key]} = " + fmt.format(*map(self.src, args)))
-            # a division, or a dual function's domain check, can raise
-            self.raises |= "/" in fmt or fmt.startswith(("d_", "ipow", "pow_"))
+            # a division but by a nonzero finite constant, or a dual function's domain check, can raise
+            self.raises |= fmt.startswith(("d_", "ipow", "pow_")) or "/" in fmt and (
+                isinstance(args[-1], str) or not 0 < abs(args[-1]) < math.inf)
         return self.memo[key]
 
     def check(self, cond: str, x, message: str) -> None:
@@ -505,7 +506,7 @@ class _Emitter:
     def binary(self, op: str, a, b):
         """``a op b`` for + - * /, as the operators on floats and jets do it."""
         if not isinstance(a, tuple) and not isinstance(b, tuple):
-            return self.op("{} %s {}" % op, _BINARY[op], a, b)
+            return self.mul(a, b) if op == "*" else self.op("{} %s {}" % op, _BINARY[op], a, b)
         if op == "/":
             if isinstance(b, tuple):  # a * (1/b), a float times the jet 1/b
                 r = self.recip(b)
@@ -609,7 +610,7 @@ class _Emitter:
     def recip(self, a):
         self.check("{} == 0.0", a[0], "division by zero")
         inv = self.div(1.0, a[0])
-        d2f = self.mul(self.mul(self.mul(2.0, inv), inv), inv)
+        d2f = self.mul(self.mul(self.mul(2.0, inv), inv), inv) if self.order == 2 else 0.0
         return self.chain(a, inv, self.mul(self.neg(inv), inv), d2f)
 
     def domain(self, func: str, v) -> None:
@@ -622,19 +623,19 @@ class _Emitter:
             self.check("{} == 0.0", v, "abs at zero has no derivative")
 
     def rule(self, func: str, v):
-        """(f, f', f'') of ``func`` at ``v``, computed as ``dual`` does."""
+        """(f, f', f'') of ``func`` at ``v``, computed as ``dual`` does (f'' at order 2 only)."""
         call, mul, neg = self.call, self.mul, self.neg
         self.domain(func, v)
         if func == "sin":
             s = call("sin", v)
-            return s, call("cos", v), neg(s)
+            return s, call("cos", v), neg(s) if self.order == 2 else 0.0
         if func == "cos":
             c = call("cos", v)
-            return c, neg(call("sin", v)), neg(c)
+            return c, neg(call("sin", v)), neg(c) if self.order == 2 else 0.0
         if func == "tan":
             t = call("tan", v)
             sec2 = self.add(1.0, mul(t, t))
-            return t, sec2, mul(mul(2.0, t), sec2)
+            return t, sec2, mul(mul(2.0, t), sec2) if self.order == 2 else 0.0
         if func == "sqrt":
             r = call("sqrt", v)
             if self.order == 1:
@@ -647,7 +648,7 @@ class _Emitter:
             return e, e, e
         if func == "ln":
             inv = self.div(1.0, v)
-            return call("ln", v), inv, mul(neg(inv), inv)
+            return call("ln", v), inv, mul(neg(inv), inv) if self.order == 2 else 0.0
         fmt = "np.where({} > 0, 1.0, -1.0)" if self.columns else "1.0 if {} > 0 else -1.0"
         sign = self.op(fmt, lambda x: 1.0 if x > 0 else -1.0, v)
         return call("abs", v), sign, 0.0

@@ -109,7 +109,7 @@ class AntisymTensorField:
         along the last axis of ``vals``; leading axes are kept."""
         lead = vals.shape[:-1]
         arr = np.zeros(lead + (self.dim ** self.rank,))
-        arr[..., self._dst] = vals[..., self._src] * self._sign
+        arr[..., self._dst] = vals.take(self._src, axis=-1) * self._sign
         return arr.reshape(lead + (self.dim,) * self.rank)
 
     def _rows(self, point) -> tuple[np.ndarray, bool]:

@@ -10,6 +10,7 @@ even-dimensional manifolds double as symplectic forms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -45,6 +46,14 @@ def flat_ky_pair(n: int, x: Sequence[float], p: Sequence[float]):
     return f, ft
 
 
+@functools.lru_cache(maxsize=8)
+def _pair_field(n: int) -> tuple[AntisymTensorField, np.ndarray]:
+    """A rank-(n-1) field storing every component, and their flat indices."""
+    keys = list(itertools.combinations(range(n), n - 1))
+    return (AntisymTensorField(n, n - 1, dict.fromkeys(keys, 0.0)),
+            np.ravel_multi_index(np.array(keys).T, (n,) * (n - 1)))
+
+
 def reconstruct_position(f: np.ndarray) -> np.ndarray:
     """x_k = eps_{k j1..j(n-1)} f_{j1..j(n-1)} / (n-1)!, n the last axis's size,
     over any leading batch axes; exact inverse of the pair construction."""
@@ -53,12 +62,18 @@ def reconstruct_position(f: np.ndarray) -> np.ndarray:
     if rank < 1 or f.shape[f.ndim - rank:] != (n,) * rank:
         raise ValueError("expected a rank-(n-1) array over an n-dimensional chart")
     rows = f.reshape((-1,) + (n,) * rank)
-    t = np.abs(rows)  # one buffer for every check: fresh large temporaries fault in pages
-    scale = np.maximum(1.0, t.reshape(-1, n ** rank).max(axis=1))  # each row's own
-    for a in range(1, rank):
-        np.add(rows, rows.swapaxes(a, a + 1), out=t)
-        if np.any(np.abs(t, out=t).reshape(-1, n ** rank).max(axis=1) > 1e-12 * scale):
-            raise ValueError("input array is not antisymmetric")
+    field, stored = _pair_field(n)
+    comps = rows.reshape(-1, n ** rank)[:, stored]
+    # finite stored components that scatter back to the input make every swap sum 0
+    if not (np.isfinite(comps).all() and np.array_equal(field._scatter(comps), rows)):
+        t = np.abs(rows)  # one buffer for every check: fresh large temporaries fault in pages
+        scale = np.maximum(1.0, t.reshape(-1, n ** rank).max(axis=1))  # each row's own
+        if not np.isfinite(scale).all():
+            raise ValueError("input array has non-finite entries")
+        for a in range(1, rank):
+            np.add(rows, rows.swapaxes(a, a + 1), out=t)
+            if np.any(np.abs(t, out=t).reshape(-1, n ** rank).max(axis=1) > 1e-12 * scale):
+                raise ValueError("input array is not antisymmetric")
     x = levi_civita(n).reshape(n, -1) @ rows.reshape(-1, n ** rank, 1)  # per-point bytes
     return x.reshape(f.shape[:f.ndim - rank] + (n,)) / math.factorial(rank)
 

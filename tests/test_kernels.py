@@ -198,6 +198,53 @@ def test_no_handler_guards_only_additions_and_products(monkeypatch):
         assert "try:" not in sources[-1]
 
 
+def _captured_sources(monkeypatch) -> list:
+    sources = []
+    monkeypatch.setattr(expr, "compile", lambda source, *args: sources.append(source)
+                        or compile(source, *args), raising=False)
+    return sources
+
+
+def test_order_1_kernels_hold_no_unread_local(monkeypatch):
+    # a second-derivative factor is built only where a Hessian reads it
+    sources = _captured_sources(monkeypatch)
+    for spec in [geometry.taub_nut(1.0), geometry.const_curvature3(1.0),
+                 geometry.const_curvature3(-4.0), geometry.const_curvature3_spherical(1.0)]:
+        for e in geometry._component_table(spec, 1)[0]:
+            expr._compile.__wrapped__(e.nvars, ((e.root, 1),))
+        if spec.inverse:  # the fused geodesic kernels, exact and sparse
+            expr._compile.cache_clear()
+            GeodesicHamiltonian(spec)._fused
+    assert len(sources) >= 17  # 11 component kernels and 3 exact and sparse pairs
+    for source in sources:
+        tree = ast.parse(source)
+        assigned = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                    for t in node.targets if isinstance(t, ast.Name) and t.id[0] == "t"}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        assert assigned <= read, source
+
+
+def test_guard_kernel_has_no_unit_factor_and_no_division_handler(monkeypatch):
+    sources = _captured_sources(monkeypatch)
+    guard = geometry.const_curvature3(1.0).guards[0]
+    columns = expr._compile.__wrapped__(3, ((guard.root, 0),), True)
+    kernel = expr._compile.__wrapped__(3, ((guard.root, 0),))
+    for source in sources:
+        assert "(1.0) *" not in source and "ZeroDivisionError" not in source, source
+        assert source.count("try:") == 1  # abs's domain check, which adds where it failed
+    pts = geometry.sample_points(geometry.const_curvature3(1.0), 200, np.random.default_rng(3))
+    edges = [0.0, -0.0, 5e-324, -1e-300, 1e150, -1e200, 1e300, math.inf, -math.inf, math.nan]
+    pts = np.vstack([pts, list(itertools.product(edges, repeat=3))])
+    # the guard as the kernel computed it with its factor 1.0 and division by 4.0
+    want = np.array([abs(1.0 + 1.0 * (x * x + y * y + z * z) / 4.0) for x, y, z in pts.tolist()])
+    got = np.array([kernel(pt) for pt in pts.tolist()])
+    assert got.tobytes() == want.tobytes()
+    finite = np.isfinite(pts).all(axis=1)
+    with np.errstate(over="ignore"):
+        assert columns(pts[finite].T)[0].tobytes() == want[finite].tobytes()
+
+
 _SPARSE_SPECS = [geometry.taub_nut(m, fs) for m in (0.3, 1.0, 2.5) for fs in (1.0, 2.0, 4.0)]
 _SPARSE_SPECS += [geometry.const_curvature3(K) for K in (1.0, -1.0, -4.0)]
 _SPARSE_EDGES = st.sampled_from([0.0, -0.0, 1e150, -1e150, 1e-300, -1e-300])

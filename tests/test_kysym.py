@@ -105,6 +105,69 @@ def test_batched_reconstruction_checks_each_row_against_its_own_scale():
             kysym.reconstruct_position(np.zeros(shape))
 
 
+def reconstruct_tolerance_reference(f):
+    """The tolerance-only reconstruction that now runs only where the exact
+    scatter test fails."""
+    n = f.shape[-1] if f.ndim else 0
+    rank = n - 1
+    if rank < 1 or f.shape[f.ndim - rank:] != (n,) * rank:
+        raise ValueError("expected a rank-(n-1) array over an n-dimensional chart")
+    rows = f.reshape((-1,) + (n,) * rank)
+    t = np.abs(rows)
+    scale = np.maximum(1.0, t.reshape(-1, n ** rank).max(axis=1))
+    for a in range(1, rank):
+        np.add(rows, rows.swapaxes(a, a + 1), out=t)
+        if np.any(np.abs(t, out=t).reshape(-1, n ** rank).max(axis=1) > 1e-12 * scale):
+            raise ValueError("input array is not antisymmetric")
+    x = levi_civita(n).reshape(n, -1) @ rows.reshape(-1, n ** rank, 1)
+    return x.reshape(f.shape[:f.ndim - rank] + (n,)) / math.factorial(rank)
+
+
+def _outcome(fn, f):
+    try:
+        x = fn(f)
+    except ValueError as e:
+        return str(e)
+    return x.shape, x.tobytes()
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from(range(2, 7)), lead=st.sampled_from([(), (1,), (5,), (1, 3)]),
+       scale=st.sampled_from([1.0, 5e-324, 1e-310, 1e300, 0.0]),
+       change=st.sampled_from(["none", "perturb", "zeros", "shuffle"]),
+       factor=st.sampled_from([0.5, 0.999, 1.001, 2.0]), seed=st.integers(0, 2 ** 16))
+def test_reconstruction_gives_the_tolerance_reference_verdict_and_bytes(
+        n, lead, scale, change, factor, seed):
+    rng = np.random.default_rng(seed)
+    # integer multiples keep the subnormal and zero scales exact
+    X = (rng.integers(-50, 51, lead + (n,)) if scale < 1e-300 else
+         rng.uniform(-1.0, 1.0, lead + (n,))) * scale
+    f = kysym.flat_ky_pair(n, X, X)[0]
+    rows = f.reshape(-1, n ** (n - 1))  # a view: changes land in f
+    r, e = rng.integers(len(rows)), rng.integers(n ** (n - 1))
+    tol = 1e-12 * max(1.0, np.abs(rows[r]).max())  # the row's own scale
+    if change == "perturb":  # just inside or just beyond the tolerance
+        rows[r, e] += tol * factor * rng.choice([-1, 1])
+    elif change == "zeros":  # signed zeros anywhere a zero is
+        rows[(rows == 0) & (rng.random(rows.shape) < 0.5)] = -0.0
+    elif change == "shuffle":
+        rows[r] = rng.permutation(rows[r])
+    assert _outcome(kysym.reconstruct_position, f) == _outcome(reconstruct_tolerance_reference, f)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_reconstruction_rejects_non_finite_entries(bad):
+    f = kysym.flat_ky_pair(3, [1.0, 2.0, 3.0], np.zeros(3))[0]
+    one, pair, filled = f.copy(), f.copy(), np.full((3, 3), bad)
+    one[0, 1], one[0, 2] = bad, 5.0
+    pair[0, 1], pair[1, 0] = bad, -bad  # antisymmetric, but not finite
+    batch = kysym.flat_ky_pair(4, np.ones((5, 4)), np.ones((5, 4)))[0]
+    batch[2, 0, 1, 3] = bad
+    for g in (one, pair, filled, batch, batch[None], np.array([1.0, bad])):
+        with pytest.raises(ValueError, match="input array has non-finite entries"):
+            kysym.reconstruct_position(g)
+
+
 def flat_ky_section_reference(rng, samples):
     """The per-sample section that the batched section replaced, with per-point
     reconstruction and per-point KY residuals."""
