@@ -354,16 +354,25 @@ _COLUMNS = {**_GLOBALS, "float": _per_point, "pow_": _per_point, "np": np,
                for k, f in _MATH.items()}}
 
 
-def _kernel(expr: Expression, order: int, columns: bool = False, jets: bool = False) -> Callable:
-    """The compiled function of ``expr`` at jet ``order``, built once: order
-    0 maps ``nvars`` floats (with ``jets``, floats or jets) to a scalar,
-    orders 1 and 2 map ``nvars`` floats to (value, *gradient, *row-major
-    Hessian); with ``columns``, ``nvars`` columns of floats to a tuple of
-    those outputs."""
+class Fused(tuple):
+    """Expressions over the same slots, whose kernel at each jet order runs them in
+    turn and a shared operation once; like an expression's, built once, on first use."""
+
+    _kernels = functools.cached_property(lambda self: {})
+
+
+def _kernel(expr, order: int, columns: bool = False, jets: bool = False) -> Callable:
+    """The compiled function of ``expr``, an expression or a Fused, at jet order
+    ``order``, built once: order 0 maps ``nvars`` floats (with ``jets``, floats or
+    jets) to a scalar, orders 1 and 2 map ``nvars`` floats to (value, *gradient,
+    *row-major Hessian), a Fused to a tuple of each expression's outputs unless
+    just one; with ``columns``, ``nvars`` columns of floats to a tuple of them."""
     key = (order, columns, jets)
     fn = expr._kernels.get(key)
     if fn is None:
-        fn = expr._kernels[key] = _compile(expr.nvars, ((expr.root, order),), columns, jets)
+        exprs = expr if isinstance(expr, Fused) else (expr,)
+        fn = expr._kernels[key] = _compile(exprs[0].nvars, tuple(
+            (e.root, order) for e in exprs), columns, jets) if exprs else lambda s: ()
     return fn
 
 
@@ -391,24 +400,27 @@ def _compile(nvars: int, parts: tuple, columns: bool = False, jets: bool = False
     return namespace["kernel"]
 
 
-def eval_columns(expr: Expression, columns, order: int = 0) -> np.ndarray:
-    """``expr`` at N points, one ``(N,)`` column per slot, bytewise the per-point
-    kernel's: the (N,) values at order 0, else the (width, N) outputs of order
-    1 or 2.  Where a column is not finite, or the columns raise or overflow,
-    each row runs per point, so the first failing row raises; so do fewer
-    than ``_COLUMN_ROWS`` rows, where the per-point kernel is faster."""
+def eval_columns(exprs: "Expression | tuple", columns, order: int = 0) -> np.ndarray:
+    """``exprs``, an expression or a tuple of them run by one kernel, at N points, one
+    ``(N,)`` column per slot, bytewise per point: the stacked (width, N) outputs of each
+    expression's value or jet at ``order``, for one expression at order 0 its (N,) values.
+    Where a column is not finite, or the columns raise or overflow, each row runs per point,
+    so the first failing row raises; so do fewer than ``_COLUMN_ROWS`` rows, faster so."""
+    exprs = Fused(exprs) if type(exprs) is tuple else exprs
+    fused = isinstance(exprs, Fused)
     if not 0 < len(columns[0]) < _COLUMN_ROWS and np.isfinite(columns).all():
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                outs = _kernel(expr, order, columns=True)(columns)
+                outs = _kernel(exprs, order, columns=True)(columns)
             rows = np.empty((len(outs), len(columns[0])))
             for row, out in zip(rows, outs):
                 row[...] = out
-            return rows if order else rows[0]
+            return rows if order or fused else rows[0]
         except (ArithmeticError, ValueError, SingularEvaluation):
             pass
-    kernel = _kernel(expr, order)
-    return np.array([kernel(row) for row in zip(*(c.tolist() for c in columns))], float).T
+    kernel = _kernel(exprs, order)
+    rows = np.array([kernel(row) for row in zip(*(c.tolist() for c in columns))], float).T
+    return rows[None] if fused and rows.ndim == 1 else rows
 
 
 class _Emitter:
@@ -511,7 +523,8 @@ class _Emitter:
             if isinstance(b, tuple):  # a * (1/b), a float times the jet 1/b
                 r = self.recip(b)
                 return self.jmul(a, r) if isinstance(a, tuple) else self.jscale(r, a)
-            self.check("{} == 0", b, "division by zero")
+            if isinstance(b, str):  # dividing by a constant 0 raises by itself
+                self.check("{} == 0", b, "division by zero")
             return self.jscale(a, self.div(1.0, b))
         if op == "-":  # a + (-b)
             op, b = "+", self.jmap(self.neg, b) if isinstance(b, tuple) else self.neg(b)

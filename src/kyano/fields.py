@@ -119,14 +119,24 @@ class AntisymTensorField:
             raise ValueError(f"expected a point of dimension {self.dim}")
         return pts.reshape(-1, self.dim), pts.ndim == 1
 
+    @cached_property
+    def _split(self):
+        """The expression components as one ``expr.Fused``, their positions among
+        the stored components, and the other (position, component) pairs."""
+        items = list(enumerate(self._comps.values()))
+        at = [k for k, c in items if isinstance(c, Expression)]
+        return exprmod.Fused(items[k][1] for k in at), at, [i for i in items if i[0] not in at]
+
     def values_at(self, point: Sequence[float]) -> np.ndarray:
         """Full component array at ``point``, or at each row of an (N, dim)
-        array (expressions over columns); exactly antisymmetric."""
+        array (expressions in one call over columns); exactly antisymmetric."""
         X, one = self._rows(point)
-        vals = [exprmod.eval_columns(c, X.T) if isinstance(c, Expression) else
-                [value_of(c(row)) if callable(c) else float(c) for row in X.tolist()]
-                for c in self._comps.values()]
-        out = self._scatter(np.array(vals, dtype=float).reshape(-1, len(X)).T)
+        exprs, at, others = self._split
+        vals = np.empty((len(self._comps), len(X)))
+        vals[at] = exprmod.eval_columns(exprs, X.T)
+        for k, c in others:
+            vals[k] = [value_of(c(row)) if callable(c) else float(c) for row in X.tolist()]
+        out = self._scatter(vals.T)
         return out[0] if one else out
 
     def jacobian_at(self, point: Sequence[float]) -> np.ndarray:
@@ -138,14 +148,15 @@ class AntisymTensorField:
 
     def _gradients(self, X: np.ndarray) -> np.ndarray:
         """``G[row, a, c] = d_a`` of stored component c at each row of an (N, dim)
-        array: expression components from their order-1 column kernels, the
-        others from one jet evaluation per row."""
-        n = self.dim
-        grads = [exprmod.eval_columns(c, X.T, 1)[1:] if isinstance(c, Expression) else
-                 np.array([Jet.lift(c(Jet.seeds(x, 1)) if callable(c) else float(c), n, 1)
-                           .gradient for x in X]).T
-                 for c in self._comps.values()]
-        return np.array(grads, dtype=float).reshape(-1, n, len(X)).T
+        array: expression components from one order-1 kernel, the others from one
+        jet evaluation per row."""
+        n, (exprs, at, others) = self.dim, self._split
+        grads = np.empty((len(self._comps), n, len(X)))
+        grads[at] = exprmod.eval_columns(exprs, X.T, 1).reshape(len(at), 1 + n, len(X))[:, 1:]
+        for k, c in others:
+            grads[k] = np.array([Jet.lift(c(Jet.seeds(x, 1)) if callable(c) else float(c), n, 1)
+                                 .gradient for x in X]).T
+        return grads.T
 
     @cached_property
     def _ky_pairs(self):

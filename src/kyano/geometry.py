@@ -26,6 +26,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
+try:  # the C function np.einsum calls, without its Python-level argument handling
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy < 2
+    _einsum = np.einsum
 
 from . import expr as exprmod
 from .errors import DomainError, KyanoError, SingularEvaluation, SingularMetric
@@ -235,8 +239,8 @@ def _check_guards(spec: MetricSpec, coords, margin: float = DOMAIN_MARGIN):
 
 
 def _component_table(spec: MetricSpec, order: int):
-    """The distinct component kernels of ``spec`` at ``order``, their output width and
-    the indices that gather g, dg and d2g from their outputs followed by 1.0, 0.0."""
+    """The distinct components of ``spec`` as one ``expr.Fused``, its kernel at ``order``,
+    their output width and the indices that gather g, dg and d2g from its outputs and 1, 0."""
     table = spec._tables.get(order)
     if table is None:
         n = spec.dim
@@ -252,22 +256,16 @@ def _component_table(spec: MetricSpec, order: int):
                     start[i, j] = exprs.setdefault(id(e), (len(exprs) * width, e))[0]
         offsets = [1 + np.arange(n)[:, None, None], 1 + n + np.arange(n * n).reshape(n, n, 1, 1)]
         gather = [start] + [np.where(start < 0, -1, start + off) for off in offsets[:order]]
-        exprs = tuple(e for _, e in exprs.values())
-        kernels = tuple(exprmod._kernel(e, order) for e in exprs)
-        table = spec._tables[order] = (exprs, kernels, width, gather)
+        exprs = exprmod.Fused(e for _, e in exprs.values())
+        table = spec._tables[order] = (exprs, exprmod._kernel(exprs, order), width, gather)
     return table
 
 
-def _point_values(spec: MetricSpec, kernels, width: int, coords: list) -> list:
-    """The checked outputs of ``kernels`` at a point's floats, and 1.0, 0.0."""
+def _point_values(spec: MetricSpec, exprs, kernel, width: int, coords: list) -> list:
+    """The checked outputs of the components' ``kernel`` at a point's floats, and 1.0, 0.0."""
     _check_guards(spec, coords)
-    if width == 1:
-        values = [k(coords) for k in kernels]
-    else:
-        values = []
-        for k in kernels:
-            values += k(coords)
-    # every kernel's first output is an entry of g
+    values = [kernel(coords)] if width == len(exprs) == 1 else list(kernel(coords))
+    # every component's first output is an entry of g
     if not all(map(math.isfinite, values[::width])):
         raise SingularMetric("metric evaluated to non-finite components")
     values += 1.0, 0.0
@@ -276,25 +274,24 @@ def _point_values(spec: MetricSpec, kernels, width: int, coords: list) -> list:
 
 def _metric(spec: MetricSpec, X, order: int = 0, inverse: bool = False) -> list:
     """``[g, dg, d2g][:order + 1]``, and with ``inverse`` then ``g^-1``, at a point
-    (dim,) or at each row of a block (N, dim): the kernels run per point, or over
-    columns from ``expr._COLUMN_ROWS`` rows on.  A block that raises reruns its
-    rows one at a time, so the first failing row raises its own error."""
+    (dim,) or at each row of a block (N, dim): the components' one kernel runs per
+    point, or over columns from ``expr._COLUMN_ROWS`` rows on.  A block that raises
+    reruns its rows one at a time, so the first failing row raises its own error."""
     X = np.asarray(X, dtype=float)
     if X.shape[-1:] != (spec.dim,) or X.ndim > 2:
         raise ValueError(f"expected a point of dimension {spec.dim}, got shape {X.shape}")
-    exprs, kernels, width, gather = _component_table(spec, order)
+    exprs, kernel, width, gather = _component_table(spec, order)
     try:
         if X.ndim == 1:
-            flat = np.array(_point_values(spec, kernels, width, X.tolist()), float)
+            flat = np.array(_point_values(spec, exprs, kernel, width, X.tolist()), float)
         elif 0 < len(X) < exprmod._COLUMN_ROWS:
-            flat = np.array([_point_values(spec, kernels, width, x) for x in X.tolist()], float)
+            flat = np.array([_point_values(spec, exprs, kernel, width, x) for x in X.tolist()], float)
         else:
-            cols = _check_guards(spec, X.T)
-            blocks = [exprmod.eval_columns(e, cols, order).reshape(width, len(X)) for e in exprs]
-            # every block's first row is an entry of g
-            if not all(np.isfinite(b[0]).all() for b in blocks):
+            rows = exprmod.eval_columns(exprs, _check_guards(spec, X.T), order)
+            # every component's first row is an entry of g
+            if not np.isfinite(rows[::width]).all():
                 raise SingularMetric("metric evaluated to non-finite components")
-            flat = np.concatenate([*blocks, np.ones((1, len(X))), np.zeros((1, len(X)))]).T
+            flat = np.concatenate([rows, np.ones((1, len(X))), np.zeros((1, len(X)))]).T
         out = [flat[idx] if X.ndim == 1 else flat[:, idx] for idx in gather]
         if inverse:
             out.append(_invert(out[0]))
@@ -359,7 +356,7 @@ def _christoffel(ginv: np.ndarray, dg: np.ndarray):
     d_m g_sn + d_n g_sm - d_s g_mn`` it contracts, for any leading batch axes."""
     dgs = dg.swapaxes(-3, -2)  # dgs[s, m, n] = d_m g_sn
     A = dgs + dgs.swapaxes(-2, -1) - dg
-    return 0.5 * np.einsum("...ls,...smn->...lmn", ginv, A), A
+    return 0.5 * _einsum("...ls,...smn->...lmn", ginv, A), A
 
 
 def christoffel_at(spec: MetricSpec, point) -> np.ndarray:
@@ -372,12 +369,12 @@ def christoffel_and_partial(spec: MetricSpec, point):
     """Christoffels, their coordinate partials ``dGamma[..., a, l, m, n]`` and the
     inverse metric they are built from, all from one order-2 metric jet."""
     _, dg, d2g, ginv = _metric(spec, point, 2, inverse=True)
-    dginv = -np.einsum("...li,...aij,...js->...als", ginv, dg, ginv)
+    dginv = -_einsum("...li,...aij,...js->...als", ginv, dg, ginv)
     gamma, A = _christoffel(ginv, dg)
     dA = d2g.swapaxes(-3, -2) + d2g.swapaxes(-3, -2).swapaxes(-2, -1) - d2g  # d_a of A
     dgamma = 0.5 * (
-        np.einsum("...als,...smn->...almn", dginv, A)
-        + np.einsum("...ls,...asmn->...almn", ginv, dA)
+        _einsum("...als,...smn->...almn", dginv, A)
+        + _einsum("...ls,...asmn->...almn", ginv, dA)
     )
     return gamma, dgamma, ginv
 
@@ -387,10 +384,10 @@ def curvature_at(spec: MetricSpec, point) -> CurvatureValue:
     gamma, dgamma, ginv = christoffel_and_partial(spec, point)
     lead = tuple(range(ginv.ndim - 2))  # the row axis of a block
     term1 = dgamma.transpose(*lead, -3, -1, -4, -2)  # term1[r, s, m, n] = d_m Gamma^r_ns
-    term3 = np.einsum("...rml,...lns->...rsmn", gamma, gamma)
+    term3 = _einsum("...rml,...lns->...rsmn", gamma, gamma)
     riemann = term1 - term1.swapaxes(-2, -1) + term3 - term3.swapaxes(-2, -1)
-    ricci = np.einsum("...rsrn->...sn", riemann)
-    scalar = np.einsum("...sn,...sn->...", ginv, ricci)
+    ricci = _einsum("...rsrn->...sn", riemann)
+    scalar = _einsum("...sn,...sn->...", ginv, ricci)
     return CurvatureValue(riemann=riemann, ricci=ricci, scalar=scalar if lead else float(scalar))
 
 

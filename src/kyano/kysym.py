@@ -40,10 +40,8 @@ def flat_ky_pair(n: int, x: Sequence[float], p: Sequence[float]):
     p = np.asarray(p, dtype=float)
     if x.shape[-1:] != (n,) or p.shape != x.shape:
         raise ValueError(f"x and p must have shape (..., {n})")
-    eps = levi_civita(n)
-    f = np.tensordot(x, eps, axes=(-1, 0))
-    ft = np.tensordot(p, eps, axes=(-1, 0))
-    return f, ft
+    eps, shape = levi_civita(n).reshape(n, -1), x.shape[:-1] + (n,) * (n - 1)
+    return (x @ eps).reshape(shape), (p @ eps).reshape(shape)
 
 
 @functools.lru_cache(maxsize=8)

@@ -17,6 +17,7 @@ from kyano.dynamics import GeodesicHamiltonian
 from kyano.dual import Jet, value_of
 from kyano.errors import SingularEvaluation
 from kyano.expr import FUNCTIONS, Call, Neg, Num, Var, _literal_int
+from kyano.fields import AntisymTensorField
 
 
 def _ref_eval(node, scalars):
@@ -555,3 +556,197 @@ def test_column_jets_of_rows_that_pass_or_hold_inf_match_per_point(order):
         cols = _tall(cols)
         want = _outcome(_per_point_rows, e, cols.T.tolist(), order)
         assert _outcome(expr.eval_columns, e, cols, order) == want, (src, order)
+
+
+# -- one fused kernel per metric and per field -----------------------------------
+
+
+_CUSTOM = geometry.custom([
+    ["5 + sin(x1*x2)*exp(x3)/(3 + x1 + x2*x3)", "(x1 + x2*x3)*(x2 + x1*x3)/9", "0"],
+    ["0", "3 + cos(x2*x3)", "x1/(4 + x2^2)"],
+    ["0", "0", "4 + x3^2*x1*x2"],
+])
+
+
+def _fused_cases():
+    """(Fused, points) for each catalog metric's distinct components and its closed-form
+    inverse, and each catalog field's expression components, at points sampled from
+    its chart."""
+    from kyano import kysym
+
+    taubnut, spherical = geometry.taub_nut(1.0, 2.0), geometry.const_curvature3_spherical(1.0)
+    specs = [taubnut, geometry.taub_nut(1.0, 4.0), geometry.const_curvature3(-4.0),
+             geometry.const_curvature3(1.0), spherical, _CUSTOM]
+    fields = [(taubnut, kysym.taubnut_ky_field(i, 1.0)) for i in (1, 2, 3)]
+    fields += [(geometry.flat(n), kysym.flat_ky_position_field(n)) for n in (3, 4, 5, 6)]
+    fields += [(spherical, kysym.constcurv_ky_field(i, 1.0, momentum=m))
+               for i in (1, 2, 3) for m in (False, True)]
+    out = []
+    for spec in specs:
+        pts = geometry.sample_points(spec, 300, np.random.default_rng(21))
+        out.append((geometry._component_table(spec, 0)[0], pts))
+        if spec.inverse:
+            out.append((expr.Fused(e for i, row in enumerate(spec.inverse)
+                                   for e in row[i:] if e is not None), pts))
+    for spec, field in fields:
+        out.append((field._split[0], geometry.sample_points(spec, 300, np.random.default_rng(22))))
+    return out
+
+
+def _per_component(exprs, points, order):
+    """Each point's outputs of the expressions one kernel at a time, in turn: the
+    first failing expression of the first failing point raises."""
+    kernels = [expr._kernel(e, order) for e in exprs]
+    rows = [[v for k in kernels for v in np.atleast_1d(k(pt))] for pt in points]
+    return np.array(rows, float).reshape(len(points), -1).T
+
+
+def test_fused_kernels_equal_the_per_component_kernels_bitwise():
+    cases = _fused_cases()
+    assert len(cases) == 6 + 4 + 3 + 4 + 6 and all(len(fused) > 0 for fused, _ in cases)
+    for fused, pts in cases:
+        for order, n in itertools.product((0, 1, 2), (1, 31, 32, 300)):
+            want = _per_component(fused, pts[:n].tolist(), order)
+            got = expr.eval_columns(fused, pts[:n].T, order)
+            assert got.tobytes() == want.tobytes(), (fused, order, n)
+            per_point = expr._kernel(fused, order)
+            got = np.array([np.atleast_1d(per_point(pt)) for pt in pts[:n].tolist()]).T
+            assert got.tobytes() == want.tobytes(), (fused, order, n)
+            # one expression is the one-part case, its order-0 values a row
+            part = expr.eval_columns(fused[:1], pts[:n].T, order)
+            assert part.tobytes() == want[:len(part)].tobytes()
+
+
+def _spliced(pts, bad, at):
+    """``pts`` with the rows ``bad`` written over the rows ``at``."""
+    pts = pts.copy()
+    pts[at] = bad
+    return pts
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_fused_kernels_raise_the_first_failing_rows_error(order):
+    from kyano import kysym
+
+    spec = geometry.taub_nut(1.0)
+    pts = geometry.sample_points(spec, 300, np.random.default_rng(23))
+    inverse = expr.Fused(e for i, row in enumerate(spec.inverse) for e in row[i:] if e is not None)
+    # x1 = 0 and V = 1 + 2/x1 = 0 divide by zero in g and the triplet, sin(x2) = 0 in g^-1
+    bad = np.array([[0.0, 1.0, 0.5, 0.5], [-2.0, 1.0, 0.5, 0.5], [1.5, 0.0, 0.5, 0.5],
+                    [1.5, math.pi, 0.5, 0.5], [-0.0, 0.0, 0.0, 0.0]])
+    messages = set()
+    for fused in (geometry._component_table(spec, order)[0], inverse,
+                  kysym.taubnut_ky_field(1, 1.0)._split[0]):
+        for row in bad.tolist():
+            want = _outcome(_per_component, fused, [row], order)
+            assert _outcome(expr._kernel(fused, order), row) == want
+            assert _outcome(expr.eval_columns, fused, np.array([row]).T, order) == want
+            messages.add(want[-1] if want[0] == "raises" else "ok")
+        for n, at in ((31, [3, 17]), (32, [3, 17]), (32, [31, 0]), (300, [299, 40])):
+            for pair in itertools.permutations(range(len(bad)), 2):
+                block = _spliced(pts[:n], bad[list(pair)], at)
+                want = _outcome(_per_component, fused, block.tolist(), order)
+                assert _outcome(expr.eval_columns, fused, block.T, order) == want
+    assert "ok" in messages and len([m for m in messages if "division by zero" in m]) >= 3
+
+
+_EVAL_COLUMNS = expr.eval_columns
+
+
+def test_fields_evaluate_their_expressions_in_one_call_and_the_rest_per_row(monkeypatch):
+    # a callable, a constant and expression components, against the per-component evaluation
+    field = AntisymTensorField(4, 2, {
+        "12": "x1*sin(x2)", "13": lambda s: s[0] * s[2] + s[3], "14": 2.5,
+        "23": "x2^2 / x1 - cos(x2)", "34": "sin(x2)*x4"})
+    comps = [c for _, c in field.component_items()]
+    calls = []
+    monkeypatch.setattr(expr, "eval_columns", lambda *a: calls.append(a) or _EVAL_COLUMNS(*a))
+    pts = np.random.default_rng(24).uniform(0.5, 2.0, (300, 4))
+    for n in (1, 31, 32, 300):
+        X = pts[:n]
+        vals = np.array([_EVAL_COLUMNS(c, X.T) if isinstance(c, expr.Expression) else
+                         [value_of(c(x)) if callable(c) else float(c) for x in X.tolist()]
+                         for c in comps]).reshape(-1, n).T
+        grads = np.array([_EVAL_COLUMNS(c, X.T, 1)[1:] if isinstance(c, expr.Expression) else
+                          np.array([Jet.lift(c(Jet.seeds(x, 1)) if callable(c) else float(c),
+                                             4, 1).gradient for x in X]).T
+                          for c in comps]).reshape(-1, 4, n).T
+        calls.clear()
+        assert field.values_at(X).tobytes() == field._scatter(vals).tobytes()
+        assert field.jacobian_at(X).tobytes() == field._scatter(grads).tobytes()
+        assert len(calls) == 2 and all(isinstance(a[0], expr.Fused) for a in calls)
+    assert field.values_at(pts[0]).tobytes() == field.values_at(pts[:1])[0].tobytes()
+    with pytest.raises(SingularEvaluation, match="division by zero in '/' at offset 5"):
+        field.values_at(_spliced(pts, [0.0, 1.0, 1.0, 1.0], [7]))
+
+
+def test_division_by_a_nonzero_constant_has_no_zero_check(monkeypatch):
+    sources = _captured_sources(monkeypatch)
+    from kyano import kysym
+
+    specs = [geometry.taub_nut(1.0, fs) for fs in (2.0, 4.0)]
+    specs += [geometry.const_curvature3(K) for K in (-4.0, 1.0)]
+    specs += [geometry.const_curvature3_spherical(1.0), _CUSTOM]
+    expr._compile.cache_clear()
+    for spec in specs:
+        for order, columns in itertools.product((0, 1, 2), (False, True)):
+            fused = geometry._component_table(spec, order)[0]
+            expr._compile.__wrapped__(fused[0].nvars, tuple((e.root, order) for e in fused),
+                                      columns)
+        if spec.inverse:  # the fused geodesic kernels, exact and sparse
+            GeodesicHamiltonian(spec)._fused
+    for field in [kysym.taubnut_ky_field(1, 1.0), kysym.constcurv_ky_field(1, 1.0)]:
+        fused = field._split[0]
+        for order, columns in itertools.product((0, 1, 2), (False, True)):
+            expr._compile.__wrapped__(fused[0].nvars, tuple((e.root, order) for e in fused),
+                                      columns)
+    assert len(sources) >= 6 * 6 + 2 * 2 + 2 * 6
+    checks = 0
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.Eq):
+                checks += 1
+                with pytest.raises(ValueError):  # the compared operand is no literal
+                    ast.literal_eval(node.left)
+    assert checks > 0
+
+
+@pytest.mark.parametrize("src", ["x1 / 0", "x1 / (1 - 1)", "x1 / -0.0", "x1 / (0 * x1)"])
+def test_a_jet_divided_by_zero_still_raises(src):
+    e = expr.parse_expression(src, 1)
+    want = _outcome(_ref_jet, e, [2.0], 1)
+    assert want[0] == "raises" and "division by zero" in want[2]
+    for order in (1, 2):
+        assert _outcome(_ref_jet, e, [2.0], order) == _outcome(expr._jet, e, [2.0], order)
+        cols = np.full((1, expr._COLUMN_ROWS), 2.0)
+        assert _outcome(expr.eval_columns, e, cols, order)[2] == want[2]
+
+
+def test_second_curved_task_compiles_no_kernel(monkeypatch):
+    from kyano import kysym
+
+    taubnut, hyperbolic = geometry.taub_nut(1.0), geometry.const_curvature3(-4.0)
+    triplet = kysym.taubnut_ky_field(1, 1.0)
+    position = kysym.flat_ky_position_field(3)
+
+    def task(rng):
+        tn = geometry.sample_points(taubnut, 100, rng)
+        hy = geometry.sample_points(hyperbolic, 100, rng)
+        kysym.verify_field(taubnut, triplet, tn)
+        kysym.verify_field(hyperbolic, position, hy)
+        geometry.curvature_at(taubnut, tn[0])
+        geometry.curvature_at(hyperbolic, hy[0])
+
+    task(np.random.default_rng(1))
+    compiled, looked_up = [], []
+
+    class CountingEmitter(expr._Emitter):
+        def __init__(self, *args):
+            compiled.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(expr, "_Emitter", CountingEmitter)
+    # the kernels are held by their metric and field, not looked up by their roots
+    monkeypatch.setattr(expr, "_compile", lambda *a: looked_up.append(a))
+    task(np.random.default_rng(2))
+    assert compiled == [] and looked_up == []

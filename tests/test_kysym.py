@@ -38,6 +38,24 @@ def test_flat_pair_n4_pattern():
     assert np.array_equal(f, levi_civita(4)[0])
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_flat_pair_has_the_tensordot_bytes(n):
+    # the matrix product over the flattened symbol against the contraction it replaces
+    rng = np.random.default_rng(n)
+    edges = [0.0, -0.0, 5e-324, -1e-310, 1e300, -1e300, math.inf, -math.inf, math.nan]
+    eps = levi_civita(n)
+    for shape in [(), (1,), (4,), (31,), (1000,), (2, 3)]:
+        x = rng.normal(size=shape + (n,)) * 10.0 ** rng.integers(-300, 300, shape + (n,))
+        p = np.where(rng.random(x.shape) < 0.3, rng.choice(edges, x.shape), -x)
+        for a, b in ((x, p), (np.where(x < 0, -0.0, x), -abs(x))):
+            with np.errstate(invalid="ignore"):  # inf times the symbol's zeros
+                got = kysym.flat_ky_pair(n, a, b)
+                want = np.tensordot(a, eps, axes=(-1, 0)), np.tensordot(b, eps, axes=(-1, 0))
+            for g, w in zip(got, want):
+                assert g.shape == w.shape == shape + (n,) * (n - 1)
+                assert g.tobytes() == w.tobytes(), (n, shape)
+
+
 def test_flat_pair_dimension_mismatch():
     with pytest.raises(ValueError):
         kysym.flat_ky_pair(3, (1.0, 0.0), (0.0, 0.0, 0.0))
