@@ -5,9 +5,10 @@ Integration is classic fourth-order Runge-Kutta with a fixed step on a
 list of Python floats, each stage in numpy's operation order.  The
 right-hand side is the jet of H where g^-1 has a closed form, from one
 float kernel that also gives the guard values, else of the metric with
-g^-1 numeric; never finite differences.  With the closed form a generated step runs four
-calls of the kernel's sparse twin under accept tests that imply the exact results (a finite
-state sum, the guards, sum|g| sum|g^-1| < bound, a finite witness), else replays per stage.
+g^-1 numeric; never finite differences.  With the closed form a generated run loops over the
+steps, each stage the kernel's sparse twin inlined under accept tests that imply the exact
+results (a finite state sum, the guards, sum|g| sum|g^-1| < bound, a finite witness); a step
+it declines is replayed per stage.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
@@ -132,8 +135,8 @@ class GeodesicHamiltonian(_RowValues):
 
     @functools.cached_property
     def _fused(self):
-        """One float kernel of the guards, g's distinct entries, the closed-form g^-1
-        and H's 1-jet, its sparse twin, and the ends of those blocks in their outputs."""
+        """One float kernel of the guards, g's distinct entries, the closed-form g^-1 and H's 1-jet,
+        the run of its sparse twin, the ends of those blocks in its outputs, and its parts."""
         upper = [(i, j, e) for i, row in enumerate(self.spec.inverse)
                  for j, e in enumerate(row) if i <= j and e is not None]
         H = PhaseFunction.from_expression("0.5 * (" + " + ".join(
@@ -143,8 +146,8 @@ class GeodesicHamiltonian(_RowValues):
                   tuple(e for *_, e in upper))
         parts = tuple((e.root, 0) for b in blocks for e in b) + ((H.expr.root, 1),)
         ends = tuple(itertools.accumulate(map(len, blocks)))
-        return (exprmod._compile(2 * self.n, parts),
-                exprmod._compile(2 * self.n, parts, sparse=True), *ends)
+        return (exprmod._compile(2 * self.n, parts), _compiled_run(parts, *ends, self.n),
+                *ends, parts)
 
     def rhs(self, z: list) -> list:
         """(dx/dt, dp/dt) = (dH/dp, -dH/dx) as a list, at the list ``z`` of finite
@@ -159,7 +162,7 @@ class GeodesicHamiltonian(_RowValues):
             # d_a g^{mn} = -(ginv dg_a ginv)^{mn}
             pdot = 0.5 * np.einsum("m,amn,n->a", gip, dg, gip)
             return np.concatenate([gip, pdot]).tolist()
-        kernel, _, a, b, c = self._fused
+        kernel, _, a, b, c, _ = self._fused
         try:
             out = kernel(z)
         except Exception:
@@ -273,14 +276,14 @@ class Trajectory:
 
 
 @functools.lru_cache(maxsize=256)
-def _compiled_step(kernel: Callable, a: int, b: int, c: int, n: int) -> Callable:
-    """``step(z..., k1..., half, dt, sixth)``: one :func:`_rk4` step, each stage one call of
-    the sparse ``kernel`` (guards ``[:a]``, g ``[a:b]``, g^-1 ``[b:c]``, H's 1-jet, witness):
-    the next state and k1 as lists, or None where a stage is not accepted."""
+def _compiled_run(parts: tuple, a: int, b: int, c: int, n: int) -> Callable:
+    """``run(out, k, stop, z..., k1..., half, dt, sixth)``: :func:`_rk4`'s steps k .. stop - 1 up to
+    one not accepted, the sparse kernel of ``parts`` (guards ``[:a]``, g ``[a:b]``, g^-1 ``[b:c]``,
+    H's 1-jet, witness) inlined in each stage, states' bytes into ``out``; (k, z, k1) there."""
     # Passing the accept tests passes stage()'s and rhs()'s exact checks: a finite sum
     # of the state has finite terms; max <= sum over non-negative terms, so sum|g|
     # sum|g^-1| < bound passes max|g| max|g^-1| < bound; and a NaN or inf in either sum
-    # fails the <.  A kernel that raises is not accepted either; _rk4 replays the step.
+    # fails the <.  A stage that raises is not accepted either; _rk4 replays the step.
     # The sparse kernel skips x * 0.0 and x + 0.0 for a local x.  Where it returns a finite
     # witness, the sum of those x, each skipped product is a zero, so the exact kernel returns
     # the same outputs but for the sign of a zero: no kept operation turns that sign into a
@@ -288,30 +291,36 @@ def _compiled_step(kernel: Callable, a: int, b: int, c: int, n: int) -> Callable
     # A zero's sign moves z + c*k only where z is -0.0, so such starts run per stage.
     def row(fmt: str, sep: str = ", ") -> str:
         return sep.join(fmt.format(i=i) for i in range(2 * n))
-    o = [f"o{i}" for i in range(c + 1 + 2 * n)]
+    lines, o = exprmod._source(2 * n, parts, sparse=True)
+    for i in reversed(range(len(lines))):  # drop a +, - or * that nothing reads (H's value)
+        dead = re.fullmatch(r" *(t\d+) = (?:[\w.]+|\([\d.e+-]+\)|[ +*-])*", lines[i])
+        if dead and not re.search(rf"\b{dead[1]}\b", str(lines[i + 1:] + o[:c] + o[c + 1:])):
+            del lines[i]
     accept = " and ".join([f"{u} >= {geometry.DOMAIN_MARGIN!r}" for u in o[:a]] + [" * ".join(
         "(" + " + ".join(f"abs({e})" for e in es) + ")" for es in (o[a:b], o[b:c]))
-        + f" < {geometry.SINGULAR_BOUND / n ** 2!r}", "isfinite(witness)"])
-    dzdt = ", ".join(o[c + 1 + n:] + [f"-{v}" for v in o[c + 1:c + 1 + n]])
-    lines = [f"def step({row('z{i}')}, {row('k1_{i}')}, half, dt, sixth):", "    try:"]
-    for j, update in enumerate(["half * k1_{i}", "half * k2_{i}", "dt * k3_{i}",
-                                "sixth * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})"], 2):
-        lines += [f"        {row('y{i}')}, = {row('z{i} + ' + update)}",
-                  f"        if not isfinite({row('y{i}', ' + ')}): return None",
-                  f"        {', '.join(o)}, witness = kernel(({row('y{i}')},))",
-                  f"        if not ({accept}): return None",
-                  f"        {row(f'k{j}_{{i}}')}, = {dzdt}"]
-    lines += [f"        return [{row('y{i}')}], [{row('k5_{i}')}]", "    except Exception:",
-              "        return None  # the replay raises it, or the error it becomes, exactly"]
-    exec(compile("\n".join(lines), "<kyano rk4 step>", "exec"),
-         namespace := {"kernel": kernel, "isfinite": math.isfinite})
-    return namespace["step"]
+        + f" < {geometry.SINGULAR_BOUND / n ** 2!r}", f"isfinite({o[-1]})"])
+    dzdt = ", ".join(o[c + 1 + n:-1] + [f"-{v}" for v in o[c + 1:c + 1 + n]])
+    src = [f"def run(out, k, stop, {row('z{i}')}, {row('k1_{i}')}, half, dt, sixth):",
+           "    try:", "        while k < stop:"]
+    for j, update in zip("2341", ["half * k1_{i}", "half * k2_{i}", "dt * k3_{i}",
+                                  "sixth * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})"]):
+        src += [f"            {row('s{i}')}, = {row('z{i} + ' + update)}",
+                f"            if not isfinite({row('s{i}', ' + ')}): break",
+                *("        " + line for line in lines), f"            if not ({accept}): break",
+                f"            {row(f'k{j}_{{i}}')}, = {dzdt}"]
+    src += [f"            {row('z{i}')}, k = {row('s{i}')}, k + 1",
+            f"            out[{16 * n} * k:{16 * n} * k + {16 * n}] = pack({row('z{i}')})",
+            "    except Exception:",
+            "        pass  # the replay raises it, or the error it becomes, exactly",
+            f"    return k, [{row('z{i}')}], [{row('k1_{i}')}]"]
+    return exprmod._exec(src, {**exprmod._GLOBALS, "isfinite": math.isfinite,
+                               "pack": struct.Struct(f"{2 * n}d").pack})
 
 
-def _rk4(rhs: Callable, start: PhasePoint, dt: float, steps: int, step=None) -> Trajectory:
+def _rk4(rhs: Callable, start: PhasePoint, dt: float, steps: int, run=None) -> Trajectory:
     """Fixed-step classic RK4 from ``start``, truncated with a ``reason`` in ``meta`` where a
     state stops being finite or ``rhs`` raises at a stage; a state is retained only once ``rhs``
-    has run there.  A step that ``step`` (a :func:`_compiled_step`) declines runs per stage."""
+    has run there.  A step that ``run`` (a :func:`_compiled_run`) declines runs per stage."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
     z = start.as_vector().tolist()
@@ -323,7 +332,7 @@ def _rk4(rhs: Callable, start: PhasePoint, dt: float, steps: int, step=None) -> 
     if not (dt > 0 and math.isfinite(dt * steps)):
         raise ValueError("dt must be positive and dt * steps finite")
 
-    half, sixth = 0.5 * dt, dt / 6.0
+    half, sixth, out = 0.5 * dt, dt / 6.0, memoryview(states).cast("B")
 
     def stage(state: list) -> list:
         if not all(map(math.isfinite, state)):
@@ -338,18 +347,18 @@ def _rk4(rhs: Callable, start: PhasePoint, dt: float, steps: int, step=None) -> 
              for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
         return z, stage(z)
 
-    states[0] = z
-    done = 0
-    reason = None
+    states[0], done, reason = z, 0, None
     # the state is a list of floats, each update numpy's z + c * k in its
     # operation order; an overflow is a truncation: stage() rejects its result
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             k1 = stage(z)
-            for k in range(steps):
-                z, k1 = step and step(*z, *k1, half, dt, sixth) or per_stage(z, k1)
-                states[k + 1] = z
-                done = k + 1
+            while done < steps:
+                if run:  # up to a step that it declines
+                    done, z, k1 = run(out, done, steps, *z, *k1, half, dt, sixth)
+                if done < steps:
+                    z, k1 = per_stage(z, k1)
+                    states[done := done + 1] = z
         except (DomainError, SingularEvaluation) as e:
             reason = str(e)
     meta = {"method": "rk4", "dt": float(dt), "steps_requested": int(steps),
@@ -376,7 +385,7 @@ def geodesic_integrate(
     H, z = GeodesicHamiltonian(spec), start.as_vector()
     # a -0.0 start component can take the other zero sign through the sparse kernel
     compiled = spec.inverse and not np.signbit(z[z == 0.0]).any()
-    return _rk4(H.rhs, start, dt, steps, compiled and _compiled_step(*H._fused[1:], spec.dim))
+    return _rk4(H.rhs, start, dt, steps, compiled and H._fused[1])
 
 
 def unified_hamilton_flow(

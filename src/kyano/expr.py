@@ -29,6 +29,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -383,7 +384,20 @@ def _compile(nvars: int, parts: tuple, columns: bool = False, jets: bool = False
     ``parts`` in turn, a tuple unless just one per point; a shared operation runs once.
     A ``sparse`` float kernel skips x * 0.0 and x + 0.0 in jets and returns last the sum
     of the skipped local factors x: where it is finite, the outputs are exact but for
-    the sign of a zero."""
+    the sign of a zero; an operation in it that fails raises its own error, unwrapped."""
+    lines, outs = _source(nvars, parts, columns, jets, sparse)
+    if columns:  # a column is freed after its last read
+        last = {t: i for i, line in enumerate(lines) for t in re.findall(r"\bt\d+\b", line)}
+        for i, t in sorted(((i, t) for t, i in last.items() if t not in outs), reverse=True):
+            lines.insert(i + 1, re.match(" *", lines[i])[0] + f"del {t}")
+    ret = ", ".join(outs) + ("," if columns or len(outs) > 1 else "")
+    args = "".join(f"s{i}, " for i in range(nvars))
+    return _exec(["def kernel(s):", f"    {args}= s", *lines, f"    return {ret}"],
+                 _COLUMNS if columns else _GLOBALS)
+
+
+def _source(nvars: int, parts: tuple, columns=False, jets=False, sparse=False) -> tuple:
+    """The statements of :func:`_compile`'s kernel over the slots ``s0 ..``, and its outputs."""
     em, outs = _Emitter(nvars, columns, jets, sparse), []
     for root, em.order in parts:
         out = em.emit(root)
@@ -392,12 +406,13 @@ def _compile(nvars: int, parts: tuple, columns: bool = False, jets: bool = False
         outs += [value, *grad, *itertools.chain(*hess or ())] if em.order else [out]
     if sparse:  # a slot is finite where the caller checks the state
         outs.append(" + ".join(x for x in em.pruned if x[0] == "t") or 0.0)
-    ret = ", ".join(map(em.src, outs)) + ("," if columns or len(outs) > 1 else "")
-    args = "".join(f"s{i}, " for i in range(nvars))
-    source = "\n".join(["def kernel(s):", f"    {args}= s", *em.lines, f"    return {ret}"])
-    namespace = dict(_COLUMNS if columns else _GLOBALS)
-    exec(compile(source, "<kyano kernel>", "exec"), namespace)
-    return namespace["kernel"]
+    return em.lines, [em.src(x) for x in outs]
+
+
+def _exec(lines: list, namespace: dict) -> Callable:
+    """The function that the source ``lines`` define, over a copy of ``namespace``."""
+    exec(compile("\n".join(lines), "<kyano kernel>", "exec"), namespace := dict(namespace))
+    return namespace[lines[0][4:lines[0].index("(")]]
 
 
 def eval_columns(exprs: "Expression | tuple", columns, order: int = 0) -> np.ndarray:
@@ -431,7 +446,7 @@ class _Emitter:
         self.pruned: dict = {}  # the factors of products a sparse jet skipped, in order
         self.lines: list[str] = []
         self.pad = "    "
-        self.memo: dict = {}
+        self.memo, self.checked = {}, set()  # the locals of operations, the conditions checked
         self.raises = False  # whether a statement since the innermost wrapped() began can raise
 
     @staticmethod
@@ -459,24 +474,27 @@ class _Emitter:
         return self.memo[key]
 
     def check(self, cond: str, x, message: str) -> None:
-        self.raises = True
+        """``if cond: raise``, once: a local is assigned once, so a repeat cannot fire."""
         cond = cond.format(self.src(x))
-        self.lines.append(f"{self.pad}if {f'np.any({cond})' if self.columns else cond}: "
-                          f"raise SingularEvaluation({message!r})")
+        if cond not in self.checked:
+            self.checked.add(cond)
+            self.raises = True
+            self.lines.append(f"{self.pad}if {f'np.any({cond})' if self.columns else cond}: "
+                              f"raise SingularEvaluation({message!r})")
 
     @contextlib.contextmanager
     def wrapped(self, where: str, zero: bool = False):
         """Statements emitted inside re-raise a SingularEvaluation with
         ``where`` appended, and with ``zero`` a ZeroDivisionError as a
-        division by zero, as the operation at ``where`` reports them; there
-        is no handler where none can raise (+, -, * and math functions)."""
+        division by zero, as the operation at ``where`` reports them; there is
+        no handler where none can raise (+, -, * and math functions), nor in a sparse kernel."""
         start, outer, self.raises = len(self.lines), self.raises, False
         self.lines.append(self.pad + "try:")
         self.pad += "    "
         yield
         self.pad = self.pad[:-4]
         raises, self.raises = self.raises, outer or self.raises
-        if not raises:
+        if not raises or self.sparse:
             self.lines[start:] = [line[4:] for line in self.lines[start + 1:]]
             return
         if zero:
@@ -668,22 +686,15 @@ class _Emitter:
 
 
 def unparse(expr: "Expression | Node") -> str:
-    """Source form that reparses to an equivalent expression.
-
-    Output is fully parenthesized, which keeps the printer independent of
-    precedence subtleties.
-    """
+    """Source form that reparses to an equivalent expression, fully parenthesized, so
+    that the printer does not depend on precedence."""
     node = expr.root if isinstance(expr, Expression) else expr
-    return _unparse(node)
-
-
-def _unparse(node: Node) -> str:
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
-        return f"(-{_unparse(node.arg)})"
+        return f"(-{unparse(node.arg)})"
     if isinstance(node, Call):
-        return f"{node.func}({_unparse(node.arg)})"
-    return f"({_unparse(node.left)} {node.op} {_unparse(node.right)})"
+        return f"{node.func}({unparse(node.arg)})"
+    return f"({unparse(node.left)} {node.op} {unparse(node.right)})"

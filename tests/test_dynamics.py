@@ -1,5 +1,6 @@
 """Brackets, geodesic integration, drift monitoring, unified flow."""
 
+import ast
 import csv
 import dataclasses
 import itertools
@@ -390,13 +391,34 @@ def test_compiled_step_truncates_where_the_reference_does_at_each_stage(stage, m
 def test_a_step_declined_every_third_time_replays_to_the_same_bytes(case):
     spec, (x0, p0), dt, _ = _DRIVER_CASES[case]
     start, H, calls = PhasePoint(x0, p0), GeodesicHamiltonian(spec), itertools.count()
-    step = dynamics._compiled_step(*H._fused[1:], spec.dim)
-    traj = dynamics._rk4(H.rhs, start, dt, 1000,
-                         lambda *a: None if next(calls) % 3 == 2 else step(*a))
+    run = H._fused[1]
+
+    def two_steps(out, k, stop, *args):  # so the driver replays every third step
+        next(calls)
+        return run(out, k, min(stop, k + 2), *args)
+
+    traj = dynamics._rk4(H.rhs, start, dt, 1000, two_steps)
     want, reason = _numpy_rk4(H.rhs, start, dt, 1000)
     assert next(calls) > 3
     assert traj.states.tobytes() == want.tobytes()
     assert traj.meta.get("reason") == reason
+
+
+def test_the_run_reenters_after_a_replayed_step_and_keeps_the_bytes():
+    spec, (x0, p0), dt, _ = _DRIVER_CASES["taub-nut"]
+    start, H, entries = PhasePoint(x0, p0), GeodesicHamiltonian(spec), []
+    run = H._fused[1]
+
+    def declines_the_first_step(out, k, stop, *args):
+        entries.append(k)
+        if len(entries) == 1:  # declined: the state and its k1 as they came
+            return k, list(args[:8]), list(args[8:16])
+        return run(out, k, stop, *args)
+
+    traj = dynamics._rk4(H.rhs, start, dt, 1001, declines_the_first_step)
+    want, reason = _numpy_rk4(H.rhs, start, dt, 1001)
+    assert entries == [0, 1]  # step 1 replayed, then 1000 compiled steps
+    assert reason is None and traj.states.tobytes() == want.tobytes()
 
 
 _CLOSED_FORM = [geometry.taub_nut(m, fs) for m in (0.7, 1.0) for fs in (2.0, 4.0)] + [
@@ -432,27 +454,45 @@ def test_a_negative_zero_start_component_runs_per_stage():
     spec, start = geometry.taub_nut(1.0), PhasePoint([1.3, 1.0, 0.4, 0.2], [0.2, -0.0, 0.0, -0.0])
     H = GeodesicHamiltonian(spec)
     want = dynamics._rk4(H.rhs, start, 0.01, 100).states
-    sparse = dynamics._rk4(H.rhs, start, 0.01, 100, dynamics._compiled_step(*H._fused[1:], 4))
+    sparse = dynamics._rk4(H.rhs, start, 0.01, 100, H._fused[1])
     assert sparse.states.tobytes() != want.tobytes()
     assert np.array_equal(sparse.states, want)
     assert geodesic_integrate(spec, start, 0.01, 100).states.tobytes() == want.tobytes()
 
 
-def test_a_stage_whose_witness_is_not_finite_is_declined():
+def test_a_stage_whose_witness_is_not_finite_is_declined(monkeypatch):
     H = GeodesicHamiltonian(geometry.taub_nut(1.0))
-    _, sparse, a, b, c = H._fused
+    _, run, a, b, c, parts = H._fused
     z = [1.3, 1.0, 0.4, 0.2, 0.2, -0.3, 0.1, 0.4]
     args = (*z, *H.rhs(z), 0.005, 0.01, 0.01 / 6.0)
-    assert dynamics._compiled_step(sparse, a, b, c, 4)(*args) is not None
+    out = memoryview(np.empty((2, 8))).cast("B")
+    assert run(out, 0, 1, *args)[0] == 1
+    lines, outs = expr._source(8, parts, sparse=True)
     for witness in (math.inf, math.nan):
-        kernel = lambda s, w=witness: (*sparse(s)[:-1], w)  # noqa: E731
-        assert dynamics._compiled_step(kernel, a, b, c, 4)(*args) is None
+        monkeypatch.setattr(expr, "_source", lambda *_, w=witness, **__: (
+            lines, outs[:-1] + [expr._Emitter.src(w)]))
+        assert dynamics._compiled_run.__wrapped__(parts, a, b, c, 4)(out, 0, 1, *args) == (
+            0, z, list(args[8:16]))
 
 
 def test_specs_of_one_metric_share_one_compiled_step():
     a, b = (GeodesicHamiltonian(geometry.resolve_manifold("taub-nut:m=1")) for _ in "ab")
     assert a.spec is not b.spec
-    assert dynamics._compiled_step(*a._fused[1:], 4) is dynamics._compiled_step(*b._fused[1:], 4)
+    assert a._fused[1] is b._fused[1]
+
+
+def test_a_run_has_one_try_its_outer_one(monkeypatch):
+    sources = []
+    monkeypatch.setattr(expr, "compile", lambda source, *args: sources.append(source)
+                        or compile(source, *args), raising=False)
+    for spec in (geometry.taub_nut(1.0), geometry.const_curvature3(1.0)):
+        *_, a, b, c, parts = GeodesicHamiltonian(spec)._fused
+        dynamics._compiled_run.__wrapped__(parts, a, b, c, spec.dim)
+    assert len(sources) == 2
+    for source in sources:
+        run = ast.parse(source).body[0]
+        tries = [node for node in ast.walk(run) if isinstance(node, ast.Try)]
+        assert tries == [run.body[0]], source
 
 
 def test_unified_flow_driver_equals_a_numpy_rk4_bitwise():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kyano import dual, expr, geometry
+from kyano import dual, dynamics, expr, geometry
 from kyano.dynamics import GeodesicHamiltonian
 from kyano.dual import Jet, value_of
 from kyano.errors import SingularEvaluation
@@ -165,6 +165,15 @@ def _arithmetic(node) -> bool:
             and _arithmetic(node.left) and _arithmetic(node.right))
 
 
+def _geodesic_kernels(spec, fresh: bool = True):
+    """The exact and sparse fused geodesic kernels of ``spec`` and its RK4 run, compiled
+    afresh unless ``fresh`` is false."""
+    *_, a, b, c, parts = GeodesicHamiltonian(spec)._fused
+    nvars, get = 2 * spec.dim, (lambda f: f.__wrapped__) if fresh else (lambda f: f)
+    return (get(expr._compile)(nvars, parts), get(expr._compile)(nvars, parts, sparse=True),
+            get(dynamics._compiled_run)(parts, a, b, c, spec.dim))
+
+
 def test_no_handler_guards_only_additions_and_products(monkeypatch):
     sources = []
 
@@ -184,9 +193,8 @@ def test_no_handler_guards_only_additions_and_products(monkeypatch):
             expr._compile.__wrapped__(e.nvars, ((e.root, 0),), False, True)
             for order, columns in itertools.product((0, 1, 2), (False, True)):
                 expr._compile.__wrapped__(e.nvars, ((e.root, order),), columns)
-        if spec.inverse:  # the fused geodesic kernel
-            expr._compile.cache_clear()
-            GeodesicHamiltonian(spec)._fused
+        if spec.inverse:  # the fused geodesic kernels and the run
+            _geodesic_kernels(spec)
     assert len(sources) > 100
     for source in sources:
         for node in ast.walk(ast.parse(source)):
@@ -213,10 +221,9 @@ def test_order_1_kernels_hold_no_unread_local(monkeypatch):
                  geometry.const_curvature3(-4.0), geometry.const_curvature3_spherical(1.0)]:
         for e in geometry._component_table(spec, 1)[0]:
             expr._compile.__wrapped__(e.nvars, ((e.root, 1),))
-        if spec.inverse:  # the fused geodesic kernels, exact and sparse
-            expr._compile.cache_clear()
-            GeodesicHamiltonian(spec)._fused
-    assert len(sources) >= 17  # 11 component kernels and 3 exact and sparse pairs
+        if spec.inverse:  # the fused geodesic kernels, exact and sparse, and the run
+            _geodesic_kernels(spec)
+    assert len(sources) >= 20  # 11 component kernels, 3 exact and sparse pairs and 3 runs
     for source in sources:
         tree = ast.parse(source)
         assigned = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
@@ -257,7 +264,7 @@ _SPARSE_EDGES = st.sampled_from([0.0, -0.0, 1e150, -1e150, 1e-300, -1e-300])
                   min_size=8, max_size=8))
 def test_sparse_kernel_equals_the_exact_kernel_where_its_witness_is_finite(which, z):
     spec = _SPARSE_SPECS[which]
-    exact, sparse, *_ = GeodesicHamiltonian(spec)._fused
+    exact, sparse = _geodesic_kernels(spec, fresh=False)[:2]
     z = z[:2 * spec.dim]
     try:
         got = sparse(z)
@@ -272,7 +279,7 @@ def test_sparse_kernel_equals_the_exact_kernel_where_its_witness_is_finite(which
 
 
 def test_a_skipped_factor_that_overflows_makes_the_witness_non_finite():
-    exact, sparse, *_ = GeodesicHamiltonian(geometry.taub_nut(1.0))._fused
+    exact, sparse = _geodesic_kernels(geometry.taub_nut(1.0), fresh=False)[:2]
     z = [1.3, 1.0, 0.4, 0.2, 1e160, -1e160, 1e160, 1e160]
     got, want = sparse(z), exact(z)
     assert math.isinf(got[-1])
@@ -693,8 +700,8 @@ def test_division_by_a_nonzero_constant_has_no_zero_check(monkeypatch):
             fused = geometry._component_table(spec, order)[0]
             expr._compile.__wrapped__(fused[0].nvars, tuple((e.root, order) for e in fused),
                                       columns)
-        if spec.inverse:  # the fused geodesic kernels, exact and sparse
-            GeodesicHamiltonian(spec)._fused
+        if spec.inverse:  # the fused geodesic kernels, exact and sparse, and the run
+            _geodesic_kernels(spec)
     for field in [kysym.taubnut_ky_field(1, 1.0), kysym.constcurv_ky_field(1, 1.0)]:
         fused = field._split[0]
         for order, columns in itertools.product((0, 1, 2), (False, True)):
@@ -750,3 +757,48 @@ def test_second_curved_task_compiles_no_kernel(monkeypatch):
     monkeypatch.setattr(expr, "_compile", lambda *a: looked_up.append(a))
     task(np.random.default_rng(2))
     assert compiled == [] and looked_up == []
+
+
+def test_no_kernel_repeats_a_check(monkeypatch):
+    # a local is assigned once, so a repeated condition could not fire once its first
+    # copy has passed; the run repeats each once per stage, as its accept tests
+    sources = _captured_sources(monkeypatch)
+    from kyano import kysym
+
+    specs = [geometry.taub_nut(1.0), geometry.const_curvature3(1.0),
+             geometry.const_curvature3(-4.0), geometry.const_curvature3_spherical(1.0)]
+    fused = [(geometry._component_table(spec, order)[0], order)
+             for spec in specs for order in (0, 1, 2)]
+    fused += [(kysym.taubnut_ky_field(1, 1.0)._split[0], order) for order in (0, 1, 2)]
+    for (exprs, order), columns in itertools.product(fused, (False, True)):
+        expr._compile.__wrapped__(exprs[0].nvars, tuple((e.root, order) for e in exprs), columns)
+    for spec in specs[:3]:  # the fused geodesic kernels, exact and sparse, and the run
+        _geodesic_kernels(spec)
+    assert len(sources) >= 15 * 2 + 3 * 3
+    checks = 0
+    for source in sources:
+        conditions = [ast.unparse(node.test) for node in ast.walk(ast.parse(source))
+                      if isinstance(node, ast.If)]
+        stages = 4 if source.startswith("def run(") else 1
+        assert all(conditions.count(c) == stages for c in conditions), source
+        checks += len(conditions)
+    assert checks > 3 * 4 * 2  # the runs' two accept tests at each stage, and more
+
+
+def test_a_column_kernel_frees_each_column_after_its_last_read():
+    import tracemalloc
+
+    from kyano import kysym
+
+    field = kysym.taubnut_ky_field(1, 1.0)
+    pts = geometry.sample_points(geometry.taub_nut(1.0), 512, np.random.default_rng(0))
+    want = np.stack([field.jacobian_at(pt) for pt in pts[:40]])
+    field.jacobian_at(pts)  # compiled before tracing
+    tracemalloc.start()
+    try:
+        got = field.jacobian_at(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0 * 2 ** 20  # every local kept alive peaks at about 2 MiB
+    assert got[:40].tobytes() == want.tobytes()
