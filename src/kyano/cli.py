@@ -125,6 +125,8 @@ def cmd_geodesic(args) -> int:
     x0 = _parse_vector(args.x0, spec.dim, "--x0")
     p0 = _parse_vector(args.p0, spec.dim, "--p0")
     quantities = _monitored_quantities(args, spec)
+    if args.format == "csv" and not args.out:
+        raise KyanoError("csv output requires --out PATH")
     traj = geodesic_integrate(spec, PhasePoint(x0, p0), args.dt, args.steps)
     drift = {}
     for label, fn in quantities:
@@ -147,8 +149,6 @@ def cmd_geodesic(args) -> int:
         payload["states"] = [[float(v) for v in row] for row in traj.states]
         _emit(args, payload, "")
     else:
-        if not args.out:
-            raise KyanoError("csv output requires --out PATH")
         write_trajectory_csv(traj, args.out)
         jsonio.write_atomic(args.out + ".json", jsonio.dumps(sidecar))
     if not traj.meta["completed"]:

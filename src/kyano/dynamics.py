@@ -3,9 +3,10 @@
 The Hamiltonian of free geodesic motion is H = (1/2) g^{mn}(x) p_m p_n.
 Integration is classic fourth-order Runge-Kutta with a fixed step on a
 list of Python floats, each stage in numpy's operation order.  The
-right-hand side is the jet of H where g^-1 has a closed form, from one
-float kernel that also gives the guard values, else of the metric with
-g^-1 numeric; never finite differences.  With the closed form a generated run loops over the
+right-hand side is (p, -0.0) on the identity metric; the jet of H where g^-1
+has a closed form, as on the other catalog metrics, from one float kernel that
+also gives the guard values; on a custom metric it is from the metric's 1-jet
+with g^-1 numeric; never finite differences.  With the kernel a generated run loops over the
 steps, each stage the kernel's sparse twin inlined under accept tests that imply the exact
 results (a finite state sum, the guards, sum|g| sum|g^-1| < bound, a finite witness); a step
 it declines is replayed per stage.
@@ -122,6 +123,7 @@ class GeodesicHamiltonian(_RowValues):
     def __init__(self, spec: MetricSpec):
         self.spec = spec
         self.n = spec.dim
+        self.identity = geometry._is_identity(spec)
 
     def _values(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
         ginv = geometry.inverse_metric_at(self.spec, X)
@@ -151,11 +153,12 @@ class GeodesicHamiltonian(_RowValues):
 
     def rhs(self, z: list) -> list:
         """(dx/dt, dp/dt) = (dH/dp, -dH/dx) as a list, at the list ``z`` of finite
-        floats, by H's kernel or g's 1-jet; a state outside a guard raises as
-        :func:`geometry._check_guards` does, before any other error."""
+        floats, on the identity metric in closed form (no kernel to build, which costs
+        O(n^2) statements), else by H's kernel or g's 1-jet; a state outside a guard
+        raises as :func:`geometry._check_guards` does, before any other error."""
         n, spec = self.n, self.spec
-        if spec.components is None:
-            return z[n:] + [0.0] * n
+        if self.identity:  # -dH/dx = -(+0.0), as H's kernel has it: p + c * -0.0 is p
+            return z[n:] + [-0.0] * n
         if spec.inverse is None:
             _, dg, ginv = geometry._metric(spec, z[:n], 1, inverse=True)
             gip = ginv @ np.array(z[n:])
@@ -384,7 +387,7 @@ def geodesic_integrate(
     geometry.metric_at(spec, start.x)
     H, z = GeodesicHamiltonian(spec), start.as_vector()
     # a -0.0 start component can take the other zero sign through the sparse kernel
-    compiled = spec.inverse and not np.signbit(z[z == 0.0]).any()
+    compiled = spec.inverse and not H.identity and not np.signbit(z[z == 0.0]).any()
     return _rk4(H.rhs, start, dt, steps, compiled and H._fused[1])
 
 

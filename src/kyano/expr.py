@@ -541,8 +541,6 @@ class _Emitter:
             if isinstance(b, tuple):  # a * (1/b), a float times the jet 1/b
                 r = self.recip(b)
                 return self.jmul(a, r) if isinstance(a, tuple) else self.jscale(r, a)
-            if isinstance(b, str):  # dividing by a constant 0 raises by itself
-                self.check("{} == 0", b, "division by zero")
             return self.jscale(a, self.div(1.0, b))
         if op == "-":  # a + (-b)
             op, b = "+", self.jmap(self.neg, b) if isinstance(b, tuple) else self.neg(b)

@@ -38,7 +38,7 @@ from .expr import Expression
 DOMAIN_MARGIN = 1e-9
 SINGULAR_BOUND = 1e13  # a metric is singular where max|g| max|g^-1| >= this / n^2
 
-ComponentGrid = Optional[tuple[tuple[Optional[Expression], ...], ...]]
+ComponentGrid = tuple[tuple[Optional[Expression], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -46,24 +46,26 @@ class MetricSpec:
     """A metric on an n-dimensional chart.
 
     ``components`` is an n x n grid of expressions in ``x1 .. xn`` (``None``
-    entries mean 0); a ``None`` grid means the identity metric.  The grid is
-    symmetric by construction: entry (j, i) is the same object as (i, j).
+    entries mean 0).  The grid is symmetric by construction: entry (j, i) is
+    the same object as (i, j).
     ``momentum_space`` records whether the chart variables are momenta,
     which is what :func:`dual_metric` toggles.  The chart domain is where
     each of ``guards`` evaluates, without raising, to at least a margin;
     ``box`` is the default sampling box, ``[-1, 1]^n`` when ``None``.
-    ``inverse`` is g^-1 in closed form, a grid like ``components``, or ``None``.
+    ``inverse`` is g^-1 in closed form, a grid like ``components``, or ``None``,
+    where g^-1 is inverted numerically.  A ``kind="flat"`` spec, from :func:`flat`,
+    has one identity grid for both; :func:`_is_identity` tests the grids, not ``kind``.
     """
 
     kind: str
     dim: int
     chart: tuple[str, ...]
     params: tuple[tuple[str, float], ...]
-    components: ComponentGrid = None
+    components: ComponentGrid
     momentum_space: bool = False
     guards: tuple[Expression, ...] = ()
     box: Optional[tuple[tuple[float, float], ...]] = None
-    inverse: ComponentGrid = None
+    inverse: Optional[ComponentGrid] = None
     # per-order component kernels and gather indices, see _component_table
     _tables: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
                                       compare=False)
@@ -94,11 +96,23 @@ def _grid_from_upper(entries: dict, n: int) -> ComponentGrid:
 
 
 def flat(n: int) -> MetricSpec:
-    """Euclidean metric on R^n in Cartesian coordinates."""
+    """Euclidean metric on R^n in Cartesian coordinates: g and g^-1 are the identity."""
     if n < 1:
         raise ValueError("dimension must be positive")
     chart = tuple(f"x{i}" for i in range(1, n + 1))
-    return MetricSpec(kind="flat", dim=n, chart=chart, params=(), components=None)
+    one, zeros = exprmod.parse_expression("1.0", n), (None,) * n  # one shared diagonal entry
+    identity = tuple(zeros[:i] + (one,) + zeros[i + 1:] for i in range(n))
+    return MetricSpec(kind="flat", dim=n, chart=chart, params=(), components=identity,
+                      inverse=identity)
+
+
+def _is_identity(spec: MetricSpec) -> bool:
+    """Whether g is the identity grid, ``1.0`` on the diagonal and ``None`` off it, and
+    g^-1 is that same grid, as :func:`flat` builds them."""
+    n = spec.dim
+    return spec.components is spec.inverse and all(
+        row.count(None) == n - 1 and isinstance(getattr(row[i], "root", None), exprmod.Num)
+        and row[i].root.value == 1.0 for i, row in enumerate(spec.components))
 
 
 def const_curvature3(K: float) -> MetricSpec:
@@ -240,20 +254,17 @@ def _check_guards(spec: MetricSpec, coords, margin: float = DOMAIN_MARGIN):
 
 def _component_table(spec: MetricSpec, order: int):
     """The distinct components of ``spec`` as one ``expr.Fused``, its kernel at ``order``,
-    their output width and the indices that gather g, dg and d2g from its outputs and 1, 0."""
+    their output width and the indices that gather g, dg and d2g from its outputs and 0."""
     table = spec._tables.get(order)
     if table is None:
         n = spec.dim
         width = 1 + n + n * n if order == 2 else 1 + n * order
         exprs: dict[int, tuple[int, Expression]] = {}
         start = np.full((n, n), -1, dtype=np.intp)
-        if spec.components is None:
-            np.fill_diagonal(start, -2)
-        else:
-            for i, j in itertools.product(range(n), repeat=2):
-                e = spec.components[min(i, j)][max(i, j)]  # the upper triangle is read
-                if e is not None:
-                    start[i, j] = exprs.setdefault(id(e), (len(exprs) * width, e))[0]
+        for i, row in enumerate(spec.components):
+            for j in itertools.compress(range(i, n), row[i:]):  # the upper triangle's entries
+                e = row[j]
+                start[i, j] = start[j, i] = exprs.setdefault(id(e), (len(exprs) * width, e))[0]
         offsets = [1 + np.arange(n)[:, None, None], 1 + n + np.arange(n * n).reshape(n, n, 1, 1)]
         gather = [start] + [np.where(start < 0, -1, start + off) for off in offsets[:order]]
         exprs = exprmod.Fused(e for _, e in exprs.values())
@@ -262,13 +273,13 @@ def _component_table(spec: MetricSpec, order: int):
 
 
 def _point_values(spec: MetricSpec, exprs, kernel, width: int, coords: list) -> list:
-    """The checked outputs of the components' ``kernel`` at a point's floats, and 1.0, 0.0."""
+    """The checked outputs of the components' ``kernel`` at a point's floats, and 0.0."""
     _check_guards(spec, coords)
     values = [kernel(coords)] if width == len(exprs) == 1 else list(kernel(coords))
     # every component's first output is an entry of g
     if not all(map(math.isfinite, values[::width])):
         raise SingularMetric("metric evaluated to non-finite components")
-    values += 1.0, 0.0
+    values.append(0.0)
     return values
 
 
@@ -291,7 +302,7 @@ def _metric(spec: MetricSpec, X, order: int = 0, inverse: bool = False) -> list:
             # every component's first row is an entry of g
             if not np.isfinite(rows[::width]).all():
                 raise SingularMetric("metric evaluated to non-finite components")
-            flat = np.concatenate([rows, np.ones((1, len(X))), np.zeros((1, len(X)))]).T
+            flat = np.concatenate([rows, np.zeros((1, len(X)))]).T
         out = [flat[idx] if X.ndim == 1 else flat[:, idx] for idx in gather]
         if inverse:
             out.append(_invert(out[0]))

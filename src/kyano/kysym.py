@@ -115,7 +115,7 @@ def _derivatives(spec: MetricSpec, field: AntisymTensorField, points, stored: bo
         raise ValueError("field and metric dimensions differ")
     if not len(points):
         raise ValueError("at least one sample point is needed")
-    flat = spec.components is None
+    flat = geometry._is_identity(spec)
     stored = stored and flat
 
     def block(X):
@@ -268,10 +268,10 @@ def verify_field(
 ) -> KYReport:
     """Evaluate KY and covariant-constancy residuals over sample points; the
     determinant bounds are None for a field that is not a two-form."""
-    values, cc, ky = [], [], []
+    values, cc, ky, flat = [], [], [], geometry._is_identity(spec)
     for f, _, D in _derivatives(spec, field, points, stored=True):
         values.append(f)
-        if spec.components is None:  # every entry of the full D is +-G or 0: same maxima
+        if flat:  # every entry of the full D is +-G or 0: same maxima
             D = np.concatenate([D, np.zeros(D.shape[:2] + (1,))], axis=2).reshape(len(D), -1)
             i1, s1, i2, s2 = field._ky_pairs
             S = D[:, i1] * s1 + D[:, i2] * s2

@@ -271,47 +271,30 @@ def _residuals(m: MultipoleSet) -> dict[str, float]:
     }
 
 
-_IDENTITY_TABLE: tuple[tuple[str, str, str, bool], ...] = (
-    ("I01", "scalar-squares", "as-given", False),
-    ("I02", "magnetic-dipole", "as-given", False),
-    ("I03", "dilatation", "as-given", False),
-    ("I04", "mass-quadrupole", "as-given", False),
-    ("I05", "mass-quadrupole", "corrected: f f + (1/3) delta f^2", True),
-    ("I06", "toroid-dipole", "as-given", False),
-    ("I07", "toroid-dipole-transversal", "as-given", False),
-    ("I08", "conformal-vector", "as-given", False),
-    ("I09", "runge-lenz-conjugate", "as-given", False),
-    ("I10a", "ky-from-generators", "as-given pairing", False),
-    ("I10b", "ky-from-generators", "swapped pairing", True),
-    ("I11a", "toroid-from-generators", "as-given vs toroid dipole", False),
-    ("I11b", "toroid-from-generators", "as-given vs transversal form", False),
-    ("I11c", "toroid-from-generators", "swapped, rescaled by -1/2", True),
-    ("I12", "magnetic-quadrupole", "as-given", False),
-    ("I13a", "toroid-quadrupole", "main form vs quadrupole x dilatation", False),
-    ("I13b", "toroid-quadrupole", "transversal vs quadrupole x dilatation", False),
-    ("I14", "mass-quadrupole-trace", "as-given", False),
+_CORRECTED = "holds-after-documented-correction"
+# id, quantity, form, whether the form is a documented correction, expected verdict
+_IDENTITY_TABLE: tuple[tuple[str, str, str, bool, str], ...] = (
+    ("I01", "scalar-squares", "as-given", False, "holds"),
+    ("I02", "magnetic-dipole", "as-given", False, "holds"),
+    ("I03", "dilatation", "as-given", False, "holds"),
+    ("I04", "mass-quadrupole", "as-given", False, "fails"),
+    ("I05", "mass-quadrupole", "corrected: f f + (1/3) delta f^2", True, _CORRECTED),
+    ("I06", "toroid-dipole", "as-given", False, "holds"),
+    ("I07", "toroid-dipole-transversal", "as-given", False, "holds"),
+    ("I08", "conformal-vector", "as-given", False, "holds"),
+    ("I09", "runge-lenz-conjugate", "as-given", False, "holds"),
+    ("I10a", "ky-from-generators", "as-given pairing", False, "fails"),
+    ("I10b", "ky-from-generators", "swapped pairing", True, _CORRECTED),
+    ("I11a", "toroid-from-generators", "as-given vs toroid dipole", False, "fails"),
+    ("I11b", "toroid-from-generators", "as-given vs transversal form", False, "fails"),
+    ("I11c", "toroid-from-generators", "swapped, rescaled by -1/2", True, _CORRECTED),
+    ("I12", "magnetic-quadrupole", "as-given", False, "holds"),
+    ("I13a", "toroid-quadrupole", "main form vs quadrupole x dilatation", False, "fails"),
+    ("I13b", "toroid-quadrupole", "transversal vs quadrupole x dilatation", False, "fails"),
+    ("I14", "mass-quadrupole-trace", "as-given", False, "fails"),
 )
 
-EXPECTED_VERDICTS: dict[str, str] = {
-    "I01": "holds",
-    "I02": "holds",
-    "I03": "holds",
-    "I04": "fails",
-    "I05": "holds-after-documented-correction",
-    "I06": "holds",
-    "I07": "holds",
-    "I08": "holds",
-    "I09": "holds",
-    "I10a": "fails",
-    "I10b": "holds-after-documented-correction",
-    "I11a": "fails",
-    "I11b": "fails",
-    "I11c": "holds-after-documented-correction",
-    "I12": "holds",
-    "I13a": "fails",
-    "I13b": "fails",
-    "I14": "fails",
-}
+EXPECTED_VERDICTS: dict[str, str] = {row[0]: row[4] for row in _IDENTITY_TABLE}
 
 _NOTES = (
     "charge-octupole: the tabulated KY form has unbalanced indices (m, n free"
@@ -347,12 +330,12 @@ def _suite(Z: np.ndarray, tol: float) -> IdentityReport:
         raise ValueError("identity_suite needs at least one phase point")
     worst = _residuals(_multipoles(Z[:, :3], Z[:, 3:]))
     entries = []
-    for ident, name, form, is_corr in _IDENTITY_TABLE:
+    for ident, name, form, is_corr, _ in _IDENTITY_TABLE:
         residual = worst[ident]
         if not residual <= tol:  # a NaN residual fails
             verdict = "fails"
         elif is_corr:
-            verdict = "holds-after-documented-correction"
+            verdict = _CORRECTED
         else:
             verdict = "holds"
         entries.append(IdentityEntry(ident, name, form, residual, verdict, is_corr))

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kyano
+from kyano import cli
 from kyano.cli import main
 
 
@@ -326,10 +327,10 @@ def test_geodesic_truncation_exits_one(tmp_path, capsys):
 def test_geodesic_out_of_domain_start(capsys):
     code, _, err = run(
         capsys, "geodesic", "--manifold", "const-curvature:K=-1",
-        "--x0", "2,0,0", "--p0", "1,0,0", "--dt", "0.01", "--steps", "5",
+        "--x0", "2,0,0", "--p0", "1,0,0", "--dt", "0.01", "--steps", "5", "--format", "json",
     )
     assert code == 2
-    assert err.startswith("error:")
+    assert err.startswith("error: outside the chart domain")
 
 
 def test_geodesic_bad_vector_length(capsys):
@@ -339,6 +340,28 @@ def test_geodesic_bad_vector_length(capsys):
     )
     assert code == 2
     assert "--x0" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["flat3", "1,a,0", "0,1,0", "--out", "CSV"], "--x0 must be comma-separated numbers"),
+    (["flat3", "1,0,0", "0,1,0", "--monitor", "K", "--field", "taubnut-1", "--out", "CSV"],
+     "taubnut-N fields require a taub-nut manifold"),
+    (["taub-nut", "1,1,0,0", "0,1,0,0", "--monitor", "L3", "--out", "CSV"],
+     "L components are defined on 3-dimensional manifolds"),
+    (["flat3", "1,0,0", "0,1,0"], "csv output requires --out PATH"),
+], ids=["non-numeric-x0", "taub-nut-field-on-flat", "L3-on-taub-nut", "csv-without-out"])
+def test_geodesic_input_error_exits_before_integrating(tmp_path, capsys, monkeypatch, argv,
+                                                        message):
+    def integrate(*args):
+        raise AssertionError("integrated")
+
+    monkeypatch.setattr(cli, "geodesic_integrate", integrate)
+    (manifold, x0, p0, *options), csv = argv, str(tmp_path / "g.csv")
+    options = [csv if o == "CSV" else o for o in options]
+    code, out, err = run(capsys, "geodesic", "--manifold", manifold, "--x0", x0, "--p0", p0,
+                         "--dt", "0.01", "--steps", "5", *options)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not os.path.exists(csv)
 
 
 def test_geodesic_steps_too_large_for_memory(capsys):

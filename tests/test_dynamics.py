@@ -5,6 +5,8 @@ import csv
 import dataclasses
 import itertools
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -473,6 +475,61 @@ def test_a_stage_whose_witness_is_not_finite_is_declined(monkeypatch):
             lines, outs[:-1] + [expr._Emitter.src(w)]))
         assert dynamics._compiled_run.__wrapped__(parts, a, b, c, 4)(out, 0, 1, *args) == (
             0, z, list(args[8:16]))
+
+
+_SCALED = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-9.99, 9.99), st.integers(-300, 300))
+_FLAT_EDGES = [  # leading x and p components: runs that overflow within 70 steps or at step 1
+    None, None, None, ([1.797e308], [1e306]), ([-1.797e308], [-1e306]), ([], [6e307]),
+    ([], [-1.5e308]), ([-1.79e308], [])]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 7), x=st.lists(st.floats(-3.0, 3.0), min_size=7, max_size=7),
+       p=st.lists(_SCALED, min_size=7, max_size=7), dt=st.floats(1e-3, 0.05),
+       edge=st.sampled_from(_FLAT_EDGES))
+def test_flat_geodesics_equal_an_rk4_whose_rhs_is_p_and_zero(n, x, p, dt, edge):
+    x, p = x[:n], p[:n]
+    if edge:
+        x[:len(edge[0])], p[:len(edge[1])] = edge
+    # v + 0.0 turns a -0.0 into +0.0, whose sign the reference does not keep (see the next test)
+    start, spec = PhasePoint([v + 0.0 for v in x], [v + 0.0 for v in p]), geometry.flat(n)
+    with mock.patch.object(dynamics, "_rk4", wraps=dynamics._rk4) as rk4:
+        traj = geodesic_integrate(spec, start, dt, 100)
+    assert not rk4.call_args.args[4]  # the identity's closed-form RHS: no kernel, no run
+    want, reason = _numpy_rk4(lambda z: z[n:] + [0.0] * n, start, dt, 100)
+    assert traj.states.tobytes() == want.tobytes()
+    assert (traj.meta["steps_completed"], traj.meta.get("reason")) == (len(want) - 1, reason)
+
+
+@pytest.mark.parametrize("p0", [[0.0, 1.0, -0.0], [-1.0, -0.0, -2.0]])
+def test_a_flat_momentum_keeps_its_bits(p0):
+    traj = geodesic_integrate(geometry.flat(3), PhasePoint([1.0, -0.0, 0.0], p0), 0.01, 100)
+    assert (traj.p == p0).all() and (np.signbit(traj.p) == np.signbit(p0)).all()
+
+
+def test_a_large_flat_geodesic_builds_no_kernel():
+    # H's kernel on flat(n) would hold O(n^2) statements, and parsing H nests n levels
+    n = 1200
+    x, p = np.linspace(-1.0, 1.0, n), np.linspace(2.0, -2.0, n)
+    traj = geodesic_integrate(geometry.flat(n), PhasePoint(x, p), 0.01, 1)
+    assert traj.meta["completed"] and (traj.p == p).all()
+    assert np.allclose(traj.x[1], x + 0.01 * p, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("spec, x, guard", [
+    (geometry.taub_nut(1.0), [0.0, 1.0, 0.4, 0.2], 0),
+    (geometry.taub_nut(1.0), [-2.0, 1.0, 0.4, 0.2], 0),  # V = 1 + 2m/x1 = 0
+    (geometry.taub_nut(1.0), [1.3, 0.0, 0.4, 0.2], 1),
+    (geometry.const_curvature3(-4.0), [1.0, 0.0, 0.0], 0),  # the conformal pole
+    (geometry.const_curvature3(-4.0), [0.6, 0.8, 0.0], 0),
+], ids=["taub-nut-r=0", "taub-nut-V=0", "taub-nut-theta=0", "K=-4-pole", "K=-4-pole-2"])
+def test_a_state_where_the_kernel_raises_reports_its_guard(spec, x, guard):
+    H, z = GeodesicHamiltonian(spec), x + [0.2, -0.3, 0.1, 0.4][:spec.dim]
+    with pytest.raises(SingularEvaluation):
+        H._fused[0](z)
+    message = f"outside the chart domain: {expr.unparse(spec.guards[guard])} < 1e-09"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        H.rhs(z)
 
 
 def test_specs_of_one_metric_share_one_compiled_step():

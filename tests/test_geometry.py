@@ -60,7 +60,8 @@ def test_metric_symmetric_and_inverse(spec):
 
 @pytest.mark.parametrize("spec", [geometry.taub_nut(m, fs) for m in (0.7, 1.0, 2.5)
                                   for fs in (2.0, 4.0)]
-                         + [geometry.const_curvature3(K) for K in (-4.0, -1.0, 0.5, 1.0)],
+                         + [geometry.const_curvature3(K) for K in (-4.0, -1.0, 0.5, 1.0)]
+                         + [geometry.flat(4)],
                          ids=lambda s: f"{s.kind}:{s.params}")
 def test_closed_form_inverse_inverts_the_metric(spec):
     X = sample(spec, 1000, seed=5)
@@ -506,9 +507,6 @@ def test_block_sampler_keeps_the_per_draw_stream(spec, count, box):
 
 def _ref_christoffel_and_partial(spec, point):
     """The per-point body the one batched body replaced."""
-    n = spec.dim
-    if spec.components is None:
-        return np.zeros((n,) * 3), np.zeros((n,) * 4), np.eye(n)
     g, dg, d2g = geometry.metric_components_at(spec, point, order=2)
     ginv = geometry._invert(g)
     dginv = -np.einsum("li,aij,js->als", ginv, dg, ginv)

@@ -718,11 +718,18 @@ def test_division_by_a_nonzero_constant_has_no_zero_check(monkeypatch):
     assert checks > 0
 
 
-@pytest.mark.parametrize("src", ["x1 / 0", "x1 / (1 - 1)", "x1 / -0.0", "x1 / (0 * x1)"])
-def test_a_jet_divided_by_zero_still_raises(src):
+@pytest.mark.parametrize("src, message", [pytest.param(src, message, id=src) for src, message in [
+    ("x1 / 0", "division by zero"), ("x1 / (1 - 1)", "division by zero"),
+    ("x1 / -0.0", "division by zero"), ("x1 / (0 * x1)", "division by zero"),
+    # a constant divisor that does not fold is a local whose own statement raises first
+    ("x1 / sqrt(-1)", "sqrt of a non-positive"), ("x1 / (0^-1)", "zero raised to a negative"),
+    ("x1 / sin(sqrt(-1))", "sqrt of a non-positive"),
+    ("(x1 + 1) / (2 * sqrt(-4))", "sqrt of a non-positive"),
+]])
+def test_a_jet_divided_by_zero_still_raises(src, message):
     e = expr.parse_expression(src, 1)
     want = _outcome(_ref_jet, e, [2.0], 1)
-    assert want[0] == "raises" and "division by zero" in want[2]
+    assert want[0] == "raises" and message in want[2]
     for order in (1, 2):
         assert _outcome(_ref_jet, e, [2.0], order) == _outcome(expr._jet, e, [2.0], order)
         cols = np.full((1, expr._COLUMN_ROWS), 2.0)
