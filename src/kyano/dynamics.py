@@ -26,7 +26,6 @@ import numpy as np
 
 from . import expr as exprmod
 from . import geometry
-from .dual import Jet
 from .errors import DomainError, KyanoError, SingularEvaluation
 from .expr import Expression
 from .fields import AntisymTensorField
@@ -135,21 +134,26 @@ class GeodesicHamiltonian(_RowValues):
         zdot = np.asarray(self.rhs(z.as_vector().tolist()))
         return np.concatenate([-zdot[self.n:], zdot[:self.n]])
 
-    @functools.cached_property
+    @property
     def _fused(self):
         """One float kernel of the guards, g's distinct entries, the closed-form g^-1 and H's 1-jet,
-        the run of its sparse twin, the ends of those blocks in its outputs, and its parts."""
-        upper = [(i, j, e) for i, row in enumerate(self.spec.inverse)
-                 for j, e in enumerate(row) if i <= j and e is not None]
-        H = PhaseFunction.from_expression("0.5 * (" + " + ".join(
-            f"{1 + (i < j)} * {exprmod.unparse(e)} * (p{i + 1} * p{j + 1})"
-            for i, j, e in upper) + ")", self.n)
-        blocks = (self.spec.guards, geometry._component_table(self.spec, 0)[0],
-                  tuple(e for *_, e in upper))
-        parts = tuple((e.root, 0) for b in blocks for e in b) + ((H.expr.root, 1),)
-        ends = tuple(itertools.accumulate(map(len, blocks)))
-        return (exprmod._compile(2 * self.n, parts), _compiled_run(parts, *ends, self.n),
+        the run of its sparse twin, the ends of those blocks in its outputs, and its parts; built
+        once per spec and held in its ``_tables``."""
+        fused = self.spec._tables.get("geodesic")
+        if fused is None:
+            upper = [(i, j, e) for i, row in enumerate(self.spec.inverse)
+                     for j, e in enumerate(row) if i <= j and e is not None]
+            H = PhaseFunction.from_expression("0.5 * (" + " + ".join(
+                f"{1 + (i < j)} * {exprmod.unparse(e)} * (p{i + 1} * p{j + 1})"
+                for i, j, e in upper) + ")", self.n)
+            blocks = (self.spec.guards, geometry._component_table(self.spec, 0)[0],
+                      tuple(e for *_, e in upper))
+            parts = tuple((e.root, 0) for b in blocks for e in b) + ((H.expr.root, 1),)
+            ends = tuple(itertools.accumulate(map(len, blocks)))
+            fused = self.spec._tables["geodesic"] = (
+                exprmod._compile(2 * self.n, parts), _compiled_run(parts, *ends, self.n),
                 *ends, parts)
+        return fused
 
     def rhs(self, z: list) -> list:
         """(dx/dt, dp/dt) = (dH/dp, -dH/dx) as a list, at the list ``z`` of finite
@@ -231,14 +235,11 @@ def poisson_bracket(F: PhaseFunction, G: PhaseFunction, z: PhasePoint) -> float:
 
 
 def _config_gradient(f, point: np.ndarray) -> np.ndarray:
-    n = len(point)
     if isinstance(f, str):
-        f = exprmod.parse_expression(f, n)
+        f = exprmod.parse_expression(f, len(point))
     if isinstance(f, Expression):
         return exprmod.eval1(f, point).gradient
-    if callable(f):
-        return Jet.lift(f(Jet.seeds(point, 1)), n, 1).gradient
-    raise TypeError("expected an expression or a callable configuration scalar")
+    raise TypeError("expected an expression or its source as a configuration scalar")
 
 
 def nambu_bracket(F1, F2, F3, point: Sequence[float]) -> float:

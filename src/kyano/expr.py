@@ -36,10 +36,10 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import dual
-from .dual import Jet, Scalar
+from .dual import Jet
 from .errors import ExprSyntaxError, SingularEvaluation
 
-FUNCTIONS: dict[str, Callable[[Scalar], Scalar]] = {
+FUNCTIONS: dict[str, Callable[[float], float]] = {
     "sin": dual.sin,
     "cos": dual.cos,
     "tan": dual.tan,
@@ -283,13 +283,6 @@ def _literal_int(node: Node) -> "int | None":
     return None
 
 
-def evaluate(expr: Expression, scalars: Sequence[Scalar]) -> Scalar:
-    """Evaluate over pre-lifted scalars (floats or jets), one per slot."""
-    if len(scalars) != expr.nvars:
-        raise ValueError(f"expected {expr.nvars} values, got {len(scalars)}")
-    return _kernel(expr, 0, jets=True)(scalars)
-
-
 def eval_value(expr: Expression, point: Sequence[float]) -> float:
     """Value only, no derivative bookkeeping."""
     return _jet(expr, point, 0)
@@ -319,18 +312,17 @@ def _jet(expr: Expression, point: Sequence[float], order: int) -> "Jet | float":
 
 # ---------------------------------------------------------------------------
 # compilation: one straight-line Python function per expression and jet
-# order, one statement per operation.  Order 0 runs on floats: a literal
+# order, one statement per operation, on floats.  At order 0 a literal
 # integer power is the chain of products ``dual.integer_power`` makes and a
 # function is ``math``'s behind the domain check ``dual`` makes, with its
-# message.  Orders 1 and 2 unroll the ``Jet`` rules into float locals, each
-# step the operation ``Jet`` does in its order (products with the zeros of
-# seeds and lifted constants included), so results are bit-identical to jet
-# arithmetic.  Order 0 ``jets`` applies the operators and ``dual``
-# functions, so it also runs on pre-lifted jets.  Operations on constants
-# are done at compile time, the exact identity ``x * 1.0`` is dropped and a
-# repeated operation is done once.  An operand is a float constant or a
-# local's name; a jet is a (value, gradient, hessian) tuple of operands,
-# hessian None at order 1.
+# message.  Orders 1 and 2 are forward-mode jets unrolled into float locals:
+# each step is an exact chain rule over value, gradient and Hessian entries,
+# in a fixed operation order (products with the zeros of seeds and of
+# constants included), so results are reproducible to the bit.  Operations
+# on constants are done at compile time by ``dual``'s functions, the exact
+# identity ``x * 1.0`` is dropped and a repeated operation is done once.  An
+# operand is a float constant or a local's name; a jet is a (value,
+# gradient, hessian) tuple of operands, hessian None at order 1.
 
 _MATH = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "sqrt": math.sqrt,
          "exp": math.exp, "ln": math.log, "abs": abs}
@@ -362,30 +354,28 @@ class Fused(tuple):
     _kernels = functools.cached_property(lambda self: {})
 
 
-def _kernel(expr, order: int, columns: bool = False, jets: bool = False) -> Callable:
+def _kernel(expr, order: int, columns: bool = False) -> Callable:
     """The compiled function of ``expr``, an expression or a Fused, at jet order
-    ``order``, built once: order 0 maps ``nvars`` floats (with ``jets``, floats or
-    jets) to a scalar, orders 1 and 2 map ``nvars`` floats to (value, *gradient,
-    *row-major Hessian), a Fused to a tuple of each expression's outputs unless
-    just one; with ``columns``, ``nvars`` columns of floats to a tuple of them."""
-    key = (order, columns, jets)
+    ``order``, built once: order 0 maps ``nvars`` floats to a scalar, orders 1 and 2
+    to (value, *gradient, *row-major Hessian), a Fused to a tuple of each expression's
+    outputs unless just one; with ``columns``, ``nvars`` columns of floats to a tuple of them."""
+    key = (order, columns)
     fn = expr._kernels.get(key)
     if fn is None:
         exprs = expr if isinstance(expr, Fused) else (expr,)
         fn = expr._kernels[key] = _compile(exprs[0].nvars, tuple(
-            (e.root, order) for e in exprs), columns, jets) if exprs else lambda s: ()
+            (e.root, order) for e in exprs), columns) if exprs else lambda s: ()
     return fn
 
 
 @functools.lru_cache(maxsize=256)
-def _compile(nvars: int, parts: tuple, columns: bool = False, jets: bool = False,
-             sparse: bool = False) -> Callable:
+def _compile(nvars: int, parts: tuple, columns: bool = False, sparse: bool = False) -> Callable:
     """``kernel(s)`` of ``nvars`` slots returning the outputs of each ``(root, order)`` of
     ``parts`` in turn, a tuple unless just one per point; a shared operation runs once.
     A ``sparse`` float kernel skips x * 0.0 and x + 0.0 in jets and returns last the sum
     of the skipped local factors x: where it is finite, the outputs are exact but for
     the sign of a zero; an operation in it that fails raises its own error, unwrapped."""
-    lines, outs = _source(nvars, parts, columns, jets, sparse)
+    lines, outs = _source(nvars, parts, columns, sparse)
     if columns:  # a column is freed after its last read
         last = {t: i for i, line in enumerate(lines) for t in re.findall(r"\bt\d+\b", line)}
         for i, t in sorted(((i, t) for t, i in last.items() if t not in outs), reverse=True):
@@ -396,9 +386,9 @@ def _compile(nvars: int, parts: tuple, columns: bool = False, jets: bool = False
                  _COLUMNS if columns else _GLOBALS)
 
 
-def _source(nvars: int, parts: tuple, columns=False, jets=False, sparse=False) -> tuple:
+def _source(nvars: int, parts: tuple, columns=False, sparse=False) -> tuple:
     """The statements of :func:`_compile`'s kernel over the slots ``s0 ..``, and its outputs."""
-    em, outs = _Emitter(nvars, columns, jets, sparse), []
+    em, outs = _Emitter(nvars, columns, sparse), []
     for root, em.order in parts:
         out = em.emit(root)
         if em.order:
@@ -441,8 +431,8 @@ def eval_columns(exprs: "Expression | tuple", columns, order: int = 0) -> np.nda
 class _Emitter:
     """Statements of one kernel, emitted in evaluation order."""
 
-    def __init__(self, n: int, columns: bool = False, jets: bool = False, sparse: bool = False):
-        self.n, self.order, self.columns, self.jets, self.sparse = n, 0, columns, jets, sparse
+    def __init__(self, n: int, columns: bool = False, sparse: bool = False):
+        self.n, self.order, self.columns, self.sparse = n, 0, columns, sparse
         self.pruned: dict = {}  # the factors of products a sparse jet skipped, in order
         self.lines: list[str] = []
         self.pad = "    "
@@ -519,7 +509,7 @@ class _Emitter:
             with self.wrapped(f" in {node.func}(...) at offset {node.offset}"):
                 if isinstance(arg, tuple):
                     return self.chain(arg, *self.rule(node.func, arg[0]))
-                if self.jets or not isinstance(arg, str):  # a constant folds
+                if not isinstance(arg, str):  # a constant folds
                     return self.op(f"d_{node.func}({{}})", FUNCTIONS[node.func], arg)
                 self.domain(node.func, arg)
                 return self.call(node.func, arg)
@@ -534,7 +524,7 @@ class _Emitter:
             return self.binary(node.op, left, right)
 
     def binary(self, op: str, a, b):
-        """``a op b`` for + - * /, as the operators on floats and jets do it."""
+        """``a op b`` for + - * / on operands and jets: a jet divisor by its reciprocal."""
         if not isinstance(a, tuple) and not isinstance(b, tuple):
             return self.mul(a, b) if op == "*" else self.op("{} %s {}" % op, _BINARY[op], a, b)
         if op == "/":
@@ -556,7 +546,7 @@ class _Emitter:
         if scalar and not isinstance(k, tuple):
             if not literal:
                 return self.op("pow_({}, {})", dual.power, base, k)
-            if self.jets or not isinstance(base, str):  # a constant folds
+            if not isinstance(base, str):  # a constant folds
                 return self.op(f"ipow({{}}, {k})", lambda b: dual.integer_power(b, k), base)
         elif not literal and not (isinstance(k, float) and k.is_integer()):
             # exp(k * ln(base)); a constant k that raises before use lands here
@@ -583,7 +573,7 @@ class _Emitter:
     def exp_of(self, a):
         return self.chain(a, *self.rule("exp", a[0]))
 
-    # -- float operations and the Jet rules over them
+    # -- float operations and the jet rules over them
 
     neg = functools.partialmethod(op, "-{}", operator.neg)
     div = functools.partialmethod(op, "{} / {}", operator.truediv)
@@ -652,7 +642,7 @@ class _Emitter:
             self.check("{} == 0.0", v, "abs at zero has no derivative")
 
     def rule(self, func: str, v):
-        """(f, f', f'') of ``func`` at ``v``, computed as ``dual`` does (f'' at order 2 only)."""
+        """(f, f', f'') of ``func`` at ``v`` behind ``dual``'s check (f'' at order 2 only)."""
         call, mul, neg = self.call, self.mul, self.neg
         self.domain(func, v)
         if func == "sin":

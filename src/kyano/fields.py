@@ -1,26 +1,24 @@
 """Antisymmetric tensor fields of arbitrary rank on an n-dimensional chart.
 
-A field stores one component function per strictly increasing index tuple;
-full arrays are produced by signed scattering over permutations, so
-antisymmetry is exact by construction.  Component functions are expressions
-in ``x1 .. xn`` (``n`` the chart dimension, whatever the chart's coordinate
-labels are), plain numbers, or callables that accept a list of scalars
-(floats or jets) and return one scalar.
+A field stores one component per strictly increasing index tuple; full
+arrays are produced by signed scattering over permutations, so antisymmetry
+is exact by construction.  Every component is an expression in ``x1 .. xn``
+(``n`` the chart dimension, whatever the chart's coordinate labels are),
+given as its source or as a finite number, and all of a field's components
+run through one fused kernel per jet order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property, lru_cache
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import expr as exprmod
-from .dual import Jet, Scalar, value_of
 from .expr import Expression
-
-Component = Union[Expression, float, Callable[[Sequence[Scalar]], Scalar]]
 
 
 def _scatter_table(dim: int, rank: int, keys: Sequence[tuple[int, ...]]):
@@ -60,6 +58,24 @@ def _parse_key(key, dim: int) -> tuple[int, ...]:
     return idx
 
 
+def _component(key, value, dim: int) -> Expression:
+    """``value``, an expression, its source or a finite number, as an expression; a
+    number is a ``Num`` whose unparsed form is ``repr(float(value))``."""
+    if isinstance(value, Expression):
+        return value
+    if isinstance(value, str):
+        return exprmod.parse_expression(value, dim)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):  # JSON true is no number
+        try:
+            v = float(value)
+        except OverflowError:  # an int too large for a float
+            v = math.inf
+        if math.isfinite(v):
+            return Expression(exprmod.Num(v, 0), dim, dim, ("x",))
+    raise ValueError(f"field component {key!r} must be an expression or a finite number,"
+                     f" got {value!r}")
+
+
 def _key_string(idx: tuple[int, ...], dim: int) -> str:
     labels = [str(i + 1) for i in idx]
     return ",".join(labels) if dim > 9 else "".join(labels)
@@ -68,19 +84,17 @@ def _key_string(idx: tuple[int, ...], dim: int) -> str:
 class AntisymTensorField:
     """Rank-r antisymmetric tensor field over an n-dimensional chart."""
 
-    def __init__(self, dim: int, rank: int, components: Mapping[object, Component]):
+    def __init__(self, dim: int, rank: int, components: Mapping[object, object]):
         if not 1 <= rank <= dim:
             raise ValueError("rank must be between 1 and the chart dimension")
         self.dim = int(dim)
         self.rank = int(rank)
-        comps: dict[tuple[int, ...], Component] = {}
+        comps: dict[tuple[int, ...], Expression] = {}
         for key, value in components.items():
             idx = _parse_key(key, self.dim)
             if len(idx) != self.rank:
                 raise ValueError(f"component key {key!r} does not have rank {rank}")
-            if isinstance(value, str):
-                value = exprmod.parse_expression(value, self.dim)
-            comps[idx] = value
+            comps[idx] = _component(key, value, self.dim)
         self._comps = comps
         self._src, self._dst, self._sign = _scatter_table(self.dim, self.rank, list(comps))
 
@@ -120,23 +134,15 @@ class AntisymTensorField:
         return pts.reshape(-1, self.dim), pts.ndim == 1
 
     @cached_property
-    def _split(self):
-        """The expression components as one ``expr.Fused``, their positions among
-        the stored components, and the other (position, component) pairs."""
-        items = list(enumerate(self._comps.values()))
-        at = [k for k, c in items if isinstance(c, Expression)]
-        return exprmod.Fused(items[k][1] for k in at), at, [i for i in items if i[0] not in at]
+    def _fused(self) -> exprmod.Fused:
+        """The stored components as one ``expr.Fused``, in their order."""
+        return exprmod.Fused(self._comps.values())
 
     def values_at(self, point: Sequence[float]) -> np.ndarray:
         """Full component array at ``point``, or at each row of an (N, dim)
-        array (expressions in one call over columns); exactly antisymmetric."""
+        array (all components in one call over columns); exactly antisymmetric."""
         X, one = self._rows(point)
-        exprs, at, others = self._split
-        vals = np.empty((len(self._comps), len(X)))
-        vals[at] = exprmod.eval_columns(exprs, X.T)
-        for k, c in others:
-            vals[k] = [value_of(c(row)) if callable(c) else float(c) for row in X.tolist()]
-        out = self._scatter(vals.T)
+        out = self._scatter(exprmod.eval_columns(self._fused, X.T).T)
         return out[0] if one else out
 
     def jacobian_at(self, point: Sequence[float]) -> np.ndarray:
@@ -148,15 +154,9 @@ class AntisymTensorField:
 
     def _gradients(self, X: np.ndarray) -> np.ndarray:
         """``G[row, a, c] = d_a`` of stored component c at each row of an (N, dim)
-        array: expression components from one order-1 kernel, the others from one
-        jet evaluation per row."""
-        n, (exprs, at, others) = self.dim, self._split
-        grads = np.empty((len(self._comps), n, len(X)))
-        grads[at] = exprmod.eval_columns(exprs, X.T, 1).reshape(len(at), 1 + n, len(X))[:, 1:]
-        for k, c in others:
-            grads[k] = np.array([Jet.lift(c(Jet.seeds(x, 1)) if callable(c) else float(c), n, 1)
-                                 .gradient for x in X]).T
-        return grads.T
+        array, from one order-1 kernel."""
+        jets = exprmod.eval_columns(self._fused, X.T, 1)
+        return jets.reshape(len(self._comps), 1 + self.dim, len(X))[:, 1:].T
 
     @cached_property
     def _ky_pairs(self):
@@ -171,23 +171,10 @@ class AntisymTensorField:
         a, b = (k * n ** (rank - 1) + np.tile(rest, len(l) // len(rest)) for k in (m, l))
         return l * width + comp[a], sign[a], m * width + comp[b], sign[b]
 
-    @property
-    def is_serializable(self) -> bool:
-        return all(
-            isinstance(c, (Expression, int, float)) for c in self._comps.values()
-        )
-
     def to_dict(self) -> dict:
-        """JSON-ready form; only expression or numeric components qualify."""
-        comps = {}
-        for idx in sorted(self._comps):
-            c = self._comps[idx]
-            if isinstance(c, Expression):
-                comps[_key_string(idx, self.dim)] = exprmod.unparse(c)
-            elif isinstance(c, (int, float)):
-                comps[_key_string(idx, self.dim)] = repr(float(c))
-            else:
-                raise ValueError("field has callable components; not serializable")
+        """JSON-ready form: each component's expression source."""
+        comps = {_key_string(idx, self.dim): exprmod.unparse(self._comps[idx])
+                 for idx in sorted(self._comps)}
         return {"schema": "kyano/1", "dim": self.dim, "rank": self.rank,
                 "components": comps}
 
@@ -201,8 +188,7 @@ class AntisymTensorField:
             if type(obj.get(key)) is not int:  # JSON true and 3.0 are not integers
                 raise ValueError(f"field {key!r} must be an integer, got {obj.get(key)!r}")
         comps = obj.get("components")
-        if not (isinstance(comps, Mapping)
-                and all(isinstance(c, (str, int, float)) for c in comps.values())):
+        if not isinstance(comps, Mapping):
             raise ValueError("field 'components' must map index keys to expression"
                              " strings or numbers")
         return cls(obj["dim"], obj["rank"], dict(comps))

@@ -66,7 +66,8 @@ class MetricSpec:
     guards: tuple[Expression, ...] = ()
     box: Optional[tuple[tuple[float, float], ...]] = None
     inverse: Optional[ComponentGrid] = None
-    # per-order component kernels and gather indices, see _component_table
+    # per-order component kernels and gather indices, see _component_table, and the
+    # geodesic kernels, see dynamics.GeodesicHamiltonian._fused
     _tables: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
                                       compare=False)
 

@@ -95,6 +95,18 @@ def test_verify_ky_malformed_field_file(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", ["1" + "0" * 400, "true", "1e400", "NaN"],
+                         ids=["int-too-large-for-a-float", "bool", "1e400", "nan"])
+def test_field_file_component_that_is_no_finite_number_is_an_input_error(tmp_path, capsys, text):
+    path = tmp_path / "f.json"
+    path.write_text('{"dim": 4, "rank": 2, "components": {"12": %s}}' % text, encoding="utf-8")
+    code, out, err = run(capsys, "verify-ky", "--manifold", "taub-nut:m=1", "--field", str(path),
+                         "--samples", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: field component '12' must be an expression or a finite number")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("option, obj", [
     ("--manifold", {"kind": "flat"}),
     ("--manifold", {"kind": "custom"}),

@@ -538,6 +538,18 @@ def test_specs_of_one_metric_share_one_compiled_step():
     assert a._fused[1] is b._fused[1]
 
 
+def test_geodesics_on_one_spec_build_its_kernels_once(monkeypatch):
+    spec, built = geometry.taub_nut(0.9), []
+    compile_ = expr._compile
+    monkeypatch.setattr(expr, "_compile", lambda *a, **k: built.append(a) or compile_(*a, **k))
+    start = PhasePoint([1.3, 1.0, 0.4, 0.2], [0.2, -0.3, 0.1, 0.4])
+    first = geodesic_integrate(spec, start, 0.01, 5)
+    count = len(built)
+    assert geodesic_integrate(spec, start, 0.01, 5).states.tobytes() == first.states.tobytes()
+    assert count > 0 and len(built) == count
+    assert GeodesicHamiltonian(spec)._fused is spec._tables["geodesic"]
+
+
 def test_a_run_has_one_try_its_outer_one(monkeypatch):
     sources = []
     monkeypatch.setattr(expr, "compile", lambda source, *args: sources.append(source)

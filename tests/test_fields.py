@@ -3,11 +3,11 @@
 import itertools
 import math
 
+import jetref
 import numpy as np
 import pytest
 
 from kyano import expr as exprmod
-from kyano.dual import Jet, value_of
 from kyano.fields import AntisymTensorField, levi_civita
 
 
@@ -94,12 +94,20 @@ def test_numeric_components():
     assert v[0, 1] == 1.0 and v[2, 3] == 1.0 and v[1, 0] == -1.0
 
 
-def test_callable_components_not_serializable():
-    f = AntisymTensorField(3, 2, {(0, 1): lambda pt: pt[2]})
-    assert f.values_at([0, 0, 7.0])[0, 1] == 7.0
-    assert not f.is_serializable
-    with pytest.raises(ValueError):
-        f.to_dict()
+def test_numeric_components_serialize_as_their_float_repr():
+    f = AntisymTensorField(3, 2, {"12": -2.5, "13": 1, "23": np.float64(0.1)})
+    assert f.to_dict()["components"] == {"12": "-2.5", "13": "1.0", "23": "0.1"}
+    back = AntisymTensorField.from_dict(f.to_dict())
+    assert back.values_at([0.3, 0.2, 0.1]).tobytes() == f.values_at([0.3, 0.2, 0.1]).tobytes()
+    assert not back.jacobian_at([0.3, 0.2, 0.1]).any()
+
+
+@pytest.mark.parametrize("value", [True, 10**400, math.inf, math.nan, [1.0], len],
+                         ids=["bool", "int-too-large-for-a-float", "inf", "nan", "list",
+                              "callable"])
+def test_a_component_that_is_no_finite_number_or_expression_is_rejected(value):
+    with pytest.raises(ValueError, match="^field component '12' must be an expression or a finite"):
+        AntisymTensorField(3, 2, {"12": value})
 
 
 def test_json_roundtrip():
@@ -133,12 +141,9 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_row_jacobians_and_values_match_single_points():
-    # expression, callable and numeric components; one row at a time by the old kernels
-    def callable_component(xs):
-        return xs[0] * xs[1] - xs[2]
-
+    # expression and numeric components; one row at a time by the per-component kernels
     field = AntisymTensorField(
-        4, 2, {"12": "x1*sin(x3)", "14": callable_component, "23": 2.5, "34": "x4^2/x2"})
+        4, 2, {"12": "x1*sin(x3)", "14": "x1*x2 - x3", "23": 2.5, "34": "x4^2/x2"})
     X = np.random.default_rng(7).uniform(0.5, 2.0, (40, 4))
     jac = field.jacobian_at(X)
     vals = field.values_at(X)
@@ -146,10 +151,7 @@ def test_row_jacobians_and_values_match_single_points():
     for x, j, v in zip(X, jac, vals):
         want = np.zeros((4, 4, 4))
         for (a, b), c in field.component_items():
-            if isinstance(c, exprmod.Expression):
-                grad = exprmod._kernel(c, 1)(x.tolist())[1:]
-            else:
-                grad = Jet.lift(c(Jet.seeds(x, 1)) if callable(c) else float(c), 4, 1).gradient
+            grad = exprmod._kernel(c, 1)(x.tolist())[1:]
             want[:, a, b], want[:, b, a] = grad, -np.array(grad)
         assert j.tobytes() == want.tobytes() == field.jacobian_at(x).tobytes()
         assert v.tobytes() == field.values_at(x).tobytes()
@@ -167,47 +169,9 @@ def test_rank_bounds():
 # -- table scatter against the per-permutation reference -----------------------
 
 
-def _reference_sign(perm):
-    inversions = sum(
-        perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm))
-    )
-    return -1 if inversions % 2 else 1
-
-
-def _reference_scalar(comp, coords):
-    if isinstance(comp, exprmod.Expression):
-        return exprmod.evaluate(comp, coords)
-    if callable(comp):
-        return comp(coords)
-    return float(comp)
-
-
-def _reference_values(field, point):
-    """One assignment per index tuple and permutation, as a plain loop."""
-    n, rank = field.dim, field.rank
-    coords = [float(v) for v in point]
-    arr = np.zeros((n,) * rank)
-    for idx, comp in field.component_items():
-        v = value_of(_reference_scalar(comp, coords))
-        for perm in itertools.permutations(range(rank)):
-            arr[tuple(idx[k] for k in perm)] = _reference_sign(perm) * v
-    return arr
-
-
-def _reference_jacobian(field, point):
-    n, rank = field.dim, field.rank
-    seeds = Jet.seeds(np.asarray(point, dtype=float), 1)
-    jac = np.zeros((n,) + (n,) * rank)
-    for idx, comp in field.component_items():
-        grad = Jet.lift(_reference_scalar(comp, seeds), n, 1).gradient
-        for perm in itertools.permutations(range(rank)):
-            jac[(slice(None),) + tuple(idx[k] for k in perm)] = _reference_sign(perm) * grad
-    return jac
-
-
 def _random_field(n, rank, rng):
     """Random expression components on a random subset of index tuples,
-    plus one callable and one numeric component where there is room."""
+    one of them numeric where there is room."""
     keys = list(itertools.combinations(range(n), rank))
     rng.shuffle(keys)
     keys = keys[: max(1, int(rng.integers(1, len(keys) + 1)))]
@@ -216,7 +180,7 @@ def _random_field(n, rank, rng):
         a, b = (int(v) for v in rng.integers(1, n + 1, 2))
         c = float(rng.uniform(-2.0, 2.0))
         if j == 1:
-            comps[key] = lambda xs, a=a, b=b, c=c: c * xs[a - 1] * xs[b - 1] - xs[0]
+            comps[key] = f"{c!r}*x{a}*x{b} - x1"
         elif j == 2:
             comps[key] = c
         else:
@@ -232,8 +196,9 @@ def test_scatter_matches_permutation_reference(n, rank):
     for _ in range(3):
         field = _random_field(n, rank, rng)
         for pt in rng.uniform(-1.5, 1.5, (3, n)):
-            assert field.values_at(pt).tobytes() == _reference_values(field, pt).tobytes()
-            assert field.jacobian_at(pt).tobytes() == _reference_jacobian(field, pt).tobytes()
+            values, jacobian = jetref.expression_field_arrays(field, pt)
+            assert field.values_at(pt).tobytes() == values.tobytes()
+            assert field.jacobian_at(pt).tobytes() == jacobian.tobytes()
 
 
 def test_levi_civita_matches_permutation_signs():
@@ -241,5 +206,5 @@ def test_levi_civita_matches_permutation_signs():
         eps = levi_civita(n)
         ref = np.zeros((n,) * n)
         for perm in itertools.permutations(range(n)):
-            ref[perm] = _reference_sign(perm)
+            ref[perm] = jetref.permutation_sign(perm)
         assert eps.tobytes() == ref.tobytes()

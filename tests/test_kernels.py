@@ -1,5 +1,5 @@
-"""Compiled expression kernels against the AST-walking jet evaluator they
-replace, kept here as the reference.  Results are compared by bytes; NaNs
+"""Compiled expression kernels against the AST-walking jet evaluator of
+``jetref``, the reference they replace.  Results are compared by bytes; NaNs
 are compared as NaN, because IEEE arithmetic leaves the sign and payload
 of a NaN result unspecified."""
 
@@ -7,6 +7,7 @@ import ast
 import itertools
 import math
 
+import jetref
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,67 +15,14 @@ from hypothesis import strategies as st
 
 from kyano import dual, dynamics, expr, geometry
 from kyano.dynamics import GeodesicHamiltonian
-from kyano.dual import Jet, value_of
 from kyano.errors import SingularEvaluation
-from kyano.expr import FUNCTIONS, Call, Neg, Num, Var, _literal_int
+from kyano.expr import FUNCTIONS
 from kyano.fields import AntisymTensorField
-
-
-def _ref_eval(node, scalars):
-    """The per-node AST walk over floats or jets."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return scalars[node.slot]
-    if isinstance(node, Neg):
-        return -_ref_eval(node.arg, scalars)
-    if isinstance(node, Call):
-        arg = _ref_eval(node.arg, scalars)
-        try:
-            return FUNCTIONS[node.func](arg)
-        except SingularEvaluation as e:
-            raise SingularEvaluation(
-                f"{e} in {node.func}(...) at offset {node.offset}"
-            ) from None
-    left = _ref_eval(node.left, scalars)
-    if node.op == "^":
-        k = _literal_int(node.right)
-        try:
-            if k is not None:
-                return dual.integer_power(left, k)
-            return dual.power(left, _ref_eval(node.right, scalars))
-        except SingularEvaluation as e:
-            raise SingularEvaluation(f"{e} in '^' at offset {node.offset}") from None
-    right = _ref_eval(node.right, scalars)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    try:
-        return left / right
-    except ZeroDivisionError:
-        raise SingularEvaluation(
-            f"division by zero in '/' at offset {node.offset}"
-        ) from None
-    except SingularEvaluation as e:
-        raise SingularEvaluation(f"{e} in '/' at offset {node.offset}") from None
-
-
-def _ref_value(e, point):
-    return value_of(_ref_eval(e.root, [float(v) for v in point]))
-
-
-def _ref_jet(e, point, order):
-    if len(point) != e.nvars:
-        raise ValueError(f"expected {e.nvars} values, got {len(point)}")
-    return Jet.lift(_ref_eval(e.root, Jet.seeds(point, order)), e.nvars, order)
 
 
 def _canon(x):
     """Bytes of a float, a jet or an array, with every NaN the same NaN."""
-    if isinstance(x, Jet):
+    if isinstance(x, dual.Jet):
         parts = [x.value, x.gradient] + ([] if x.hessian is None else [x.hessian])
         return tuple(_canon(p) for p in parts)
     a = np.asarray(x, dtype=float)
@@ -118,12 +66,9 @@ _POINTS = st.tuples(_COORD, _COORD, _COORD)
 @settings(max_examples=400, deadline=None)
 def test_kernels_match_reference_walk(src, pt):
     e = expr.parse_expression(src, 3)
-    assert _outcome(expr.eval_value, e, pt) == _outcome(_ref_value, e, pt), src
+    assert _outcome(expr.eval_value, e, pt) == _outcome(jetref.value, e, pt), src
     for order, fn in ((1, expr.eval1), (2, expr.eval2)):
-        assert _outcome(fn, e, pt) == _outcome(_ref_jet, e, pt, order), (src, order)
-    for order in (1, 2):
-        seeds = Jet.seeds(pt, order)
-        assert _outcome(expr.evaluate, e, seeds) == _outcome(_ref_eval, e.root, seeds), (src, order)
+        assert _outcome(fn, e, pt) == _outcome(jetref.jet, e, pt, order), (src, order)
 
 
 @pytest.mark.parametrize(
@@ -140,18 +85,13 @@ def test_kernels_match_reference_walk(src, pt):
 )
 def test_singular_messages_unchanged(src, point, message):
     e = expr.parse_expression(src, 1)
-    for fn in (expr.eval_value, expr.eval1, expr.eval2):
+    for fn in (expr.eval_value, expr.eval1, expr.eval2, jetref.value):
         with pytest.raises(SingularEvaluation) as info:
             fn(e, (point,))
         assert str(info.value) == message
-    # the float-only kernel and the jet-capable one, both on a float
-    for jets in (False, True):
+    for order in (1, 2):  # the reference walk on jets
         with pytest.raises(SingularEvaluation) as info:
-            expr._kernel(e, 0, jets=jets)([point])
-        assert str(info.value) == message
-    for order in (1, 2):
-        with pytest.raises(SingularEvaluation) as info:
-            expr.evaluate(e, Jet.seeds((point,), order))
+            jetref.jet(e, (point,), order)
         assert str(info.value) == message
 
 
@@ -287,7 +227,7 @@ def test_a_skipped_factor_that_overflows_makes_the_witness_non_finite():
     assert any(math.isnan(w) and g == 0.0 for g, w in zip(got, want))
 
 
-def test_float_kernels_equal_the_jet_capable_kernels_on_floats():
+def test_float_kernels_equal_the_reference_walk_on_floats():
     # every catalog metric component, closed-form inverse entry and guard
     specs = [geometry.taub_nut(m, fs) for m in (0.7, 2.5) for fs in (2.0, 4.0)]
     specs += [geometry.const_curvature3(K) for K in (-4.0, -1.0, 0.5, 1.0)]
@@ -298,9 +238,9 @@ def test_float_kernels_equal_the_jet_capable_kernels_on_floats():
         exprs = {id(e): e for grid in grids for row in grid for e in row if e is not None}
         exprs.update((id(g), g) for g in spec.guards)
         for e in exprs.values():
-            floats, jets = expr._kernel(e, 0), expr._kernel(e, 0, jets=True)
-            got = np.array([floats(pt) for pt in pts])
-            assert got.tobytes() == np.array([jets(pt) for pt in pts]).tobytes(), str(e)
+            kernel = expr._kernel(e, 0)
+            got = np.array([kernel(pt) for pt in pts])
+            assert got.tobytes() == np.array([jetref.value(e, pt) for pt in pts]).tobytes(), str(e)
 
 
 def test_fewer_rows_than_the_column_threshold_run_per_point():
@@ -309,7 +249,7 @@ def test_fewer_rows_than_the_column_threshold_run_per_point():
     for order in (0, 1, 2):
         want = _per_point_rows(e, cols.T.tolist(), order)
         assert expr.eval_columns(e, cols, order).tobytes() == want.tobytes()
-    assert not any(columns for _, columns, _ in e._kernels)  # no column kernel was built
+    assert not any(columns for _, columns in e._kernels)  # no column kernel was built
 
 
 def test_kernel_is_compiled_once_per_order():
@@ -335,9 +275,9 @@ def _ref_metric(spec, point, order):
             if e is None:
                 continue
             if order == 0:
-                g[i, j] = _ref_value(e, coords)
+                g[i, j] = jetref.value(e, coords)
                 continue
-            d = _ref_jet(e, coords, order)
+            d = jetref.jet(e, coords, order)
             g[i, j], dg[:, i, j] = d.value, d.gradient
             if order == 2:
                 d2g[:, :, i, j] = d.hessian
@@ -389,9 +329,9 @@ def test_second_report_compiles_no_kernel(monkeypatch):
     compiled = []
 
     class CountingEmitter(expr._Emitter):
-        def __init__(self, n, order):
-            compiled.append(order)
-            super().__init__(n, order)
+        def __init__(self, *args):
+            compiled.append(args)
+            super().__init__(*args)
 
     monkeypatch.setattr(expr, "_Emitter", CountingEmitter)
     report.assemble_report(seed=3, samples=4)
@@ -407,8 +347,8 @@ def test_float_arguments_skip_derivative_factors(fn):
     for x in (0.3, 1.7, 42.0):
         got = fn(x)
         assert type(got) is float
-        for order in (1, 2):
-            assert got == fn(Jet.seeds([x], order)[0]).value
+        for order in (1, 2):  # the value of the reference's chain rule
+            assert got == getattr(jetref, fn.__name__)(jetref.Jet.seeds([x], order)[0]).value
 
 
 def test_sqrt_of_tiny_argument():
@@ -417,11 +357,11 @@ def test_sqrt_of_tiny_argument():
     assert expr.eval_value(e, [tiny]) == dual.sqrt(tiny) > 0.0
     jet = expr.eval1(e, [tiny])
     assert jet.value == dual.sqrt(tiny) and np.isfinite(jet.gradient).all()
-    assert _outcome(expr.eval1, e, [tiny]) == _outcome(_ref_jet, e, [tiny], 1)
+    assert _outcome(expr.eval1, e, [tiny]) == _outcome(jetref.jet, e, [tiny], 1)
     message = "sqrt argument too small for a second derivative in sqrt(...) at offset 0"
-    for fn, arg in ((expr.eval2, [tiny]), (expr.evaluate, Jet.seeds([tiny], 2))):
+    for fn, args in ((expr.eval2, ()), (jetref.jet, (2,))):
         with pytest.raises(SingularEvaluation) as info:
-            fn(e, arg)
+            fn(e, [tiny], *args)
         assert str(info.value) == message
 
 
@@ -478,7 +418,7 @@ def _catalog_expressions():
         out += [(g, pts) for g in spec.guards]
     for spec, field in fields:
         pts = geometry.sample_points(spec, 300, np.random.default_rng(12))
-        out += [(c, pts) for _, c in field.component_items() if isinstance(c, expr.Expression)]
+        out += [(c, pts) for _, c in field.component_items()]
     return out
 
 
@@ -596,7 +536,7 @@ def _fused_cases():
             out.append((expr.Fused(e for i, row in enumerate(spec.inverse)
                                    for e in row[i:] if e is not None), pts))
     for spec, field in fields:
-        out.append((field._split[0], geometry.sample_points(spec, 300, np.random.default_rng(22))))
+        out.append((field._fused, geometry.sample_points(spec, 300, np.random.default_rng(22))))
     return out
 
 
@@ -643,7 +583,7 @@ def test_fused_kernels_raise_the_first_failing_rows_error(order):
                     [1.5, math.pi, 0.5, 0.5], [-0.0, 0.0, 0.0, 0.0]])
     messages = set()
     for fused in (geometry._component_table(spec, order)[0], inverse,
-                  kysym.taubnut_ky_field(1, 1.0)._split[0]):
+                  kysym.taubnut_ky_field(1, 1.0)._fused):
         for row in bad.tolist():
             want = _outcome(_per_component, fused, [row], order)
             assert _outcome(expr._kernel(fused, order), row) == want
@@ -660,10 +600,10 @@ def test_fused_kernels_raise_the_first_failing_rows_error(order):
 _EVAL_COLUMNS = expr.eval_columns
 
 
-def test_fields_evaluate_their_expressions_in_one_call_and_the_rest_per_row(monkeypatch):
-    # a callable, a constant and expression components, against the per-component evaluation
+def test_fields_evaluate_their_components_in_one_call(monkeypatch):
+    # a number and expression components, against the per-component evaluation
     field = AntisymTensorField(4, 2, {
-        "12": "x1*sin(x2)", "13": lambda s: s[0] * s[2] + s[3], "14": 2.5,
+        "12": "x1*sin(x2)", "13": "x1*x3 + x4", "14": 2.5,
         "23": "x2^2 / x1 - cos(x2)", "34": "sin(x2)*x4"})
     comps = [c for _, c in field.component_items()]
     calls = []
@@ -671,13 +611,11 @@ def test_fields_evaluate_their_expressions_in_one_call_and_the_rest_per_row(monk
     pts = np.random.default_rng(24).uniform(0.5, 2.0, (300, 4))
     for n in (1, 31, 32, 300):
         X = pts[:n]
-        vals = np.array([_EVAL_COLUMNS(c, X.T) if isinstance(c, expr.Expression) else
-                         [value_of(c(x)) if callable(c) else float(c) for x in X.tolist()]
-                         for c in comps]).reshape(-1, n).T
-        grads = np.array([_EVAL_COLUMNS(c, X.T, 1)[1:] if isinstance(c, expr.Expression) else
-                          np.array([Jet.lift(c(Jet.seeds(x, 1)) if callable(c) else float(c),
-                                             4, 1).gradient for x in X]).T
-                          for c in comps]).reshape(-1, 4, n).T
+        vals = np.array([_EVAL_COLUMNS(c, X.T) for c in comps]).reshape(-1, n).T
+        grads = np.array([_EVAL_COLUMNS(c, X.T, 1)[1:] for c in comps]).reshape(-1, 4, n).T
+        # the number is its float in every row, with +0.0 derivatives
+        assert vals[:, 2].tobytes() == np.full(n, 2.5).tobytes()
+        assert grads[..., 2].tobytes() == np.zeros((n, 4)).tobytes()
         calls.clear()
         assert field.values_at(X).tobytes() == field._scatter(vals).tobytes()
         assert field.jacobian_at(X).tobytes() == field._scatter(grads).tobytes()
@@ -703,7 +641,7 @@ def test_division_by_a_nonzero_constant_has_no_zero_check(monkeypatch):
         if spec.inverse:  # the fused geodesic kernels, exact and sparse, and the run
             _geodesic_kernels(spec)
     for field in [kysym.taubnut_ky_field(1, 1.0), kysym.constcurv_ky_field(1, 1.0)]:
-        fused = field._split[0]
+        fused = field._fused
         for order, columns in itertools.product((0, 1, 2), (False, True)):
             expr._compile.__wrapped__(fused[0].nvars, tuple((e.root, order) for e in fused),
                                       columns)
@@ -728,10 +666,10 @@ def test_division_by_a_nonzero_constant_has_no_zero_check(monkeypatch):
 ]])
 def test_a_jet_divided_by_zero_still_raises(src, message):
     e = expr.parse_expression(src, 1)
-    want = _outcome(_ref_jet, e, [2.0], 1)
+    want = _outcome(jetref.jet, e, [2.0], 1)
     assert want[0] == "raises" and message in want[2]
     for order in (1, 2):
-        assert _outcome(_ref_jet, e, [2.0], order) == _outcome(expr._jet, e, [2.0], order)
+        assert _outcome(jetref.jet, e, [2.0], order) == _outcome(expr._jet, e, [2.0], order)
         cols = np.full((1, expr._COLUMN_ROWS), 2.0)
         assert _outcome(expr.eval_columns, e, cols, order)[2] == want[2]
 
@@ -776,7 +714,7 @@ def test_no_kernel_repeats_a_check(monkeypatch):
              geometry.const_curvature3(-4.0), geometry.const_curvature3_spherical(1.0)]
     fused = [(geometry._component_table(spec, order)[0], order)
              for spec in specs for order in (0, 1, 2)]
-    fused += [(kysym.taubnut_ky_field(1, 1.0)._split[0], order) for order in (0, 1, 2)]
+    fused += [(kysym.taubnut_ky_field(1, 1.0)._fused, order) for order in (0, 1, 2)]
     for (exprs, order), columns in itertools.product(fused, (False, True)):
         expr._compile.__wrapped__(exprs[0].nvars, tuple((e.root, order) for e in exprs), columns)
     for spec in specs[:3]:  # the fused geodesic kernels, exact and sparse, and the run
