@@ -24,7 +24,7 @@ import numpy as np
 from . import geometry, jsonio, kysym, multipole, report
 from .dynamics import PhasePoint, angular_momentum, conservation_monitor, \
     free_hamiltonian, geodesic_integrate, killing_quadratic, write_trajectory_csv
-from .errors import KyanoError
+from .errors import KyanoError, clipped
 from .fields import AntisymTensorField
 
 
@@ -116,7 +116,7 @@ def _monitored_quantities(args, spec):
                 raise KyanoError("L components are defined on 3-dimensional manifolds")
             quantities.append((label, angular_momentum(int(label[1]))))
         else:
-            raise KyanoError(f"unknown monitor quantity {label!r} (use H, K, L1..L3)")
+            raise KyanoError(f"unknown monitor quantity {clipped(label)} (use H, K, L1..L3)")
     return quantities
 
 

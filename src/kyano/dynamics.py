@@ -1,15 +1,14 @@
 """Phase-space functions, brackets, and fixed-step geodesic integration.
 
 The Hamiltonian of free geodesic motion is H = (1/2) g^{mn}(x) p_m p_n.
-Integration is classic fourth-order Runge-Kutta with a fixed step on a
-list of Python floats, each stage in numpy's operation order.  The
-right-hand side is (p, -0.0) on the identity metric; the jet of H where g^-1
-has a closed form, as on the other catalog metrics, from one float kernel that
-also gives the guard values; on a custom metric it is from the metric's 1-jet
-with g^-1 numeric; never finite differences.  With the kernel a generated run loops over the
-steps, each stage the kernel's sparse twin inlined under accept tests that imply the exact
-results (a finite state sum, the guards, sum|g| sum|g^-1| < bound, a finite witness); a step
-it declines is replayed per stage.
+Integration is classic fourth-order Runge-Kutta with a fixed step on a list of
+Python floats, each stage in numpy's operation order.  The right-hand side is
+Hamilton's equations, dx/dt = g^-1 p and dp/dt = -(1/2) p (d g^-1) p: where g^-1
+has a closed form (every catalog metric, flat space included) from one float kernel
+of its entries' x-jets that also gives the guard values; on a custom metric from
+g's 1-jet with g^-1 numeric; never finite differences.  With the kernel a generated
+run loops over the steps, each stage the kernel's sparse twin inlined under accept
+tests that imply the exact results; a step it declines is replayed per stage.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
@@ -116,13 +114,12 @@ class PhaseExpression(_RowValues):
 
 
 class GeodesicHamiltonian(_RowValues):
-    """H = (1/2) g^{mn}(x) p_m p_n with jet-based exact gradients; ``values``
+    """H = (1/2) g^{mn}(x) p_m p_n, whose flow ``rhs`` is Hamilton's equations; ``values``
     inverts g numerically, so an H monitor checks a closed-form ``rhs``."""
 
     def __init__(self, spec: MetricSpec):
         self.spec = spec
         self.n = spec.dim
-        self.identity = geometry._is_identity(spec)
 
     def _values(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
         ginv = geometry.inverse_metric_at(self.spec, X)
@@ -136,40 +133,30 @@ class GeodesicHamiltonian(_RowValues):
 
     @property
     def _fused(self):
-        """One float kernel of the guards, g's distinct entries, the closed-form g^-1 and H's 1-jet,
-        the run of its sparse twin, the ends of those blocks in its outputs, and its parts; built
-        once per spec and held in its ``_tables``."""
+        """:func:`_compiled`'s kernel and run, the ends (a, b, c) of the guard, g and g^-1 blocks in
+        the kernel's outputs, and the blocks; built once per spec and held in its ``_tables``."""
         fused = self.spec._tables.get("geodesic")
         if fused is None:
-            upper = [(i, j, e) for i, row in enumerate(self.spec.inverse)
-                     for j, e in enumerate(row) if i <= j and e is not None]
-            H = PhaseFunction.from_expression("0.5 * (" + " + ".join(
-                f"{1 + (i < j)} * {exprmod.unparse(e)} * (p{i + 1} * p{j + 1})"
-                for i, j, e in upper) + ")", self.n)
-            blocks = (self.spec.guards, geometry._component_table(self.spec, 0)[0],
-                      tuple(e for *_, e in upper))
-            parts = tuple((e.root, 0) for b in blocks for e in b) + ((H.expr.root, 1),)
-            ends = tuple(itertools.accumulate(map(len, blocks)))
+            blocks = (tuple(e.root for e in self.spec.guards),
+                      tuple(e.root for e in geometry._component_table(self.spec, 0)[0]),
+                      tuple((i, j, row[j].root) for i, row in enumerate(self.spec.inverse)
+                            for j in itertools.compress(range(i, self.n), row[i:])))
             fused = self.spec._tables["geodesic"] = (
-                exprmod._compile(2 * self.n, parts), _compiled_run(parts, *ends, self.n),
-                *ends, parts)
+                *_compiled(self.n, blocks), tuple(itertools.accumulate(map(len, blocks))), blocks)
         return fused
 
     def rhs(self, z: list) -> list:
-        """(dx/dt, dp/dt) = (dH/dp, -dH/dx) as a list, at the list ``z`` of finite
-        floats, on the identity metric in closed form (no kernel to build, which costs
-        O(n^2) statements), else by H's kernel or g's 1-jet; a state outside a guard
-        raises as :func:`geometry._check_guards` does, before any other error."""
+        """(dx/dt, dp/dt) = (g^-1 p, -(1/2) p (d g^-1) p) as a list at the list ``z`` of finite
+        floats, by the kernel of a closed-form g^-1, else from g's 1-jet with g^-1 numeric; a state
+        outside a guard raises as :func:`geometry._check_guards` does, before any other error."""
         n, spec = self.n, self.spec
-        if self.identity:  # -dH/dx = -(+0.0), as H's kernel has it: p + c * -0.0 is p
-            return z[n:] + [-0.0] * n
         if spec.inverse is None:
             _, dg, ginv = geometry._metric(spec, z[:n], 1, inverse=True)
             gip = ginv @ np.array(z[n:])
             # d_a g^{mn} = -(ginv dg_a ginv)^{mn}
             pdot = 0.5 * np.einsum("m,amn,n->a", gip, dg, gip)
             return np.concatenate([gip, pdot]).tolist()
-        kernel, _, a, b, c, _ = self._fused
+        kernel, _, (a, b, c), _ = self._fused
         try:
             out = kernel(z)
         except Exception:
@@ -178,7 +165,32 @@ class GeodesicHamiltonian(_RowValues):
         if not all(map(geometry.DOMAIN_MARGIN.__le__, out[:a])):  # NaN is outside
             geometry._check_guards(spec, z[:n])
         geometry._check_entries(out[a:b], out[b:c], n)
-        return [*out[c + 1 + n:], *[-v for v in out[c + 1:c + 1 + n]]]
+        return list(out[c:])
+
+
+def _hamilton_source(n: int, blocks: tuple, sparse: bool = False) -> tuple:
+    """Statements over the slots x1..xn, p1..pn and output sources: the values of ``blocks``
+    (guards, g's entries, the upper entries (i, j, root) of a closed-form g^-1), then from those
+    g^-1 entries' x-jets dx/dt_k = sum_j g^{kj} p_j and dp/dt_a = -(0.5 * sum_{i<=j} (p_i p_j)
+    (c d_a g^{ij})), c = 2 off the diagonal, no term of a constant entry; ``sparse`` as emitted."""
+    guards, g, upper = blocks
+    em, p = exprmod._Emitter(n, sparse=sparse), [f"s{n + k}" for k in range(n)]
+    outs = [em.emit(e) for e in guards + g + tuple(e for *_, e in upper)]
+    em.order, rows, terms = 1, [[] for _ in p], []
+    for i, j, e in upper:  # each row's terms in j order
+        jet = em.emit(e)
+        value = jet[0] if isinstance(jet, tuple) else jet
+        rows[i].append(em.mul(value, p[j]))
+        if i < j:
+            rows[j].append(em.mul(value, p[i]))
+        if isinstance(jet, tuple):
+            terms.append((em.mul(p[i], p[j]), jet[1], 1.0 + (i < j)))
+    outs += [functools.reduce(em.add, row or [0.0]) for row in rows]
+    outs += [em.neg(em.mul(functools.reduce(em.add, [
+        em.mul(pp, em.mul(d[a], c)) for pp, d, c in terms] or [0.0]), 0.5)) for a in range(n)]
+    if sparse:  # and last the witness, the sum of the skipped factors; a slot is checked finite
+        outs.append(" + ".join(x for x in em.pruned if x[0] == "t") or 0.0)
+    return em.lines, [em.src(x) for x in outs]
 
 
 def free_hamiltonian(spec: MetricSpec) -> GeodesicHamiltonian:
@@ -280,51 +292,53 @@ class Trajectory:
 
 
 @functools.lru_cache(maxsize=256)
-def _compiled_run(parts: tuple, a: int, b: int, c: int, n: int) -> Callable:
-    """``run(out, k, stop, z..., k1..., half, dt, sixth)``: :func:`_rk4`'s steps k .. stop - 1 up to
-    one not accepted, the sparse kernel of ``parts`` (guards ``[:a]``, g ``[a:b]``, g^-1 ``[b:c]``,
-    H's 1-jet, witness) inlined in each stage, states' bytes into ``out``; (k, z, k1) there."""
-    # Passing the accept tests passes stage()'s and rhs()'s exact checks: a finite sum
-    # of the state has finite terms; max <= sum over non-negative terms, so sum|g|
-    # sum|g^-1| < bound passes max|g| max|g^-1| < bound; and a NaN or inf in either sum
-    # fails the <.  A stage that raises is not accepted either; _rk4 replays the step.
-    # The sparse kernel skips x * 0.0 and x + 0.0 for a local x.  Where it returns a finite
-    # witness, the sum of those x, each skipped product is a zero, so the exact kernel returns
-    # the same outputs but for the sign of a zero: no kept operation turns that sign into a
-    # nonzero difference (a division by +-0 raises, as do the checks on sqrt, ln and abs).
-    # A zero's sign moves z + c*k only where z is -0.0, so such starts run per stage.
-    def row(fmt: str, sep: str = ", ") -> str:
-        return sep.join(fmt.format(i=i) for i in range(2 * n))
-    lines, o = exprmod._source(2 * n, parts, sparse=True)
-    for i in reversed(range(len(lines))):  # drop a +, - or * that nothing reads (H's value)
-        dead = re.fullmatch(r" *(t\d+) = (?:[\w.]+|\([\d.e+-]+\)|[ +*-])*", lines[i])
-        if dead and not re.search(rf"\b{dead[1]}\b", str(lines[i + 1:] + o[:c] + o[c + 1:])):
-            del lines[i]
+def _compiled(n: int, blocks: tuple) -> tuple:
+    """``kernel(z)`` of :func:`_hamilton_source`'s outputs, and ``run(out, k, stop, z..., k1...,
+    half, dt, sixth)``: :func:`_rk4`'s steps k .. stop - 1 up to one not accepted, the sparse
+    kernel inlined in each stage, states' bytes into ``out``; (k, z, k1) there."""
+    # Passing the accept tests passes stage()'s and rhs()'s exact checks: a finite sum of the
+    # state has finite terms; max <= sum over non-negative terms, so sum|g| sum|g^-1| < bound
+    # passes max|g| max|g^-1| < bound; and a NaN or inf in either sum fails the <.  A stage that
+    # raises is not accepted either; _rk4 replays the step.  The sparse kernel skips x * 0.0 and
+    # x + 0.0 for a local x.  Where it returns a finite witness, the sum of those x, each skipped
+    # product is a zero, so the exact kernel returns the same outputs but for the sign of a zero:
+    # no kept operation turns that sign into a nonzero difference (a division by +-0 raises, as do
+    # the checks on sqrt, ln and abs).  A zero's sign moves z + c*k only where z is -0.0, so such
+    # starts run per stage; where dz/dt is the constant -0.0 and k1 a zero, z + c*k stays z.
+    def row(fmt: str, sep: str = ", ", comps=range(2 * n)) -> str:
+        return sep.join(fmt.format(i=i) for i in comps)
+    lines, o = _hamilton_source(n, blocks, sparse=True)
+    a, b, c = itertools.accumulate(map(len, blocks))
     accept = " and ".join([f"{u} >= {geometry.DOMAIN_MARGIN!r}" for u in o[:a]] + [" * ".join(
         "(" + " + ".join(f"abs({e})" for e in es) + ")" for es in (o[a:b], o[b:c]))
         + f" < {geometry.SINGULAR_BOUND / n ** 2!r}", f"isfinite({o[-1]})"])
-    dzdt = ", ".join(o[c + 1 + n:-1] + [f"-{v}" for v in o[c + 1:c + 1 + n]])
-    src = [f"def run(out, k, stop, {row('z{i}')}, {row('k1_{i}')}, half, dt, sixth):",
-           "    try:", "        while k < stop:"]
+    fixed = [i for i in range(2 * n) if o[c + i] == "(-0.0)"]
+    live = [i for i in range(2 * n) if o[c + i] != "(-0.0)"]
+    dzdt = ", ".join(o[c + i] for i in live)
+    code = [f"def run(out, k, stop, {row('z{i}')}, {row('k1_{i}')}, half, dt, sixth):", "    try:",
+            "        " + row("s{i} = z{i}", "; ", fixed),
+            f"        while k < stop{row(' and k1_{i} == 0.0', '', fixed)}:"]
     for j, update in zip("2341", ["half * k1_{i}", "half * k2_{i}", "dt * k3_{i}",
                                   "sixth * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})"]):
-        src += [f"            {row('s{i}')}, = {row('z{i} + ' + update)}",
-                f"            if not isfinite({row('s{i}', ' + ')}): break",
+        code += [f"            {row('s{i}', ', ', live)}, = {row('z{i} + ' + update, ', ', live)}",
+                f"            if not isfinite({row('s{i}', ' + ', live)}): break",
                 *("        " + line for line in lines), f"            if not ({accept}): break",
-                f"            {row(f'k{j}_{{i}}')}, = {dzdt}"]
-    src += [f"            {row('z{i}')}, k = {row('s{i}')}, k + 1",
+                f"            {row(f'k{j}_{{i}}', ', ', live)}, = {dzdt}"]
+    code += [f"            {row('z{i}', ', ', live)}, k = {row('s{i}', ', ', live)}, k + 1",
             f"            out[{16 * n} * k:{16 * n} * k + {16 * n}] = pack({row('z{i}')})",
             "    except Exception:",
             "        pass  # the replay raises it, or the error it becomes, exactly",
             f"    return k, [{row('z{i}')}], [{row('k1_{i}')}]"]
-    return exprmod._exec(src, {**exprmod._GLOBALS, "isfinite": math.isfinite,
-                               "pack": struct.Struct(f"{2 * n}d").pack})
+    exact, outs = _hamilton_source(n, blocks)
+    return exprmod._exec(["def kernel(s):", f"    {row('s{i}')}, = s", *exact, "    return "
+                          + ", ".join(outs)], exprmod._GLOBALS), exprmod._exec(code, {
+        **exprmod._GLOBALS, "isfinite": math.isfinite, "pack": struct.Struct(f"{2 * n}d").pack})
 
 
 def _rk4(rhs: Callable, start: PhasePoint, dt: float, steps: int, run=None) -> Trajectory:
     """Fixed-step classic RK4 from ``start``, truncated with a ``reason`` in ``meta`` where a
     state stops being finite or ``rhs`` raises at a stage; a state is retained only once ``rhs``
-    has run there.  A step that ``run`` (a :func:`_compiled_run`) declines runs per stage."""
+    has run there.  A step that ``run`` (from :func:`_compiled`) declines runs per stage."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
     z = start.as_vector().tolist()
@@ -343,14 +357,6 @@ def _rk4(rhs: Callable, start: PhasePoint, dt: float, steps: int, run=None) -> T
             raise DomainError("state left the finite range")
         return rhs(state)
 
-    def per_stage(z: list, k1: list):
-        k2 = stage([a + half * b for a, b in zip(z, k1)])
-        k3 = stage([a + half * b for a, b in zip(z, k2)])
-        k4 = stage([a + dt * b for a, b in zip(z, k3)])
-        z = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-             for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
-        return z, stage(z)
-
     states[0], done, reason = z, 0, None
     # the state is a list of floats, each update numpy's z + c * k in its
     # operation order; an overflow is a truncation: stage() rejects its result
@@ -360,9 +366,13 @@ def _rk4(rhs: Callable, start: PhasePoint, dt: float, steps: int, run=None) -> T
             while done < steps:
                 if run:  # up to a step that it declines
                     done, z, k1 = run(out, done, steps, *z, *k1, half, dt, sixth)
-                if done < steps:
-                    z, k1 = per_stage(z, k1)
-                    states[done := done + 1] = z
+                if done < steps:  # per stage
+                    k2 = stage([a + half * b for a, b in zip(z, k1)])
+                    k3 = stage([a + half * b for a, b in zip(z, k2)])
+                    k4 = stage([a + dt * b for a, b in zip(z, k3)])
+                    z = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                         for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
+                    k1, states[done := done + 1] = stage(z), z
         except (DomainError, SingularEvaluation) as e:
             reason = str(e)
     meta = {"method": "rk4", "dt": float(dt), "steps_requested": int(steps),
@@ -380,15 +390,17 @@ def geodesic_integrate(
 
     The trajectory is truncated (``meta["completed"] = False``) if a step
     leaves the chart domain or the state stops being finite; the initial
-    point must be admissible.  Every retained state passes ``metric_at``,
+    point must be admissible, its momentum finite.  Every retained state passes ``metric_at``,
     so conserved quantities can be monitored on truncated trajectories.
     """
     if start.n != spec.dim:
         raise ValueError("phase point dimension does not match the metric")
     geometry.metric_at(spec, start.x)
+    if not np.isfinite(start.p).all():
+        raise ValueError("start momentum has non-finite components")
     H, z = GeodesicHamiltonian(spec), start.as_vector()
     # a -0.0 start component can take the other zero sign through the sparse kernel
-    compiled = spec.inverse and not H.identity and not np.signbit(z[z == 0.0]).any()
+    compiled = spec.inverse and not np.signbit(z[z == 0.0]).any()
     return _rk4(H.rhs, start, dt, steps, compiled and H._fused[1])
 
 

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the form of a value an error message echoes."""
+
+
+def clipped(value) -> str:
+    """``repr(value)``, cut to 60 characters and ``...`` where longer."""
+    return (text := repr(value))[:60] + "..." * (len(text) > 60)
 
 
 class KyanoError(Exception):

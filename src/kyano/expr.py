@@ -369,13 +369,16 @@ def _kernel(expr, order: int, columns: bool = False) -> Callable:
 
 
 @functools.lru_cache(maxsize=256)
-def _compile(nvars: int, parts: tuple, columns: bool = False, sparse: bool = False) -> Callable:
+def _compile(nvars: int, parts: tuple, columns: bool = False) -> Callable:
     """``kernel(s)`` of ``nvars`` slots returning the outputs of each ``(root, order)`` of
-    ``parts`` in turn, a tuple unless just one per point; a shared operation runs once.
-    A ``sparse`` float kernel skips x * 0.0 and x + 0.0 in jets and returns last the sum
-    of the skipped local factors x: where it is finite, the outputs are exact but for
-    the sign of a zero; an operation in it that fails raises its own error, unwrapped."""
-    lines, outs = _source(nvars, parts, columns, sparse)
+    ``parts`` in turn, a tuple unless just one per point; a shared operation runs once."""
+    em, outs = _Emitter(nvars, columns), []
+    for root, em.order in parts:
+        out = em.emit(root)
+        if em.order:
+            value, grad, hess = out if isinstance(out, tuple) else em.lift(out)
+        outs += [value, *grad, *itertools.chain(*hess or ())] if em.order else [out]
+    lines, outs = em.lines, [em.src(x) for x in outs]
     if columns:  # a column is freed after its last read
         last = {t: i for i, line in enumerate(lines) for t in re.findall(r"\bt\d+\b", line)}
         for i, t in sorted(((i, t) for t, i in last.items() if t not in outs), reverse=True):
@@ -384,19 +387,6 @@ def _compile(nvars: int, parts: tuple, columns: bool = False, sparse: bool = Fal
     args = "".join(f"s{i}, " for i in range(nvars))
     return _exec(["def kernel(s):", f"    {args}= s", *lines, f"    return {ret}"],
                  _COLUMNS if columns else _GLOBALS)
-
-
-def _source(nvars: int, parts: tuple, columns=False, sparse=False) -> tuple:
-    """The statements of :func:`_compile`'s kernel over the slots ``s0 ..``, and its outputs."""
-    em, outs = _Emitter(nvars, columns, sparse), []
-    for root, em.order in parts:
-        out = em.emit(root)
-        if em.order:
-            value, grad, hess = out if isinstance(out, tuple) else em.lift(out)
-        outs += [value, *grad, *itertools.chain(*hess or ())] if em.order else [out]
-    if sparse:  # a slot is finite where the caller checks the state
-        outs.append(" + ".join(x for x in em.pruned if x[0] == "t") or 0.0)
-    return em.lines, [em.src(x) for x in outs]
 
 
 def _exec(lines: list, namespace: dict) -> Callable:
@@ -429,7 +419,9 @@ def eval_columns(exprs: "Expression | tuple", columns, order: int = 0) -> np.nda
 
 
 class _Emitter:
-    """Statements of one kernel, emitted in evaluation order."""
+    """Statements of one kernel, emitted in evaluation order; jets over its first ``n`` slots.
+    A ``sparse`` float kernel's jets skip x * 0.0 and x + 0.0 for a local x, kept in ``pruned``;
+    an operation in it that fails raises its own error, unwrapped."""
 
     def __init__(self, n: int, columns: bool = False, sparse: bool = False):
         self.n, self.order, self.columns, self.sparse = n, 0, columns, sparse

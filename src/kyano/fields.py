@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import expr as exprmod
+from .errors import clipped
 from .expr import Expression
 
 
@@ -52,9 +53,9 @@ def _parse_key(key, dim: int) -> tuple[int, ...]:
     else:
         idx = tuple(int(i) for i in key)
     if any(not 0 <= i < dim for i in idx):
-        raise ValueError(f"component key {key!r} has indices outside the chart")
+        raise ValueError(f"component key {clipped(key)} has indices outside the chart")
     if any(a >= b for a, b in zip(idx, idx[1:])):
-        raise ValueError(f"component key {key!r} must be strictly increasing")
+        raise ValueError(f"component key {clipped(key)} must be strictly increasing")
     return idx
 
 
@@ -72,8 +73,8 @@ def _component(key, value, dim: int) -> Expression:
             v = math.inf
         if math.isfinite(v):
             return Expression(exprmod.Num(v, 0), dim, dim, ("x",))
-    raise ValueError(f"field component {key!r} must be an expression or a finite number,"
-                     f" got {value!r}")
+    raise ValueError(f"field component {clipped(key)} must be an expression or a finite number,"
+                     f" got {clipped(value)}")
 
 
 def _key_string(idx: tuple[int, ...], dim: int) -> str:
@@ -93,7 +94,7 @@ class AntisymTensorField:
         for key, value in components.items():
             idx = _parse_key(key, self.dim)
             if len(idx) != self.rank:
-                raise ValueError(f"component key {key!r} does not have rank {rank}")
+                raise ValueError(f"component key {clipped(key)} does not have rank {rank}")
             comps[idx] = _component(key, value, self.dim)
         self._comps = comps
         self._src, self._dst, self._sign = _scatter_table(self.dim, self.rank, list(comps))
@@ -186,7 +187,7 @@ class AntisymTensorField:
             raise ValueError("field description must be a JSON object")
         for key in ("dim", "rank"):
             if type(obj.get(key)) is not int:  # JSON true and 3.0 are not integers
-                raise ValueError(f"field {key!r} must be an integer, got {obj.get(key)!r}")
+                raise ValueError(f"field {key!r} must be an integer, got {clipped(obj.get(key))}")
         comps = obj.get("components")
         if not isinstance(comps, Mapping):
             raise ValueError("field 'components' must map index keys to expression"

@@ -32,7 +32,7 @@ except ImportError:  # numpy < 2
     _einsum = np.einsum
 
 from . import expr as exprmod
-from .errors import DomainError, KyanoError, SingularEvaluation, SingularMetric
+from .errors import DomainError, KyanoError, SingularEvaluation, SingularMetric, clipped
 from .expr import Expression
 
 DOMAIN_MARGIN = 1e-9
@@ -473,13 +473,13 @@ def _finite_param(key: str, value) -> float:
     except OverflowError:  # an int too large for a float
         v = math.inf
     if not math.isfinite(v):
-        raise KyanoError(f"manifold parameter {key!r} must be finite, got {value!r}")
+        raise KyanoError(f"manifold parameter {clipped(key)} must be finite, got {clipped(value)}")
     return v
 
 
 def _reject_unknown(params: dict, kind: str) -> None:
     if params:  # the parameters the manifold did not take
-        names = ", ".join(map(repr, params))
+        names = ", ".join(map(clipped, params))
         raise KyanoError(f"unknown parameter(s) {names} for manifold {kind!r}")
 
 
@@ -496,11 +496,11 @@ def load_manifold(source) -> MetricSpec:
     kind = obj.get("kind")
     params = obj.get("params") or {}
     if not isinstance(params, dict):
-        raise KyanoError(f"manifold 'params' must be an object, got {params!r}")
+        raise KyanoError(f"manifold 'params' must be an object, got {clipped(params)}")
     params = {k: _finite_param(k, v) for k, v in params.items()}
     dim = obj.get("dim")  # required for "flat", a cross-check for the other kinds
     if (dim is not None or kind == "flat") and type(dim) is not int:
-        raise KyanoError(f"manifold 'dim' must be an integer, got {dim!r}")
+        raise KyanoError(f"manifold 'dim' must be an integer, got {clipped(dim)}")
     if kind == "flat":
         spec = flat(dim)
     elif kind == "const-curvature":
@@ -516,28 +516,28 @@ def load_manifold(source) -> MetricSpec:
                              " strings or numbers")
         if chart is not None and not (isinstance(chart, list)
                                       and all(isinstance(c, str) for c in chart)):
-            raise KyanoError(f"manifold 'chart' must be a list of names, got {chart!r}")
+            raise KyanoError(f"manifold 'chart' must be a list of names, got {clipped(chart)}")
         domain = obj.get("domain", [])  # guards: expressions that must stay positive
         if not (isinstance(domain, list) and all(isinstance(d, str) for d in domain)):
             raise KyanoError(f"manifold 'domain' must be a list of expression strings,"
-                             f" got {domain!r}")
+                             f" got {clipped(domain)}")
         box = obj.get("box")  # the default sampling box: one [lo, hi] per coordinate
         if "box" in obj and not (isinstance(box, list) and len(box) == len(rows) and all(
                 isinstance(b, list) and len(b) == 2
                 and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in b)
                 and b[0] < b[1] for b in box)):
             raise KyanoError(f"manifold 'box' must be a list of {len(rows)} [lo, hi] pairs of"
-                             f" finite numbers with lo < hi, got {box!r}")
+                             f" finite numbers with lo < hi, got {clipped(box)}")
         spec = dataclasses.replace(custom(rows, chart=chart), guards=tuple(
             exprmod.parse_expression(d, len(rows)) for d in domain),
             box=box and tuple((float(lo), float(hi)) for lo, hi in box))
     else:
-        raise KyanoError(f"unknown manifold kind {kind!r}")
+        raise KyanoError(f"unknown manifold kind {clipped(kind)}")
     read = ("schema", "kind", "dim", "params", "momentum_space") + (
         ("metric", "chart", "domain", "box") if kind == "custom" else ())
     stray = [key for key in obj if key not in read]
     if stray:
-        raise KyanoError(f"manifold key {stray[0]!r} is not read for kind {kind!r}")
+        raise KyanoError(f"manifold key {clipped(stray[0])} is not read for kind {kind!r}")
     _reject_unknown(params, kind)
     if dim is not None and dim != spec.dim:
         raise KyanoError(f"declared dim {dim} does not match kind {kind!r}")
@@ -564,13 +564,13 @@ def resolve_manifold(text: str) -> MetricSpec:
         for part in tail.split(","):
             key, _, val = part.partition("=")
             if not val:
-                raise KyanoError(f"bad manifold parameter {part!r}")
+                raise KyanoError(f"bad manifold parameter {clipped(part)}")
             if key.strip() in kwargs:
-                raise KyanoError(f"manifold parameter {key.strip()!r} given twice")
+                raise KyanoError(f"manifold parameter {clipped(key.strip())} given twice")
             kwargs[key.strip()] = _finite_param(key.strip(), val)
     m = _NAME_RE.match(head.strip())
     if not m:
-        raise KyanoError(f"unrecognized manifold name {text!r}")
+        raise KyanoError(f"unrecognized manifold name {clipped(text)}")
     base, digits = m.groups()
     if base == "flat":
         spec = flat(int(digits) if digits else 3)
@@ -579,7 +579,7 @@ def resolve_manifold(text: str) -> MetricSpec:
     elif base == "taub-nut" and not digits:
         spec = taub_nut(kwargs.pop("m", 1.0), kwargs.pop("fiber_scale", 2.0))
     else:
-        raise KyanoError(f"unrecognized manifold name {text!r}")
+        raise KyanoError(f"unrecognized manifold name {clipped(text)}")
     _reject_unknown(kwargs, head.strip())
     return spec
 

@@ -104,7 +104,7 @@ def test_field_file_component_that_is_no_finite_number_is_an_input_error(tmp_pat
                          "--samples", "2")
     assert code == 2 and out == ""
     assert err.startswith("error: field component '12' must be an expression or a finite number")
-    assert err.count("\n") == 1
+    assert err.count("\n") == 1 and len(err) < 200  # a long value is echoed cut short
 
 
 @pytest.mark.parametrize("option, obj", [
@@ -210,6 +210,30 @@ def test_non_finite_manifold_parameter_is_usage_error(capsys, manifold, key):
     code, _, err = run(capsys, "verify-ky", "--manifold", manifold, "--field", "flat-position")
     assert code == 2
     assert repr(key) in err and "finite" in err
+
+
+@pytest.mark.parametrize("manifold, message", [
+    ({"kind": "taub-nut", "params": {"m": 10 ** 400}}, "manifold parameter 'm' must be finite"),
+    ({"kind": "taub-nut", "params": {"x" * 400: 1.0}}, "unknown parameter(s) 'xxx"),
+    ("taub-nut:" + "m" * 400, "bad manifold parameter 'mmm"),
+    ("t" * 400, "unrecognized manifold name 'ttt"),
+], ids=["int-too-large-for-a-float", "long-key", "long-cli-parameter", "long-name"])
+def test_a_long_manifold_value_is_echoed_cut_short(tmp_path, capsys, manifold, message):
+    if isinstance(manifold, dict):
+        manifold = write_json(tmp_path / "m.json", manifold)
+    code, out, err = run(capsys, "verify-ky", "--manifold", manifold, "--field", "taubnut-1")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and "..." in err
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+@pytest.mark.parametrize("p0", ["nan,0,0", "0,inf,0"])
+def test_a_non_finite_start_momentum_is_an_input_error(tmp_path, capsys, p0):
+    csv = tmp_path / "g.csv"
+    code, out, err = run(capsys, "geodesic", "--manifold", "flat3", "--x0", "0,0,0",
+                         "--p0", p0, "--dt", "0.01", "--steps", "5", "--out", str(csv))
+    assert (code, out, err) == (2, "", "error: start momentum has non-finite components\n")
+    assert not os.path.exists(csv) and not os.path.exists(f"{csv}.json")
 
 
 @pytest.mark.parametrize("manifold", ["taub-nut:m=1,fiber_scale=0", "custom"])

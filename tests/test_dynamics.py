@@ -3,8 +3,10 @@
 import ast
 import csv
 import dataclasses
+import functools
 import itertools
 import math
+import operator
 import re
 from unittest import mock
 
@@ -261,6 +263,50 @@ def test_closed_form_rhs_matches_the_numeric_rhs(spec):
         assert np.abs(got - want).max() <= 1e-15 * kappa * np.abs(want).max()
 
 
+@pytest.mark.parametrize("spec", [geometry.flat(2), geometry.taub_nut(1.0)], ids=lambda s: s.kind)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_start_momentum_is_an_input_error(spec, bad, monkeypatch):
+    monkeypatch.setattr(dynamics, "_rk4", mock.Mock(side_effect=AssertionError("integrated")))
+    x = [0.0, 0.0] if spec.dim == 2 else [1.3, 1.0, 0.4, 0.2]
+    with pytest.raises(ValueError, match="^start momentum has non-finite components$"):
+        geodesic_integrate(spec, PhasePoint(x, [0.1] * (spec.dim - 1) + [bad]), 0.01, 10)
+
+
+def _hamilton_oracle(spec, z):
+    """dx/dt_k = sum_j g^{kj} p_j and dp/dt_a = -(0.5 * sum_{i<=j} (p_i p_j) (c d_a g^{ij})),
+    c = 2 off the diagonal, from ``expr.eval1`` of the closed-form g^-1 entries: each sum
+    in the order of j, or of the upper triangle, and a constant entry adds no term."""
+    n, x, p = spec.dim, z[:spec.dim], z[spec.dim:]
+    jets = {(i, j): expr.eval1(e, x) for i, row in enumerate(spec.inverse)
+            for j, e in enumerate(row) if e is not None}
+    varying = [(i, j) for i, j in jets if i <= j
+               and not isinstance(spec.inverse[i][j].root, expr.Num)]
+
+    def total(terms):  # left to right, without a leading 0.0 that would turn -0.0 into +0.0
+        return functools.reduce(operator.add, terms) if terms else 0.0
+
+    xdot = [total([jets[k, j].value * p[j] for j in range(n) if (k, j) in jets])
+            for k in range(n)]
+    pdot = [-(0.5 * total([(p[i] * p[j]) * (jets[i, j].gradient[a] * (2.0 if i < j else 1.0))
+                           for i, j in varying])) for a in range(n)]
+    return [float(v) for v in xdot + pdot]
+
+
+_CATALOG = [geometry.flat(n) for n in (1, 3, 7)] + [
+    geometry.taub_nut(m, fs) for m, fs in ((1.0, 2.0), (2.5, 4.0), (0.7, 2.0))] + [
+    geometry.const_curvature3(K) for K in (1.0, -4.0, 0.5)]
+
+
+@pytest.mark.parametrize("spec", _CATALOG, ids=lambda s: f"{s.kind}{s.dim}:{s.params}")
+def test_the_kernel_rhs_is_hamiltons_equations_bytewise(spec):
+    rng = np.random.default_rng(11)
+    H = GeodesicHamiltonian(spec)
+    for x in geometry.sample_points(spec, 300, rng):
+        p = rng.uniform(-1.0, 1.0, spec.dim) * 10.0 ** rng.uniform(-3.0, 3.0)
+        z = np.concatenate([x, p]).tolist()
+        assert np.array(H.rhs(z)).tobytes() == np.array(_hamilton_oracle(spec, z)).tobytes(), z
+
+
 def test_both_rhs_paths_truncate_at_the_singular_bound():
     # the guards do not imply the bound: at theta = 1e-6 the point is inside
     # abs(sin(x2)) >= 1e-9 but max|g| max|g^-1| is past 1e13 / n^2
@@ -424,18 +470,19 @@ def test_the_run_reenters_after_a_replayed_step_and_keeps_the_bytes():
 
 
 _CLOSED_FORM = [geometry.taub_nut(m, fs) for m in (0.7, 1.0) for fs in (2.0, 4.0)] + [
-    geometry.const_curvature3(K) for K in (-4.0, -1.0, 0.5, 1.0)]
+    geometry.const_curvature3(K) for K in (-4.0, -1.0, 0.5, 1.0)] + [
+    geometry.flat(n) for n in (1, 3, 7)]
 _EDGES = st.sampled_from([0.0, -0.0, 1e150, -1e150, 1e-300, -1e-300])
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=130, deadline=None, derandomize=True, database=None)
 @given(which=st.integers(0, len(_CLOSED_FORM) - 1),
-       x=st.lists(st.one_of(st.floats(-3.0, 3.0), _EDGES), min_size=4, max_size=4),
-       p=st.lists(st.one_of(st.floats(-15.0, 15.0), _EDGES), min_size=4, max_size=4),
+       x=st.lists(st.one_of(st.floats(-3.0, 3.0), _EDGES), min_size=7, max_size=7),
+       p=st.lists(st.one_of(st.floats(-15.0, 15.0), _EDGES), min_size=7, max_size=7),
        dt=st.floats(1e-3, 0.05))
 def test_compiled_step_equals_the_per_stage_path(which, x, p, dt):
     # the reference is the same closed-form rhs stage by stage (inverse=None
-    # would switch to the numeric rhs); a component of 1e150 overflows H's jet
+    # would switch to the numeric rhs); a component of 1e150 overflows p_i p_j
     # or the state within a few steps, and one of 0.0 gives the sparse kernel's
     # skipped products a zero factor
     spec = _CLOSED_FORM[which]
@@ -464,16 +511,16 @@ def test_a_negative_zero_start_component_runs_per_stage():
 
 def test_a_stage_whose_witness_is_not_finite_is_declined(monkeypatch):
     H = GeodesicHamiltonian(geometry.taub_nut(1.0))
-    _, run, a, b, c, parts = H._fused
+    _, run, _, blocks = H._fused
     z = [1.3, 1.0, 0.4, 0.2, 0.2, -0.3, 0.1, 0.4]
     args = (*z, *H.rhs(z), 0.005, 0.01, 0.01 / 6.0)
     out = memoryview(np.empty((2, 8))).cast("B")
     assert run(out, 0, 1, *args)[0] == 1
-    lines, outs = expr._source(8, parts, sparse=True)
+    lines, outs = dynamics._hamilton_source(4, blocks, sparse=True)
     for witness in (math.inf, math.nan):
-        monkeypatch.setattr(expr, "_source", lambda *_, w=witness, **__: (
+        monkeypatch.setattr(dynamics, "_hamilton_source", lambda *_, w=witness, **__: (
             lines, outs[:-1] + [expr._Emitter.src(w)]))
-        assert dynamics._compiled_run.__wrapped__(parts, a, b, c, 4)(out, 0, 1, *args) == (
+        assert dynamics._compiled.__wrapped__(4, blocks)[1](out, 0, 1, *args) == (
             0, z, list(args[8:16]))
 
 
@@ -495,7 +542,7 @@ def test_flat_geodesics_equal_an_rk4_whose_rhs_is_p_and_zero(n, x, p, dt, edge):
     start, spec = PhasePoint([v + 0.0 for v in x], [v + 0.0 for v in p]), geometry.flat(n)
     with mock.patch.object(dynamics, "_rk4", wraps=dynamics._rk4) as rk4:
         traj = geodesic_integrate(spec, start, dt, 100)
-    assert not rk4.call_args.args[4]  # the identity's closed-form RHS: no kernel, no run
+    assert rk4.call_args.args[4]  # the compiled run of g^-1 = 1: dx/dt = p, dp/dt = -0.0
     want, reason = _numpy_rk4(lambda z: z[n:] + [0.0] * n, start, dt, 100)
     assert traj.states.tobytes() == want.tobytes()
     assert (traj.meta["steps_completed"], traj.meta.get("reason")) == (len(want) - 1, reason)
@@ -507,13 +554,20 @@ def test_a_flat_momentum_keeps_its_bits(p0):
     assert (traj.p == p0).all() and (np.signbit(traj.p) == np.signbit(p0)).all()
 
 
-def test_a_large_flat_geodesic_builds_no_kernel():
-    # H's kernel on flat(n) would hold O(n^2) statements, and parsing H nests n levels
+def test_a_large_flat_geodesic_runs_a_kernel_of_order_n_statements():
+    # g^-1 p on a constant diagonal is p, and a constant entry adds no dp/dt term
     n = 1200
     x, p = np.linspace(-1.0, 1.0, n), np.linspace(2.0, -2.0, n)
-    traj = geodesic_integrate(geometry.flat(n), PhasePoint(x, p), 0.01, 1)
+    spec = geometry.flat(n)
+    with mock.patch.object(dynamics, "_rk4", wraps=dynamics._rk4) as rk4:
+        traj = geodesic_integrate(spec, PhasePoint(x, p), 0.01, 1)
+    assert rk4.call_args.args[4]  # the compiled run
     assert traj.meta["completed"] and (traj.p == p).all()
     assert np.allclose(traj.x[1], x + 0.01 * p, rtol=0.0, atol=1e-15)
+    blocks = GeodesicHamiltonian(spec)._fused[3]
+    for sparse in (False, True):
+        lines, outs = dynamics._hamilton_source(n, blocks, sparse)
+        assert len(lines) <= 4 * n and len(outs) <= 4 * n
 
 
 @pytest.mark.parametrize("spec, x, guard", [
@@ -540,8 +594,9 @@ def test_specs_of_one_metric_share_one_compiled_step():
 
 def test_geodesics_on_one_spec_build_its_kernels_once(monkeypatch):
     spec, built = geometry.taub_nut(0.9), []
-    compile_ = expr._compile
-    monkeypatch.setattr(expr, "_compile", lambda *a, **k: built.append(a) or compile_(*a, **k))
+    for module, name in ((expr, "_compile"), (dynamics, "_compiled")):
+        monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), **k:
+                            built.append(a) or f(*a, **k))
     start = PhasePoint([1.3, 1.0, 0.4, 0.2], [0.2, -0.3, 0.1, 0.4])
     first = geodesic_integrate(spec, start, 0.01, 5)
     count = len(built)
@@ -555,8 +610,8 @@ def test_a_run_has_one_try_its_outer_one(monkeypatch):
     monkeypatch.setattr(expr, "compile", lambda source, *args: sources.append(source)
                         or compile(source, *args), raising=False)
     for spec in (geometry.taub_nut(1.0), geometry.const_curvature3(1.0)):
-        *_, a, b, c, parts = GeodesicHamiltonian(spec)._fused
-        dynamics._compiled_run.__wrapped__(parts, a, b, c, spec.dim)
+        dynamics._compiled.__wrapped__(spec.dim, GeodesicHamiltonian(spec)._fused[3])
+    sources = [source for source in sources if source.startswith("def run(")]  # not the kernels
     assert len(sources) == 2
     for source in sources:
         run = ast.parse(source).body[0]

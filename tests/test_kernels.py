@@ -4,6 +4,7 @@ are compared as NaN, because IEEE arithmetic leaves the sign and payload
 of a NaN result unspecified."""
 
 import ast
+import functools
 import itertools
 import math
 
@@ -108,10 +109,17 @@ def _arithmetic(node) -> bool:
 def _geodesic_kernels(spec, fresh: bool = True):
     """The exact and sparse fused geodesic kernels of ``spec`` and its RK4 run, compiled
     afresh unless ``fresh`` is false."""
-    *_, a, b, c, parts = GeodesicHamiltonian(spec)._fused
-    nvars, get = 2 * spec.dim, (lambda f: f.__wrapped__) if fresh else (lambda f: f)
-    return (get(expr._compile)(nvars, parts), get(expr._compile)(nvars, parts, sparse=True),
-            get(dynamics._compiled_run)(parts, a, b, c, spec.dim))
+    n, blocks = spec.dim, GeodesicHamiltonian(spec)._fused[3]
+    get = (lambda f: f.__wrapped__) if fresh else (lambda f: f)
+    exact, run = get(dynamics._compiled)(n, blocks)
+    return exact, get(_sparse_kernel)(n, blocks), run
+
+
+@functools.lru_cache(maxsize=None)
+def _sparse_kernel(n, blocks):
+    lines, outs = dynamics._hamilton_source(n, blocks, sparse=True)
+    return expr._exec(["def kernel(s):", "    " + "".join(f"s{i}, " for i in range(2 * n)) + "= s",
+                       *lines, "    return " + ", ".join(outs)], expr._GLOBALS)
 
 
 def test_no_handler_guards_only_additions_and_products(monkeypatch):
@@ -130,7 +138,6 @@ def test_no_handler_guards_only_additions_and_products(monkeypatch):
         exprs = {id(e): e for grid in grids for row in grid for e in row if e is not None}
         exprs.update((id(g), g) for g in spec.guards)
         for e in exprs.values():
-            expr._compile.__wrapped__(e.nvars, ((e.root, 0),), False, True)
             for order, columns in itertools.product((0, 1, 2), (False, True)):
                 expr._compile.__wrapped__(e.nvars, ((e.root, order),), columns)
         if spec.inverse:  # the fused geodesic kernels and the run
