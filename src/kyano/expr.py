@@ -54,6 +54,10 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
 class Num:
     value: float
     offset: int
+    sign: float = field(init=False, repr=False)  # compared, so -0.0 compiles apart from 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "sign", math.copysign(1.0, self.value))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ phi, psi)`` that means ``x1 = r`` and so on.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -66,8 +67,8 @@ class MetricSpec:
     guards: tuple[Expression, ...] = ()
     box: Optional[tuple[tuple[float, float], ...]] = None
     inverse: Optional[ComponentGrid] = None
-    # per-order component kernels and gather indices, see _component_table, and the
-    # geodesic kernels, see dynamics.GeodesicHamiltonian._fused
+    # per-order component kernels and gather indices, see _component_table, the geodesic
+    # kernels, see dynamics.GeodesicHamiltonian._fused, and the dual, see dual_metric
     _tables: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
                                       compare=False)
 
@@ -96,8 +97,25 @@ def _grid_from_upper(entries: dict, n: int) -> ComponentGrid:
     return tuple(tuple(parsed.get((min(i, j), max(i, j))) for j in range(n)) for i in range(n))
 
 
+def _interned(maxsize: int, normalize):
+    """Catalog constructor decorator: arguments that ``normalize`` maps to one repr return one
+    object, from an LRU of ``maxsize``; ``1.0`` and ``1`` share it, ``-0.0`` and ``0.0`` do not."""
+    def decorate(build):
+        cache = functools.lru_cache(maxsize)(lambda key, args: build(*args))
+
+        @functools.wraps(build)
+        def interned(*args, **kwargs):
+            args = normalize(*args, **kwargs)
+            return cache(repr(args), args)
+        interned.cache_info = cache.cache_info
+        return interned
+    return decorate
+
+
+@_interned(8, lambda n: (n,))
 def flat(n: int) -> MetricSpec:
-    """Euclidean metric on R^n in Cartesian coordinates: g and g^-1 are the identity."""
+    """Euclidean metric on R^n in Cartesian coordinates: g and g^-1 are the identity.
+    Interned: equal ``n`` return the same spec, from an LRU of the last 8."""
     if n < 1:
         raise ValueError("dimension must be positive")
     chart = tuple(f"x{i}" for i in range(1, n + 1))
@@ -116,13 +134,14 @@ def _is_identity(spec: MetricSpec) -> bool:
         and row[i].root.value == 1.0 for i, row in enumerate(spec.components))
 
 
+@_interned(32, lambda K: (float(K),))
 def const_curvature3(K: float) -> MetricSpec:
     """3-space of constant curvature K in the conformally flat chart.
 
     ds^2 = (1 + K r^2 / 4)^{-2} sum_i (dx^i)^2.  For K < 0 the chart is
     only admissible away from the conformal pole 1 + K r^2/4 = 0.
+    Interned: equal ``float(K)`` return one spec, from an LRU of 32; -0.0 is not 0.0.
     """
-    K = float(K)
     u = f"(1 + {K!r} * (x1^2 + x2^2 + x3^2) / 4)"
     return MetricSpec(
         kind="const-curvature",
@@ -135,6 +154,7 @@ def const_curvature3(K: float) -> MetricSpec:
     )
 
 
+@_interned(32, lambda m, fiber_scale=2.0: (float(m), float(fiber_scale)))
 def taub_nut(m: float, fiber_scale: float = 2.0) -> MetricSpec:
     """Euclidean Taub-NUT metric with potential V = 1 + 2m/r.
 
@@ -146,11 +166,10 @@ def taub_nut(m: float, fiber_scale: float = 2.0) -> MetricSpec:
     constant; ``fiber_scale = 4`` is a common alternate that fails that
     check.  Both are evaluable; verification reports record which one
     passes.  ``inverse`` is read off the orthonormal frame (Gibbons & Ruback 1987).
+    Interned: equal float arguments return the same spec, from an LRU of the last 32.
     """
-    m = float(m)
     if m <= 0:
         raise ValueError("mass parameter must be positive")
-    fiber_scale = float(fiber_scale)
     try:
         c2 = (fiber_scale * m) ** 2
     except OverflowError:
@@ -212,14 +231,14 @@ def custom(rows: Sequence[Sequence[object]], chart: Optional[Sequence[str]] = No
     return MetricSpec(kind="custom", dim=n, chart=chart_t, params=(), components=components)
 
 
+@_interned(32, lambda K: (float(K),))
 def const_curvature3_spherical(K: float) -> MetricSpec:
     """Spherical chart (r, theta, phi) of the constant-curvature 3-space.
 
     ds^2 = (1 + K r^2/4)^{-2} (dr^2 + r^2 dtheta^2 + r^2 sin^2 theta dphi^2).
     Built as a custom metric with guards: admissible for r > 0 away from the
-    polar axis and the conformal pole.
+    polar axis and the conformal pole.  Interned like :func:`const_curvature3`.
     """
-    K = float(K)
     conf = f"(1 + {K!r}*x1^2/4)^2"
     rows = [
         [f"1/{conf}", "0", "0"],
@@ -431,15 +450,14 @@ def _dual_name(name: str) -> str:
 
 
 def dual_metric(spec: MetricSpec) -> MetricSpec:
-    """Same functional form with positions relabeled as momenta.
+    """Same functional form with positions relabeled as momenta, built once per spec.
 
     An involution: applying it twice returns an equal spec.
     """
-    return dataclasses.replace(
-        spec,
-        chart=tuple(_dual_name(c) for c in spec.chart),
-        momentum_space=not spec.momentum_space,
-    )
+    if "dual" not in spec._tables:
+        spec._tables["dual"] = dataclasses.replace(spec, momentum_space=not spec.momentum_space,
+                                                   chart=tuple(map(_dual_name, spec.chart)))
+    return spec._tables["dual"]
 
 
 def dump_manifold(spec: MetricSpec) -> dict:

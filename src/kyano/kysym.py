@@ -80,8 +80,9 @@ def reconstruct_position(f: np.ndarray) -> np.ndarray:
 reconstruct_momentum = reconstruct_position
 
 
+@geometry._interned(8, lambda n: (n,))
 def flat_ky_position_field(n: int) -> AntisymTensorField:
-    """The pair's position member as a field (components linear in x)."""
+    """The pair's position member as a field (components linear in x); interned, LRU of 8."""
     return AntisymTensorField(n, n - 1, {  # eps_{k, the rest in order} = (-1)^k
         tuple(i for i in range(n) if i != k): f"{'-' if k % 2 else ''}x{k + 1}"
         for k in reversed(range(n))})
@@ -379,12 +380,14 @@ def _constcurv_sources(K: float, momentum: bool) -> dict[tuple[int, int], str]:
     }
 
 
+@geometry._interned(32, lambda index, K, momentum=False: (index, float(K), bool(momentum)))
 def constcurv_ky_field(
     index: int, K: float, momentum: bool = False
 ) -> AntisymTensorField:
     """Single-component two-form number ``index`` (1, 2, or 3) from the
     printed constant-curvature table; component slots are (r,theta),
-    (r,phi), (theta,phi) respectively.
+    (r,phi), (theta,phi) respectively.  Interned: equal arguments, K as a
+    float, return the same field, from an LRU of the last 32.
 
     These are reproduced verbatim for measurement; as single-component
     fields they do not satisfy the KY equation (see the verification
@@ -392,7 +395,7 @@ def constcurv_ky_field(
     """
     if index not in (1, 2, 3):
         raise ValueError("index must be 1, 2, or 3")
-    sources = _constcurv_sources(float(K), momentum)
+    sources = _constcurv_sources(K, momentum)
     slot = [(0, 1), (0, 2), (1, 2)][index - 1]
     return AntisymTensorField(3, 2, {slot: sources[slot]})
 
@@ -421,12 +424,13 @@ def _taubnut_source(i: int, mu: int, nu: int, m: float) -> str:
     return f"{out} - ({V} * (2.0 * {wedge}))"
 
 
+@geometry._interned(32, lambda index, m: (index, float(m)))
 def taubnut_ky_field(index: int, m: float) -> AntisymTensorField:
     """Two-form f_index (index in 1..3) on the Taub-NUT chart (r, theta,
-    phi, psi); covariantly constant for the fiber_scale=2 metric."""
+    phi, psi); covariantly constant for the fiber_scale=2 metric.  Interned:
+    equal arguments, m as a float, return the same field, from an LRU of the last 32."""
     if index not in (1, 2, 3):
         raise ValueError("index must be 1, 2, or 3")
-    m = float(m)
     if not math.isfinite(m):
         raise ValueError("mass parameter must be finite")
     return AntisymTensorField(4, 2, {

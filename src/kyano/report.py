@@ -132,13 +132,12 @@ def section_printed_constcurv_ky(rng: np.random.Generator, samples: int = 20, K:
     equation; the section passes when the measurement reproduces that.
     """
     spec = geometry.const_curvature3_spherical(K)
-    dual_spec = geometry.dual_metric(spec)
     box = [(0.4, 1.6), (0.4, np.pi - 0.4), (0.2, 2 * np.pi - 0.2)]
     points = geometry.sample_points(spec, samples, rng, box=box)
     results = {}
     ok = True
     for momentum in (False, True):
-        use_spec = dual_spec if momentum else spec
+        use_spec = geometry.dual_metric(spec) if momentum else spec
         for index in (1, 2, 3):
             field = kysym.constcurv_ky_field(index, K, momentum=momentum)
             worst = kysym.verify_field(use_spec, field, points).max_ky_residual

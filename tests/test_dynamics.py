@@ -588,12 +588,16 @@ def test_a_state_where_the_kernel_raises_reports_its_guard(spec, x, guard):
 
 def test_specs_of_one_metric_share_one_compiled_step():
     a, b = (GeodesicHamiltonian(geometry.resolve_manifold("taub-nut:m=1")) for _ in "ab")
-    assert a.spec is not b.spec
-    assert a._fused[1] is b._fused[1]
+    assert a.spec is b.spec  # the catalog interns its specs
+    # a fresh spec, whose tables are empty, still shares the compiled run
+    fresh = GeodesicHamiltonian(dataclasses.replace(a.spec))
+    assert fresh.spec is not a.spec and not fresh.spec._tables
+    assert a._fused[1] is fresh._fused[1]
 
 
 def test_geodesics_on_one_spec_build_its_kernels_once(monkeypatch):
-    spec, built = geometry.taub_nut(0.9), []
+    # a fresh spec: the interned one may hold its kernels from an earlier test
+    spec, built = dataclasses.replace(geometry.taub_nut(0.9)), []
     for module, name in ((expr, "_compile"), (dynamics, "_compiled")):
         monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), **k:
                             built.append(a) or f(*a, **k))

@@ -102,6 +102,15 @@ def test_numeric_components_serialize_as_their_float_repr():
     assert not back.jacobian_at([0.3, 0.2, 0.1]).any()
 
 
+def test_a_negative_zero_component_runs_its_own_kernel():
+    # a -0.0 component once compared and hashed equal to 0.0, so a field of -0.0 ran the
+    # fused kernel compiled for the same field with 0.0
+    point = [0.5, 0.2, 0.1]
+    assert AntisymTensorField(3, 2, {"12": 0.0, "13": "x1"}).values_at(point)[0, 1] == 0.0
+    value = AntisymTensorField(3, 2, {"12": -0.0, "13": "x1"}).values_at(point)[0, 1]
+    assert math.copysign(1.0, value) == -1.0
+
+
 @pytest.mark.parametrize("value", [True, 10**400, math.inf, math.nan, [1.0], len],
                          ids=["bool", "int-too-large-for-a-float", "inf", "nan", "list",
                               "callable"])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kyano import expr, geometry, report
+from kyano import expr, geometry, kysym, report
 from kyano.errors import DomainError, KyanoError, SingularEvaluation, SingularMetric
 from kyano.fields import AntisymTensorField
 
@@ -296,6 +296,7 @@ def test_dual_metric_involution(spec):
     dual = geometry.dual_metric(spec)
     assert dual.momentum_space != spec.momentum_space
     assert geometry.dual_metric(dual) == spec
+    assert geometry.dual_metric(spec) is dual  # built once, held by the spec
 
 
 def test_dual_metric_same_components():
@@ -307,6 +308,48 @@ def test_dual_metric_same_components():
     )
     assert dual.chart != spec.chart
     assert all(name.startswith("p") for name in dual.chart)
+
+
+# -- interning: one object per distinct argument tuple ---------------------------
+
+
+def test_catalog_constructors_return_one_object_per_argument_tuple():
+    assert geometry.taub_nut(1.0) is geometry.taub_nut(1)
+    assert geometry.taub_nut(1) is geometry.taub_nut(1.0, fiber_scale=2)
+    assert geometry.resolve_manifold("taub-nut:m=1") is geometry.resolve_manifold("taub-nut:m=1")
+    assert geometry.taub_nut(1.0, 4.0) is not geometry.taub_nut(1.0)
+    assert geometry.flat(3) is geometry.resolve_manifold("flat3")
+    assert geometry.const_curvature3(1) is geometry.resolve_manifold("const-curvature")
+    assert geometry.const_curvature3_spherical(1) is geometry.const_curvature3_spherical(1.0)
+    assert kysym.flat_ky_position_field(4) is kysym.flat_ky_position_field(4)
+    assert kysym.taubnut_ky_field(2, 1) is kysym.taubnut_ky_field(2, 1.0)
+    assert kysym.constcurv_ky_field(3, 1, momentum=1) is kysym.constcurv_ky_field(3, 1.0, True)
+    assert kysym.constcurv_ky_field(3, 1.0) is not kysym.constcurv_ky_field(3, 1.0, True)
+    geometry.flat(2)
+    with pytest.raises(TypeError):  # 2.0 keys apart from 2, so it fails as it always did
+        geometry.flat(2.0)
+
+
+def test_interning_keeps_negative_zero_apart_from_zero():
+    pos, neg = geometry.const_curvature3(0.0), geometry.const_curvature3(-0.0)
+    assert neg is not pos
+    dumps = [json.dumps(geometry.dump_manifold(spec)) for spec in (pos, neg)]
+    assert dumps[0] != dumps[1] and '"K": -0.0' in dumps[1]
+    fields = [kysym.constcurv_ky_field(1, K).to_dict()["components"]["12"] for K in (0.0, -0.0)]
+    assert "-0.0" not in fields[0] and "(-0.0)" in fields[1]
+
+
+def test_intern_caches_are_lrus_with_their_stated_bounds():
+    constructors = (geometry.flat, geometry.const_curvature3, geometry.const_curvature3_spherical,
+                    geometry.taub_nut, kysym.flat_ky_position_field, kysym.taubnut_ky_field,
+                    kysym.constcurv_ky_field)
+    assert [f.cache_info().maxsize for f in constructors] == [8, 32, 32, 32, 8, 32, 32]
+    first = geometry.const_curvature3(100.0)
+    for K in range(40):  # more distinct specs than the bound
+        geometry.const_curvature3(1000.0 + K)
+    assert geometry.const_curvature3.cache_info().currsize == 32
+    assert geometry.const_curvature3(100.0) is not first  # evicted, so built anew
+    assert geometry.const_curvature3(1039.0) is geometry.const_curvature3(1039)
 
 
 # -- serialization and resolution ---------------------------------------------
