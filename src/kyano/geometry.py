@@ -38,6 +38,7 @@ from .expr import Expression
 
 DOMAIN_MARGIN = 1e-9
 SINGULAR_BOUND = 1e13  # a metric is singular where max|g| max|g^-1| >= this / n^2
+FLAT_MAX_DIM = 2048  # flat(n) keeps an n x n grid, about 8 MiB at n = 1000
 
 ComponentGrid = tuple[tuple[Optional[Expression], ...], ...]
 
@@ -68,7 +69,8 @@ class MetricSpec:
     box: Optional[tuple[tuple[float, float], ...]] = None
     inverse: Optional[ComponentGrid] = None
     # per-order component kernels and gather indices, see _component_table, the geodesic
-    # kernels, see dynamics.GeodesicHamiltonian._fused, and the dual, see dual_metric
+    # kernels, see dynamics.GeodesicHamiltonian._fused, the dual, see dual_metric, and
+    # the last block's Christoffels, see kysym._christoffel_block
     _tables: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
                                       compare=False)
 
@@ -115,9 +117,12 @@ def _interned(maxsize: int, normalize):
 @_interned(8, lambda n: (n,))
 def flat(n: int) -> MetricSpec:
     """Euclidean metric on R^n in Cartesian coordinates: g and g^-1 are the identity.
-    Interned: equal ``n`` return the same spec, from an LRU of the last 8."""
+    ``n`` is at most ``FLAT_MAX_DIM``.  Interned: equal ``n`` return the same spec,
+    from an LRU of the last 8."""
     if n < 1:
         raise ValueError("dimension must be positive")
+    if n > FLAT_MAX_DIM:
+        raise ValueError(f"flat dimension {n} exceeds the bound {FLAT_MAX_DIM}")
     chart = tuple(f"x{i}" for i in range(1, n + 1))
     one, zeros = exprmod.parse_expression("1.0", n), (None,) * n  # one shared diagonal entry
     identity = tuple(zeros[:i] + (one,) + zeros[i + 1:] for i in range(n))
@@ -400,7 +405,8 @@ def christoffel_and_partial(spec: MetricSpec, point):
     """Christoffels, their coordinate partials ``dGamma[..., a, l, m, n]`` and the
     inverse metric they are built from, all from one order-2 metric jet."""
     _, dg, d2g, ginv = _metric(spec, point, 2, inverse=True)
-    dginv = -_einsum("...li,...aij,...js->...als", ginv, dg, ginv)
+    gi = ginv[..., None, :, :]  # against each d_a g
+    dginv = -((gi @ dg) @ gi)
     gamma, A = _christoffel(ginv, dg)
     dA = d2g.swapaxes(-3, -2) + d2g.swapaxes(-3, -2).swapaxes(-2, -1) - d2g  # d_a of A
     dgamma = 0.5 * (

@@ -1,10 +1,12 @@
 """Deterministic JSON output and atomic file writes.
 
-Floats are rendered with 17 significant digits so that equal inputs give
-byte-identical files across runs and platforms; non-finite floats, which
-standard JSON cannot carry, are emitted as the strings "inf", "-inf",
-"nan".  Writes go through a temporary file in the target directory
-followed by an atomic replace.
+Floats are rendered with 17 significant digits, so equal values give
+identical bytes: a fixed seed writes the same file on every run with the
+same numpy and BLAS kernel.  Another BLAS kernel may move the last bits of
+some residuals (the multipole ones); the verdicts hold across kernels.
+Non-finite floats, which standard JSON cannot carry, are emitted as the
+strings "inf", "-inf", "nan".  Writes go through a temporary file in the
+target directory followed by an atomic replace.
 """
 
 from __future__ import annotations

@@ -45,11 +45,13 @@ def flat_ky_pair(n: int, x: Sequence[float], p: Sequence[float]):
 
 
 @functools.lru_cache(maxsize=8)
-def _pair_field(n: int) -> tuple[AntisymTensorField, np.ndarray]:
-    """A rank-(n-1) field storing every component, and their flat indices."""
+def _pair_field(n: int) -> tuple[AntisymTensorField, np.ndarray, np.ndarray]:
+    """A rank-(n-1) field storing every component, their flat indices, and the
+    signs (-1)^k that turn the components, last first, into x."""
     keys = list(itertools.combinations(range(n), n - 1))
     return (AntisymTensorField(n, n - 1, dict.fromkeys(keys, 0.0)),
-            np.ravel_multi_index(np.array(keys).T, (n,) * (n - 1)))
+            np.ravel_multi_index(np.array(keys).T, (n,) * (n - 1)),
+            (-1.0) ** np.arange(n))
 
 
 def reconstruct_position(f: np.ndarray) -> np.ndarray:
@@ -60,20 +62,23 @@ def reconstruct_position(f: np.ndarray) -> np.ndarray:
     if rank < 1 or f.shape[f.ndim - rank:] != (n,) * rank:
         raise ValueError("expected a rank-(n-1) array over an n-dimensional chart")
     rows = f.reshape((-1,) + (n,) * rank)
-    field, stored = _pair_field(n)
+    field, stored, signs = _pair_field(n)
     comps = rows.reshape(-1, n ** rank)[:, stored]
-    # finite stored components that scatter back to the input make every swap sum 0
-    if not (np.isfinite(comps).all() and np.array_equal(field._scatter(comps), rows)):
-        t = np.abs(rows)  # one buffer for every check: fresh large temporaries fault in pages
-        scale = np.maximum(1.0, t.reshape(-1, n ** rank).max(axis=1))  # each row's own
-        if not np.isfinite(scale).all():
-            raise ValueError("input array has non-finite entries")
-        for a in range(1, rank):
-            np.add(rows, rows.swapaxes(a, a + 1), out=t)
-            if np.any(np.abs(t, out=t).reshape(-1, n ** rank).max(axis=1) > 1e-12 * scale):
-                raise ValueError("input array is not antisymmetric")
+    shape = f.shape[:f.ndim - rank] + (n,)
+    # finite stored components that scatter back to the input make every swap sum 0,
+    # and each of the (n-1)! nonzero terms of x_k is then (-1)^k f at the tuple without k
+    if np.isfinite(comps).all() and np.array_equal(field._scatter(comps), rows):
+        return (comps[:, ::-1] * signs).reshape(shape)
+    t = np.abs(rows)  # one buffer for every check: fresh large temporaries fault in pages
+    scale = np.maximum(1.0, t.reshape(-1, n ** rank).max(axis=1))  # each row's own
+    if not np.isfinite(scale).all():
+        raise ValueError("input array has non-finite entries")
+    for a in range(1, rank):
+        np.add(rows, rows.swapaxes(a, a + 1), out=t)
+        if np.any(np.abs(t, out=t).reshape(-1, n ** rank).max(axis=1) > 1e-12 * scale):
+            raise ValueError("input array is not antisymmetric")
     x = levi_civita(n).reshape(n, -1) @ rows.reshape(-1, n ** rank, 1)  # per-point bytes
-    return x.reshape(f.shape[:f.ndim - rank] + (n,)) / math.factorial(rank)
+    return x.reshape(shape) / math.factorial(rank)
 
 
 # The pair's twin is the same contraction with p, so it inverts the same way.
@@ -124,7 +129,7 @@ def _derivatives(spec: MetricSpec, field: AntisymTensorField, points, stored: bo
         jac = field._gradients(field._rows(X)[0]) if stored else field.jacobian_at(X)
         if flat:
             return f, jac, jac
-        return f, jac, geometry._covariant_derivative(geometry.christoffel_at(spec, X), f, jac)
+        return f, jac, geometry._covariant_derivative(_christoffel_block(spec, X), f, jac)
 
     X = np.asarray(points, dtype=float)
     size = len(field._ky_pairs[0]) if stored else spec.dim ** (field.rank + 1)
@@ -137,6 +142,19 @@ def _derivatives(spec: MetricSpec, field: AntisymTensorField, points, stored: bo
                 block(rows[i:i + 1])
             raise
         yield out
+
+
+def _christoffel_block(spec: MetricSpec, X: np.ndarray) -> np.ndarray:
+    """``geometry.christoffel_at(spec, X)``, kept read-only in ``spec._tables`` for the
+    last block, keyed by its shape and bytes: the checks of several fields at one
+    block of points, and the symplectic check after them, compute it once."""
+    key = (X.shape, X.tobytes())
+    cached = spec._tables.get("christoffel")
+    if cached is None or cached[0] != key:
+        gamma = geometry.christoffel_at(spec, X)
+        gamma.flags.writeable = False
+        cached = spec._tables["christoffel"] = (key, gamma)
+    return cached[1]
 
 
 def ky_residual(

@@ -81,7 +81,6 @@ def _multipoles(X: np.ndarray, P: np.ndarray) -> MultipoleSet:
     ``X`` and ``P`` are ``(N, 3)`` arrays; each field of the result carries
     a leading axis of length ``N``, so scalars become ``(N,)`` arrays.
     """
-    eps = levi_civita(3)
     f, ft = flat_ky_pair(3, X, P)
     delta = np.eye(3)
 
@@ -106,7 +105,12 @@ def _multipoles(X: np.ndarray, P: np.ndarray) -> MultipoleSet:
 
     d_dot = P.copy()
     L = np.cross(X, P)
-    mu_ky = 0.5 * np.einsum("klm,nki,nlm->ni", eps, f, ft)
+    # eps_ijk a_jk: the two nonzero terms for each i, (j, k) cyclic after i
+    j, k = [1, 2, 0], [2, 0, 1]
+    eps_f = f[:, j, k] - f[:, k, j]
+    eps_ft = ft[:, j, k] - ft[:, k, j]
+    # mu_i = eps_klm f_ki ft_lm / 2: eps's six signed products, grouped by k
+    mu_ky = 0.5 * (f * eps_ft[:, :, None]).sum(axis=1)
     D_ky = 0.5 * f_dot_ft
     S = outer(X, P) + outer(P, X) - mat(2.0 * D / 3.0) * delta
 
@@ -115,8 +119,6 @@ def _multipoles(X: np.ndarray, P: np.ndarray) -> MultipoleSet:
     Q_ky_given = 0.25 * (ff - mat(f_sq / 3.0) * delta)
     Q_ky_corrected = ff + mat(f_sq / 3.0) * delta
 
-    eps_f = np.einsum("ijk,njk->ni", eps, f)
-    eps_ft = np.einsum("ijk,njk->ni", eps, ft)
     T_dipole_direct = 0.1 * (X * vec(D) - 2.0 * vec(r_sq) * P)
     T_dipole_ky = (eps_f * vec(f_dot_ft) - 2.0 * eps_ft * vec(f_sq)) / 40.0
     T_trans_direct = 0.5 * X * vec(D)
@@ -139,7 +141,7 @@ def _multipoles(X: np.ndarray, P: np.ndarray) -> MultipoleSet:
     T_quad_trans_ky = (ff - mat(f_sq / 3.0) * delta) * mat(f_dot_ft) / 8.0
 
     octupole_direct = (
-        np.einsum("ni,nj,nk->nijk", X, X, X)
+        X[:, :, None, None] * X[:, None, :, None] * X[:, None, None, :]
         - mat(r_sq / 5.0)[..., None]
         * (
             np.einsum("ni,jk->nijk", X, delta)

@@ -189,6 +189,15 @@ def test_unknown_manifold_is_usage_error(capsys):
     assert "torus" in err
 
 
+
+@pytest.mark.parametrize("command", ["geodesic", "verify-ky"])
+def test_flat_dimension_past_the_bound_is_usage_error(capsys, command):
+    args = (["--x0", "1", "--p0", "1", "--dt", "0.1", "--steps", "1"] if command == "geodesic"
+            else ["--field", "flat-position"])
+    code, out, err = run(capsys, command, "--manifold", "flat100000", *args)
+    assert code == 2 and out == ""
+    assert err == "error: flat dimension 100000 exceeds the bound 2048\n"
+
 @pytest.mark.parametrize("manifold, key", [
     ("taub-nut:mass=3", "mass"),
     ("flat3:K=2", "K"),

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -352,6 +353,23 @@ def test_intern_caches_are_lrus_with_their_stated_bounds():
     assert geometry.const_curvature3(1039.0) is geometry.const_curvature3(1039)
 
 
+def test_flat_dimension_is_bounded_before_the_grid_is_built():
+    assert 1200 <= geometry.FLAT_MAX_DIM == 2048
+    n = geometry.FLAT_MAX_DIM + 1
+    before = geometry.flat.cache_info().currsize
+    tracemalloc.start()
+    try:
+        for build in (lambda: geometry.flat(n), lambda: geometry.resolve_manifold("flat100000"),
+                      lambda: geometry.load_manifold({"kind": "flat", "dim": 100000})):
+            with pytest.raises(ValueError, match="flat dimension [0-9]+ exceeds the bound 2048"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # an n x n grid of pointers would take 8 n^2 bytes
+    assert geometry.flat.cache_info().currsize == before
+
+
 # -- serialization and resolution ---------------------------------------------
 
 
@@ -552,7 +570,7 @@ def _ref_christoffel_and_partial(spec, point):
     """The per-point body the one batched body replaced."""
     g, dg, d2g = geometry.metric_components_at(spec, point, order=2)
     ginv = geometry._invert(g)
-    dginv = -np.einsum("li,aij,js->als", ginv, dg, ginv)
+    dginv = -((ginv[None] @ dg) @ ginv[None])
     dgs = dg.swapaxes(-3, -2)
     A = dgs + dgs.swapaxes(-2, -1) - dg
     gamma = 0.5 * np.einsum("...ls,...smn->...lmn", ginv, A)

@@ -1,6 +1,7 @@
 """KY machinery: pairs, residuals, Killing tensors, symplectic forms,
 catalog fields, and the ansatz solver."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -78,8 +79,8 @@ def test_reconstruction_roundtrip(n):
         x = rng.uniform(-5, 5, n)
         p = rng.uniform(-5, 5, n)
         f, ft = kysym.flat_ky_pair(n, x, p)
-        assert np.abs(kysym.reconstruct_position(f) - x).max() <= 1e-15 * 5
-        assert np.abs(kysym.reconstruct_momentum(ft) - p).max() <= 1e-15 * 5
+        assert kysym.reconstruct_position(f).tobytes() == x.tobytes()
+        assert kysym.reconstruct_momentum(ft).tobytes() == p.tobytes()
 
 
 def test_reconstruction_rejects_non_antisymmetric():
@@ -87,8 +88,25 @@ def test_reconstruction_rejects_non_antisymmetric():
         kysym.reconstruct_position(np.ones((3, 3)))
 
 
+def exact_reconstruction(f):
+    """x_k = (-1)^k f at the increasing index tuple without k, over the leading
+    axes of ``f``, where ``f`` is finite and exactly the pair built from that x
+    (each of the (n-1)! nonzero terms of the contraction is then x_k); else None."""
+    n = f.shape[-1]
+    rows = f.reshape((-1,) + (n,) * (n - 1))
+    x = np.stack([(-1.0) ** k * rows[(slice(None),) + tuple(i for i in range(n) if i != k)]
+                  for k in range(n)], axis=-1)
+    if not (np.isfinite(f).all() and np.array_equal(kysym.flat_ky_pair(n, x, x)[0], rows)):
+        return None
+    return x.reshape(f.shape[:f.ndim - (n - 1)] + (n,))
+
+
 def reconstruct_reference(f):
-    """The per-point contraction that batched reconstruction replaced."""
+    """The exact reconstruction of one point's ``f`` where it applies, else the
+    dense per-point contraction divided by (n-1)!."""
+    x = exact_reconstruction(f)
+    if x is not None:
+        return x
     n = f.shape[0]
     return np.tensordot(levi_civita(n), f, axes=n - 1) / math.factorial(n - 1)
 
@@ -124,8 +142,8 @@ def test_batched_reconstruction_checks_each_row_against_its_own_scale():
 
 
 def reconstruct_tolerance_reference(f):
-    """The tolerance-only reconstruction that now runs only where the exact
-    scatter test fails."""
+    """The tolerance-only reconstruction, the dense contraction divided by
+    (n-1)!, that now runs only where the exact scatter test fails."""
     n = f.shape[-1] if f.ndim else 0
     rank = n - 1
     if rank < 1 or f.shape[f.ndim - rank:] != (n,) * rank:
@@ -170,7 +188,13 @@ def test_reconstruction_gives_the_tolerance_reference_verdict_and_bytes(
         rows[(rows == 0) & (rng.random(rows.shape) < 0.5)] = -0.0
     elif change == "shuffle":
         rows[r] = rng.permutation(rows[r])
-    assert _outcome(kysym.reconstruct_position, f) == _outcome(reconstruct_tolerance_reference, f)
+    got, want = _outcome(kysym.reconstruct_position, f), _outcome(reconstruct_tolerance_reference, f)
+    assert isinstance(got, str) == isinstance(want, str)  # the verdict, everywhere
+    exact = exact_reconstruction(f)
+    if exact is None:
+        assert got == want
+    else:  # exactly antisymmetric input: the exact formula's bytes
+        assert got == (exact.shape, exact.tobytes())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -767,6 +791,50 @@ def test_symplectic_from_ky_evaluates_jacobian_once_per_point():
     assert [len(rows) for rows in calls] == [len(pts)] == [30]  # one block, each point once
     del field.jacobian_at
     assert form == kysym.symplectic_from_ky(spec, field, points=pts)
+
+
+def _count_christoffel_blocks(monkeypatch):
+    calls = []
+    christoffel_at = geometry.christoffel_at
+
+    def counting(spec, X):
+        calls.append(len(X))
+        return christoffel_at(spec, X)
+
+    monkeypatch.setattr(geometry, "christoffel_at", counting)
+    return calls
+
+
+def test_one_christoffel_block_per_metric_and_points(monkeypatch):
+    spec = dataclasses.replace(geometry.taub_nut(1.0))  # its own, empty tables
+    pts = taub_nut_points(20, seed=14)[1]
+    fields = [kysym.taubnut_ky_field(index, 1.0) for index in (1, 2, 3)]
+    want = [kysym.verify_field(spec, field, pts) for field in fields]
+    form = kysym.symplectic_from_ky(spec, fields[0], points=pts)
+    want_gamma = geometry.christoffel_at(spec, pts)
+    calls = _count_christoffel_blocks(monkeypatch)
+    spec = dataclasses.replace(spec)
+    assert [kysym.verify_field(spec, field, pts) for field in fields] == want
+    assert calls == [20]  # the three triplet fields at one block: one Christoffel block
+    assert kysym.symplectic_from_ky(spec, fields[0], points=pts) == dataclasses.replace(
+        form, spec=spec)
+    assert calls == [20]
+    gamma = spec._tables["christoffel"][1]
+    assert not gamma.flags.writeable and gamma.tobytes() == want_gamma.tobytes()
+    # a block of other points is computed anew, and then shared in turn
+    kysym.verify_field(spec, fields[0], pts[:19])
+    kysym.covariant_constancy_residual(spec, fields[0], pts[0])
+    kysym.covariant_constancy_residual(spec, fields[1], pts[0])
+    assert calls == [20, 19, 1]
+
+
+def test_a_report_computes_one_christoffel_block_per_metric_and_points(monkeypatch):
+    calls = _count_christoffel_blocks(monkeypatch)
+    first = report.assemble_report(seed=424242, samples=5)
+    # Taub-NUT at each fiber scale, the spherical chart and its dual
+    assert calls == [5, 5, 5, 5]
+    assert report.assemble_report(seed=424242, samples=5) == first
+    assert calls == [5, 5, 5, 5]  # each spec still holds its last block
 
 
 # -- dual symmetry ------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from kyano import multipole
 from kyano.dynamics import PhasePoint
 from kyano.errors import KyanoError
+from kyano.fields import levi_civita
 from kyano.multipole import (
     EXPECTED_VERDICTS,
     IdentityReport,
@@ -281,3 +282,28 @@ def test_sampled_suite_draws_x_then_p_per_point(monkeypatch):
     assert np.array_equal(X, [x for x, _ in draws])
     assert np.array_equal(P, [p for _, p in draws])
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_sparse_levi_civita_contractions_match_the_dense_einsums():
+    Z = np.random.default_rng(23).uniform(-1.0, 1.0, (1000, 6))
+    X = Z[:, :3]
+    m = multipole._multipoles(X, Z[:, 3:])
+    eps = levi_civita(3)
+    dense_mu = 0.5 * np.einsum("klm,nki,nlm->ni", eps, m.f, m.f_tilde)
+    assert np.abs(m.mu_ky - dense_mu).max() <= 1e-15
+    # the quantities built on eps f and eps f~, and the octupole: the einsums' bytes
+    eps_f, eps_ft = (np.einsum("ijk,njk->ni", eps, t) for t in (m.f, m.f_tilde))
+    fdf, f_sq = m.f_dot_ft[:, None], m.f_sq[:, None]
+    for got, want in [
+        (m.T_dipole_ky, (eps_f * fdf - 2.0 * eps_ft * f_sq) / 40.0),
+        (m.T_trans_ky, eps_f * fdf / 8.0),
+        (m.C_ky, (2.0 * eps_f * fdf - eps_ft * f_sq) / 4.0),
+        (m.A_tilde_ky, ((f_sq - 2.0) * eps_ft - 2.0 * eps_f * fdf) / 8.0),
+    ]:
+        assert got.tobytes() == want.tobytes()
+    r_sq = m.r_sq[:, None, None, None]
+    delta = np.eye(3)
+    dense_oct = np.einsum("ni,nj,nk->nijk", X, X, X) - r_sq / 5.0 * (
+        np.einsum("ni,jk->nijk", X, delta) + np.einsum("nj,ik->nijk", X, delta)
+        + np.einsum("nk,ij->nijk", X, delta))
+    assert m.octupole_direct.tobytes() == dense_oct.tobytes()
