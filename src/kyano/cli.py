@@ -225,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monitor", default="H",
                    help="comma-separated conserved quantities: H, K, L1, L2, L3")
     p.add_argument("--field", help="KY field for the K monitor (path or name)")
-    p.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     p.add_argument("--out", help="CSV path (a .json sidecar is written next to it)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_geodesic)

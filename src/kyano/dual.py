@@ -2,10 +2,10 @@
 
 The functions (:func:`sin`, :func:`sqrt`, ...) take and return floats and
 raise :class:`~kyano.errors.SingularEvaluation` at poles, with the message
-a compiled kernel repeats; the kernels call them to fold constants and to
-raise from a statement that does not fold.  A :class:`Jet` is the value,
-gradient and, at order 2, Hessian that :func:`kyano.expr.eval1` and
-:func:`kyano.expr.eval2` return.
+a compiled kernel repeats; the kernels call them to fold constants, and
+:func:`power`, with the location to name, at run time.  A :class:`Jet` is
+the value, gradient and, at order 2, Hessian that :func:`kyano.expr.eval1`
+and :func:`kyano.expr.eval2` return.
 """
 
 from __future__ import annotations
@@ -37,12 +37,12 @@ class Jet:
         return f"Jet({self.value!r}, grad={self.gradient!r}, order={self.order})"
 
 
-def integer_power(base: float, k: int) -> float:
+def integer_power(base: float, k: int, where: str = "") -> float:
     """``base ** k`` by exponentiation by squaring, so ``base ** 0`` is 1.0
     even at ``base == 0``; a negative ``k`` takes the reciprocal of a nonzero base."""
     if k < 0:
         if base == 0.0:
-            raise SingularEvaluation("zero raised to a negative power")
+            raise SingularEvaluation("zero raised to a negative power" + where)
         return integer_power(1.0 / base, -k)
     result, acc = 1.0, base
     while k > 0:
@@ -54,12 +54,13 @@ def integer_power(base: float, k: int) -> float:
     return result
 
 
-def power(base: float, k: float) -> float:
-    """Integer-valued exponents by :func:`integer_power`, others on a positive base."""
+def power(base: float, k: float, where: str = "") -> float:
+    """Integer-valued exponents by :func:`integer_power`, others on a positive base; a
+    message ends in ``where``, the location that a compiled kernel gives."""
     if isinstance(k, int) or k.is_integer():
-        return integer_power(base, int(k))
+        return integer_power(base, int(k), where)
     if base <= 0.0:
-        raise SingularEvaluation("non-integer power of a non-positive base")
+        raise SingularEvaluation("non-integer power of a non-positive base" + where)
     return math.pow(base, k)
 
 

@@ -10,9 +10,9 @@ Grammar (EBNF, whitespace ignored between tokens):
 
 ``^`` is right-associative and binds tighter than unary minus, so ``-x1^2``
 is ``-(x1^2)`` and ``2^-1`` is accepted.  Function names are exactly
-``sin cos tan sqrt exp ln abs``.  Numbers are decimal with an optional
-fractional part and exponent; there is no hex form and no implicit
-multiplication.  Variables are a letter prefix followed by a 1-based index
+``sin cos tan sqrt exp ln abs``.  Numbers are decimal, in ASCII digits only,
+with an optional fractional part and exponent; there is no hex form and no
+implicit multiplication.  Variables are a letter prefix followed by a 1-based index
 (``x1 .. x<dim>``); phase-space expressions additionally admit a second
 prefix (``p1 .. p<dim>``).
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import dual
 from .dual import Jet
-from .errors import ExprSyntaxError, SingularEvaluation
+from .errors import ExprSyntaxError, SingularEvaluation, clipped
 
 FUNCTIONS: dict[str, Callable[[float], float]] = {
     "sin": dual.sin,
@@ -111,6 +111,7 @@ class Expression:
 
 
 _TOKEN_OPS = set("+-*/^()")
+_NUMBER = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")  # ASCII digits only
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
@@ -126,24 +127,10 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
             tokens.append(("op", c, i))
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == ".":
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            tokens.append(("num", source[i:j], i))
-            i = j
+        number = _NUMBER.match(source, i)
+        if number:
+            tokens.append(("num", number[0], i))
+            i = number.end()
             continue
         if c.isalpha() or c == "_":
             j = i
@@ -242,12 +229,10 @@ class _Parser:
         head = text.rstrip("0123456789")
         digits = text[len(head):]
         if digits and head in self.prefixes:
-            index = int(digits)
+            index = int(digits) if len(digits.lstrip("0")) < 10 else 0  # int() refuses 4301 digits
             if not 1 <= index <= self.dim:
-                raise ExprSyntaxError(
-                    f"coordinate index out of range: {text!r} with chart dimension {self.dim}",
-                    off,
-                )
+                raise ExprSyntaxError(f"coordinate index out of range: {clipped(text)} with "
+                                      f"chart dimension {self.dim}", off)
             slot = self.prefixes.index(head) * self.dim + (index - 1)
             return Var(slot, text, off)
         kind, nxt, _ = self.peek()
@@ -316,24 +301,27 @@ def _jet(expr: Expression, point: Sequence[float], order: int) -> "Jet | float":
 
 # ---------------------------------------------------------------------------
 # compilation: one straight-line Python function per expression and jet
-# order, one statement per operation, on floats.  At order 0 a literal
-# integer power is the chain of products ``dual.integer_power`` makes and a
-# function is ``math``'s behind the domain check ``dual`` makes, with its
-# message.  Orders 1 and 2 are forward-mode jets unrolled into float locals:
-# each step is an exact chain rule over value, gradient and Hessian entries,
-# in a fixed operation order (products with the zeros of seeds and of
-# constants included), so results are reproducible to the bit.  Operations
-# on constants are done at compile time by ``dual``'s functions, the exact
-# identity ``x * 1.0`` is dropped and a repeated operation is done once.  An
-# operand is a float constant or a local's name; a jet is a (value,
-# gradient, hessian) tuple of operands, hessian None at order 1.
+# order, one statement per operation, on floats.  Its only branch is a check,
+# ``if cond: raise``, whose message names the operation and every enclosing
+# one, innermost first, as the reference walk does; there is no exception
+# handler.  At order 0 a literal integer power is the chain of products
+# ``dual.integer_power`` makes, a function is ``math``'s behind the domain
+# check ``dual`` makes, and a division by a local is checked for zero.
+# Orders 1 and 2 are forward-mode jets unrolled into float locals: each step
+# is an exact chain rule over value, gradient and Hessian entries, in a fixed
+# operation order (products with the zeros of seeds and of constants
+# included), so results are reproducible to the bit.  Operations on constants
+# are done at compile time by ``dual``'s functions, one that raises becomes a
+# ``raise`` of its message, the exact identity ``x * 1.0`` is dropped and a
+# repeated operation is done once.  An operand is a float constant or a
+# local's name; a jet is a (value, gradient, hessian) tuple of operands,
+# hessian None at order 1.
 
 _MATH = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "sqrt": math.sqrt,
          "exp": math.exp, "ln": math.log, "abs": abs}
-_GLOBALS = {"SingularEvaluation": SingularEvaluation, "ipow": dual.integer_power,
-            "pow_": dual.power, **{f"d_{k}": f for k, f in FUNCTIONS.items()},
+_GLOBALS = {"SingularEvaluation": SingularEvaluation, "pow_": dual.power,
             **{f"m_{k}": f for k, f in _MATH.items()}}
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_BINARY = {"+": operator.add, "-": operator.sub}
 _COLUMN_ROWS = 32  # fewer rows run faster through the per-point kernel
 
 
@@ -386,7 +374,7 @@ def _compile(nvars: int, parts: tuple, columns: bool = False) -> Callable:
     if columns:  # a column is freed after its last read
         last = {t: i for i, line in enumerate(lines) for t in re.findall(r"\bt\d+\b", line)}
         for i, t in sorted(((i, t) for t, i in last.items() if t not in outs), reverse=True):
-            lines.insert(i + 1, re.match(" *", lines[i])[0] + f"del {t}")
+            lines.insert(i + 1, f"    del {t}")
     ret = ", ".join(outs) + ("," if columns or len(outs) > 1 else "")
     args = "".join(f"s{i}, " for i in range(nvars))
     return _exec(["def kernel(s):", f"    {args}= s", *lines, f"    return {ret}"],
@@ -424,16 +412,16 @@ def eval_columns(exprs: "Expression | tuple", columns, order: int = 0) -> np.nda
 
 class _Emitter:
     """Statements of one kernel, emitted in evaluation order; jets over its first ``n`` slots.
-    A ``sparse`` float kernel's jets skip x * 0.0 and x + 0.0 for a local x, kept in ``pruned``;
-    an operation in it that fails raises its own error, unwrapped."""
+    The kernel is straight-line, with no handler: each ``if cond: raise``, and each ``raise``
+    of a constant operation that fails, names the locations stacked by ``at`` as it is emitted.
+    A ``sparse`` float kernel's jets skip x * 0.0 and x + 0.0 for a local x, kept in ``pruned``."""
 
     def __init__(self, n: int, columns: bool = False, sparse: bool = False):
         self.n, self.order, self.columns, self.sparse = n, 0, columns, sparse
         self.pruned: dict = {}  # the factors of products a sparse jet skipped, in order
         self.lines: list[str] = []
-        self.pad = "    "
         self.memo, self.checked = {}, set()  # the locals of operations, the conditions checked
-        self.raises = False  # whether a statement since the innermost wrapped() began can raise
+        self.where = ""  # the locations of the operations being emitted, innermost first
 
     @staticmethod
     def src(x) -> str:
@@ -442,52 +430,47 @@ class _Emitter:
         return f"({x!r})" if math.isfinite(x) else f"float('{x}')"
 
     def op(self, fmt: str, fn: Callable, *args, commutative: bool = False):
-        """``fmt`` on ``args``: ``fn(*args)`` when all are constants and it
-        does not raise, else a local (one that raises, raises at run time)."""
+        """``fmt`` on ``args``: ``fold(fn, *args)`` when all are constants, else a local."""
         if not any(isinstance(a, str) for a in args):
-            try:
-                return fn(*args)
-            except (ArithmeticError, ValueError, SingularEvaluation):
-                pass
+            return self.fold(fn, *args)
         key = [a if isinstance(a, str) else repr(a) for a in args]
         key = (fmt, *(sorted(key) if commutative else key))
         if key not in self.memo:
             self.memo[key] = f"t{len(self.memo)}"
-            self.lines.append(f"{self.pad}{self.memo[key]} = " + fmt.format(*map(self.src, args)))
-            # a division but by a nonzero finite constant, or a dual function's domain check, can raise
-            self.raises |= fmt.startswith(("d_", "ipow", "pow_")) or "/" in fmt and (
-                isinstance(args[-1], str) or not 0 < abs(args[-1]) < math.inf)
+            self.lines.append(f"    {self.memo[key]} = " + fmt.format(*map(self.src, args)))
         return self.memo[key]
 
+    def fold(self, fn: Callable, *args) -> float:
+        """``fn(*args)`` on constants; where it raises, a ``raise`` of its error, and NaN as
+        the operand of the statements after it, which never run."""
+        try:
+            return fn(*args)
+        except (ArithmeticError, ValueError, SingularEvaluation) as e:
+            self.lines.append(f"    {self.raising(e)}")
+            return math.nan
+
+    def raising(self, e: Exception) -> str:
+        """``raise e`` as the reference walk reports it: a singular evaluation or a division
+        by zero at the stacked locations, any other error as it is."""
+        if isinstance(e, ZeroDivisionError):
+            e = SingularEvaluation("division by zero")
+        where = self.where if isinstance(e, SingularEvaluation) else ""
+        return f"raise {type(e).__name__}({str(e) + where!r})"
+
     def check(self, cond: str, x, message: str) -> None:
-        """``if cond: raise``, once: a local is assigned once, so a repeat cannot fire."""
+        """``if cond: raise`` ``message``, once: a local is assigned once; a repeat never fires."""
         cond = cond.format(self.src(x))
         if cond not in self.checked:
             self.checked.add(cond)
-            self.raises = True
-            self.lines.append(f"{self.pad}if {f'np.any({cond})' if self.columns else cond}: "
-                              f"raise SingularEvaluation({message!r})")
+            self.lines.append(f"    if {f'np.any({cond})' if self.columns else cond}: "
+                              + self.raising(SingularEvaluation(message)))
 
     @contextlib.contextmanager
-    def wrapped(self, where: str, zero: bool = False):
-        """Statements emitted inside re-raise a SingularEvaluation with
-        ``where`` appended, and with ``zero`` a ZeroDivisionError as a
-        division by zero, as the operation at ``where`` reports them; there is
-        no handler where none can raise (+, -, * and math functions), nor in a sparse kernel."""
-        start, outer, self.raises = len(self.lines), self.raises, False
-        self.lines.append(self.pad + "try:")
-        self.pad += "    "
+    def at(self, where: str):
+        """Statements emitted inside are the operation's at ``where``, within those stacked."""
+        outer, self.where = self.where, where + self.where
         yield
-        self.pad = self.pad[:-4]
-        raises, self.raises = self.raises, outer or self.raises
-        if not raises or self.sparse:
-            self.lines[start:] = [line[4:] for line in self.lines[start + 1:]]
-            return
-        if zero:
-            self.lines.append(f"{self.pad}except ZeroDivisionError:\n{self.pad}    raise "
-                              f"SingularEvaluation('division by zero' + {where!r}) from None")
-        self.lines.append(f"{self.pad}except SingularEvaluation as e:\n{self.pad}    raise "
-                          f"SingularEvaluation(str(e) + {where!r}) from None")
+        self.where = outer
 
     def emit(self, node: Node):
         """Operand of ``node``, or its jet when it reads a slot at order 1 or 2."""
@@ -502,27 +485,29 @@ class _Emitter:
             return self.jmap(self.neg, arg) if isinstance(arg, tuple) else self.neg(arg)
         if isinstance(node, Call):
             arg = self.emit(node.arg)
-            with self.wrapped(f" in {node.func}(...) at offset {node.offset}"):
+            with self.at(f" in {node.func}(...) at offset {node.offset}"):
                 if isinstance(arg, tuple):
                     return self.chain(arg, *self.rule(node.func, arg[0]))
-                if not isinstance(arg, str):  # a constant folds
-                    return self.op(f"d_{node.func}({{}})", FUNCTIONS[node.func], arg)
+                if not isinstance(arg, str):
+                    return self.fold(FUNCTIONS[node.func], arg)
                 self.domain(node.func, arg)
                 return self.call(node.func, arg)
         where = f" in '{node.op}' at offset {node.offset}"
         left = self.emit(node.left)
-        if node.op == "^":
+        if node.op == "^":  # the exponent is emitted within the power's location
             k = _literal_int(node.right)
-            with self.wrapped(where):
-                return self.power(left, k if k is not None else self.emit(node.right), k is not None)
+            with self.at(where):
+                return self.power(left, self.emit(node.right) if k is None else k, k is not None)
         right = self.emit(node.right)
-        with self.wrapped(where, zero=node.op == "/"):
+        with self.at(where):
             return self.binary(node.op, left, right)
 
     def binary(self, op: str, a, b):
         """``a op b`` for + - * / on operands and jets: a jet divisor by its reciprocal."""
         if not isinstance(a, tuple) and not isinstance(b, tuple):
-            return self.mul(a, b) if op == "*" else self.op("{} %s {}" % op, _BINARY[op], a, b)
+            if op in "*/":
+                return self.mul(a, b) if op == "*" else self.div(a, b)
+            return self.op("{} %s {}" % op, _BINARY[op], a, b)
         if op == "/":
             if isinstance(b, tuple):  # a * (1/b), a float times the jet 1/b
                 r = self.recip(b)
@@ -540,12 +525,12 @@ class _Emitter:
         """``dual.integer_power`` for a literal ``k``, else ``dual.power``."""
         scalar = not isinstance(base, tuple)
         if scalar and not isinstance(k, tuple):
-            if not literal:
-                return self.op("pow_({}, {})", dual.power, base, k)
-            if not isinstance(base, str):  # a constant folds
-                return self.op(f"ipow({{}}, {k})", lambda b: dual.integer_power(b, k), base)
+            if not literal:  # dual.power raises at the stacked locations
+                return self.op("pow_({}, {}, %r)" % self.where, dual.power, base, k)
+            if not isinstance(base, str):
+                return self.fold(dual.integer_power, base, k)
         elif not literal and not (isinstance(k, float) and k.is_integer()):
-            # exp(k * ln(base)); a constant k that raises before use lands here
+            # exp(k * ln(base)); a constant k that raised, NaN, lands here
             self.check("{} <= 0.0", base if scalar else base[0],
                        "non-integer power of a non-positive base")
             if scalar:
@@ -572,7 +557,16 @@ class _Emitter:
     # -- float operations and the jet rules over them
 
     neg = functools.partialmethod(op, "-{}", operator.neg)
-    div = functools.partialmethod(op, "{} / {}", operator.truediv)
+
+    def div(self, a, b):
+        """``a / b``: by a constant zero a ``raise``; at order 0 by a local behind a zero check,
+        where a column kernel has numpy's flag and a sparse one Python's error instead, each
+        falling back to the exact kernel; at orders 1 and 2 each local divisor is checked first."""
+        if b == 0.0:  # whatever a is
+            return self.fold(operator.truediv, 0.0, b)
+        if isinstance(b, str) and not (self.order or self.columns or self.sparse):
+            self.check("{} == 0.0", b, "division by zero")
+        return self.op("{} / {}", operator.truediv, a, b)
 
     def skips(self, a, b) -> bool:
         """Whether a sparse jet skips ``a`` op ``b``, a local and a zero."""

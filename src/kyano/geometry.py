@@ -570,7 +570,7 @@ def load_manifold(source) -> MetricSpec:
     return spec
 
 
-_NAME_RE = re.compile(r"^([a-z-]+)(\d*)$")
+_NAME_RE = re.compile(r"^([a-z-]+)([0-9]*)$")
 
 
 def resolve_manifold(text: str) -> MetricSpec:
@@ -597,6 +597,9 @@ def resolve_manifold(text: str) -> MetricSpec:
         raise KyanoError(f"unrecognized manifold name {clipped(text)}")
     base, digits = m.groups()
     if base == "flat":
+        if len(significant := digits.lstrip("0")) > 60:  # int() refuses more than 4300 digits
+            raise ValueError(f"flat dimension of {len(significant)} digits exceeds the bound "
+                             f"{FLAT_MAX_DIM}")
         spec = flat(int(digits) if digits else 3)
     elif base == "const-curvature" and not digits:
         spec = const_curvature3(kwargs.pop("K", 1.0))

@@ -198,6 +198,21 @@ def test_flat_dimension_past_the_bound_is_usage_error(capsys, command):
     assert code == 2 and out == ""
     assert err == "error: flat dimension 100000 exceeds the bound 2048\n"
 
+def test_flat_dimension_of_thousands_of_digits_reports_the_bound(capsys):
+    # int() refuses more than 4300 digits: the length is checked first
+    code, out, err = run(capsys, "verify-ky", "--manifold", "flat" + "9" * 5000,
+                         "--field", "flat-position")
+    assert (code, out) == (2, "")
+    assert err == "error: flat dimension of 5000 digits exceeds the bound 2048\n"
+
+
+def test_flat_dimension_of_non_ascii_digits_is_unrecognized(capsys):
+    # an Arabic-Indic three is no dimension, though int() reads it as 3
+    code, out, err = run(capsys, "verify-ky", "--manifold", "flat\u0663",
+                         "--field", "flat-position")
+    assert (code, out, err) == (2, "", "error: unrecognized manifold name 'flat\u0663'\n")
+
+
 @pytest.mark.parametrize("manifold, key", [
     ("taub-nut:mass=3", "mass"),
     ("flat3:K=2", "K"),
@@ -283,6 +298,18 @@ def test_unknown_flag_is_usage_error(capsys):
         main(["verify-ky", "--bogus"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_geodesic_has_no_seed_option(tmp_path, capsys):
+    # a geodesic draws nothing at random, so a seed would be ignored input
+    with pytest.raises(SystemExit) as exc:
+        main(["geodesic", "--manifold", "flat2", "--x0", "0,0", "--p0", "1,0", "--dt", "0.1",
+              "--steps", "2", "--seed", "99", "--format", "json", "--out",
+              str(tmp_path / "g.json")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: kyano ") and "unrecognized arguments: --seed 99" in err
+    assert "Traceback" not in err and not os.listdir(tmp_path)
 
 
 # -- geodesic -----------------------------------------------------------------

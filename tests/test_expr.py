@@ -1,5 +1,6 @@
 """Parser and dual-number evaluation: grammar, derivatives, error offsets."""
 
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kyano import expr
+from kyano import cli, expr
 from kyano.errors import ExprSyntaxError, SingularEvaluation
 
 
@@ -62,6 +63,30 @@ def test_syntax_error_offsets():
     with pytest.raises(ExprSyntaxError) as ei:
         expr.parse_expression("x1 @ x2", 2)
     assert ei.value.offset == 3
+
+
+@pytest.mark.parametrize("src", ["x1 + \u00b2", "x1 + \u0663", "x1 + 1\u0663"])
+def test_number_tokens_take_ascii_digits_only(src):
+    # a superscript two or an Arabic-Indic three is no digit of a number
+    with pytest.raises(ExprSyntaxError, match="unexpected character") as ei:
+        expr.parse_expression(src, 1)
+    assert ei.value.offset == len(src) - 1
+
+
+@pytest.mark.parametrize("src", ["x1 + \u00b2", "x1 + \u0663"])
+def test_a_non_ascii_digit_in_a_field_file_is_an_input_error(tmp_path, capsys, src):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"dim": 3, "rank": 2, "components": {"12": src}}), "utf-8")
+    code = cli.main(["verify-ky", "--manifold", "flat3", "--field", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: unexpected character {src[-1]!r} (offset 5)\n"
+
+
+def test_a_variable_index_of_thousands_of_digits_is_out_of_range():
+    with pytest.raises(ExprSyntaxError, match="out of range: 'x1111") as ei:
+        expr.parse_expression("x" + "1" * 5000, 3)
+    assert len(str(ei.value)) < 200 and ei.value.offset == 0
 
 
 def test_variable_range_error():

@@ -82,28 +82,30 @@ def test_kernels_match_reference_walk(src, pt):
         ("x1^(0.5/0)", 2.0, "division by zero in '/' at offset 7 in '^' at offset 2"),
         ("2 * abs(x1)", 0.0, "abs at zero has no derivative in abs(...) at offset 4"),
         ("x1^-3", 0.0, "zero raised to a negative power in '^' at offset 2"),
+        ("x1/0", 1.0, "division by zero in '/' at offset 2"),
+        ("-(x1/x1)", 0.0, "division by zero in '/' at offset 4"),
+        ("sqrt(0-1) + x1", 1.0, "sqrt of a non-positive argument in sqrt(...) at offset 0"),
+        ("x1^x2", (-1.0, 0.5), "non-integer power of a non-positive base in '^' at offset 2"),
+        # a float exponent of -1.0 is an integer; a jet exponent is exp(x2 * ln(x1))
+        ("x1^x2", (0.0, -1.0), ("zero raised to a negative power in '^' at offset 2",
+                                "non-integer power of a non-positive base in '^' at offset 2")),
     ],
 )
 def test_singular_messages_unchanged(src, point, message):
-    e = expr.parse_expression(src, 1)
-    for fn in (expr.eval_value, expr.eval1, expr.eval2, jetref.value):
+    value, jet = (message, message) if isinstance(message, str) else message
+    point = (point,) if isinstance(point, float) else point
+    e = expr.parse_expression(src, len(point))
+    columns = np.array([point] * expr._COLUMN_ROWS).T
+    for fn, args, want in [(expr.eval_value, (), value), (jetref.value, (), value),
+                           (expr.eval1, (), jet), (expr.eval2, (), jet),
+                           (jetref.jet, (1,), jet), (jetref.jet, (2,), jet)]:
         with pytest.raises(SingularEvaluation) as info:
-            fn(e, (point,))
-        assert str(info.value) == message
-    for order in (1, 2):  # the reference walk on jets
+            fn(e, point, *args)
+        assert str(info.value) == want, fn
+    for order in (0, 1, 2):  # the column kernels' fallback
         with pytest.raises(SingularEvaluation) as info:
-            jetref.jet(e, (point,), order)
-        assert str(info.value) == message
-
-
-def _arithmetic(node) -> bool:
-    """Whether ``node`` is only names, constants, +, - and *."""
-    if isinstance(node, (ast.Name, ast.Constant)):
-        return True
-    if isinstance(node, ast.UnaryOp):
-        return isinstance(node.op, ast.USub) and _arithmetic(node.operand)
-    return (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult))
-            and _arithmetic(node.left) and _arithmetic(node.right))
+            expr.eval_columns(e, columns, order)
+        assert str(info.value) == (jet if order else value), order
 
 
 def _geodesic_kernels(spec, fresh: bool = True):
@@ -122,43 +124,42 @@ def _sparse_kernel(n, blocks):
                        *lines, "    return " + ", ".join(outs)], expr._GLOBALS)
 
 
-def test_no_handler_guards_only_additions_and_products(monkeypatch):
-    sources = []
-
-    def capture(source, *args):
-        sources.append(source)
-        return compile(source, *args)
-
-    monkeypatch.setattr(expr, "compile", capture, raising=False)
-    specs = [geometry.taub_nut(1.0, fs) for fs in (2.0, 4.0)]
-    specs += [geometry.const_curvature3(K) for K in (-4.0, 1.0)]
-    specs += [geometry.const_curvature3_spherical(1.0)]
-    for spec in specs:
-        grids = [spec.components] + ([spec.inverse] if spec.inverse else [])
-        exprs = {id(e): e for grid in grids for row in grid for e in row if e is not None}
-        exprs.update((id(g), g) for g in spec.guards)
-        for e in exprs.values():
-            for order, columns in itertools.product((0, 1, 2), (False, True)):
-                expr._compile.__wrapped__(e.nvars, ((e.root, order),), columns)
-        if spec.inverse:  # the fused geodesic kernels and the run
-            _geodesic_kernels(spec)
-    assert len(sources) > 100
-    for source in sources:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Try):
-                assert not all(isinstance(stmt, ast.Assign) and _arithmetic(stmt.value)
-                               for stmt in node.body), source
-    e = expr.parse_expression("x1*x2 + x3", 3)
-    for order in (0, 1, 2):
-        expr._compile.__wrapped__(3, ((e.root, order),))
-        assert "try:" not in sources[-1]
-
-
 def _captured_sources(monkeypatch) -> list:
     sources = []
     monkeypatch.setattr(expr, "compile", lambda source, *args: sources.append(source)
                         or compile(source, *args), raising=False)
     return sources
+
+
+def test_no_kernel_holds_a_handler_but_the_runs_outer_one(monkeypatch):
+    # every float, column, exact and sparse geodesic kernel is straight-line: a check
+    # names its locations itself; a compiled RK4 run keeps the handler around its loop
+    sources = _captured_sources(monkeypatch)
+    specs = [geometry.taub_nut(1.0, fs) for fs in (2.0, 4.0)]
+    specs += [geometry.const_curvature3(K) for K in (-4.0, 1.0)]
+    specs += [geometry.const_curvature3_spherical(1.0), geometry.flat(3), _CUSTOM]
+    fused = [geometry._component_table(spec, 0)[0] for spec in specs]
+    fused += [expr.Fused(spec.guards) for spec in specs if spec.guards]
+    fused += [expr.Fused(e for row in spec.inverse for e in row if e is not None)
+              for spec in specs if spec.inverse]
+    fused += [expr.Fused(expr.parse_expression(src, 3) for src in (
+        "x1/0 + x2", "x1/x2 - 1/x3", "x1^x2", "sqrt(0-1) + x1", "x1^(0.5/0)", "exp(1000) * x1",
+        "x1 * x2 + x3", "tan(x1) + ln(x2) - abs(x3)"))]
+    for exprs, order, columns in itertools.product(fused, (0, 1, 2), (False, True)):
+        expr._compile.__wrapped__(exprs[0].nvars, tuple((e.root, order) for e in exprs), columns)
+    for spec in specs:
+        if spec.inverse:  # the fused geodesic kernels, exact and sparse, and the run
+            _geodesic_kernels(spec)
+    runs = [source for source in sources if source.startswith("def run(")]
+    assert len(runs) >= 5 and len(sources) >= len(fused) * 6 + 3 * 5
+    for source in sources:
+        tree = ast.parse(source)
+        handlers = [node for node in ast.walk(tree) if isinstance(node, ast.Try)]
+        if source in runs:
+            assert handlers == [tree.body[0].body[0]] and len(handlers[0].handlers) == 1
+            assert source.count("except") == 1
+        else:
+            assert handlers == [] and "except" not in source, source
 
 
 def test_order_1_kernels_hold_no_unread_local(monkeypatch):
@@ -187,7 +188,7 @@ def test_guard_kernel_has_no_unit_factor_and_no_division_handler(monkeypatch):
     kernel = expr._compile.__wrapped__(3, ((guard.root, 0),))
     for source in sources:
         assert "(1.0) *" not in source and "ZeroDivisionError" not in source, source
-        assert source.count("try:") == 1  # abs's domain check, which adds where it failed
+        assert "try:" not in source  # abs's domain check names its location itself
     pts = geometry.sample_points(geometry.const_curvature3(1.0), 200, np.random.default_rng(3))
     edges = [0.0, -0.0, 5e-324, -1e-300, 1e150, -1e200, 1e300, math.inf, -math.inf, math.nan]
     pts = np.vstack([pts, list(itertools.product(edges, repeat=3))])
