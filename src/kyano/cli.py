@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 
@@ -58,7 +57,7 @@ def _load_field(text: str, spec) -> AntisymTensorField:
     if text in ("flat-position", "flat-momentum"):  # twins of one functional form
         return kysym.flat_ky_position_field(spec.dim)
     with open(text, "r", encoding="utf-8") as fh:
-        return AntisymTensorField.from_dict(json.load(fh))
+        return AntisymTensorField.from_dict(jsonio.load(fh))
 
 
 def _require_samples(count: int) -> None:
@@ -253,6 +252,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (KyanoError, ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
+        return 2
+    except RecursionError:  # a long chain of + - * / in an expression
+        sys.stderr.write("error: an expression is too long to evaluate\n")
         return 2
 
 

@@ -9,7 +9,9 @@ Grammar (EBNF, whitespace ignored between tokens):
     atom    = number | variable | name , "(" , expr , ")" | "(" , expr , ")" ;
 
 ``^`` is right-associative and binds tighter than unary minus, so ``-x1^2``
-is ``-(x1^2)`` and ``2^-1`` is accepted.  Function names are exactly
+is ``-(x1^2)`` and ``2^-1`` is accepted.  Parentheses, unary minuses, function
+calls and exponents nest at most ``MAX_NESTING`` deep; a deeper one is a syntax
+error at its offset.  Function names are exactly
 ``sin cos tan sqrt exp ln abs``.  Numbers are decimal, in ASCII digits only,
 with an optional fractional part and exponent; there is no hex form and no
 implicit multiplication.  Variables are a letter prefix followed by a 1-based index
@@ -111,6 +113,7 @@ class Expression:
 
 
 _TOKEN_OPS = set("+-*/^()")
+MAX_NESTING = 100  # the parser and the emitter recurse once or more per level
 _NUMBER = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")  # ASCII digits only
 
 
@@ -153,6 +156,16 @@ class _Parser:
         self.prefixes = tuple(prefixes)
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.depth = 0  # the parentheses, unary minuses, calls and exponents open here
+
+    @contextlib.contextmanager
+    def nested(self, off: int):
+        """Parse one level deeper, at most ``MAX_NESTING``."""
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", off)
+        self.depth += 1
+        yield
+        self.depth -= 1
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -199,7 +212,8 @@ class _Parser:
         kind, text, off = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.unary(), off)
+            with self.nested(off):
+                return Neg(self.unary(), off)
         return self.power()
 
     def power(self) -> Node:
@@ -209,7 +223,8 @@ class _Parser:
             self.advance()
             # the exponent re-enters at unary level: right-associative and
             # "^" grabs the atom before any unary minus does
-            return BinOp("^", base, self.unary(), off)
+            with self.nested(off):
+                return BinOp("^", base, self.unary(), off)
         return base
 
     def atom(self) -> Node:
@@ -217,7 +232,8 @@ class _Parser:
         if kind == "num":
             return Num(float(text), off)
         if kind == "op" and text == "(":
-            node = self.expr()
+            with self.nested(off):
+                node = self.expr()
             self.expect_op(")")
             return node
         if kind == "name":
@@ -240,7 +256,8 @@ class _Parser:
             if text not in FUNCTIONS:
                 raise ExprSyntaxError(f"unknown function {text!r}", off)
             self.advance()
-            arg = self.expr()
+            with self.nested(off):
+                arg = self.expr()
             self.expect_op(")")
             return Call(text, arg, off)
         raise ExprSyntaxError(f"unknown name {text!r}", off)
@@ -370,7 +387,14 @@ def _compile(nvars: int, parts: tuple, columns: bool = False) -> Callable:
         if em.order:
             value, grad, hess = out if isinstance(out, tuple) else em.lift(out)
         outs += [value, *grad, *itertools.chain(*hess or ())] if em.order else [out]
-    lines, outs = em.lines, [em.src(x) for x in outs]
+    return _function(nvars, em.lines, [em.src(x) for x in outs], columns)
+
+
+def _function(nvars: int, lines: list, outs: list, columns: bool = False,
+              namespace: "dict | None" = None) -> Callable:
+    """``kernel(s)`` of ``nvars`` slots: the statements ``lines``, then the output sources
+    ``outs``, a tuple unless just one per point, over ``namespace``, by default the float or
+    column globals."""
     if columns:  # a column is freed after its last read
         last = {t: i for i, line in enumerate(lines) for t in re.findall(r"\bt\d+\b", line)}
         for i, t in sorted(((i, t) for t, i in last.items() if t not in outs), reverse=True):
@@ -378,7 +402,7 @@ def _compile(nvars: int, parts: tuple, columns: bool = False) -> Callable:
     ret = ", ".join(outs) + ("," if columns or len(outs) > 1 else "")
     args = "".join(f"s{i}, " for i in range(nvars))
     return _exec(["def kernel(s):", f"    {args}= s", *lines, f"    return {ret}"],
-                 _COLUMNS if columns else _GLOBALS)
+                 namespace or (_COLUMNS if columns else _GLOBALS))
 
 
 def _exec(lines: list, namespace: dict) -> Callable:
@@ -458,9 +482,13 @@ class _Emitter:
         return f"raise {type(e).__name__}({str(e) + where!r})"
 
     def check(self, cond: str, x, message: str) -> None:
-        """``if cond: raise`` ``message``, once: a local is assigned once; a repeat never fires."""
+        """``if cond: raise`` ``message``, once: a local is assigned once; a repeat never fires.
+        On a constant ``x`` the condition is decided here: where it holds, a ``raise``, else none."""
         cond = cond.format(self.src(x))
-        if cond not in self.checked:
+        if not isinstance(x, str):
+            if eval(cond, {"abs": abs, "float": float}):  # a condition of this emitter's own forms
+                self.lines.append(f"    {self.raising(SingularEvaluation(message))}")
+        elif cond not in self.checked:
             self.checked.add(cond)
             self.lines.append(f"    if {f'np.any({cond})' if self.columns else cond}: "
                               + self.raising(SingularEvaluation(message)))

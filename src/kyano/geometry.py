@@ -5,7 +5,8 @@ come from first- and second-order jet evaluations of the metric
 components, so there is no finite differencing anywhere in the chain.
 Every ``*_at`` function takes a point ``(dim,)`` or a block ``(N, dim)``;
 for a block its arrays gain a leading N axis, row i the bytes of the call
-at point i.  One private evaluator, :func:`_metric`, runs the metric.
+at point i.  One private evaluator, :func:`_metric`, runs the metric; the
+compiled kernel of :func:`curvature_at` evaluates its 2-jet itself.
 
 Charts are labeled by coordinate names but expressions always refer to
 slots ``x1 .. xn`` in chart order; for the Taub-NUT chart ``(r, theta,
@@ -14,11 +15,12 @@ phi, psi)`` that means ``x1 = r`` and so on.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
-import json
 import math
+import operator
 import os
 import re
 import sys
@@ -33,6 +35,7 @@ except ImportError:  # numpy < 2
     _einsum = np.einsum
 
 from . import expr as exprmod
+from . import jsonio
 from .errors import DomainError, KyanoError, SingularEvaluation, SingularMetric, clipped
 from .expr import Expression
 
@@ -69,8 +72,9 @@ class MetricSpec:
     box: Optional[tuple[tuple[float, float], ...]] = None
     inverse: Optional[ComponentGrid] = None
     # per-order component kernels and gather indices, see _component_table, the geodesic
-    # kernels, see dynamics.GeodesicHamiltonian._fused, the dual, see dual_metric, and
-    # the last block's Christoffels, see kysym._christoffel_block
+    # kernels, see dynamics.GeodesicHamiltonian._fused, the curvature kernels, see
+    # _curvature_kernel, the dual, see dual_metric, and the last block's Christoffels,
+    # see kysym._christoffel_block
     _tables: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
                                       compare=False)
 
@@ -277,6 +281,16 @@ def _check_guards(spec: MetricSpec, coords, margin: float = DOMAIN_MARGIN):
     return coords
 
 
+def _component_slots(spec: MetricSpec) -> tuple:
+    """The distinct entries of g, in the upper triangle's row order, and for each the
+    positions (i, j) of g that it fills."""
+    n, slots = spec.dim, {}
+    for i, row in enumerate(spec.components):
+        for j in itertools.compress(range(i, n), row[i:]):  # the upper triangle's entries
+            slots.setdefault(id(row[j]), (row[j], []))[1].extend(((i, j), (j, i))[:1 + (i < j)])
+    return tuple(e for e, _ in slots.values()), [pos for _, pos in slots.values()]
+
+
 def _component_table(spec: MetricSpec, order: int):
     """The distinct components of ``spec`` as one ``expr.Fused``, its kernel at ``order``,
     their output width and the indices that gather g, dg and d2g from its outputs and 0."""
@@ -284,15 +298,13 @@ def _component_table(spec: MetricSpec, order: int):
     if table is None:
         n = spec.dim
         width = 1 + n + n * n if order == 2 else 1 + n * order
-        exprs: dict[int, tuple[int, Expression]] = {}
+        exprs, slots = _component_slots(spec)
         start = np.full((n, n), -1, dtype=np.intp)
-        for i, row in enumerate(spec.components):
-            for j in itertools.compress(range(i, n), row[i:]):  # the upper triangle's entries
-                e = row[j]
-                start[i, j] = start[j, i] = exprs.setdefault(id(e), (len(exprs) * width, e))[0]
+        for k, pos in enumerate(slots):
+            start[tuple(zip(*pos))] = k * width
         offsets = [1 + np.arange(n)[:, None, None], 1 + n + np.arange(n * n).reshape(n, n, 1, 1)]
         gather = [start] + [np.where(start < 0, -1, start + off) for off in offsets[:order]]
-        exprs = exprmod.Fused(e for _, e in exprs.values())
+        exprs = exprmod.Fused(exprs)
         table = spec._tables[order] = (exprs, exprmod._kernel(exprs, order), width, gather)
     return table
 
@@ -417,15 +429,270 @@ def christoffel_and_partial(spec: MetricSpec, point):
 
 
 def curvature_at(spec: MetricSpec, point) -> CurvatureValue:
-    """Riemann, Ricci, and scalar curvature from the metric's 2-jet."""
-    gamma, dgamma, ginv = christoffel_and_partial(spec, point)
-    lead = tuple(range(ginv.ndim - 2))  # the row axis of a block
-    term1 = dgamma.transpose(*lead, -3, -1, -4, -2)  # term1[r, s, m, n] = d_m Gamma^r_ns
-    term3 = _einsum("...rml,...lns->...rsmn", gamma, gamma)
-    riemann = term1 - term1.swapaxes(-2, -1) + term3 - term3.swapaxes(-2, -1)
-    ricci = _einsum("...rsrn->...sn", riemann)
-    scalar = _einsum("...sn,...sn->...", ginv, ricci)
-    return CurvatureValue(riemann=riemann, ricci=ricci, scalar=scalar if lead else float(scalar))
+    """Riemann, Ricci, and scalar curvature from the metric's 2-jet, by the compiled kernel of
+    :func:`_curvature_source`: per point, or over columns from ``expr._COLUMN_ROWS`` rows on,
+    where a block that raises reruns its rows one at a time, so the first failing row raises."""
+    X = np.asarray(point, dtype=float)
+    if X.shape[-1:] != (spec.dim,) or X.ndim > 2:
+        raise ValueError(f"expected a point of dimension {spec.dim}, got shape {X.shape}")
+    kernel, (ridx, rsign, cidx) = _curvature_kernel(spec)
+    if X.ndim == 1:
+        out = _curvature_row(spec, kernel, X.tolist())
+        vals, scalar = np.array(out), out[-2]
+    else:
+        vals = (np.array([_curvature_row(spec, kernel, x) for x in X.tolist()])
+                if 0 < len(X) < exprmod._COLUMN_ROWS else _curvature_columns(spec, X))
+        scalar = vals[:, -2].copy()
+    return CurvatureValue(riemann=vals[..., ridx] * rsign, ricci=vals[..., cidx], scalar=scalar)
+
+
+def _curvature_row(spec: MetricSpec, kernel, coords: list) -> tuple:
+    """The curvature kernel's outputs at a point's floats, where it raises the check of
+    :func:`_check_guards` first."""
+    if not math.isfinite(sum(coords)):  # a finite sum that overflows is checked too
+        _check_guards(spec, coords)
+    try:
+        return kernel(coords)
+    except (ArithmeticError, ValueError, KyanoError):  # a guard's own error is a DomainError
+        _check_guards(spec, coords)
+        raise
+
+
+def _curvature_columns(spec: MetricSpec, X: np.ndarray) -> np.ndarray:
+    """The curvature kernel's (N, outputs) at the rows of ``X``, over columns; where a
+    column is not finite, or the columns raise or overflow, each row runs per point."""
+    if np.isfinite(X).all():
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                outs = _curvature_kernel(spec, columns=True)[0](X.T)
+            vals = np.empty((len(outs), len(X)))
+            for row, out in zip(vals, outs):
+                row[...] = out
+            return vals.T
+        except (ArithmeticError, ValueError, KyanoError):
+            pass
+    kernel = _curvature_kernel(spec)[0]
+    return np.array([_curvature_row(spec, kernel, x) for x in X.tolist()])
+
+
+def _curvature_kernel(spec: MetricSpec, columns: bool = False) -> tuple:
+    """:func:`_curvature_source` compiled on floats or over columns, and the gathers of its
+    outputs: Riemann's indices and signs, and Ricci's indices; built once, held in ``_tables``."""
+    kernel = spec._tables.get(("curvature", columns))
+    if kernel is None:
+        n = spec.dim
+        lines, outs, riemann, ricci = _curvature_source(spec, columns)
+        namespace = _CURVATURE_COLUMNS if columns else dict(
+            _CURVATURE_GLOBALS, guards=functools.partial(_check_guards, spec),
+            entries=lambda g, ginv: _check_entries(g, ginv, n))
+        ridx, rsign = np.full((n,) * 4, -1, dtype=np.intp), np.ones((n,) * 4)
+        for k, (r, s, m, q) in enumerate(riemann):
+            ridx[r, s, m, q] = ridx[r, s, q, m] = k
+            rsign[r, s, q, m] = -1.0
+        cidx = np.full((n, n), -1, dtype=np.intp)
+        for k, sq in enumerate(ricci, len(riemann)):
+            cidx[sq] = k
+        kernel = spec._tables[("curvature", columns)] = (
+            exprmod._function(n, lines, outs, columns, namespace), (ridx, rsign, cidx))
+    return kernel
+
+
+def _inverse_entries(*g) -> list:
+    """The n x n entries of g^-1, row-major, from those of g: SingularMetric where g is
+    not finite, or :func:`_invert` rejects it."""
+    if not all(map(math.isfinite, g)):
+        raise SingularMetric("metric evaluated to non-finite components")
+    n = math.isqrt(len(g))
+    return _invert(np.array(g).reshape(n, n)).ravel().tolist()
+
+
+def _inverse_columns(*g) -> list:
+    """:func:`_inverse_entries` over columns: the entries' (N,) columns."""
+    g = np.stack(np.broadcast_arrays(*g), axis=-1)
+    if not np.isfinite(g).all():
+        raise SingularMetric("metric evaluated to non-finite components")
+    n = math.isqrt(g.shape[-1])
+    return list(_invert(g.reshape(-1, n, n)).reshape(-1, n * n).T)
+
+
+_WITNESS = "curvature terms are not finite at this point"
+_CURVATURE_GLOBALS = {**exprmod._GLOBALS, "SingularMetric": SingularMetric,
+                      "isfinite": math.isfinite, "inverse": _inverse_entries}
+# a column check that fails runs the block's rows per point, where it raises its own error
+_CURVATURE_COLUMNS = {**exprmod._COLUMNS, "SingularMetric": SingularMetric,
+                      "isfinite": lambda c: np.isfinite(c).all(), "inverse": _inverse_columns,
+                      "guards": exprmod._per_point, "entries": exprmod._per_point}
+
+
+def _curvature_source(spec: MetricSpec, columns: bool = False) -> tuple:
+    """Statements over the slots x1..xn, the output sources and the index tuples of the
+    outputs of :func:`curvature_at`'s kernel, emitted sparse.  In turn:
+
+    - the guards, and ``guards(s)`` (:func:`_check_guards`) where one is below the margin;
+    - g's 2-jet;
+    - g^-1: the 1-jets of a closed form under :func:`_check_entries`'s test, else the entries
+      of ``inverse``, numeric, and d_a g^-1 = -(g^-1 d_a g) g^-1;
+    - A_smn = d_m g_sn + d_n g_sm - d_s g_mn, Gamma^l_mn = 0.5 g^ls A_smn and
+      d_a Gamma^l_mn = 0.5 (d_a g^ls A_smn + g^ls d_a A_smn), for m <= n;
+    - the entries R^r_smn, m < n, of d_m Gamma^r_ns - d_n Gamma^r_ms + Gamma^r_ml Gamma^l_ns
+      - Gamma^r_nl Gamma^l_ms;
+    - Ricci R_sn = R^r_srn as sums of those entries, and the scalar g^sn R_sn;
+    - the witness test: the sum of every local factor of a product skipped for a zero.
+
+    Every sum runs over the structurally nonzero terms alone, so emission costs in proportion
+    to the terms; a structural zero is no output.  The outputs are the entries, Ricci's, the
+    scalar and 0.0, the index tuples those of the entries and of Ricci's."""
+    n = spec.dim
+    em = exprmod._Emitter(n, columns, sparse=True)
+    add, mul = em.add, em.mul
+    every = (lambda t: f"np.all({t})") if columns else str
+
+    def nonzero(x) -> bool:
+        return isinstance(x, str) or x != 0.0
+
+    def sub(a, b):  # a - b, a zero skipped
+        if not nonzero(b):
+            return a
+        return em.neg(b) if not nonzero(a) else em.op("{} - {}", operator.sub, a, b)
+
+    def dot(pairs):  # the sum of the products of ``pairs``, in order
+        return functools.reduce(add, [mul(a, b) for a, b in pairs], 0.0)
+
+    def contract(left: dict, right: dict, key) -> dict:
+        """sum_k left[p..., k] right[k, q...] at ``key(p, q)``, k ascending; a None key is
+        not wanted.  Each dict maps an index tuple to its structurally nonzero operand."""
+        rows = collections.defaultdict(list)
+        for (k, *q), y in right.items():
+            rows[k].append((tuple(q), y))
+        terms = collections.defaultdict(list)
+        for (*p, k), x in sorted(left.items()):
+            for q, y in rows[k]:
+                if (at := key(tuple(p), q)) is not None:
+                    terms[at].append((x, y))
+        return {at: v for at, t in sorted(terms.items()) if nonzero(v := dot(t))}
+
+    def constant(fn, *args):  # fn on constants, here; where it raises, a raise of its error
+        try:
+            return fn(*args)
+        except SingularMetric as e:
+            em.lines.append(f"    {em.raising(e)}")
+
+    def symmetric(index):  # the positions of a symmetric grid's entry
+        return (index, index[::-1])[:1 + (index[0] != index[1])]
+
+    guards = [em.emit(e.root) for e in spec.guards]
+    if any(not isinstance(v, str) and not v >= DOMAIN_MARGIN for v in guards):
+        em.lines.append("    guards(s)")  # a constant below the margin: outside everywhere
+    elif tests := [every(f"{v} >= {DOMAIN_MARGIN!r}") for v in guards if isinstance(v, str)]:
+        em.lines.append(f"    if not ({' and '.join(tests)}): guards(s)")
+
+    em.order, g, dg, d2g, values = 2, {}, {}, {}, []  # dg[i, a, j] = d_a g_ij, d2g by (a, b, i, j)
+    for e, slots in zip(*_component_slots(spec)):
+        jet = em.emit(e.root)
+        value, grad, hess = jet if isinstance(jet, tuple) else (jet, (), ())
+        values.append(value)
+        for i, j in slots:
+            g[i, j] = value
+            dg.update(((i, a, j), d) for a, d in enumerate(grad) if nonzero(d))
+            d2g.update(((a, b, i, j), h) for a, row in enumerate(hess)
+                       for b, h in enumerate(row) if nonzero(h))
+
+    em.order, ginv, dginv = 1, {}, {}  # dginv[a, l, s] = d_a g^ls
+    if spec.inverse is not None:
+        inverse = []
+        for i, row in enumerate(spec.inverse):
+            for j in itertools.compress(range(i, n), row[i:]):  # the upper triangle's entries
+                jet = em.emit(row[j].root)
+                value, grad = jet[:2] if isinstance(jet, tuple) else (jet, ())
+                inverse.append(value)
+                for p, q in symmetric((i, j)):
+                    ginv[p, q] = value
+                    dginv.update(((a, p, q), d) for a, d in enumerate(grad) if nonzero(d))
+        if str in map(type, values + inverse):
+            norm = lambda xs: " + ".join(f"abs({em.src(x)})" for x in xs)
+            listed = lambda xs: "(" + "".join(f"{em.src(x)}, " for x in xs) + ")"
+            bound = f"({norm(values)}) * ({norm(inverse)}) < {SINGULAR_BOUND / n ** 2!r}"
+            em.lines.append(f"    if not {every(bound)}: entries({listed(values)}, "
+                            f"{listed(inverse)})")
+        else:
+            constant(_check_entries, values, inverse, n)
+    else:
+        entries = [g.get((i, j), 0.0) for i in range(n) for j in range(n)]
+        if str in map(type, entries):
+            names = [f"t{len(em.memo) + k}" for k in range(n * n)]
+            em.memo.update((("inverse", t), t) for t in names)
+            em.lines.append(f"    {', '.join(names)}, = inverse({', '.join(map(em.src, entries))})")
+        else:
+            names = constant(_inverse_entries, *entries) or [math.nan] * n * n
+        ginv = {(i, j): x for (i, j), x in zip(itertools.product(range(n), repeat=2), names)
+                if nonzero(x)}
+        dginv = contract(contract(ginv, dg, lambda l, aj: (aj[0], *l, aj[1])), ginv,
+                         lambda alj, s: alj + s)
+        dginv = {k: em.neg(v) for k, v in dginv.items()}
+
+    def bracket(jet: dict) -> dict:  # A_smn of the first derivatives jet[i, b, j], m <= n
+        keys = set()
+        for i, b, j in jet:  # d_b g_ij is a term of A_i(bj), A_i(jb) and A_b(ij)
+            keys.update(((i, min(b, j), max(b, j)), (b, min(i, j), max(i, j))))
+        out = {}
+        for s, m, q in sorted(keys):
+            d = [jet.get(k, 0.0) for k in ((s, m, q), (s, q, m), (m, s, q))]
+            out[s, m, q] = sub(add(d[0], d[1]), d[2])
+        return {k: v for k, v in out.items() if nonzero(v)}
+
+    A, dA, jets = bracket(dg), {}, collections.defaultdict(dict)  # dA[s, a, m, n] = d_a A_smn
+    for (a, b, i, j), h in d2g.items():
+        jets[a][i, b, j] = h
+    for a, jet in sorted(jets.items()):
+        dA.update(((s, a, m, q), v) for (s, m, q), v in bracket(jet).items())
+
+    gamma = {k: mul(v, 0.5) for k, v in contract(ginv, A, lambda l, mq: l + mq).items()}
+    first = contract(dginv, A, lambda al, mq: al + mq)
+    second = contract(ginv, dA, lambda l, amq: (amq[0], *l, *amq[1:]))
+    dgamma = {k: mul(add(first.get(k, 0.0), second.get(k, 0.0)), 0.5)
+              for k in sorted({*first, *second})}
+
+    def dgam(a, l, m, q):
+        return dgamma.get((a, l, min(m, q), max(m, q)), 0.0)
+
+    full = {(l, *pos): v for (l, *mq), v in gamma.items() for pos in symmetric(tuple(mq))}
+    # Gamma^r_ml Gamma^l_ns at (r, s, m, n), m != n
+    squares = contract(full, full, lambda rm, ns: (rm[0], ns[1], rm[1], ns[0])
+                       if rm[1] != ns[0] else None)
+    keys = {(r, s, min(m, q), max(m, q)) for r, s, m, q in squares}
+    for a, r, p, q in dgamma:
+        keys.update((r, s, min(a, m), max(a, m)) for m, s in symmetric((p, q)) if a != m)
+    riemann = {}
+    for r, s, m, q in sorted(keys):
+        v = sub(add(sub(dgam(m, r, q, s), dgam(q, r, m, s)), squares.get((r, s, m, q), 0.0)),
+                squares.get((r, s, q, m), 0.0))
+        if nonzero(v):
+            riemann[r, s, m, q] = v
+
+    traced = collections.defaultdict(list)  # R^r_srn by (s, n), r ascending: (sign, R)
+    for (r, s, m, q), v in riemann.items():
+        if m == r:
+            traced[s, q].append((1, v))
+        if q == r:
+            traced[s, m].append((-1, v))
+    ricci = {}
+    for sq in sorted(traced):
+        total = 0.0
+        for sign, v in traced[sq]:
+            total = add(total, v) if sign > 0 else sub(total, v)
+        if nonzero(total):
+            ricci[sq] = total
+    scalar = dot((h, ricci[sq]) for sq, h in sorted(ginv.items()) if sq in ricci)
+
+    # a product skipped for a zero: a factor of the jets', or of dg^-1, A, dA, Gamma, or a
+    # Ricci entry where g^-1 is zero; each is a zero where all these are finite
+    factors = [*dginv.values(), *A.values(), *dA.values(), *gamma.values(),
+               *(v for sq, v in ricci.items() if sq not in ginv)]
+    em.pruned.update(dict.fromkeys(x for x in factors if isinstance(x, str)))
+    if witness := " + ".join(x for x in em.pruned if x[0] == "t"):
+        em.lines.append(f"    if not isfinite({witness}): raise SingularMetric({_WITNESS!r})")
+    outs = [*riemann.values(), *ricci.values(), scalar, 0.0]
+    return em.lines, [em.src(x) for x in outs], list(riemann), list(ricci)
 
 
 def _covariant_derivative(gamma: np.ndarray, f: np.ndarray, jac: np.ndarray) -> np.ndarray:
@@ -512,7 +779,7 @@ def load_manifold(source) -> MetricSpec:
     the manifold's kind does not read is an error."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = jsonio.load(fh)
     else:
         obj = source
     if not isinstance(obj, dict):

@@ -18,6 +18,30 @@ import os
 import tempfile
 
 
+class LongInteger:
+    """A JSON integer literal of more digits than ``int()`` converts, kept so that the check
+    of the key that holds it reports it: no check takes it for a number."""
+
+    def __init__(self, literal: str):
+        self.digits = len(literal.lstrip("-"))
+
+    def __repr__(self) -> str:
+        return f"integer of {self.digits} digits"
+
+
+def parse_int(literal: str):
+    """A JSON integer literal as an ``int``, or a :class:`LongInteger` past ``int()``'s limit."""
+    try:
+        return int(literal)
+    except ValueError:
+        return LongInteger(literal)
+
+
+def load(fh):
+    """The JSON document of the text file ``fh``, its integers read by :func:`parse_int`."""
+    return json.load(fh, parse_int=parse_int)
+
+
 def _emit(obj, indent: int, level: int) -> str:
     pad = " " * (indent * level)
     inner = " " * (indent * (level + 1))

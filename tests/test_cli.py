@@ -251,6 +251,60 @@ def test_a_long_manifold_value_is_echoed_cut_short(tmp_path, capsys, manifold, m
     assert err.count("\n") == 1 and len(err) < 200
 
 
+@pytest.mark.parametrize("kind, text, message", [
+    ("field", '{"dim": %s, "rank": 2, "components": {"12": 1}}',
+     "field 'dim' must be an integer, got integer of 5000 digits"),
+    ("field", '{"dim": 3, "rank": 2, "components": {"12": -%s}}',
+     "field component '12' must be an expression or a finite number, got integer of 5000 digits"),
+    ("manifold", '{"kind": "flat", "dim": %s}',
+     "manifold 'dim' must be an integer, got integer of 5000 digits"),
+    ("manifold", '{"kind": "taub-nut", "params": {"m": %s}}',
+     "manifold parameter 'm' must be finite, got integer of 5000 digits"),
+], ids=["field-dim", "field-component", "manifold-dim", "manifold-parameter"])
+def test_a_json_integer_past_the_conversion_limit_names_its_key(tmp_path, capsys, kind, text,
+                                                                message):
+    # int() refuses more than 4300 digits; the literal is kept for the key's own check
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text % ("9" * 5000), encoding="utf-8")
+    args = ["--manifold", "flat3", "--field", str(path)] if kind == "field" else [
+        "--manifold", str(path), "--field", "flat-position"]
+    code, out, err = run(capsys, "verify-ky", *args)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+_DEEP = {"sum": ("+".join(["x1"] * 3000), "an expression is too long to evaluate"),
+         "parentheses": ("(" * 3000 + "x1" + ")" * 3000, "nesting deeper than 100 levels (offset 100)"),
+         "unary": ("-" * 3000 + "x1", "nesting deeper than 100 levels (offset 100)")}
+
+
+@pytest.mark.parametrize("kind", sorted(_DEEP))
+def test_a_deep_or_long_expression_is_one_error_line(tmp_path, capsys, kind):
+    source, message = _DEEP[kind]
+    field = write_json(tmp_path / "f.json", {"dim": 3, "rank": 2, "components": {"12": source}})
+    code, out, err = run(capsys, "verify-ky", "--manifold", "flat3", "--field", field)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    manifold = write_json(tmp_path / "m.json", {"kind": "custom",
+                                                "metric": [[source, "0"], ["0", "1"]]})
+    csv = tmp_path / "g.csv"
+    code, out, err = run(capsys, "geodesic", "--manifold", manifold, "--x0", "1,1", "--p0", "1,0",
+                         "--dt", "0.01", "--steps", "3", "--out", str(csv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not os.path.exists(csv)
+
+
+def test_a_sum_of_400_terms_evaluates(tmp_path, capsys):
+    source = "+".join(["x1"] * 400)
+    field = write_json(tmp_path / "f.json", {"dim": 3, "rank": 2, "components": {"12": source}})
+    code, out, err = run(capsys, "verify-ky", "--manifold", "flat3", "--field", field)
+    assert code == 1 and err == ""  # 400 x1 dx1^dx2 is not KY
+    assert json.loads(out)["report"]["max_ky_residual"] == 800.0  # |D_1 f_12 + D_1 f_12|
+    manifold = write_json(tmp_path / "m.json", {"kind": "custom",
+                                                "metric": [[source, "0"], ["0", "1"]]})
+    code, out, err = run(capsys, "geodesic", "--manifold", manifold, "--x0", "1,1", "--p0", "1,0",
+                         "--dt", "0.01", "--steps", "3", "--out", str(tmp_path / "g.csv"))
+    assert (code, out, err) == (0, "", "")
+
+
 @pytest.mark.parametrize("p0", ["nan,0,0", "0,inf,0"])
 def test_a_non_finite_start_momentum_is_an_input_error(tmp_path, capsys, p0):
     csv = tmp_path / "g.csv"

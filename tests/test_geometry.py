@@ -462,7 +462,9 @@ def test_spherical_chart_samples_keep_off_its_singular_loci():
 
 
 def test_curvature_evaluates_the_metric_once_per_point(monkeypatch):
-    orders = []
+    # the metric's 2-jet is the curvature kernel's own: no separate metric evaluation, and
+    # one kernel call per point, or one over the columns of a block
+    orders, calls = [], []
     inner = geometry._metric
 
     def counting(spec, X, order=0, inverse=False):
@@ -473,10 +475,15 @@ def test_curvature_evaluates_the_metric_once_per_point(monkeypatch):
     blocks = [sample(spec, 40) for spec in specs]
     monkeypatch.setattr(geometry, "_metric", counting)
     for spec, X in zip(specs, blocks):
-        for points in (X[0], X[:5], X):  # a point, and blocks below and above 32 rows
-            orders.clear()
+        for columns in (False, True):
+            kernel, gathers = geometry._curvature_kernel(spec, columns)
+            monkeypatch.setitem(spec._tables, ("curvature", columns), (
+                lambda s, kernel=kernel, columns=columns: calls.append(columns) or kernel(s),
+                gathers))
+        for points, want in ((X[0], [False]), (X[:5], [False] * 5), (X, [True])):
+            calls.clear()
             geometry.curvature_at(spec, points)
-            assert orders == [2]
+            assert orders == [] and calls == want
 
 
 @pytest.mark.parametrize(
@@ -583,13 +590,42 @@ def _ref_christoffel_and_partial(spec, point):
 
 
 def _ref_curvature(spec, point):
-    """The per-point curvature body: Riemann, Ricci and scalar."""
+    """The einsum chain the compiled curvature kernel replaced: Riemann, Ricci and scalar."""
     gamma, dgamma, ginv = _ref_christoffel_and_partial(spec, point)
     term1 = dgamma.transpose(1, 3, 0, 2)
     term3 = np.einsum("rml,lns->rsmn", gamma, gamma)
     riemann = term1 - term1.swapaxes(2, 3) + term3 - term3.swapaxes(2, 3)
     ricci = np.einsum("rsrn->sn", riemann)
     return riemann, ricci, float(np.einsum("sn,sn->", ginv, ricci))
+
+
+def _ref_term_scale(spec, point):
+    """The scale of the terms that each entry of :func:`_ref_curvature` sums: the same chain
+    on the magnitudes of g^-1 and of the metric jet, every difference a sum."""
+    g, dg, d2g = (abs(a) for a in geometry.metric_components_at(spec, point, order=2))
+    ginv = abs(geometry._invert(geometry.metric_at(spec, point)))
+    dgs = dg.swapaxes(-3, -2)
+    A = dgs + dgs.swapaxes(-2, -1) + dg
+    dA = d2g.transpose(0, 2, 1, 3) + d2g.transpose(0, 2, 3, 1) + d2g
+    dginv = (ginv[None] @ dg) @ ginv[None]
+    gamma = 0.5 * np.einsum("ls,smn->lmn", ginv, A)
+    dgamma = 0.5 * (np.einsum("als,smn->almn", dginv, A) + np.einsum("ls,asmn->almn", ginv, dA))
+    term1 = dgamma.transpose(1, 3, 0, 2)
+    term3 = np.einsum("rml,lns->rsmn", gamma, gamma)
+    riemann = term1 + term1.swapaxes(2, 3) + term3 + term3.swapaxes(2, 3)
+    ricci = np.einsum("rsrn->sn", riemann)
+    return riemann, ricci, float(np.einsum("sn,sn->", ginv, ricci))
+
+
+def _assert_near_reference(cv, spec, point, rel=1e-12):
+    """Riemann, Ricci and the scalar of ``cv`` within ``rel`` of the reference, relative to the
+    scale of each entry's terms; Riemann antisymmetric in its last pair, each entry the exact
+    negation of its twin, and its structural zeros, such as R^r_smm, +0.0."""
+    for got, want, scale in zip((cv.riemann, cv.ricci, cv.scalar), _ref_curvature(spec, point),
+                                _ref_term_scale(spec, point)):
+        assert np.all(abs(got - want) <= rel * scale), (point, got, want)
+    assert np.array_equal(cv.riemann, -cv.riemann.swapaxes(-2, -1))
+    assert not np.signbit(np.diagonal(cv.riemann, axis1=-2, axis2=-1)).any()
 
 
 def _geometry_at(spec, X):
@@ -617,9 +653,7 @@ def test_metric_rows_and_christoffels_match_the_per_point_path(spec):
         cv = geometry.curvature_at(spec, x)
         assert isinstance(cv.scalar, float)
         gamma, dgamma, ginv = _ref_christoffel_and_partial(spec, x)
-        want = [*_ref_curvature(spec, x)]
-        assert [cv.riemann.tobytes(), cv.ricci.tobytes(), cv.scalar] == [
-            want[0].tobytes(), want[1].tobytes(), want[2]]
+        _assert_near_reference(cv, spec, x)  # the kernel sums in its own order
         assert [a.tobytes() for a in geometry.christoffel_and_partial(spec, x)] == [
             a.tobytes() for a in (gamma, dgamma, ginv)]
         assert geometry.christoffel_at(spec, x).tobytes() == gamma.tobytes()
@@ -632,6 +666,59 @@ def test_metric_rows_and_christoffels_match_the_per_point_path(spec):
             want = np.array([r[k] for r in ref[:N]]) if N else np.empty((0,) + ref[0][k].shape)
             assert stack.shape == want.shape and stack.dtype == want.dtype, (N, k)
             assert np.ascontiguousarray(stack).tobytes() == want.tobytes(), (N, k)
+
+
+_CURVATURE_CUSTOM = [
+    geometry.custom([["1 + x1^2", "0", "0"], ["0", "exp(x2)", "0"], ["0", "0", "2 + sin(x1*x3)"]]),
+    geometry.custom([["2 + x2^2", "x1*x2/4", "0"], ["x1*x2/4", "3 + cos(x3)", "x3/5"],
+                     ["0", "x3/5", "1 + x1^2"]]),
+]
+
+
+@given(spec=st.one_of(
+    st.builds(geometry.taub_nut, st.floats(0.5, 3.0), st.sampled_from([2.0, 4.0])),
+    # a subnormal K underflows, where no relative bound holds
+    st.builds(geometry.const_curvature3, st.floats(-4.0, 1.0, allow_subnormal=False)),
+    st.builds(geometry.const_curvature3_spherical, st.floats(-4.0, 1.0, allow_subnormal=False)),
+    st.builds(geometry.flat, st.integers(3, 6)),
+    st.sampled_from(_CURVATURE_CUSTOM),
+), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_curvature_kernel_matches_the_einsum_chain(spec, seed):
+    # the kernel against the einsum chain, and on the conformal chart against the closed form
+    # R^r_smn = K (delta^r_m g_sn - delta^r_n g_sm), each relative to the entry's term scale
+    X = sample(spec, 4, seed)
+    for x, cv in zip(X, [geometry.curvature_at(spec, x) for x in X]):
+        _assert_near_reference(cv, spec, x)
+        if spec.kind == "const-curvature":
+            K, g, delta = spec.param("K"), geometry.metric_at(spec, x), np.eye(3)
+            want = K * (np.einsum("rm,sn->rsmn", delta, g) - np.einsum("rn,sm->rsmn", delta, g))
+            assert (abs(cv.riemann - want) <= 1e-12 * _ref_term_scale(spec, x)[0]).all()
+
+
+def test_a_non_finite_witness_raises_instead_of_returning_nan_entries():
+    # d2g overflows where g and g^-1 are finite: the einsum chain gave NaN entries, where
+    # the kernel skips the products of a zero g^-1 entry and the witness holds the factor
+    spec = geometry.custom([["2 + sin(1e300 * x1)", "0"], ["0", "1"]])
+    x = [1.0, 0.5]
+    with np.errstate(all="ignore"):
+        assert np.isnan(_ref_curvature(spec, x)[0]).any()
+    for X in (x, [x] * 5, [x] * 40):  # at a point, per point and over columns
+        with pytest.raises(SingularMetric, match="^curvature terms are not finite at this point$"):
+            geometry.curvature_at(spec, X)
+
+
+@pytest.mark.parametrize("N", [1, 5, 40])
+def test_a_singular_or_outside_row_raises_on_every_curvature_path(N):
+    # at a point, per point and over columns: a row inside the guards where g is singular, and
+    # one outside a guard, raise the error of the per-point call
+    spec = geometry.taub_nut(1.0)
+    for bad, error, message in [([1.3, 1e-6, 0.3, 0.1], SingularMetric, "metric matrix is singular"),
+                                ([1.3, 1e-10, 0.3, 0.1], DomainError, "outside the chart domain")]:
+        X = sample(spec, N, seed=2)
+        X[N // 2] = bad
+        with pytest.raises(error, match=message):
+            geometry.curvature_at(spec, X if N > 1 else X[0])
 
 
 def _ref_section_const_curvature(rng, samples):

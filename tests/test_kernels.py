@@ -7,6 +7,7 @@ import ast
 import functools
 import itertools
 import math
+import re
 
 import jetref
 import numpy as np
@@ -755,3 +756,31 @@ def test_a_column_kernel_frees_each_column_after_its_last_read():
         tracemalloc.stop()
     assert peak <= 1.0 * 2 ** 20  # every local kept alive peaks at about 2 MiB
     assert got[:40].tobytes() == want.tobytes()
+
+
+def test_no_kernel_checks_a_constant(monkeypatch):
+    # a check on a constant is decided as it is emitted: a raise where it holds, else nothing;
+    # so every catalog kernel's check, the curvature kernels' included, reads a slot or a local
+    sources = _captured_sources(monkeypatch)
+    specs = [geometry.taub_nut(1.0, fs) for fs in (2.0, 4.0)]
+    specs += [geometry.const_curvature3(K) for K in (-4.0, 0.0, 1.0)]
+    specs += [geometry.const_curvature3_spherical(1.0), geometry.flat(3), _CUSTOM]
+    for (exprs, _), order, columns in itertools.product(_fused_cases(), (0, 1, 2), (False, True)):
+        expr._compile.__wrapped__(exprs[0].nvars, tuple((e.root, order) for e in exprs), columns)
+    for spec, columns in itertools.product(specs, (False, True)):
+        expr._function(spec.dim, *geometry._curvature_source(spec, columns)[:2], columns)
+        if spec.inverse and not columns:
+            _geodesic_kernels(spec)
+    e = expr.parse_expression("2^x1 + sqrt(x1) + x1^-1 + tan(1) * x1", 1)
+    for order, columns in itertools.product((0, 1, 2), (False, True)):
+        expr._compile.__wrapped__(1, ((e.root, order),), columns)
+    assert len(sources) >= 18 * 6 + 8 * 2 + 5 * 3 + 6
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.If):
+                names = [n.id for n in ast.walk(node.test) if isinstance(n, ast.Name)]
+                assert any(re.fullmatch(r"[st]\d+|s", name) for name in names), (
+                    ast.unparse(node), source)
+    # order 1 on floats: no check of the constant base 2, one each for sqrt(x1) and x1^-1
+    source = sources[-4]
+    assert source.count("if ") == 2 and "if s0 <= 0.0" in source and "if s0 == 0.0" in source
