@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import re
 import sys
 
@@ -65,8 +66,14 @@ def _require_samples(count: int) -> None:
         raise KyanoError("--samples must be at least 1")
 
 
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise KyanoError(f"--tol must be a finite number at least 0, got {tol!r}")
+
+
 def cmd_verify_ky(args) -> int:
     _require_samples(args.samples)
+    _require_tol(args.tol)
     spec = geometry.resolve_manifold(args.manifold)
     field = _load_field(args.field, spec)
     rng = np.random.default_rng(args.seed)
@@ -102,6 +109,8 @@ def _monitored_quantities(args, spec):
     quantities = []
     for label in args.monitor.split(","):
         label = label.strip()
+        if label in dict(quantities):
+            raise KyanoError(f"monitor quantity {clipped(label)} is repeated")
         if label == "H":
             quantities.append((label, free_hamiltonian(spec)))
         elif label == "K":
@@ -161,6 +170,7 @@ def cmd_geodesic(args) -> int:
 
 def cmd_multipole(args) -> int:
     _require_samples(args.samples)
+    _require_tol(args.tol)
     rep, mismatches = multipole.sampled_identity_suite(
         np.random.default_rng(args.seed), args.samples, tol=args.tol
     )

@@ -85,14 +85,33 @@ class MetricSpec:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
 class CurvatureValue:
-    """Riemann tensor R^rho_{sigma mu nu}, Ricci tensor, scalar curvature: at a
-    block of N points, arrays with a leading N axis, the scalar an (N,) array."""
+    """Riemann tensor R^rho_{sigma mu nu}, Ricci tensor, scalar curvature: at a block of N
+    points, arrays with a leading N axis, the scalar an (N,) array.  ``scalar`` is the
+    kernel's own output; ``riemann`` and ``ricci`` are scattered from the kernel's outputs (a
+    tuple at a point, (outputs, N) at a block) on first read, and kept."""
 
-    riemann: np.ndarray
-    ricci: np.ndarray
-    scalar: "float | np.ndarray"
+    def __init__(self, outs, layout: tuple, scalar: "float | np.ndarray"):
+        self._outs, self._layout, self.scalar = outs, layout, scalar
+
+    @functools.cached_property
+    def riemann(self) -> np.ndarray:
+        return self._scattered(0, 4, *self._layout[1:3])
+
+    @functools.cached_property
+    def ricci(self) -> np.ndarray:
+        return self._scattered(len(self._layout[1]), 2, self._layout[3])
+
+    def _scattered(self, start: int, rank: int, positions, mirrors=None) -> np.ndarray:
+        """Zeros of rank ``rank``, the outputs from ``start`` on at the flat ``positions`` of
+        :func:`_curvature_kernel`'s layout, and negated at ``mirrors``."""
+        lead = self._outs.shape[1:] if isinstance(self._outs, np.ndarray) else ()
+        vals, n = self._outs[start:start + len(positions)], self._layout[0]
+        out = np.zeros(lead + (n ** rank,))
+        out.T[positions] = vals
+        if mirrors is not None:
+            out.T[mirrors] = np.multiply(vals, -1.0)
+        return out.reshape(lead + (n,) * rank)
 
 
 def _grid_from_upper(entries: dict, n: int) -> ComponentGrid:
@@ -435,15 +454,13 @@ def curvature_at(spec: MetricSpec, point) -> CurvatureValue:
     X = np.asarray(point, dtype=float)
     if X.shape[-1:] != (spec.dim,) or X.ndim > 2:
         raise ValueError(f"expected a point of dimension {spec.dim}, got shape {X.shape}")
-    kernel, (ridx, rsign, cidx) = _curvature_kernel(spec)
+    kernel, layout = _curvature_kernel(spec)
     if X.ndim == 1:
-        out = _curvature_row(spec, kernel, X.tolist())
-        vals, scalar = np.array(out), out[-2]
-    else:
-        vals = (np.array([_curvature_row(spec, kernel, x) for x in X.tolist()])
-                if 0 < len(X) < exprmod._COLUMN_ROWS else _curvature_columns(spec, X))
-        scalar = vals[:, -2].copy()
-    return CurvatureValue(riemann=vals[..., ridx] * rsign, ricci=vals[..., cidx], scalar=scalar)
+        outs = _curvature_row(spec, kernel, X.tolist())
+        return CurvatureValue(outs, layout, outs[-2])
+    outs = (np.array([_curvature_row(spec, kernel, x) for x in X.tolist()]).T
+            if 0 < len(X) < exprmod._COLUMN_ROWS else _curvature_columns(spec, X))
+    return CurvatureValue(outs, layout, outs[-2].copy())
 
 
 def _curvature_row(spec: MetricSpec, kernel, coords: list) -> tuple:
@@ -459,25 +476,23 @@ def _curvature_row(spec: MetricSpec, kernel, coords: list) -> tuple:
 
 
 def _curvature_columns(spec: MetricSpec, X: np.ndarray) -> np.ndarray:
-    """The curvature kernel's (N, outputs) at the rows of ``X``, over columns; where a
+    """The curvature kernel's (outputs, N) at the rows of ``X``, over columns; where a
     column is not finite, or the columns raise or overflow, each row runs per point."""
     if np.isfinite(X).all():
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 outs = _curvature_kernel(spec, columns=True)[0](X.T)
-            vals = np.empty((len(outs), len(X)))
-            for row, out in zip(vals, outs):
-                row[...] = out
-            return vals.T
+            return np.array([np.broadcast_to(out, len(X)) for out in outs])
         except (ArithmeticError, ValueError, KyanoError):
             pass
     kernel = _curvature_kernel(spec)[0]
-    return np.array([_curvature_row(spec, kernel, x) for x in X.tolist()])
+    return np.array([_curvature_row(spec, kernel, x) for x in X.tolist()]).T
 
 
 def _curvature_kernel(spec: MetricSpec, columns: bool = False) -> tuple:
-    """:func:`_curvature_source` compiled on floats or over columns, and the gathers of its
-    outputs: Riemann's indices and signs, and Ricci's indices; built once, held in ``_tables``."""
+    """:func:`_curvature_source` compiled on floats or over columns, and the layout of its
+    outputs: n, the flat positions of the Riemann entries and of their negated mirrors
+    R^r_snm, and those of Ricci's entries, which follow them; built once, held in ``_tables``."""
     kernel = spec._tables.get(("curvature", columns))
     if kernel is None:
         n = spec.dim
@@ -485,15 +500,12 @@ def _curvature_kernel(spec: MetricSpec, columns: bool = False) -> tuple:
         namespace = _CURVATURE_COLUMNS if columns else dict(
             _CURVATURE_GLOBALS, guards=functools.partial(_check_guards, spec),
             entries=lambda g, ginv: _check_entries(g, ginv, n))
-        ridx, rsign = np.full((n,) * 4, -1, dtype=np.intp), np.ones((n,) * 4)
-        for k, (r, s, m, q) in enumerate(riemann):
-            ridx[r, s, m, q] = ridx[r, s, q, m] = k
-            rsign[r, s, q, m] = -1.0
-        cidx = np.full((n, n), -1, dtype=np.intp)
-        for k, sq in enumerate(ricci, len(riemann)):
-            cidx[sq] = k
+        rsmq = np.array(riemann, dtype=np.intp).reshape(-1, 4).T
+        layout = (n, np.ravel_multi_index(rsmq, (n,) * 4),
+                  np.ravel_multi_index(rsmq[[0, 1, 3, 2]], (n,) * 4),
+                  np.ravel_multi_index(np.array(ricci, dtype=np.intp).reshape(-1, 2).T, (n, n)))
         kernel = spec._tables[("curvature", columns)] = (
-            exprmod._function(n, lines, outs, columns, namespace), (ridx, rsign, cidx))
+            exprmod._function(n, lines, outs, columns, namespace), layout)
     return kernel
 
 

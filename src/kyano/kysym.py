@@ -22,7 +22,6 @@ import numpy as np
 from . import expr as exprmod
 from . import geometry
 from .errors import KyanoError, SymplecticRejection
-from .expr import Expression
 from .fields import AntisymTensorField, levi_civita
 from .geometry import MetricSpec
 
@@ -363,9 +362,7 @@ def symplectic_from_ky(
         raise SymplecticRejection("degenerate", f"min |det f| = {min_det:.3e}")
     max_cc, max_closed = float(np.max(cc)), float(np.max(closed))
     if not max_cc <= cc_tol:
-        raise SymplecticRejection(
-            "not-covariant-constant", f"max |D f| = {max_cc:.3e}"
-        )
+        raise SymplecticRejection("not-covariant-constant", f"max |D f| = {max_cc:.3e}")
     if not max_closed <= closed_tol:
         raise SymplecticRejection("not-closed", f"max |d f| = {max_closed:.3e}")
     return SymplecticForm(
@@ -387,12 +384,8 @@ def _constcurv_sources(K: float, momentum: bool) -> dict[tuple[int, int], str]:
     standard reference tables; x1 is r (or p on the momentum chart)."""
     k = f"({K!r})"
     u2 = f"(1 + {k}*x1^2/4)^2"
-    if momentum:
-        first = f"16*x1*sin(x3)/{u2}"
-    else:
-        first = f"x1*sin(x3)/(16*{u2})"
     return {
-        (0, 1): first,
+        (0, 1): f"16*x1*sin(x3)/{u2}" if momentum else f"x1*sin(x3)/(16*{u2})",
         (0, 2): f"x1*sin(2*x2)*cos(x3)/(32*{u2})",
         (1, 2): f"x1^2*sin(x2)^2*cos(x3)*({k}*x1^2 - 4)/((4 + {k}*x1^2)*{u2})",
     }
@@ -481,9 +474,7 @@ def ky_solve_ansatz(
     field per null direction; coefficients are orthonormal as vectors.
     """
     n = spec.dim
-    parsed: list[Expression] = []
-    for b in basis:
-        parsed.append(exprmod.parse_expression(b, n) if isinstance(b, str) else b)
+    parsed = [exprmod.parse_expression(b, n) if isinstance(b, str) else b for b in basis]
     if not parsed:
         raise ValueError("ansatz basis must not be empty")
     pairs = list(itertools.combinations(range(n), 2))
@@ -513,10 +504,8 @@ def ky_solve_ansatz(
                 R = D + D.swapaxes(0, 1)
                 rows[pi * n ** 3:(pi + 1) * n ** 3, ai * nb + bi] = R.ravel()
     _, svals, vh = np.linalg.svd(rows, full_matrices=True)
-    if svals.size == 0 or svals[0] == 0.0:
-        mask = np.ones(vh.shape[0], dtype=bool)
-    else:
-        mask = np.ones(vh.shape[0], dtype=bool)
+    mask = np.ones(vh.shape[0], dtype=bool)
+    if svals.size and svals[0] != 0.0:
         mask[: svals.size] = svals <= rel_threshold * svals[0]
     sources = [exprmod.unparse(phi) for phi in parsed]
     fields = []

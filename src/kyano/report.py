@@ -15,14 +15,6 @@ import numpy as np
 from . import __version__, geometry, kysym, multipole
 from .errors import SymplecticRejection
 
-SECTION_NAMES = (
-    "flat-ky",
-    "taub-nut",
-    "const-curvature",
-    "printed-constcurv-ky",
-    "multipole",
-)
-
 
 def section_flat_ky(rng: np.random.Generator, samples: int = 100) -> dict:
     """Rank-(n-1) pair on flat R^n for n = 3..6: KY residual and the
@@ -168,6 +160,7 @@ _SECTIONS = {
     "printed-constcurv-ky": section_printed_constcurv_ky,
     "multipole": section_multipole,
 }
+SECTION_NAMES = tuple(_SECTIONS)
 
 
 def assemble_report(seed: int = 0, samples: int | None = None, skip: tuple[str, ...] = ()) -> dict:
@@ -176,20 +169,14 @@ def assemble_report(seed: int = 0, samples: int | None = None, skip: tuple[str, 
     for name in skip:
         if name not in _SECTIONS:
             raise ValueError(f"unknown section {name!r}; known: {', '.join(SECTION_NAMES)}")
-    sections = {}
-    ok = True
-    root = np.random.SeedSequence(seed)
-    streams = root.spawn(len(SECTION_NAMES))
+    sections, ok = {}, True
+    kwargs = {} if samples is None else {"samples": samples}
+    streams = np.random.SeedSequence(seed).spawn(len(SECTION_NAMES))
     for name, stream in zip(SECTION_NAMES, streams):
         if name in skip:
             sections[name] = {"skipped": True}
             continue
-        rng = np.random.default_rng(stream)
-        kwargs = {}
-        if samples is not None:
-            kwargs["samples"] = samples
-        result = _SECTIONS[name](rng, **kwargs)
-        sections[name] = result
+        result = sections[name] = _SECTIONS[name](np.random.default_rng(stream), **kwargs)
         ok = ok and result["pass"]
     return {
         "schema": "kyano/1",

@@ -183,6 +183,30 @@ def test_verify_ky_rejects_zero_samples(capsys):
     assert "--samples" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-5e-324", "1e400"])
+@pytest.mark.parametrize("command", [
+    ["verify-ky", "--manifold", "const-curvature:K=1", "--field", "flat-position"],
+    ["verify-ky", "--manifold", "taub-nut", "--field", "taubnut-1"],
+    ["multipole", "--samples", "5"],
+], ids=["verify-ky-flat-position", "verify-ky-taubnut", "multipole"])
+def test_a_non_finite_or_negative_tol_is_an_input_error(capsys, command, tol):
+    # inf passed a field whose residual is 1.69, and nan failed the KY triplet
+    code, out, err = run(capsys, *command, f"--tol={tol}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --tol must be a finite number at least 0") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, want", [
+    (["verify-ky", "--manifold", "flat3", "--field", "flat-position", "--samples", "5"], 0),
+    (["verify-ky", "--manifold", "const-curvature:K=1", "--field", "flat-position",
+      "--samples", "5"], 1),
+    (["multipole", "--samples", "5"], 1),
+], ids=["verify-ky-flat", "verify-ky-curved", "multipole"])
+def test_a_zero_tol_is_a_gate(capsys, command, want):
+    code, _, err = run(capsys, *command, "--tol", "0")
+    assert (code, err) == (want, "")
+
+
 def test_unknown_manifold_is_usage_error(capsys):
     code, _, err = run(capsys, "verify-ky", "--manifold", "torus", "--field", "flat-position")
     assert code == 2
@@ -475,7 +499,12 @@ def test_geodesic_bad_vector_length(capsys):
     (["taub-nut", "1,1,0,0", "0,1,0,0", "--monitor", "L3", "--out", "CSV"],
      "L components are defined on 3-dimensional manifolds"),
     (["flat3", "1,0,0", "0,1,0"], "csv output requires --out PATH"),
-], ids=["non-numeric-x0", "taub-nut-field-on-flat", "L3-on-taub-nut", "csv-without-out"])
+    (["flat3", "1,0,0", "0,1,0", "--monitor", "H,L3,H", "--out", "CSV"],
+     "monitor quantity 'H' is repeated"),
+    (["flat3", "1,0,0", "0,1,0", "--monitor", "L3, L3", "--out", "CSV"],
+     "monitor quantity 'L3' is repeated"),
+], ids=["non-numeric-x0", "taub-nut-field-on-flat", "L3-on-taub-nut", "csv-without-out",
+        "repeated-monitor", "repeated-monitor-spaced"])
 def test_geodesic_input_error_exits_before_integrating(tmp_path, capsys, monkeypatch, argv,
                                                         message):
     def integrate(*args):

@@ -675,14 +675,17 @@ _CURVATURE_CUSTOM = [
 ]
 
 
-@given(spec=st.one_of(
+_CURVATURE_SPECS = st.one_of(
     st.builds(geometry.taub_nut, st.floats(0.5, 3.0), st.sampled_from([2.0, 4.0])),
     # a subnormal K underflows, where no relative bound holds
     st.builds(geometry.const_curvature3, st.floats(-4.0, 1.0, allow_subnormal=False)),
     st.builds(geometry.const_curvature3_spherical, st.floats(-4.0, 1.0, allow_subnormal=False)),
     st.builds(geometry.flat, st.integers(3, 6)),
     st.sampled_from(_CURVATURE_CUSTOM),
-), seed=st.integers(0, 2 ** 32 - 1))
+)
+
+
+@given(spec=_CURVATURE_SPECS, seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_curvature_kernel_matches_the_einsum_chain(spec, seed):
     # the kernel against the einsum chain, and on the conformal chart against the closed form
@@ -694,6 +697,81 @@ def test_curvature_kernel_matches_the_einsum_chain(spec, seed):
             K, g, delta = spec.param("K"), geometry.metric_at(spec, x), np.eye(3)
             want = K * (np.einsum("rm,sn->rsmn", delta, g) - np.einsum("rn,sm->rsmn", delta, g))
             assert (abs(cv.riemann - want) <= 1e-12 * _ref_term_scale(spec, x)[0]).all()
+
+
+def _eager_gathers(spec):
+    """Riemann's indices and signs and Ricci's indices into every kernel output, over the full
+    n^4 and n^2 grids; a structural zero indexes the kernel's trailing 0.0 output."""
+    n, (_, _, riemann, ricci) = spec.dim, geometry._curvature_source(spec)
+    ridx, rsign = np.full((n,) * 4, -1, dtype=np.intp), np.ones((n,) * 4)
+    for k, (r, s, m, q) in enumerate(riemann):
+        ridx[r, s, m, q] = ridx[r, s, q, m] = k
+        rsign[r, s, q, m] = -1.0
+    cidx = np.full((n, n), -1, dtype=np.intp)
+    for k, sq in enumerate(ricci, len(riemann)):
+        cidx[sq] = k
+    return ridx, rsign, cidx
+
+
+def _eager_curvature(spec, X, gathers):
+    """Riemann, Ricci and the scalar of the kernel's outputs at ``X``, gathered eagerly."""
+    ridx, rsign, cidx = gathers
+    kernel = geometry._curvature_kernel(spec)[0]
+    if X.ndim == 1:
+        out = geometry._curvature_row(spec, kernel, X.tolist())
+        return np.array(out)[ridx] * rsign, np.array(out)[cidx], out[-2]
+    vals = (np.array([geometry._curvature_row(spec, kernel, x) for x in X.tolist()])
+            if 0 < len(X) < expr._COLUMN_ROWS else geometry._curvature_columns(spec, X).T)
+    return vals[..., ridx] * rsign, vals[..., cidx], vals[:, -2].copy()
+
+
+@given(spec=_CURVATURE_SPECS, seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_curvature_reads_are_the_eager_gathers_bytewise(spec, seed):
+    # at a point and at blocks on both sides of the column threshold: each array the eager
+    # gather's bytes, each structural zero +0.0, and Riemann antisymmetric in its last pair
+    X = sample(spec, 300, seed)
+    gathers = _eager_gathers(spec)
+    ridx, _, cidx = gathers
+    for points in (X[0], *(X[:N] for N in (0, 1, 31, 32, 300))):
+        cv = geometry.curvature_at(spec, points)
+        want = _eager_curvature(spec, points, gathers)
+        assert type(cv.scalar) is type(want[2])
+        for got, ref in zip((cv.riemann, cv.ricci, cv.scalar), want):
+            got, ref = np.asarray(got), np.asarray(ref)
+            assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
+            assert got.tobytes() == ref.tobytes()
+        assert np.array_equal(cv.riemann, -cv.riemann.swapaxes(-2, -1))
+        for array, zeros in ((cv.riemann, ridx < 0), (cv.ricci, cidx < 0)):
+            assert not array[..., zeros].any() and not np.signbit(array[..., zeros]).any()
+
+
+def test_a_scalar_read_builds_no_array_and_each_array_is_built_once(monkeypatch):
+    built, scattered = [], geometry.CurvatureValue._scattered
+    monkeypatch.setattr(geometry.CurvatureValue, "_scattered",
+                        lambda cv, *args: built.append(scattered(cv, *args)) or built[-1])
+    spec = geometry.taub_nut(1.0)
+    X = sample(spec, 40)
+    for points in (X[0], X[:5], X):
+        built.clear()
+        cv = geometry.curvature_at(spec, points)
+        assert cv.scalar is cv.scalar and built == []
+        assert cv.riemann is cv.riemann and cv.ricci is cv.ricci
+        assert len(built) == 2 and built[0] is cv.riemann and built[1] is cv.ricci
+
+
+def test_a_flat32_scalar_read_holds_under_a_mebibyte():
+    # the curvature layout grows with the emitted entries, not as n^4: flat(32) has none
+    x = np.arange(1.0, 33.0)
+    tracemalloc.start()
+    try:
+        cv = geometry.curvature_at(geometry.flat(32), x)
+        assert cv.scalar == 0.0
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 ** 20
+    assert cv.riemann.shape == (32,) * 4 and not cv.riemann.any()
 
 
 def test_a_non_finite_witness_raises_instead_of_returning_nan_entries():
