@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import re
 import sys
 
@@ -24,7 +23,7 @@ import numpy as np
 from . import geometry, jsonio, kysym, multipole, report
 from .dynamics import PhasePoint, angular_momentum, conservation_monitor, \
     free_hamiltonian, geodesic_integrate, killing_quadratic, write_trajectory_csv
-from .errors import KyanoError, clipped
+from .errors import KyanoError, clipped, require_tolerances
 from .fields import AntisymTensorField
 
 
@@ -66,14 +65,9 @@ def _require_samples(count: int) -> None:
         raise KyanoError("--samples must be at least 1")
 
 
-def _require_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise KyanoError(f"--tol must be a finite number at least 0, got {tol!r}")
-
-
 def cmd_verify_ky(args) -> int:
     _require_samples(args.samples)
-    _require_tol(args.tol)
+    require_tolerances(**{"--tol": args.tol})
     spec = geometry.resolve_manifold(args.manifold)
     field = _load_field(args.field, spec)
     rng = np.random.default_rng(args.seed)
@@ -170,7 +164,7 @@ def cmd_geodesic(args) -> int:
 
 def cmd_multipole(args) -> int:
     _require_samples(args.samples)
-    _require_tol(args.tol)
+    require_tolerances(**{"--tol": args.tol})
     rep, mismatches = multipole.sampled_identity_suite(
         np.random.default_rng(args.seed), args.samples, tol=args.tol
     )

@@ -3,20 +3,19 @@
 The Hamiltonian of free geodesic motion is H = (1/2) g^{mn}(x) p_m p_n.
 Integration is classic fourth-order Runge-Kutta with a fixed step on a list of
 Python floats, each stage in numpy's operation order.  The right-hand side is
-Hamilton's equations, dx/dt = g^-1 p and dp/dt = -(1/2) p (d g^-1) p: where g^-1
-has a closed form (every catalog metric, flat space included) from one float kernel
-of its entries' x-jets that also gives the guard values; on a custom metric from
-g's 1-jet with g^-1 numeric; never finite differences.  With the kernel a generated
-run loops over the steps, each stage the kernel's sparse twin inlined under accept
-tests that imply the exact results; a step it declines is replayed per stage.
+Hamilton's equations, dx/dt = g^-1 p and dp/dt = -(1/2) p (d g^-1) p, from one float
+kernel per metric that checks the guards and g and evaluates g^-1 as the curvature
+kernel does: from a closed form's x-jets (every catalog metric, flat space included),
+else numerically inside the kernel, with dp/dt = (1/2) u (d g) u, u = g^-1 p; never
+finite differences.  A generated run loops over the steps, each stage the kernel's
+sparse twin inlined, its checks declining the step, under accept tests that imply the
+exact results; a step it declines is replayed per stage.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import re
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
@@ -134,62 +133,41 @@ class GeodesicHamiltonian(_RowValues):
 
     @property
     def _fused(self):
-        """:func:`_compiled`'s kernel and run, the ends (a, b, c) of the guard, g and g^-1 blocks in
-        the kernel's outputs, and the blocks; built once per spec and held in its ``_tables``."""
+        """:func:`_compiled`'s kernel and run, built once per spec and held in its ``_tables``."""
         fused = self.spec._tables.get("geodesic")
         if fused is None:
-            blocks = (tuple(e.root for e in self.spec.guards),
-                      tuple(e.root for e in geometry._component_table(self.spec, 0)[0]),
-                      tuple((i, j, row[j].root) for i, row in enumerate(self.spec.inverse)
-                            for j in itertools.compress(range(i, self.n), row[i:])))
-            fused = self.spec._tables["geodesic"] = (
-                *_compiled(self.n, blocks), tuple(itertools.accumulate(map(len, blocks))), blocks)
+            fused = self.spec._tables["geodesic"] = _compiled(
+                self.n, geometry._metric_roots(self.spec))
         return fused
 
     def rhs(self, z: list) -> list:
         """(dx/dt, dp/dt) = (g^-1 p, -(1/2) p (d g^-1) p) as a list at the list ``z`` of finite
-        floats, by the kernel of a closed-form g^-1, else from g's 1-jet with g^-1 numeric; a state
-        outside a guard raises as :func:`geometry._check_guards` does, before any other error."""
-        n, spec = self.n, self.spec
-        if spec.inverse is None:
-            _, dg, ginv = geometry._metric(spec, z[:n], 1, inverse=True)
-            gip = ginv @ np.array(z[n:])
-            # d_a g^{mn} = -(ginv dg_a ginv)^{mn}
-            pdot = 0.5 * np.einsum("m,amn,n->a", gip, dg, gip)
-            return np.concatenate([gip, pdot]).tolist()
-        kernel, _, (a, b, c), _ = self._fused
-        try:
-            out = kernel(z)
-        except Exception:
-            geometry._check_guards(spec, z[:n])
-            raise
-        if not all(map(geometry.DOMAIN_MARGIN.__le__, out[:a])):  # NaN is outside
-            geometry._check_guards(spec, z[:n])
-        geometry._check_entries(out[a:b], out[b:c], n)
-        return list(out[c:])
+        floats, by :func:`_compiled`'s kernel; a state outside a guard raises as
+        :func:`geometry._check_guards` does, before any other error."""
+        return list(geometry._checked(self.spec, self._fused[0], z))
 
 
-def _hamilton_source(n: int, blocks: tuple, sparse: bool = False) -> tuple:
-    """Statements over the slots x1..xn, p1..pn and output sources: the values of ``blocks``
-    (guards, g's entries, the upper entries (i, j, root) of a closed-form g^-1), then from those
-    g^-1 entries' x-jets dx/dt_k = sum_j g^{kj} p_j and dp/dt_a = -(0.5 * sum_{i<=j} (p_i p_j)
-    (c d_a g^{ij})), c = 2 off the diagonal, no term of a constant entry; ``sparse`` as emitted."""
-    guards, g, upper = blocks
+def _hamilton_source(n: int, roots: tuple, sparse: bool = False) -> tuple:
+    """Statements over the slots x1..xn, p1..pn and output sources: :func:`geometry._emit_metric`'s
+    guards, g and g^-1 for the metric's ``roots``, then dx/dt_k = u_k = sum_j g^{kj} p_j and, over
+    the non-constant upper entries, dp/dt_a = -(0.5 * sum_{i<=j} (p_i p_j) (c d_a g^{ij})) from
+    a closed-form g^-1's x-jets, else dp/dt_a = 0.5 * sum_{i<=j} (u_i u_j) (c d_a g_ij), as
+    p (d_a g^-1) p = -u (d_a g) u; c = 2 off the diagonal, each sum in order.  ``sparse`` as
+    emitted, with the witness last, the sum of the skipped factors; a slot is checked finite."""
     em, p = exprmod._Emitter(n, sparse=sparse), [f"s{n + k}" for k in range(n)]
-    outs = [em.emit(e) for e in guards + g + tuple(e for *_, e in upper)]
-    em.order, rows, terms = 1, [[] for _ in p], []
-    for i, j, e in upper:  # each row's terms in j order
-        jet = em.emit(e)
-        value = jet[0] if isinstance(jet, tuple) else jet
-        rows[i].append(em.mul(value, p[j]))
-        if i < j:
-            rows[j].append(em.mul(value, p[i]))
-        if isinstance(jet, tuple):
-            terms.append((em.mul(p[i], p[j]), jet[1], 1.0 + (i < j)))
-    outs += [functools.reduce(em.add, row or [0.0]) for row in rows]
-    outs += [em.neg(em.mul(functools.reduce(em.add, [
-        em.mul(pp, em.mul(d[a], c)) for pp, d, c in terms] or [0.0]), 0.5)) for a in range(n)]
-    if sparse:  # and last the witness, the sum of the skipped factors; a slot is checked finite
+    gjets, ijets, ginv = geometry._emit_metric(em, roots, 0)
+
+    def total(terms):  # left to right, 0.0 where there is none
+        return functools.reduce(em.add, terms or [0.0])
+
+    u = [total([em.mul(ginv[k, j], p[j]) for j in range(n) if (k, j) in ginv]) for k in range(n)]
+    v, jets = (u, gjets) if ijets is None else (p, ijets)
+    terms = [(em.mul(v[i], v[j]), grad, 1.0 + (i < j))
+             for pos, grad, *_ in jets if grad for i, j in pos if i <= j]
+    half = [em.mul(total([em.mul(vv, em.mul(d[a], c)) for vv, d, c in terms]), 0.5)
+            for a in range(n)]
+    outs = u + (half if ijets is None else [em.neg(x) for x in half])
+    if sparse:
         outs.append(" + ".join(x for x in em.pruned if x[0] == "t") or 0.0)
     return em.lines, [em.src(x) for x in outs]
 
@@ -293,32 +271,25 @@ class Trajectory:
 
 
 @functools.lru_cache(maxsize=256)
-def _compiled(n: int, blocks: tuple) -> tuple:
+def _compiled(n: int, roots: tuple) -> tuple:
     """``kernel(z)`` of :func:`_hamilton_source`'s outputs, and ``run(out, k, stop, z..., k1...,
     half, dt, sixth)``: :func:`_rk4`'s steps k .. stop - 1 up to one not accepted, the sparse
     kernel inlined in each stage, states' bytes into ``out``; (k, z, k1) there."""
-    # Passing the accept tests passes stage()'s and rhs()'s exact checks: a finite sum of the
-    # state has finite terms; max <= sum over non-negative terms, so sum|g| sum|g^-1| < bound
-    # passes max|g| max|g^-1| < bound; and a NaN or inf in either sum fails the <.  A stage that
-    # raises is not accepted either; _rk4 replays the step.  The sparse kernel skips x * 0.0 and
-    # x + 0.0 for a local x.  Where it returns a finite witness, the sum of those x, each skipped
-    # product is a zero, so the exact kernel returns the same outputs but for the sign of a zero:
-    # no kept operation turns that sign into a nonzero difference (a division by +-0 raises, as do
-    # the checks on sqrt, ln and abs).  A zero's sign moves z + c*k only where z is -0.0, so such
-    # starts run per stage; where dz/dt is the constant -0.0 and k1 a zero, z + c*k stays z.
+    # A stage is accepted where its state is finite, its checks pass and its witness, the sum
+    # of the factors the sparse kernel skips in x * 0.0 and x + 0.0 for a local x, is finite.
+    # The checks of guards, entries and inverse raise here, so a failing one declines the step
+    # and _rk4's replay raises its exact error.  Where the witness is finite each skipped product
+    # is a zero, so the exact kernel returns the same outputs but for the sign of a zero: no kept
+    # operation turns that sign into a nonzero difference (a division by +-0 raises, as do the
+    # checks on sqrt, ln and abs, and inverse rejects a matrix whose inverse is not finite).  A
+    # zero's sign moves z + c*k only where z is -0.0, so such starts run per stage; where dz/dt
+    # is the constant -0.0 and k1 a zero, z + c*k stays z.
     def row(fmt: str, sep: str = ", ", comps=range(2 * n)) -> str:
         return sep.join(fmt.format(i=i) for i in comps)
-    lines, o = _hamilton_source(n, blocks, sparse=True)
-    a, b, c = itertools.accumulate(map(len, blocks))
-    accept = [f"{u} >= {geometry.DOMAIN_MARGIN!r}" for u in o[:a]] + [" * ".join(
-        "(" + " + ".join(f"abs({e})" for e in es) + ")" for es in (o[a:b], o[b:c]))
-        + f" < {geometry.SINGULAR_BOUND / n ** 2!r}", f"isfinite({o[-1]})"]
-    # a test of constants alone, as flat space's, holds at every state or else at none
-    accept = " and ".join(t for t in accept if re.search(r"\b[st]\d+\b", t) or not eval(
-        t, {"abs": abs, "isfinite": math.isfinite, "float": float}))
-    fixed = [i for i in range(2 * n) if o[c + i] == "(-0.0)"]
-    live = [i for i in range(2 * n) if o[c + i] != "(-0.0)"]
-    dzdt = ", ".join(o[c + i] for i in live)
+    lines, o = _hamilton_source(n, roots, sparse=True)
+    fixed = [i for i in range(2 * n) if o[i] == "(-0.0)"]
+    live = [i for i in range(2 * n) if o[i] != "(-0.0)"]
+    dzdt = ", ".join(o[i] for i in live)
     code = [f"def run(out, k, stop, {row('z{i}')}, {row('k1_{i}')}, half, dt, sixth):", "    try:",
             "        " + row("s{i} = z{i}", "; ", fixed),
             f"        while k < stop{row(' and k1_{i} == 0.0', '', fixed)}:"]
@@ -327,17 +298,19 @@ def _compiled(n: int, blocks: tuple) -> tuple:
         code += [f"            {row('s{i}', ', ', live)}, = {row('z{i} + ' + update, ', ', live)}",
                 f"            if not isfinite({row('s{i}', ' + ', live)}): break",
                 *("        " + line for line in lines),
-                *[f"            if not ({accept}): break"] * bool(accept),
+                *[f"            if not isfinite({o[-1]}): break"] * (o[-1] != "(0.0)"),
                 f"            {row(f'k{j}_{{i}}', ', ', live)}, = {dzdt}"]
     code += [f"            {row('z{i}', ', ', live)}, k = {row('s{i}', ', ', live)}, k + 1",
             f"            out[{16 * n} * k:{16 * n} * k + {16 * n}] = pack({row('z{i}')})",
             "    except Exception:",
             "        pass  # the replay raises it, or the error it becomes, exactly",
             f"    return k, [{row('z{i}')}], [{row('k1_{i}')}]"]
-    exact, outs = _hamilton_source(n, blocks)
-    return exprmod._exec(["def kernel(s):", f"    {row('s{i}')}, = s", *exact, "    return "
-                          + ", ".join(outs)], exprmod._GLOBALS), exprmod._exec(code, {
-        **exprmod._GLOBALS, "isfinite": math.isfinite, "pack": struct.Struct(f"{2 * n}d").pack})
+    exact, outs = _hamilton_source(n, roots)
+    # in the run the checks' ``guards(s)`` and ``entries(...)`` raise, whatever ``s`` is
+    run = exprmod._exec(code, {**geometry._KERNEL_GLOBALS, "entries": exprmod._per_point,
+                               "s": None, "pack": struct.Struct(f"{2 * n}d").pack})
+    return exprmod._function(2 * n, exact, outs, namespace=dict(
+        geometry._KERNEL_GLOBALS, entries=functools.partial(geometry._check_entries, n=n))), run
 
 
 def _rk4(rhs: Callable, start: PhasePoint, dt: float, steps: int, run=None) -> Trajectory:
@@ -405,7 +378,7 @@ def geodesic_integrate(
         raise ValueError("start momentum has non-finite components")
     H, z = GeodesicHamiltonian(spec), start.as_vector()
     # a -0.0 start component can take the other zero sign through the sparse kernel
-    compiled = spec.inverse and not np.signbit(z[z == 0.0]).any()
+    compiled = not np.signbit(z[z == 0.0]).any()
     return _rk4(H.rhs, start, dt, steps, compiled and H._fused[1])
 
 

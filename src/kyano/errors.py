@@ -1,9 +1,18 @@
-"""Exception types shared across the package, and the form of a value an error message echoes."""
+"""Exception types, the form of a value an error message echoes, and the rule for a tolerance."""
+
+import math
 
 
 def clipped(value) -> str:
     """``repr(value)``, cut to 60 characters and ``...`` where longer."""
     return (text := repr(value))[:60] + "..." * (len(text) > 60)
+
+
+def require_tolerances(**tols: float) -> None:
+    """A ValueError naming the first of ``tols`` that is not a finite number at least 0."""
+    for name, tol in tols.items():
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"{name} must be a finite number at least 0, got {tol!r}")
 
 
 class KyanoError(Exception):

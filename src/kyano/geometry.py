@@ -6,7 +6,9 @@ components, so there is no finite differencing anywhere in the chain.
 Every ``*_at`` function takes a point ``(dim,)`` or a block ``(N, dim)``;
 for a block its arrays gain a leading N axis, row i the bytes of the call
 at point i.  One private evaluator, :func:`_metric`, runs the metric; the
-compiled kernel of :func:`curvature_at` evaluates its 2-jet itself.
+compiled kernels of :func:`curvature_at` and of the geodesic right-hand side
+in :mod:`kyano.dynamics` evaluate it themselves, from one prelude of guards,
+g and g^-1 that :func:`_emit_metric` emits for both.
 
 Charts are labeled by coordinate names but expressions always refer to
 slots ``x1 .. xn`` in chart order; for the Taub-NUT chart ``(r, theta,
@@ -408,7 +410,7 @@ def _invert(g: np.ndarray, rows: bool = False):
 
 def _check_entries(g, ginv, n: int) -> None:
     """:func:`_metric`'s checks on the entries of ``g`` and its closed-form inverse (a
-    non-finite one fails), run where the RK4 step's accept test, which implies them, fails."""
+    non-finite one fails), run where a kernel's test of the sums, which implies them, fails."""
     if sum(map(abs, g)) * sum(map(abs, ginv)) < SINGULAR_BOUND / n ** 2:
         return
     if not all(map(math.isfinite, g)):
@@ -432,21 +434,6 @@ def christoffel_at(spec: MetricSpec, point) -> np.ndarray:
     return _christoffel(ginv, dg)[0]
 
 
-def christoffel_and_partial(spec: MetricSpec, point):
-    """Christoffels, their coordinate partials ``dGamma[..., a, l, m, n]`` and the
-    inverse metric they are built from, all from one order-2 metric jet."""
-    _, dg, d2g, ginv = _metric(spec, point, 2, inverse=True)
-    gi = ginv[..., None, :, :]  # against each d_a g
-    dginv = -((gi @ dg) @ gi)
-    gamma, A = _christoffel(ginv, dg)
-    dA = d2g.swapaxes(-3, -2) + d2g.swapaxes(-3, -2).swapaxes(-2, -1) - d2g  # d_a of A
-    dgamma = 0.5 * (
-        _einsum("...als,...smn->...almn", dginv, A)
-        + _einsum("...ls,...asmn->...almn", ginv, dA)
-    )
-    return gamma, dgamma, ginv
-
-
 def curvature_at(spec: MetricSpec, point) -> CurvatureValue:
     """Riemann, Ricci, and scalar curvature from the metric's 2-jet, by the compiled kernel of
     :func:`_curvature_source`: per point, or over columns from ``expr._COLUMN_ROWS`` rows on,
@@ -456,22 +443,22 @@ def curvature_at(spec: MetricSpec, point) -> CurvatureValue:
         raise ValueError(f"expected a point of dimension {spec.dim}, got shape {X.shape}")
     kernel, layout = _curvature_kernel(spec)
     if X.ndim == 1:
-        outs = _curvature_row(spec, kernel, X.tolist())
+        outs = _checked(spec, kernel, X.tolist())
         return CurvatureValue(outs, layout, outs[-2])
-    outs = (np.array([_curvature_row(spec, kernel, x) for x in X.tolist()]).T
+    outs = (np.array([_checked(spec, kernel, x) for x in X.tolist()]).T
             if 0 < len(X) < exprmod._COLUMN_ROWS else _curvature_columns(spec, X))
     return CurvatureValue(outs, layout, outs[-2].copy())
 
 
-def _curvature_row(spec: MetricSpec, kernel, coords: list) -> tuple:
-    """The curvature kernel's outputs at a point's floats, where it raises the check of
-    :func:`_check_guards` first."""
+def _checked(spec: MetricSpec, kernel, coords: list) -> tuple:
+    """A float kernel's outputs at a point's floats, or a phase state's, its first ``dim`` the
+    point; where it raises, the check of :func:`_check_guards` at the point first."""
     if not math.isfinite(sum(coords)):  # a finite sum that overflows is checked too
-        _check_guards(spec, coords)
+        _check_guards(spec, coords[:spec.dim])
     try:
         return kernel(coords)
     except (ArithmeticError, ValueError, KyanoError):  # a guard's own error is a DomainError
-        _check_guards(spec, coords)
+        _check_guards(spec, coords[:spec.dim])
         raise
 
 
@@ -486,7 +473,7 @@ def _curvature_columns(spec: MetricSpec, X: np.ndarray) -> np.ndarray:
         except (ArithmeticError, ValueError, KyanoError):
             pass
     kernel = _curvature_kernel(spec)[0]
-    return np.array([_curvature_row(spec, kernel, x) for x in X.tolist()]).T
+    return np.array([_checked(spec, kernel, x) for x in X.tolist()]).T
 
 
 def _curvature_kernel(spec: MetricSpec, columns: bool = False) -> tuple:
@@ -497,9 +484,8 @@ def _curvature_kernel(spec: MetricSpec, columns: bool = False) -> tuple:
     if kernel is None:
         n = spec.dim
         lines, outs, riemann, ricci = _curvature_source(spec, columns)
-        namespace = _CURVATURE_COLUMNS if columns else dict(
-            _CURVATURE_GLOBALS, guards=functools.partial(_check_guards, spec),
-            entries=lambda g, ginv: _check_entries(g, ginv, n))
+        namespace = _KERNEL_COLUMNS if columns else dict(
+            _KERNEL_GLOBALS, entries=functools.partial(_check_entries, n=n))
         rsmq = np.array(riemann, dtype=np.intp).reshape(-1, 4).T
         layout = (n, np.ravel_multi_index(rsmq, (n,) * 4),
                   np.ravel_multi_index(rsmq[[0, 1, 3, 2]], (n,) * 4),
@@ -528,60 +514,42 @@ def _inverse_columns(*g) -> list:
 
 
 _WITNESS = "curvature terms are not finite at this point"
-_CURVATURE_GLOBALS = {**exprmod._GLOBALS, "SingularMetric": SingularMetric,
-                      "isfinite": math.isfinite, "inverse": _inverse_entries}
+# the float kernels' globals, but for ``entries``; a failing guard test raises, _checked names it
+_KERNEL_GLOBALS = {**exprmod._GLOBALS, "SingularMetric": SingularMetric, "isfinite": math.isfinite,
+                   "inverse": _inverse_entries, "guards": exprmod._per_point}
 # a column check that fails runs the block's rows per point, where it raises its own error
-_CURVATURE_COLUMNS = {**exprmod._COLUMNS, "SingularMetric": SingularMetric,
-                      "isfinite": lambda c: np.isfinite(c).all(), "inverse": _inverse_columns,
-                      "guards": exprmod._per_point, "entries": exprmod._per_point}
+_KERNEL_COLUMNS = {**exprmod._COLUMNS, "SingularMetric": SingularMetric,
+                   "isfinite": lambda c: np.isfinite(c).all(), "inverse": _inverse_columns,
+                   "guards": exprmod._per_point, "entries": exprmod._per_point}
 
 
-def _curvature_source(spec: MetricSpec, columns: bool = False) -> tuple:
-    """Statements over the slots x1..xn, the output sources and the index tuples of the
-    outputs of :func:`curvature_at`'s kernel, emitted sparse.  In turn:
+def _nonzero(x) -> bool:  # whether an operand is structurally nonzero: a local, or a constant
+    return isinstance(x, str) or x != 0.0
 
-    - the guards, and ``guards(s)`` (:func:`_check_guards`) where one is below the margin;
-    - g's 2-jet;
-    - g^-1: the 1-jets of a closed form under :func:`_check_entries`'s test, else the entries
-      of ``inverse``, numeric, and d_a g^-1 = -(g^-1 d_a g) g^-1;
-    - A_smn = d_m g_sn + d_n g_sm - d_s g_mn, Gamma^l_mn = 0.5 g^ls A_smn and
-      d_a Gamma^l_mn = 0.5 (d_a g^ls A_smn + g^ls d_a A_smn), for m <= n;
-    - the entries R^r_smn, m < n, of d_m Gamma^r_ns - d_n Gamma^r_ms + Gamma^r_ml Gamma^l_ns
-      - Gamma^r_nl Gamma^l_ms;
-    - Ricci R_sn = R^r_srn as sums of those entries, and the scalar g^sn R_sn;
-    - the witness test: the sum of every local factor of a product skipped for a zero.
 
-    Every sum runs over the structurally nonzero terms alone, so emission costs in proportion
-    to the terms; a structural zero is no output.  The outputs are the entries, Ricci's, the
-    scalar and 0.0, the index tuples those of the entries and of Ricci's."""
-    n = spec.dim
-    em = exprmod._Emitter(n, columns, sparse=True)
-    add, mul = em.add, em.mul
-    every = (lambda t: f"np.all({t})") if columns else str
+def _symmetric(index: tuple) -> tuple:  # the positions of a symmetric grid's entry
+    return (index, index[::-1])[:1 + (index[0] != index[1])]
 
-    def nonzero(x) -> bool:
-        return isinstance(x, str) or x != 0.0
 
-    def sub(a, b):  # a - b, a zero skipped
-        if not nonzero(b):
-            return a
-        return em.neg(b) if not nonzero(a) else em.op("{} - {}", operator.sub, a, b)
+def _metric_roots(spec: MetricSpec) -> tuple:
+    """What :func:`_emit_metric` reads: the guards' roots, g's distinct entries as (root, the
+    positions it fills) and a closed-form g^-1's upper entries (i, j, root), else None."""
+    n, exprs = spec.dim, zip(*_component_slots(spec))
+    return (tuple(e.root for e in spec.guards), tuple((e.root, tuple(pos)) for e, pos in exprs),
+            spec.inverse and tuple((i, j, row[j].root) for i, row in enumerate(spec.inverse)
+                                   for j in itertools.compress(range(i, n), row[i:])))
 
-    def dot(pairs):  # the sum of the products of ``pairs``, in order
-        return functools.reduce(add, [mul(a, b) for a, b in pairs], 0.0)
 
-    def contract(left: dict, right: dict, key) -> dict:
-        """sum_k left[p..., k] right[k, q...] at ``key(p, q)``, k ascending; a None key is
-        not wanted.  Each dict maps an index tuple to its structurally nonzero operand."""
-        rows = collections.defaultdict(list)
-        for (k, *q), y in right.items():
-            rows[k].append((tuple(q), y))
-        terms = collections.defaultdict(list)
-        for (*p, k), x in sorted(left.items()):
-            for q, y in rows[k]:
-                if (at := key(tuple(p), q)) is not None:
-                    terms[at].append((x, y))
-        return {at: v for at, t in sorted(terms.items()) if nonzero(v := dot(t))}
+def _emit_metric(em, roots: tuple, order: int) -> tuple:
+    """Emit into ``em`` what the kernels of a metric share, from its :func:`_metric_roots`: the
+    guards, and ``guards(s)`` where one is below the margin; g's jet at ``order``, at least 1
+    where g^-1 is numeric; g^-1, the 1-jets of a closed form and ``entries(g, g^-1)`` where the
+    test of :func:`_check_entries` on their sums fails, else the entries of ``inverse(g)``.
+    Returns g's distinct entries, and a closed form's (else None), as (the positions each
+    fills, its gradient, g's its Hessian), a constant's gradient ``()``; and g^-1 by (i, j),
+    every entry of a closed form, the nonzero ones of a numeric g^-1."""
+    guards, slots, upper = roots
+    n, every = em.n, (lambda t: f"np.all({t})") if em.columns else str
 
     def constant(fn, *args):  # fn on constants, here; where it raises, a raise of its error
         try:
@@ -589,37 +557,29 @@ def _curvature_source(spec: MetricSpec, columns: bool = False) -> tuple:
         except SingularMetric as e:
             em.lines.append(f"    {em.raising(e)}")
 
-    def symmetric(index):  # the positions of a symmetric grid's entry
-        return (index, index[::-1])[:1 + (index[0] != index[1])]
-
-    guards = [em.emit(e.root) for e in spec.guards]
-    if any(not isinstance(v, str) and not v >= DOMAIN_MARGIN for v in guards):
+    values = [em.emit(root) for root in guards]
+    if any(not isinstance(v, str) and not v >= DOMAIN_MARGIN for v in values):
         em.lines.append("    guards(s)")  # a constant below the margin: outside everywhere
-    elif tests := [every(f"{v} >= {DOMAIN_MARGIN!r}") for v in guards if isinstance(v, str)]:
+    elif tests := [every(f"{v} >= {DOMAIN_MARGIN!r}") for v in values if isinstance(v, str)]:
         em.lines.append(f"    if not ({' and '.join(tests)}): guards(s)")
 
-    em.order, g, dg, d2g, values = 2, {}, {}, {}, []  # dg[i, a, j] = d_a g_ij, d2g by (a, b, i, j)
-    for e, slots in zip(*_component_slots(spec)):
-        jet = em.emit(e.root)
+    em.order, g, gjets, values = max(order, int(upper is None)), {}, [], []
+    for root, pos in slots:
+        jet = em.emit(root)
         value, grad, hess = jet if isinstance(jet, tuple) else (jet, (), ())
         values.append(value)
-        for i, j in slots:
-            g[i, j] = value
-            dg.update(((i, a, j), d) for a, d in enumerate(grad) if nonzero(d))
-            d2g.update(((a, b, i, j), h) for a, row in enumerate(hess)
-                       for b, h in enumerate(row) if nonzero(h))
+        g.update(dict.fromkeys(pos, value))
+        gjets.append((pos, grad, hess or ()))
 
-    em.order, ginv, dginv = 1, {}, {}  # dginv[a, l, s] = d_a g^ls
-    if spec.inverse is not None:
-        inverse = []
-        for i, row in enumerate(spec.inverse):
-            for j in itertools.compress(range(i, n), row[i:]):  # the upper triangle's entries
-                jet = em.emit(row[j].root)
-                value, grad = jet[:2] if isinstance(jet, tuple) else (jet, ())
-                inverse.append(value)
-                for p, q in symmetric((i, j)):
-                    ginv[p, q] = value
-                    dginv.update(((a, p, q), d) for a, d in enumerate(grad) if nonzero(d))
+    em.order, ginv, ijets = 1, {}, None
+    if upper is not None:
+        inverse, ijets = [], []
+        for i, j, root in upper:
+            jet = em.emit(root)
+            value, grad = jet[:2] if isinstance(jet, tuple) else (jet, ())
+            inverse.append(value)
+            ginv.update(dict.fromkeys(pos := _symmetric((i, j)), value))
+            ijets.append((pos, grad))
         if str in map(type, values + inverse):
             norm = lambda xs: " + ".join(f"abs({em.src(x)})" for x in xs)
             listed = lambda xs: "(" + "".join(f"{em.src(x)}, " for x in xs) + ")"
@@ -637,10 +597,64 @@ def _curvature_source(spec: MetricSpec, columns: bool = False) -> tuple:
         else:
             names = constant(_inverse_entries, *entries) or [math.nan] * n * n
         ginv = {(i, j): x for (i, j), x in zip(itertools.product(range(n), repeat=2), names)
-                if nonzero(x)}
+                if _nonzero(x)}
+    return gjets, ijets, ginv
+
+
+def _curvature_source(spec: MetricSpec, columns: bool = False) -> tuple:
+    """Statements over the slots x1..xn, the output sources and the index tuples of the
+    outputs of :func:`curvature_at`'s kernel, emitted sparse.  In turn:
+
+    - :func:`_emit_metric`'s guards, g's 2-jet and g^-1, and from a numeric g^-1
+      d_a g^-1 = -(g^-1 d_a g) g^-1;
+    - A_smn = d_m g_sn + d_n g_sm - d_s g_mn, Gamma^l_mn = 0.5 g^ls A_smn and
+      d_a Gamma^l_mn = 0.5 (d_a g^ls A_smn + g^ls d_a A_smn), for m <= n;
+    - the entries R^r_smn, m < n, of d_m Gamma^r_ns - d_n Gamma^r_ms + Gamma^r_ml Gamma^l_ns
+      - Gamma^r_nl Gamma^l_ms;
+    - Ricci R_sn = R^r_srn as sums of those entries, and the scalar g^sn R_sn;
+    - the witness test: the sum of every local factor of a product skipped for a zero.
+
+    Every sum runs over the structurally nonzero terms alone, so emission costs in proportion
+    to the terms; a structural zero is no output.  The outputs are the entries, Ricci's, the
+    scalar and 0.0, the index tuples those of the entries and of Ricci's."""
+    em = exprmod._Emitter(spec.dim, columns, sparse=True)
+    add, mul = em.add, em.mul
+
+    def sub(a, b):  # a - b, a zero skipped
+        if not _nonzero(b):
+            return a
+        return em.neg(b) if not _nonzero(a) else em.op("{} - {}", operator.sub, a, b)
+
+    def dot(pairs):  # the sum of the products of ``pairs``, in order
+        return functools.reduce(add, [mul(a, b) for a, b in pairs], 0.0)
+
+    def contract(left: dict, right: dict, key) -> dict:
+        """sum_k left[p..., k] right[k, q...] at ``key(p, q)``, k ascending; a None key is
+        not wanted.  Each dict maps an index tuple to its structurally nonzero operand."""
+        rows = collections.defaultdict(list)
+        for (k, *q), y in right.items():
+            rows[k].append((tuple(q), y))
+        terms = collections.defaultdict(list)
+        for (*p, k), x in sorted(left.items()):
+            for q, y in rows[k]:
+                if (at := key(tuple(p), q)) is not None:
+                    terms[at].append((x, y))
+        return {at: v for at, t in sorted(terms.items()) if _nonzero(v := dot(t))}
+
+    gjets, ijets, ginv = _emit_metric(em, _metric_roots(spec), 2)
+    dg, d2g = {}, {}  # dg[i, a, j] = d_a g_ij, d2g by (a, b, i, j)
+    for pos, grad, hess in gjets:
+        for i, j in pos:
+            dg.update(((i, a, j), d) for a, d in enumerate(grad) if _nonzero(d))
+            d2g.update(((a, b, i, j), h) for a, row in enumerate(hess)
+                       for b, h in enumerate(row) if _nonzero(h))
+    if ijets is None:  # dginv[a, l, s] = d_a g^ls
         dginv = contract(contract(ginv, dg, lambda l, aj: (aj[0], *l, aj[1])), ginv,
                          lambda alj, s: alj + s)
         dginv = {k: em.neg(v) for k, v in dginv.items()}
+    else:
+        dginv = {(a, p, q): d for pos, grad in ijets for p, q in pos
+                 for a, d in enumerate(grad) if _nonzero(d)}
 
     def bracket(jet: dict) -> dict:  # A_smn of the first derivatives jet[i, b, j], m <= n
         keys = set()
@@ -650,7 +664,7 @@ def _curvature_source(spec: MetricSpec, columns: bool = False) -> tuple:
         for s, m, q in sorted(keys):
             d = [jet.get(k, 0.0) for k in ((s, m, q), (s, q, m), (m, s, q))]
             out[s, m, q] = sub(add(d[0], d[1]), d[2])
-        return {k: v for k, v in out.items() if nonzero(v)}
+        return {k: v for k, v in out.items() if _nonzero(v)}
 
     A, dA, jets = bracket(dg), {}, collections.defaultdict(dict)  # dA[s, a, m, n] = d_a A_smn
     for (a, b, i, j), h in d2g.items():
@@ -667,18 +681,18 @@ def _curvature_source(spec: MetricSpec, columns: bool = False) -> tuple:
     def dgam(a, l, m, q):
         return dgamma.get((a, l, min(m, q), max(m, q)), 0.0)
 
-    full = {(l, *pos): v for (l, *mq), v in gamma.items() for pos in symmetric(tuple(mq))}
+    full = {(l, *pos): v for (l, *mq), v in gamma.items() for pos in _symmetric(tuple(mq))}
     # Gamma^r_ml Gamma^l_ns at (r, s, m, n), m != n
     squares = contract(full, full, lambda rm, ns: (rm[0], ns[1], rm[1], ns[0])
                        if rm[1] != ns[0] else None)
     keys = {(r, s, min(m, q), max(m, q)) for r, s, m, q in squares}
     for a, r, p, q in dgamma:
-        keys.update((r, s, min(a, m), max(a, m)) for m, s in symmetric((p, q)) if a != m)
+        keys.update((r, s, min(a, m), max(a, m)) for m, s in _symmetric((p, q)) if a != m)
     riemann = {}
     for r, s, m, q in sorted(keys):
         v = sub(add(sub(dgam(m, r, q, s), dgam(q, r, m, s)), squares.get((r, s, m, q), 0.0)),
                 squares.get((r, s, q, m), 0.0))
-        if nonzero(v):
+        if _nonzero(v):
             riemann[r, s, m, q] = v
 
     traced = collections.defaultdict(list)  # R^r_srn by (s, n), r ascending: (sign, R)
@@ -692,7 +706,7 @@ def _curvature_source(spec: MetricSpec, columns: bool = False) -> tuple:
         total = 0.0
         for sign, v in traced[sq]:
             total = add(total, v) if sign > 0 else sub(total, v)
-        if nonzero(total):
+        if _nonzero(total):
             ricci[sq] = total
     scalar = dot((h, ricci[sq]) for sq, h in sorted(ginv.items()) if sq in ricci)
 

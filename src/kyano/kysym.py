@@ -21,7 +21,7 @@ import numpy as np
 
 from . import expr as exprmod
 from . import geometry
-from .errors import KyanoError, SymplecticRejection
+from .errors import KyanoError, SymplecticRejection, require_tolerances
 from .fields import AntisymTensorField, levi_civita
 from .geometry import MetricSpec
 
@@ -286,6 +286,7 @@ def verify_field(
 ) -> KYReport:
     """Evaluate KY and covariant-constancy residuals over sample points; the
     determinant bounds are None for a field that is not a two-form."""
+    require_tolerances(ky_tol=ky_tol, cc_tol=cc_tol, det_tol=det_tol)
     values, cc, ky, flat = [], [], [], geometry._is_identity(spec)
     for f, _, D in _derivatives(spec, field, points, stored=True):
         values.append(f)
@@ -345,6 +346,7 @@ def symplectic_from_ky(
 ) -> SymplecticForm:
     """Promote a covariant-constant non-degenerate two-form to a symplectic
     form, or raise :class:`SymplecticRejection` naming the failed check."""
+    require_tolerances(cc_tol=cc_tol, closed_tol=closed_tol, det_tol=det_tol)
     if field.rank != 2:
         raise ValueError("symplectic candidates must be rank-2 fields")
     if spec.dim % 2 != 0:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import PhasePoint
-from .errors import KyanoError
+from .errors import KyanoError, require_tolerances
 from .fields import levi_civita
 from .kysym import flat_ky_pair
 
@@ -311,6 +311,7 @@ def sampled_identity_suite(
     """Identity suite over ``samples`` phase points uniform in [-1, 1]^6
     (x drawn before p at each point), with the measured verdicts that
     differ from :data:`EXPECTED_VERDICTS`."""
+    require_tolerances(tol=tol)
     rep = _suite(rng.uniform(-1.0, 1.0, (samples, 6)), tol)
     mismatches = {
         k: v for k, v in rep.verdicts().items() if EXPECTED_VERDICTS.get(k) != v
@@ -320,6 +321,7 @@ def sampled_identity_suite(
 
 def identity_suite(points: Sequence[PhasePoint], tol: float = RESIDUAL_TOL) -> IdentityReport:
     """Evaluate all identities at ``points`` and adjudicate each one."""
+    require_tolerances(tol=tol)
     points = list(points)
     if any(z.n != 3 for z in points):
         raise ValueError("multipole expressions are defined on R^3 phase space")

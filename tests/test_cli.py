@@ -683,8 +683,26 @@ def fuzz_files(tmp_path_factory):
 
 @st.composite
 def cli_argv(draw, files):
-    """Argv for one subcommand: its required options, one of them perhaps
-    dropped, and any of the rest; values from valid and hostile sets."""
+    """Argv for one subcommand and the start of the one error line it must give, or None:
+    its required options, one of them perhaps dropped, and any of the rest, values from
+    valid and hostile sets; or an argv valid but for a bad --tol or a repeated --monitor
+    label, which only that input check rejects."""
+    target = draw(st.sampled_from([None, None, "--tol", "--monitor"]))
+    if target == "--tol":
+        command = draw(st.sampled_from([
+            ["verify-ky", "--manifold=flat3", "--field=flat-position", "--samples=5"],
+            ["verify-ky", "--manifold=const-curvature", "--field=flat-position", "--samples=3"],
+            ["verify-ky", "--manifold=taub-nut", "--field=taubnut-1", "--samples=2"],
+            ["multipole", "--samples=5"]]))
+        bad = draw(st.sampled_from(["nan", "inf", "-inf", "-1", "-5e-324", "1e400"]))
+        return command + [f"--tol={bad}"], "error: --tol must be a finite number at least 0, got "
+    if target == "--monitor":
+        labels = draw(st.lists(st.sampled_from(["H", "K", "L3"]), min_size=1, max_size=3,
+                               unique=True))
+        monitor = draw(st.sampled_from([",", ", "])).join(labels + [draw(st.sampled_from(labels))])
+        return ["geodesic", "--manifold=flat3", "--x0=1,0,0", "--p0=0,1,0", "--dt=0.01",
+                "--steps=10", "--field=flat-position", f"--monitor={monitor}",
+                f"--out={files['out']}"], "error: monitor quantity "
     manifold, dim = draw(st.sampled_from([
         ("flat2", 2), ("flat3", 3), ("flat4", 4), ("const-curvature", 3),
         ("const-curvature:K=-1", 3), ("const-curvature:K=1e308", 3),
@@ -722,14 +740,14 @@ def cli_argv(draw, files):
     dropped = draw(st.sampled_from([None, *names]))
     extra = draw(st.sets(st.sampled_from(sorted(set(options) - set(names)))))
     names = [k for k in names if k != dropped] + sorted(extra)
-    return [command] + [f"{k}={draw(options[k])}" for k in names]
+    return [command] + [f"{k}={draw(options[k])}" for k in names], None
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_cli_fuzz_keeps_the_exit_code_contract(fuzz_files, data):
-    argv = data.draw(cli_argv(fuzz_files), label="argv")
+    argv, error = data.draw(cli_argv(fuzz_files), label="argv")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
@@ -740,6 +758,8 @@ def test_cli_fuzz_keeps_the_exit_code_contract(fuzz_files, data):
     assert "Traceback" not in err.getvalue()
     for line in err.getvalue().splitlines():
         assert STDERR_LINE.match(line), line
+    if error:  # the one input check that rejects it
+        assert code == 2 and err.getvalue().startswith(error) and err.getvalue().count("\n") == 1
 
 
 @pytest.mark.parametrize("value", [10**400, None, [1.0], True],

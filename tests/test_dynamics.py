@@ -234,7 +234,7 @@ def test_truncation_where_the_metric_degenerates(steps):
     traj = geodesic_integrate(spec, PhasePoint([0.5, 0.0], [-1.0, 1e-8]), 0.01, steps)
     assert not traj.meta["completed"]
     assert traj.meta["steps_completed"] == 49
-    assert "singular" in traj.meta["reason"]
+    assert traj.meta["reason"] == "metric matrix is singular at this point"
     for x in traj.x:
         geometry.metric_at(spec, x)
     assert conservation_monitor(traj, free_hamiltonian(spec))[0] < 1e-12
@@ -261,6 +261,41 @@ def test_closed_form_rhs_matches_the_numeric_rhs(spec):
         g = geometry.metric_at(spec, x)
         kappa = np.abs(g).max() * np.abs(geometry.inverse_metric_at(spec, x)).max()
         assert np.abs(got - want).max() <= 1e-15 * kappa * np.abs(want).max()
+
+
+def _dense(n):
+    """A dense custom metric: g_ii = (n + 2) + x_i^2 / 4, g_ij = x_i x_j / (4n)."""
+    return geometry.custom([[f"{n + 2} + x{i + 1}^2/4" if i == j else f"x{i + 1}*x{j + 1}/{4 * n}"
+                             for j in range(n)] for i in range(n)])
+
+
+def _einsum_rhs(spec, z):
+    """Hamilton's equations from numpy's g^-1 and an einsum over g's 1-jet."""
+    _, dg, ginv = geometry._metric(spec, z[:spec.dim], 1, inverse=True)
+    u = ginv @ np.array(z[spec.dim:])
+    return np.concatenate([u, 0.5 * np.einsum("m,amn,n->a", u, dg, u)])
+
+
+# a coupled 3-D metric, whose g^-1 is inverted inside the kernel
+_COUPLED = geometry.custom([["2 + x2^2", "x1*x2/4", "0"], ["x1*x2/4", "3 + cos(x3)", "x3/5"],
+                            ["0", "x3/5", "1 + x1^2"]])
+_CUSTOM = [geometry.const_curvature3_spherical(K) for K in (-1.0, 1.0)] + [
+    geometry.custom([["1", "0"], ["0", "x1^2"]]), _COUPLED, _dense(4), _dense(6)]
+_CUSTOM_IDS = ["spherical-K=-1", "spherical-K=1", "diag(1,x1^2)", "coupled", "dense4", "dense6"]
+
+
+@pytest.mark.parametrize("spec", _CUSTOM, ids=_CUSTOM_IDS)
+def test_the_numeric_kernel_rhs_matches_the_einsum_rhs(spec):
+    # g^-1 inverted in the kernel, u = g^-1 p and dp/dt = 0.5 sum_{i<=j} c u_i d_a g_ij u_j,
+    # against numpy's inverse and an einsum, relative to the conditioning kappa as above
+    rng = np.random.default_rng(4)
+    H = free_hamiltonian(spec)
+    for x in geometry.sample_points(spec, 200, rng):
+        z = np.concatenate([x, rng.uniform(-1, 1, spec.dim)]).tolist()
+        got, want = np.asarray(H.rhs(z)), _einsum_rhs(spec, z)
+        g = geometry.metric_at(spec, x)
+        kappa = np.abs(g).max() * np.abs(geometry.inverse_metric_at(spec, x)).max()
+        assert np.abs(got - want).max() <= 4e-16 * kappa * np.abs(want).max()
 
 
 @pytest.mark.parametrize("spec", [geometry.flat(2), geometry.taub_nut(1.0)], ids=lambda s: s.kind)
@@ -358,6 +393,8 @@ _DRIVER_CASES = {
                      ([1.0, 0.0], [0.3, 0.2]), 0.01, None),
     "spherical": (geometry.const_curvature3_spherical(1.0),
                   ([1.0, 1.0, 0.5], [0.3, -0.2, 0.1]), 0.01, None),
+    "coupled": (_COUPLED, _K3, 0.01, None),
+    "dense5": (_dense(5), ([0.5, -0.3, 0.2, 0.1, -0.4], [0.3, 0.1, -0.2, 0.25, 0.05]), 0.01, None),
     # truncations: at a guard, at the singular bound and past the finite range
     "guard": (geometry.taub_nut(1.0), ([1.0, 1.0, 0.0, 0.0], [-3.0, 0.0, 0.0, 0.0]), 0.01,
               (175, "outside the chart domain: x1 < 1e-09")),
@@ -373,8 +410,10 @@ def test_list_driver_equals_a_numpy_rk4_bitwise(case):
     spec, (x0, p0), dt, truncation = _DRIVER_CASES[case]
     start = PhasePoint(x0, p0)
     specs = [spec] + ([_numeric(spec)] if spec.inverse is not None else [])
-    for s in specs:  # the compiled RHS and, where there is one, the numeric RHS
-        traj = geodesic_integrate(s, start, dt, 1000)
+    for s in specs:  # the closed-form g^-1 and, where there is one, the numeric g^-1
+        with mock.patch.object(dynamics, "_rk4", wraps=dynamics._rk4) as rk4:
+            traj = geodesic_integrate(s, start, dt, 1000)
+        assert rk4.call_args.args[4]  # every metric takes the compiled run
         want, reason = _numpy_rk4(GeodesicHamiltonian(s).rhs, start, dt, 1000)
         assert traj.states.tobytes() == want.tobytes()
         assert traj.meta.get("reason") == reason
@@ -421,18 +460,20 @@ _STAGE_CASES = {  # a first failure at each stage of the compiled step
 @pytest.mark.parametrize("stage", sorted(_STAGE_CASES))
 def test_compiled_step_truncates_where_the_reference_does_at_each_stage(stage, monkeypatch):
     spec, (x0, p0), dt, truncation = _STAGE_CASES[stage]
-    start = PhasePoint(x0, p0)
-    want, reason, failing = _failing_stage(spec, start, dt, 1000)
-    assert failing == stage
-    rhs, calls = GeodesicHamiltonian.rhs, []
-    monkeypatch.setattr(GeodesicHamiltonian, "rhs", lambda self, z: calls.append(z) or rhs(self, z))
-    traj = geodesic_integrate(spec, start, dt, 1000)
-    # rhs runs for the start's k1, the failing step and a step or two that an accept
-    # test declines conservatively: the compiled step ran the rest
-    assert len(calls) <= 10
-    assert traj.states.tobytes() == want.tobytes()
-    assert (traj.meta["steps_completed"], traj.meta["reason"]) == truncation
-    assert reason == truncation[1]
+    start, rhs, calls = PhasePoint(x0, p0), GeodesicHamiltonian.rhs, []
+    for s in (spec, _numeric(spec)):  # the closed-form g^-1 and the numeric one
+        want, reason, failing = _failing_stage(s, start, dt, 1000)
+        assert failing == stage
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(GeodesicHamiltonian, "rhs", lambda self, z: calls.append(z) or rhs(self, z))
+            traj = geodesic_integrate(s, start, dt, 1000)
+        # rhs runs for the start's k1, the failing step and a step or two that an accept
+        # test or a check declines conservatively: the compiled step ran the rest
+        assert len(calls) <= 10
+        assert traj.states.tobytes() == want.tobytes()
+        assert (traj.meta["steps_completed"], traj.meta["reason"]) == truncation
+        assert reason == truncation[1]
 
 
 @pytest.mark.parametrize("case", ["taub-nut", "K=1", "guard"])
@@ -472,20 +513,21 @@ def test_the_run_reenters_after_a_replayed_step_and_keeps_the_bytes():
 _CLOSED_FORM = [geometry.taub_nut(m, fs) for m in (0.7, 1.0) for fs in (2.0, 4.0)] + [
     geometry.const_curvature3(K) for K in (-4.0, -1.0, 0.5, 1.0)] + [
     geometry.flat(n) for n in (1, 3, 7)]
+_STEP_SPECS = _CLOSED_FORM + [_numeric(spec) for spec in _CLOSED_FORM] + [
+    geometry.const_curvature3_spherical(K) for K in (-1.0, 1.0)] + [_COUPLED]
 _EDGES = st.sampled_from([0.0, -0.0, 1e150, -1e150, 1e-300, -1e-300])
 
 
-@settings(max_examples=130, deadline=None, derandomize=True, database=None)
-@given(which=st.integers(0, len(_CLOSED_FORM) - 1),
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(which=st.integers(0, len(_STEP_SPECS) - 1),
        x=st.lists(st.one_of(st.floats(-3.0, 3.0), _EDGES), min_size=7, max_size=7),
        p=st.lists(st.one_of(st.floats(-15.0, 15.0), _EDGES), min_size=7, max_size=7),
        dt=st.floats(1e-3, 0.05))
 def test_compiled_step_equals_the_per_stage_path(which, x, p, dt):
-    # the reference is the same closed-form rhs stage by stage (inverse=None
-    # would switch to the numeric rhs); a component of 1e150 overflows p_i p_j
-    # or the state within a few steps, and one of 0.0 gives the sparse kernel's
-    # skipped products a zero factor
-    spec = _CLOSED_FORM[which]
+    # the reference is the same rhs stage by stage, of a closed-form or a numeric
+    # g^-1; a component of 1e150 overflows p_i p_j or the state within a few steps,
+    # and one of 0.0 gives the sparse kernel's skipped products a zero factor
+    spec = _STEP_SPECS[which]
     start = PhasePoint(x[:spec.dim], p[:spec.dim])
     try:
         geometry.metric_at(spec, start.x)
@@ -511,16 +553,16 @@ def test_a_negative_zero_start_component_runs_per_stage():
 
 def test_a_stage_whose_witness_is_not_finite_is_declined(monkeypatch):
     H = GeodesicHamiltonian(geometry.taub_nut(1.0))
-    _, run, _, blocks = H._fused
+    run, roots = H._fused[1], geometry._metric_roots(H.spec)
     z = [1.3, 1.0, 0.4, 0.2, 0.2, -0.3, 0.1, 0.4]
     args = (*z, *H.rhs(z), 0.005, 0.01, 0.01 / 6.0)
     out = memoryview(np.empty((2, 8))).cast("B")
     assert run(out, 0, 1, *args)[0] == 1
-    lines, outs = dynamics._hamilton_source(4, blocks, sparse=True)
+    lines, outs = dynamics._hamilton_source(4, roots, sparse=True)
     for witness in (math.inf, math.nan):
         monkeypatch.setattr(dynamics, "_hamilton_source", lambda *_, w=witness, **__: (
             lines, outs[:-1] + [expr._Emitter.src(w)]))
-        assert dynamics._compiled.__wrapped__(4, blocks)[1](out, 0, 1, *args) == (
+        assert dynamics._compiled.__wrapped__(4, roots)[1](out, 0, 1, *args) == (
             0, z, list(args[8:16]))
 
 
@@ -564,9 +606,8 @@ def test_a_large_flat_geodesic_runs_a_kernel_of_order_n_statements():
     assert rk4.call_args.args[4]  # the compiled run
     assert traj.meta["completed"] and (traj.p == p).all()
     assert np.allclose(traj.x[1], x + 0.01 * p, rtol=0.0, atol=1e-15)
-    blocks = GeodesicHamiltonian(spec)._fused[3]
     for sparse in (False, True):
-        lines, outs = dynamics._hamilton_source(n, blocks, sparse)
+        lines, outs = dynamics._hamilton_source(n, geometry._metric_roots(spec), sparse)
         assert len(lines) <= 4 * n and len(outs) <= 4 * n
 
 
@@ -579,7 +620,7 @@ def test_a_large_flat_geodesic_runs_a_kernel_of_order_n_statements():
 ], ids=["taub-nut-r=0", "taub-nut-V=0", "taub-nut-theta=0", "K=-4-pole", "K=-4-pole-2"])
 def test_a_state_where_the_kernel_raises_reports_its_guard(spec, x, guard):
     H, z = GeodesicHamiltonian(spec), x + [0.2, -0.3, 0.1, 0.4][:spec.dim]
-    with pytest.raises(SingularEvaluation):
+    with pytest.raises((SingularEvaluation, ArithmeticError)):  # its guard test, or a guard's
         H._fused[0](z)
     message = f"outside the chart domain: {expr.unparse(spec.guards[guard])} < 1e-09"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
@@ -613,10 +654,11 @@ def test_a_run_has_one_try_its_outer_one(monkeypatch):
     sources = []
     monkeypatch.setattr(expr, "compile", lambda source, *args: sources.append(source)
                         or compile(source, *args), raising=False)
-    for spec in (geometry.taub_nut(1.0), geometry.const_curvature3(1.0)):
-        dynamics._compiled.__wrapped__(spec.dim, GeodesicHamiltonian(spec)._fused[3])
+    for spec in (geometry.taub_nut(1.0), geometry.const_curvature3(1.0),
+                 geometry.const_curvature3_spherical(1.0)):
+        dynamics._compiled.__wrapped__(spec.dim, geometry._metric_roots(spec))
     sources = [source for source in sources if source.startswith("def run(")]  # not the kernels
-    assert len(sources) == 2
+    assert len(sources) == 3
     for source in sources:
         run = ast.parse(source).body[0]
         tries = [node for node in ast.walk(run) if isinstance(node, ast.Try)]

@@ -634,8 +634,7 @@ def _geometry_at(spec, X):
     jets += [*geometry.metric_components_at(spec, X, 1), *geometry.metric_components_at(spec, X, 2)]
     cv = geometry.curvature_at(spec, X)
     return [*jets, geometry.metric_at(spec, X), geometry.inverse_metric_at(spec, X),
-            geometry.christoffel_at(spec, X), *geometry.christoffel_and_partial(spec, X),
-            cv.riemann, cv.ricci, np.asarray(cv.scalar)]
+            geometry.christoffel_at(spec, X), cv.riemann, cv.ricci, np.asarray(cv.scalar)]
 
 
 @pytest.mark.parametrize(
@@ -652,10 +651,8 @@ def test_metric_rows_and_christoffels_match_the_per_point_path(spec):
     for x in X:
         cv = geometry.curvature_at(spec, x)
         assert isinstance(cv.scalar, float)
-        gamma, dgamma, ginv = _ref_christoffel_and_partial(spec, x)
+        gamma = _ref_christoffel_and_partial(spec, x)[0]
         _assert_near_reference(cv, spec, x)  # the kernel sums in its own order
-        assert [a.tobytes() for a in geometry.christoffel_and_partial(spec, x)] == [
-            a.tobytes() for a in (gamma, dgamma, ginv)]
         assert geometry.christoffel_at(spec, x).tobytes() == gamma.tobytes()
         ref.append(_geometry_at(spec, x))
     # at a block: row by row the point's bytes, on both sides of the column threshold
@@ -718,9 +715,9 @@ def _eager_curvature(spec, X, gathers):
     ridx, rsign, cidx = gathers
     kernel = geometry._curvature_kernel(spec)[0]
     if X.ndim == 1:
-        out = geometry._curvature_row(spec, kernel, X.tolist())
+        out = geometry._checked(spec, kernel, X.tolist())
         return np.array(out)[ridx] * rsign, np.array(out)[cidx], out[-2]
-    vals = (np.array([geometry._curvature_row(spec, kernel, x) for x in X.tolist()])
+    vals = (np.array([geometry._checked(spec, kernel, x) for x in X.tolist()])
             if 0 < len(X) < expr._COLUMN_ROWS else geometry._curvature_columns(spec, X).T)
     return vals[..., ridx] * rsign, vals[..., cidx], vals[:, -2].copy()
 
@@ -845,7 +842,7 @@ def test_a_block_raises_its_first_failing_rows_error(N):
            "singular": [1.3, 1e-6, 0.3, 0.1],  # inside the guard, singular g
            "nan": [1.3, np.nan, 0.3, 0.1]}
     functions = (geometry.metric_components_at, geometry.metric_at, geometry.inverse_metric_at,
-                 geometry.christoffel_at, geometry.christoffel_and_partial, geometry.curvature_at,
+                 geometry.christoffel_at, geometry.curvature_at,
                  lambda s, x: geometry.metric_components_at(s, x, 2))
     seen = set()
     for order in itertools.permutations(bad):

@@ -16,7 +16,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kyano import dual, dynamics, expr, geometry
-from kyano.dynamics import GeodesicHamiltonian
 from kyano.errors import SingularEvaluation
 from kyano.expr import FUNCTIONS
 from kyano.fields import AntisymTensorField
@@ -112,17 +111,18 @@ def test_singular_messages_unchanged(src, point, message):
 def _geodesic_kernels(spec, fresh: bool = True):
     """The exact and sparse fused geodesic kernels of ``spec`` and its RK4 run, compiled
     afresh unless ``fresh`` is false."""
-    n, blocks = spec.dim, GeodesicHamiltonian(spec)._fused[3]
+    n, roots = spec.dim, geometry._metric_roots(spec)
     get = (lambda f: f.__wrapped__) if fresh else (lambda f: f)
-    exact, run = get(dynamics._compiled)(n, blocks)
-    return exact, get(_sparse_kernel)(n, blocks), run
+    exact, run = get(dynamics._compiled)(n, roots)
+    return exact, get(_sparse_kernel)(n, roots), run
 
 
 @functools.lru_cache(maxsize=None)
-def _sparse_kernel(n, blocks):
-    lines, outs = dynamics._hamilton_source(n, blocks, sparse=True)
-    return expr._exec(["def kernel(s):", "    " + "".join(f"s{i}, " for i in range(2 * n)) + "= s",
-                       *lines, "    return " + ", ".join(outs)], expr._GLOBALS)
+def _sparse_kernel(n, roots):
+    lines, outs = dynamics._hamilton_source(n, roots, sparse=True)
+    # as in the run, a failing check raises at once
+    return expr._function(2 * n, lines, outs, namespace=dict(
+        geometry._KERNEL_GLOBALS, entries=expr._per_point))
 
 
 def _captured_sources(monkeypatch) -> list:

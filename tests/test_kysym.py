@@ -579,6 +579,25 @@ def test_symplectic_accepts_constant_block():
     assert np.abs(form.matrix_at(pt) @ form.inverse_at(pt) - np.eye(4)).max() < 1e-14
 
 
+@pytest.mark.parametrize("name", ["ky_tol", "cc_tol", "det_tol"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf, -1.0, -5e-324])
+def test_verify_field_rejects_a_tolerance_that_is_no_gate(name, bad):
+    # at ky_tol=inf a field with a KY residual of 1.69 was reported KY
+    spec = geometry.const_curvature3(1.0)
+    points = geometry.sample_points(spec, 5, np.random.default_rng(0))
+    field = kysym.flat_ky_position_field(3)
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number at least 0, got "):
+        kysym.verify_field(spec, field, points, **{name: bad})
+    assert not kysym.verify_field(spec, field, points, ky_tol=0.0).is_ky  # 0 is a gate
+
+
+@pytest.mark.parametrize("name", ["cc_tol", "closed_tol", "det_tol"])
+def test_symplectic_rejects_a_tolerance_that_is_no_gate(name):
+    field = AntisymTensorField.constant(4, 2, np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number at least 0, got nan$"):
+        kysym.symplectic_from_ky(geometry.flat(4), field, **{name: math.nan})
+
+
 def test_symplectic_rejects_odd_dimension():
     with pytest.raises(SymplecticRejection) as ei:
         kysym.symplectic_from_ky(geometry.flat(3), kysym.flat_ky_position_field(3))

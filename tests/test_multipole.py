@@ -1,6 +1,8 @@
 """Multipole table: worked point checks, the identity suite verdicts,
 structural properties, and pair reconstruction from generators."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -307,3 +309,15 @@ def test_sparse_levi_civita_contractions_match_the_dense_einsums():
         np.einsum("ni,jk->nijk", X, delta) + np.einsum("nj,ik->nijk", X, delta)
         + np.einsum("nk,ij->nijk", X, delta))
     assert m.octupole_direct.tobytes() == dense_oct.tobytes()
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_a_tolerance_that_is_no_gate_is_rejected_before_any_draw(tol):
+    # at tol=nan the sampled suite reported 11 mismatches, at inf none
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^tol must be a finite number at least 0, got {tol!r}$"):
+        multipole.sampled_identity_suite(rng, 20, tol=tol)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="^tol must be a finite number at least 0, got "):
+        identity_suite(sample_phase_points(5), tol=tol)
