@@ -9,7 +9,8 @@ kernel does: from a closed form's x-jets (every catalog metric, flat space inclu
 else numerically inside the kernel, with dp/dt = (1/2) u (d g) u, u = g^-1 p; never
 finite differences.  A generated run loops over the steps, each stage the kernel's
 sparse twin inlined, its checks declining the step, under accept tests that imply the
-exact results; a step it declines is replayed per stage.
+exact results; a step it declines is replayed per stage.  A trajectory's CSV holds each
+value as ``'%.17g'`` writes it, its digits computed for 1024 rows at once with numpy.
 """
 
 from __future__ import annotations
@@ -122,12 +123,11 @@ class GeodesicHamiltonian(_RowValues):
         self.n = spec.dim
 
     def _values(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
-        ginv = geometry.inverse_metric_at(self.spec, X)
+        ginv = geometry._last_block(self.spec, "inverse", geometry.inverse_metric_at, X)
         return 0.5 * (P[:, None, :] @ ginv @ P[:, :, None])[:, 0, 0]
 
     def gradient(self, z: PhasePoint) -> np.ndarray:
         # Hamilton's equations read backwards: dH/dx = -dp/dt, dH/dp = dx/dt
-        geometry._metric(self.spec, z.x)  # rhs() takes a finite state inside the chart
         zdot = np.asarray(self.rhs(z.as_vector().tolist()))
         return np.concatenate([-zdot[self.n:], zdot[:self.n]])
 
@@ -190,7 +190,7 @@ class KillingQuadratic(_RowValues):
 
     def _values(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
         f = self.ky_field.values_at(X)
-        ginv = geometry.inverse_metric_at(self.spec, X)
+        ginv = geometry._last_block(self.spec, "inverse", geometry.inverse_metric_at, X)
         u = ginv @ P[:, :, None]
         return (u.transpose(0, 2, 1) @ f @ ginv @ f @ u)[:, 0, 0]
 
@@ -424,12 +424,111 @@ def conservation_monitor(traj: Trajectory, quantity: PhaseFunction):
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
-    """Write ``t,x1..xn,p1..pn`` rows with 17 significant digits, atomically."""
+    """Write the header ``t,x1..xn,p1..pn`` and one row per retained state, each value as
+    ``'%.17g' % v``, every line ending in ``\\r\\n``, atomically; the rows are formatted in
+    blocks of 1024 by :func:`_g17_rows`."""
     n = traj.n
     header = ["t"] + [f"x{i}" for i in range(1, n + 1)] + [f"p{i}" for i in range(1, n + 1)]
-    row = ",".join(["%.17g"] * (2 * n + 1)) + "\r\n"
     rows = np.column_stack([traj.times, traj.states])
     with atomic_open(path) as fh:
         fh.write(",".join(header) + "\r\n")
-        for block in np.split(rows, range(1024, len(rows), 1024)):  # one % per 1024 rows
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        for block in np.split(rows, range(1024, len(rows), 1024)):
+            fh.write(_g17_rows(block).decode("ascii"))
+
+
+# A value's record is _WIDTH bytes, NUL where nothing is printed.  Its digit source holds
+# Z_k, k = 0..20, at byte k + 3: '0000' and the 17 significant digits, Z_k standing for
+# 10^(E + 4 - k).  Output character j is at byte j + 3: Z_j for the integer part (the units
+# digit Z_(E+4) and, if E >= 0, the digits before it), '.' at j = E + 5 where a fraction
+# follows, then Z_(j-1), from the source shifted one byte, up to the last nonzero digit.
+# Byte 0 is the sign, bytes 26-27 the separator; a value that '%' writes fills bytes 0-23.
+_WIDTH = 28
+_POW10 = np.array([float(10 ** k) for k in range(22)])  # each one exact
+_GROUPS = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(
+    np.uint8).view(np.uint32).ravel()  # b"%04d" % i as a word
+_GROUP_TRAILING_ZEROS = (np.arange(10000)[:, None] % [10, 100, 1000, 10000] == 0).sum(
+    axis=1, dtype=np.uint8)
+
+
+def _record_layouts() -> tuple:
+    """For each key (E + 4) * 17 + z, z the trailing zeros of the 17 digits: the 0/1 weights
+    of the digit source (the integer part) and of the shifted source (the fraction), and
+    the '.' byte; the last key, a value that '%' writes, has none."""
+    integer, fraction, point = (np.zeros((20 * 17 + 1, _WIDTH), np.uint8) for _ in range(3))
+    for ei in range(20):
+        for z in range(17):
+            key, last = ei * 17 + z, 20 - z
+            integer[key, 3 + min(ei, 4):4 + ei] = 1
+            if last > ei:
+                point[key, 4 + ei] = ord(".")
+                fraction[key, 5 + ei:5 + last] = 1
+    return integer, fraction, point
+
+
+_INTEGER, _FRACTION, _POINT = _record_layouts()
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(p, e) with p = fl(a * b) and a * b = p + e exactly (Dekker), barring overflow."""
+    def split(x):
+        s = 134217729.0 * x  # 2^27 + 1
+        hi = s - (s - x)
+        return hi, x - hi
+    p = a * b
+    (ah, al), (bh, bl) = split(a), split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _g17_rows(block: np.ndarray) -> bytes:
+    """The ASCII of ``block``'s rows, each value ``'%.17g' % v``, ',' between values and
+    ``\\r\\n`` after each row.
+
+    Where 1e-4 <= |v| < 1e16, '%.17g' writes v in fixed notation from its 17 significant
+    digits, correctly rounded, half to even.  With E = floor(log10 |v|), |v| 10^(16 - E) is
+    p + e exactly, 10^(16 - E) being a double; D = p + floor(e), rounded up where the
+    fraction f of e is above 1/2, is those digits where 10^16 <= D before rounding, D < 10^17
+    after it and f is not within 1e-9 of a tie (a log10 one off puts D outside; no double in
+    the range rounds up to 10^17).  Every other value, and zeros, '%' writes in its own
+    record."""
+    rows, cols = block.shape
+    v = np.ascontiguousarray(block).ravel()
+    a = np.abs(v)
+    ok = (a >= 1e-4) & (a < 1e16)
+    a[~ok] = 1.0
+    E = np.floor(np.log10(a)).astype(np.intp)
+    p, e = _two_product(a, _POW10[16 - E])
+    floor_e = np.floor(e)
+    f = e - floor_e
+    D = p.astype(np.int64) + floor_e.astype(np.int64)
+    up = f > 0.5
+    ok &= (D >= 10 ** 16) & (D + up < 10 ** 17) & (abs(f - 0.5) > 1e-9)
+    D += up
+    # 4-digit groups: 0000, 000d (the leading digit), four more, and a spare 0000
+    hi = (D // 10 ** 8).astype(np.int32)
+    lo = (D - hi * np.int64(10 ** 8)).astype(np.int32)
+    lead, mid = hi // 10 ** 8, hi // 10 ** 4
+    groups = [mid - lead * 10 ** 4, hi - mid * 10 ** 4, lo // 10 ** 4, lo % 10 ** 4]
+    zeros = functools.reduce(lambda before, last: last + (last == 4) * before,
+                             [_GROUP_TRAILING_ZEROS.take(g) for g in groups])
+    key = (E + 4) * 17 + zeros
+    key[~ok] = len(_INTEGER) - 1
+    words = np.empty((len(v), 7), np.uint32)
+    words[:, 0] = words[:, 6] = _GROUPS[0]
+    for i, g in enumerate([lead] + groups):
+        words[:, i + 1] = _GROUPS.take(g)
+    source = words.view(np.uint8).ravel()
+    out = _INTEGER.take(key, axis=0).ravel()
+    out *= source
+    shifted = _FRACTION.take(key, axis=0).ravel()
+    shifted[1:] *= source[:-1]  # byte 0 has weight 0
+    out += shifted
+    out += _POINT.take(key, axis=0, out=shifted.reshape(-1, _WIDTH)).ravel()
+    out = out.reshape(rows, cols, _WIDTH)
+    out[..., 0] |= np.uint8(ord("-")) * (block < 0)
+    out[:, :-1, 26] = ord(",")
+    out[:, -1, 26:] = (13, 10)  # \r\n
+    written = np.flatnonzero(~ok)
+    if len(written):
+        out.reshape(-1, _WIDTH)[written, :24] = np.array(
+            [b"%.17g" % x for x in v[written].tolist()], "S24").view(np.uint8).reshape(-1, 24)
+    return out.tobytes().translate(None, b"\0")

@@ -75,8 +75,8 @@ class MetricSpec:
     inverse: Optional[ComponentGrid] = None
     # per-order component kernels and gather indices, see _component_table, the geodesic
     # kernels, see dynamics.GeodesicHamiltonian._fused, the curvature kernels, see
-    # _curvature_kernel, the dual, see dual_metric, and the last block's Christoffels,
-    # see kysym._christoffel_block
+    # _curvature_kernel, the dual, see dual_metric, and the last block's Christoffels and
+    # inverse metric, see _last_block
     _tables: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
                                       compare=False)
 
@@ -389,6 +389,20 @@ def metric_at(spec: MetricSpec, point) -> np.ndarray:
 
 def inverse_metric_at(spec: MetricSpec, point) -> np.ndarray:
     return _metric(spec, point, inverse=True)[1]
+
+
+def _last_block(spec: MetricSpec, name: str, at, X: np.ndarray) -> np.ndarray:
+    """``at(spec, X)``, kept read-only in ``spec._tables[name]`` for the last block ``X``, keyed
+    by its shape and bytes: the checks of several fields at one block of points, and the
+    symplectic check after them, compute the Christoffels once, and the H and K monitors of one
+    trajectory its g^-1."""
+    key = (X.shape, X.tobytes())
+    cached = spec._tables.get(name)
+    if cached is None or cached[0] != key:
+        value = at(spec, X)
+        value.flags.writeable = False
+        cached = spec._tables[name] = (key, value)
+    return cached[1]
 
 
 @np.errstate(all="ignore")  # the gufunc flags a singular g as invalid

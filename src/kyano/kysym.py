@@ -128,7 +128,8 @@ def _derivatives(spec: MetricSpec, field: AntisymTensorField, points, stored: bo
         jac = field._gradients(field._rows(X)[0]) if stored else field.jacobian_at(X)
         if flat:
             return f, jac, jac
-        return f, jac, geometry._covariant_derivative(_christoffel_block(spec, X), f, jac)
+        return f, jac, geometry._covariant_derivative(
+            geometry._last_block(spec, "christoffel", geometry.christoffel_at, X), f, jac)
 
     X = np.asarray(points, dtype=float)
     size = len(field._ky_pairs[0]) if stored else spec.dim ** (field.rank + 1)
@@ -141,19 +142,6 @@ def _derivatives(spec: MetricSpec, field: AntisymTensorField, points, stored: bo
                 block(rows[i:i + 1])
             raise
         yield out
-
-
-def _christoffel_block(spec: MetricSpec, X: np.ndarray) -> np.ndarray:
-    """``geometry.christoffel_at(spec, X)``, kept read-only in ``spec._tables`` for the
-    last block, keyed by its shape and bytes: the checks of several fields at one
-    block of points, and the symplectic check after them, compute it once."""
-    key = (X.shape, X.tobytes())
-    cached = spec._tables.get("christoffel")
-    if cached is None or cached[0] != key:
-        gamma = geometry.christoffel_at(spec, X)
-        gamma.flags.writeable = False
-        cached = spec._tables["christoffel"] = (key, gamma)
-    return cached[1]
 
 
 def ky_residual(

@@ -145,6 +145,53 @@ def test_hamiltonian_angular_momentum_brackets():
     assert abs(poisson_bracket(H, K, z)) <= 1e-10
 
 
+_DIAG_X1_SQUARED = geometry.custom([["1", "0"], ["0", "x1^2"]])
+_K_MINUS_1_POLE = ("outside the chart domain: abs((1.0 + (((-1.0) * (((x1 ^ 2.0) + (x2 ^ 2.0))"
+                   " + (x3 ^ 2.0))) / 4.0))) < 1e-09")
+
+
+@pytest.mark.parametrize("spec, x, error, message", [
+    # outside a guard
+    (geometry.taub_nut(1.0), [1e-12, 1.0, 0.4, 0.2], DomainError,
+     "outside the chart domain: x1 < 1e-09"),
+    (geometry.taub_nut(1.0), [1.3, 0.0, 0.4, 0.2], DomainError,
+     "outside the chart domain: abs(sin(x2)) < 1e-09"),
+    (geometry.const_curvature3(-1.0), [2.0, 0.0, 0.0], DomainError, _K_MINUS_1_POLE),
+    (dataclasses.replace(geometry.const_curvature3(-1.0), inverse=None), [2.0, 0.0, 0.0],
+     DomainError, _K_MINUS_1_POLE),
+    (geometry.const_curvature3_spherical(1.0), [0.0, 0.5, 0.5], DomainError,
+     "outside the chart domain: x1 < 1e-09"),
+    # non-finite x
+    (geometry.taub_nut(1.0), [math.nan, 1.0, 0.4, 0.2], DomainError,
+     "point has non-finite coordinates"),
+    (geometry.taub_nut(1.0), [1.3, 1.0, 0.4, -math.inf], DomainError,
+     "point has non-finite coordinates"),
+    (dataclasses.replace(geometry.const_curvature3(1.0), inverse=None), [0.1, math.nan, 0.0],
+     DomainError, "point has non-finite coordinates"),
+    (geometry.flat(3), [math.inf, 0.0, 0.0], DomainError, "point has non-finite coordinates"),
+    (_DIAG_X1_SQUARED, [math.nan, 1.0], DomainError, "point has non-finite coordinates"),
+    # g degenerate or non-finite
+    (_DIAG_X1_SQUARED, [0.0, 1.0], SingularMetric, "metric matrix is singular at this point"),
+    (_DIAG_X1_SQUARED, [1e-200, 1.0], SingularMetric, "metric matrix is singular at this point"),
+    (geometry.custom([["1", "x1"], ["x1", "1"]]), [1.0, 1.0], SingularMetric,
+     "metric matrix is singular at this point"),
+    (_DIAG_X1_SQUARED, [1e200, 1.0], SingularMetric,
+     "metric evaluated to non-finite components"),
+    (geometry.custom([["1", "0"], ["0", "1/x1"]]), [0.0, 1.0], SingularEvaluation,
+     "division by zero in '/' at offset 1"),
+])
+def test_h_gradient_and_its_brackets_raise_the_metric_checks_error(spec, x, error, message):
+    # the kernel that rhs runs checks the guards, x and g, in the order metric_at does
+    H, n = free_hamiltonian(spec), spec.dim
+    G = PhaseFunction.from_expression("x1*p1", n)
+    for p in ([0.2] * n, [math.nan] + [0.2] * (n - 1)):
+        z = PhasePoint(x, p)
+        for call in (lambda: H.gradient(z), lambda: poisson_bracket(H, G, z)):
+            with pytest.raises(error) as raised:
+                call()
+            assert type(raised.value) is error and str(raised.value) == message
+
+
 # -- Nambu bracket -------------------------------------------------------------
 
 
@@ -894,6 +941,65 @@ def test_csv_bytes_match_reference_writer_on_special_values(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def _csv_edge_values():
+    """The ends of the range '%.17g' writes in fixed notation, powers of ten, 17-digit ties
+    and 2^53, each with its neighbours and both signs."""
+    values = [1e-4, 1e16, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2,
+              1000000000000000.25, 1000000000000000.75, 0.1, 0.5, 1.0, 123456789.0]
+    values += [10.0 ** e for e in range(-5, 18)]
+    values += [np.nextafter(v, to) for v in list(values) for to in (0.0, math.inf)]
+    return values + [-v for v in values]
+
+
+def test_csv_bytes_match_reference_writer_on_edge_values(tmp_path):
+    values = _csv_edge_values()
+    states = np.array(values + [0.0] * (-len(values) % 6)).reshape(-1, 6)
+    traj = Trajectory(times=np.arange(len(states)) * 1e-5, states=states, n=3)
+    write_trajectory_csv(traj, str(tmp_path / "new.csv"))
+    _reference_csv(traj, str(tmp_path / "ref.csv"))
+    data = (tmp_path / "new.csv").read_bytes()
+    assert data == (tmp_path / "ref.csv").read_bytes()
+    # exact ties at 17 digits round half to even; nextafter(1e-4, 0) is in exponent form
+    fields = set(re.split(rb"[,\r\n]+", data))
+    assert {b"1000000000000000.2", b"1000000000000000.8", b"-1000000000000000.8",
+            b"9.9999999999999991e-05", b"0.0001", b"10000000000000000", b"1e+17",
+            b"9007199254740991", b"0.10000000000000001"} <= fields
+
+
+def test_csv_of_1025_rows_crosses_a_block_boundary(tmp_path):
+    rng = np.random.default_rng(11)
+    states = rng.normal(size=(1025, 4)) * 10.0 ** rng.integers(-6, 18, (1025, 4))
+    traj = Trajectory(times=0.01 * np.arange(1025), states=states, n=2)
+    write_trajectory_csv(traj, str(tmp_path / "new.csv"))
+    _reference_csv(traj, str(tmp_path / "ref.csv"))
+    data = (tmp_path / "new.csv").read_bytes()
+    assert data == (tmp_path / "ref.csv").read_bytes()
+    assert data.count(b"\r\n") == 1026 and data.endswith(b"\r\n")
+
+
+_CSV_FLOATS = st.one_of(
+    st.floats(),  # every float64: subnormals, +-0.0, +-inf, NaN, magnitudes up to 1.8e308
+    st.floats(1e-5, 1e17).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.builds(lambda k, e: k * 10.0 ** e, st.integers(-10 ** 6, 10 ** 6), st.integers(-10, 12)),
+    st.builds(float.__add__, st.integers(10 ** 15, 2 ** 50 - 1).map(float),
+              st.sampled_from([0.125, 0.25, 0.375, 0.5, 0.75])),
+    st.sampled_from(_csv_edge_values()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3), rows=st.integers(1, 12), data=st.data())
+def test_csv_bytes_match_reference_writer_on_any_floats(tmp_path_factory, n, rows, data):
+    values = data.draw(st.lists(_CSV_FLOATS, min_size=rows * (2 * n + 1),
+                                max_size=rows * (2 * n + 1)))
+    table = np.array(values).reshape(rows, 2 * n + 1)
+    traj = Trajectory(times=table[:, 0], states=table[:, 1:], n=n)
+    base = tmp_path_factory.getbasetemp()
+    write_trajectory_csv(traj, str(base / "any-new.csv"))
+    _reference_csv(traj, str(base / "any-ref.csv"))
+    assert (base / "any-new.csv").read_bytes() == (base / "any-ref.csv").read_bytes()
+
+
 # -- batched phase functions -----------------------------------------------------
 
 
@@ -936,6 +1042,29 @@ def test_batched_values_equal_per_state_values(manifold, label):
     want = np.array([reference(traj.x[k], traj.p[k]) for k in range(len(traj))])
     assert got.tobytes() == want.tobytes()
     assert [quantity.value(traj.point(k)) for k in (0, 150, 300)] == got[[0, 150, 300]].tolist()
+
+
+def test_h_and_k_monitors_of_one_trajectory_invert_g_once(monkeypatch):
+    spec = dataclasses.replace(geometry.taub_nut(1.0))  # its own, empty tables
+    field = kysym.taubnut_ky_field(1, 1.0)
+    traj = geodesic_integrate(spec, PhasePoint([1.3, 1.0, 0.4, 0.2], [0.2, -0.3, 0.1, 0.4]),
+                              0.01, 200)
+    want_ginv = geometry.inverse_metric_at(spec, traj.x)
+    calls = []
+    inverse_metric_at = geometry.inverse_metric_at
+    monkeypatch.setattr(geometry, "inverse_metric_at",
+                        lambda spec, X: calls.append(len(X)) or inverse_metric_at(spec, X))
+    H, K = free_hamiltonian(spec), killing_quadratic(spec, field)
+    drifts = [conservation_monitor(traj, H), conservation_monitor(traj, K)]
+    assert calls == [201]
+    ginv = spec._tables["inverse"][1]
+    assert not ginv.flags.writeable and ginv.tobytes() == want_ginv.tobytes()
+    # the same values as from a fresh spec, and a block of other states is inverted anew
+    fresh = dataclasses.replace(spec)
+    assert drifts == [conservation_monitor(traj, free_hamiltonian(fresh)),
+                      conservation_monitor(traj, killing_quadratic(fresh, field))]
+    H.values(traj.x[:50], traj.p[:50])
+    assert calls == [201, 201, 50]
 
 
 def test_batched_values_raise_the_first_failing_rows_error():
