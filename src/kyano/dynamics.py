@@ -116,14 +116,15 @@ class PhaseExpression(_RowValues):
 
 class GeodesicHamiltonian(_RowValues):
     """H = (1/2) g^{mn}(x) p_m p_n, whose flow ``rhs`` is Hamilton's equations; ``values``
-    inverts g numerically, so an H monitor checks a closed-form ``rhs``."""
+    inverts g numerically (:func:`_numeric_inverse`), so an H monitor checks a closed-form
+    ``rhs``."""
 
     def __init__(self, spec: MetricSpec):
         self.spec = spec
         self.n = spec.dim
 
     def _values(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
-        ginv = geometry._last_block(self.spec, "inverse", geometry.inverse_metric_at, X)
+        ginv = geometry._last_block(self.spec, "inverse", _numeric_inverse, X)
         return 0.5 * (P[:, None, :] @ ginv @ P[:, :, None])[:, 0, 0]
 
     def gradient(self, z: PhasePoint) -> np.ndarray:
@@ -142,9 +143,14 @@ class GeodesicHamiltonian(_RowValues):
 
     def rhs(self, z: list) -> list:
         """(dx/dt, dp/dt) = (g^-1 p, -(1/2) p (d g^-1) p) as a list at the list ``z`` of finite
-        floats, by :func:`_compiled`'s kernel; a state outside a guard raises as
-        :func:`geometry._check_guards` does, before any other error."""
+        floats, by :func:`_compiled`'s kernel; a state outside a guard raises the DomainError
+        that names it, before any other error."""
         return list(geometry._checked(self.spec, self._fused[0], z))
+
+
+def _numeric_inverse(spec: MetricSpec, X: np.ndarray) -> np.ndarray:
+    """The monitors' g^-1 at the rows of ``X``: numeric, from :func:`geometry.metric_at`."""
+    return geometry._invert(geometry.metric_at(spec, X))
 
 
 def _hamilton_source(n: int, roots: tuple, sparse: bool = False) -> tuple:
@@ -155,7 +161,7 @@ def _hamilton_source(n: int, roots: tuple, sparse: bool = False) -> tuple:
     p (d_a g^-1) p = -u (d_a g) u; c = 2 off the diagonal, each sum in order.  ``sparse`` as
     emitted, with the witness last, the sum of the skipped factors; a slot is checked finite."""
     em, p = exprmod._Emitter(n, sparse=sparse), [f"s{n + k}" for k in range(n)]
-    gjets, ijets, ginv = geometry._emit_metric(em, roots, 0)
+    gjets, ijets, ginv = geometry._emit_metric(em, roots, int(roots[2] is None), jets=True)
 
     def total(terms):  # left to right, 0.0 where there is none
         return functools.reduce(em.add, terms or [0.0])
@@ -163,7 +169,7 @@ def _hamilton_source(n: int, roots: tuple, sparse: bool = False) -> tuple:
     u = [total([em.mul(ginv[k, j], p[j]) for j in range(n) if (k, j) in ginv]) for k in range(n)]
     v, jets = (u, gjets) if ijets is None else (p, ijets)
     terms = [(em.mul(v[i], v[j]), grad, 1.0 + (i < j))
-             for pos, grad, *_ in jets if grad for i, j in pos if i <= j]
+             for pos, _, grad, *_ in jets if grad for i, j in pos if i <= j]
     half = [em.mul(total([em.mul(vv, em.mul(d[a], c)) for vv, d, c in terms]), 0.5)
             for a in range(n)]
     outs = u + (half if ijets is None else [em.neg(x) for x in half])
@@ -190,7 +196,7 @@ class KillingQuadratic(_RowValues):
 
     def _values(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
         f = self.ky_field.values_at(X)
-        ginv = geometry._last_block(self.spec, "inverse", geometry.inverse_metric_at, X)
+        ginv = geometry._last_block(self.spec, "inverse", _numeric_inverse, X)
         u = ginv @ P[:, :, None]
         return (u.transpose(0, 2, 1) @ f @ ginv @ f @ u)[:, 0, 0]
 
@@ -306,9 +312,9 @@ def _compiled(n: int, roots: tuple) -> tuple:
             "        pass  # the replay raises it, or the error it becomes, exactly",
             f"    return k, [{row('z{i}')}], [{row('k1_{i}')}]"]
     exact, outs = _hamilton_source(n, roots)
-    # in the run the checks' ``guards(s)`` and ``entries(...)`` raise, whatever ``s`` is
+    # in the run a failing ``entries(...)`` check raises at once
     run = exprmod._exec(code, {**geometry._KERNEL_GLOBALS, "entries": exprmod._per_point,
-                               "s": None, "pack": struct.Struct(f"{2 * n}d").pack})
+                               "pack": struct.Struct(f"{2 * n}d").pack})
     return exprmod._function(2 * n, exact, outs, namespace=dict(
         geometry._KERNEL_GLOBALS, entries=functools.partial(geometry._check_entries, n=n))), run
 

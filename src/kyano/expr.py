@@ -39,7 +39,7 @@ import numpy as np
 
 from . import dual
 from .dual import Jet
-from .errors import ExprSyntaxError, SingularEvaluation, clipped
+from .errors import DomainError, ExprSyntaxError, KyanoError, SingularEvaluation, clipped
 
 FUNCTIONS: dict[str, Callable[[float], float]] = {
     "sin": dual.sin,
@@ -336,8 +336,18 @@ def _jet(expr: Expression, point: Sequence[float], order: int) -> "Jet | float":
 
 _MATH = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "sqrt": math.sqrt,
          "exp": math.exp, "ln": math.log, "abs": abs}
-_GLOBALS = {"SingularEvaluation": SingularEvaluation, "pow_": dual.power,
-            **{f"m_{k}": f for k, f in _MATH.items()}}
+
+
+def _guard_power(base: float, k: float, message: str) -> float:
+    """``dual.power`` in a guard, where its error puts the point outside: DomainError."""
+    try:
+        return dual.power(base, k)
+    except SingularEvaluation:
+        raise DomainError(message) from None
+
+
+_GLOBALS = {"SingularEvaluation": SingularEvaluation, "DomainError": DomainError,
+            "pow_": dual.power, "gpow_": _guard_power, **{f"m_{k}": f for k, f in _MATH.items()}}
 _BINARY = {"+": operator.add, "-": operator.sub}
 _COLUMN_ROWS = 32  # fewer rows run faster through the per-point kernel
 
@@ -351,7 +361,8 @@ def _per_point(*args):
 # except inf or NaN over 0, so a non-finite constant (``float('inf')`` in the
 # source), like a non-literal power, runs per point.  Functions map ``math``'s
 # over the elements, and a check raises if any row fails it.
-_COLUMNS = {**_GLOBALS, "float": _per_point, "pow_": _per_point, "np": np,
+_COLUMNS = {**_GLOBALS, "float": _per_point, "pow_": _per_point, "gpow_": _per_point,
+            "np": np,
             **{f"m_{k}": lambda col, f=f: np.fromiter(map(f, np.atleast_1d(col).tolist()), float)
                for k, f in _MATH.items()}}
 
@@ -391,15 +402,15 @@ def _compile(nvars: int, parts: tuple, columns: bool = False) -> Callable:
 
 
 def _function(nvars: int, lines: list, outs: list, columns: bool = False,
-              namespace: "dict | None" = None) -> Callable:
+              namespace: "dict | None" = None, bare: bool = True) -> Callable:
     """``kernel(s)`` of ``nvars`` slots: the statements ``lines``, then the output sources
-    ``outs``, a tuple unless just one per point, over ``namespace``, by default the float or
-    column globals."""
+    ``outs``, a tuple unless ``bare`` and just one per point, over ``namespace``, by default
+    the float or column globals."""
     if columns:  # a column is freed after its last read
         last = {t: i for i, line in enumerate(lines) for t in re.findall(r"\bt\d+\b", line)}
         for i, t in sorted(((i, t) for t, i in last.items() if t not in outs), reverse=True):
             lines.insert(i + 1, f"    del {t}")
-    ret = ", ".join(outs) + ("," if columns or len(outs) > 1 else "")
+    ret = ", ".join(outs) + ("," if columns or len(outs) > 1 or not bare else "")
     args = "".join(f"s{i}, " for i in range(nvars))
     return _exec(["def kernel(s):", f"    {args}= s", *lines, f"    return {ret}"],
                  namespace or (_COLUMNS if columns else _GLOBALS))
@@ -413,31 +424,35 @@ def _exec(lines: list, namespace: dict) -> Callable:
 
 def eval_columns(exprs: "Expression | tuple", columns, order: int = 0) -> np.ndarray:
     """``exprs``, an expression or a tuple of them run by one kernel, at N points, one
-    ``(N,)`` column per slot, bytewise per point: the stacked (width, N) outputs of each
-    expression's value or jet at ``order``, for one expression at order 0 its (N,) values.
-    Where a column is not finite, or the columns raise or overflow, each row runs per point,
-    so the first failing row raises; so do fewer than ``_COLUMN_ROWS`` rows, faster so."""
+    ``(N,)`` column per slot, bytewise per point (see :func:`_run`): the stacked (width, N)
+    outputs of each expression's value or jet at ``order``, for one expression at order 0 its
+    (N,) values."""
     exprs = Fused(exprs) if type(exprs) is tuple else exprs
-    fused = isinstance(exprs, Fused)
-    if not 0 < len(columns[0]) < _COLUMN_ROWS and np.isfinite(columns).all():
+    rows = _run(functools.partial(_kernel, exprs, order), np.asarray(columns, dtype=float).T)
+    return rows if order or isinstance(exprs, Fused) else rows[0]
+
+
+def _run(kernel: Callable, X: np.ndarray) -> np.ndarray:
+    """The (width, N) outputs at the N rows of ``X`` of ``kernel(True)``, a kernel over
+    columns, from ``_COLUMN_ROWS`` rows on where X is finite; else, and where the columns raise
+    or overflow, of ``kernel(False)`` at each row's floats, so the first failing row raises."""
+    if not 0 < len(X) < _COLUMN_ROWS and np.isfinite(X).all():
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                outs = _kernel(exprs, order, columns=True)(columns)
-            rows = np.empty((len(outs), len(columns[0])))
-            for row, out in zip(rows, outs):
-                row[...] = out
-            return rows if order or fused else rows[0]
-        except (ArithmeticError, ValueError, SingularEvaluation):
+                outs = kernel(True)(X.T)
+            return np.array([np.broadcast_to(out, len(X)) for out in outs])
+        except (ArithmeticError, ValueError, KyanoError):
             pass
-    kernel = _kernel(exprs, order)
-    rows = np.array([kernel(row) for row in zip(*(c.tolist() for c in columns))], float).T
-    return rows[None] if fused and rows.ndim == 1 else rows
+    point = kernel(False)
+    rows = np.array([point(x) for x in X.tolist()], float)
+    return rows.reshape(len(X), rows.size // max(len(X), 1)).T
 
 
 class _Emitter:
     """Statements of one kernel, emitted in evaluation order; jets over its first ``n`` slots.
     The kernel is straight-line, with no handler: each ``if cond: raise``, and each ``raise``
-    of a constant operation that fails, names the locations stacked by ``at`` as it is emitted.
+    of a constant operation that fails, names the locations stacked by ``at`` as it is emitted,
+    or, while ``outside`` holds a message, is that DomainError: a guard that fails to evaluate.
     A ``sparse`` float kernel's jets skip x * 0.0 and x + 0.0 for a local x, kept in ``pruned``."""
 
     def __init__(self, n: int, columns: bool = False, sparse: bool = False):
@@ -446,6 +461,7 @@ class _Emitter:
         self.lines: list[str] = []
         self.memo, self.checked = {}, set()  # the locals of operations, the conditions checked
         self.where = ""  # the locations of the operations being emitted, innermost first
+        self.outside = None  # the DomainError message of the guard being emitted
 
     @staticmethod
     def src(x) -> str:
@@ -475,9 +491,12 @@ class _Emitter:
 
     def raising(self, e: Exception) -> str:
         """``raise e`` as the reference walk reports it: a singular evaluation or a division
-        by zero at the stacked locations, any other error as it is."""
+        by zero at the stacked locations, or in a guard as its DomainError, any other error as
+        it is."""
         if isinstance(e, ZeroDivisionError):
             e = SingularEvaluation("division by zero")
+        if self.outside is not None and isinstance(e, SingularEvaluation):
+            return f"raise DomainError({self.outside!r})"
         where = self.where if isinstance(e, SingularEvaluation) else ""
         return f"raise {type(e).__name__}({str(e) + where!r})"
 
@@ -553,8 +572,10 @@ class _Emitter:
         """``dual.integer_power`` for a literal ``k``, else ``dual.power``."""
         scalar = not isinstance(base, tuple)
         if scalar and not isinstance(k, tuple):
-            if not literal:  # dual.power raises at the stacked locations
-                return self.op("pow_({}, {}, %r)" % self.where, dual.power, base, k)
+            if not literal:  # dual.power raises at the stacked locations, or as the guard
+                fmt = "pow_({}, {}, %r)" % self.where if self.outside is None else (
+                    "gpow_({}, {}, %r)" % self.outside)
+                return self.op(fmt, dual.power, base, k)
             if not isinstance(base, str):
                 return self.fold(dual.integer_power, base, k)
         elif not literal and not (isinstance(k, float) and k.is_integer()):
@@ -588,11 +609,13 @@ class _Emitter:
 
     def div(self, a, b):
         """``a / b``: by a constant zero a ``raise``; at order 0 by a local behind a zero check,
-        where a column kernel has numpy's flag and a sparse one Python's error instead, each
-        falling back to the exact kernel; at orders 1 and 2 each local divisor is checked first."""
+        where a column kernel has numpy's flag and a sparse one outside a guard Python's error
+        instead, each falling back to the exact kernel; at orders 1 and 2 each local divisor is
+        checked first."""
         if b == 0.0:  # whatever a is
             return self.fold(operator.truediv, 0.0, b)
-        if isinstance(b, str) and not (self.order or self.columns or self.sparse):
+        if isinstance(b, str) and not (self.order or self.columns
+                                       or self.sparse and self.outside is None):
             self.check("{} == 0.0", b, "division by zero")
         return self.op("{} / {}", operator.truediv, a, b)
 

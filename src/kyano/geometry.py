@@ -5,10 +5,11 @@ come from first- and second-order jet evaluations of the metric
 components, so there is no finite differencing anywhere in the chain.
 Every ``*_at`` function takes a point ``(dim,)`` or a block ``(N, dim)``;
 for a block its arrays gain a leading N axis, row i the bytes of the call
-at point i.  One private evaluator, :func:`_metric`, runs the metric; the
-compiled kernels of :func:`curvature_at` and of the geodesic right-hand side
-in :mod:`kyano.dynamics` evaluate it themselves, from one prelude of guards,
-g and g^-1 that :func:`_emit_metric` emits for both.
+at point i.  Every query runs a compiled kernel of the metric that opens with
+one prelude of guards, g and g^-1, emitted by :func:`_emit_metric`: the metric
+jets, the sampler's test, the Christoffels, the curvature and the geodesic
+right-hand side in :mod:`kyano.dynamics`.  So a point is admissible by one
+rule, the prelude's, wherever it is asked.
 
 Charts are labeled by coordinate names but expressions always refer to
 slots ``x1 .. xn`` in chart order; for the Taub-NUT chart ``(r, theta,
@@ -31,17 +32,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-try:  # the C function np.einsum calls, without its Python-level argument handling
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:  # numpy < 2
-    _einsum = np.einsum
 
 from . import expr as exprmod
 from . import jsonio
-from .errors import DomainError, KyanoError, SingularEvaluation, SingularMetric, clipped
+from .errors import DomainError, KyanoError, SingularMetric, clipped
 from .expr import Expression
 
 DOMAIN_MARGIN = 1e-9
+SAMPLE_MARGIN = 0.1  # the guard margin of sample_points
 SINGULAR_BOUND = 1e13  # a metric is singular where max|g| max|g^-1| >= this / n^2
 FLAT_MAX_DIM = 2048  # flat(n) keeps an n x n grid, about 8 MiB at n = 1000
 
@@ -73,10 +71,9 @@ class MetricSpec:
     guards: tuple[Expression, ...] = ()
     box: Optional[tuple[tuple[float, float], ...]] = None
     inverse: Optional[ComponentGrid] = None
-    # per-order component kernels and gather indices, see _component_table, the geodesic
-    # kernels, see dynamics.GeodesicHamiltonian._fused, the curvature kernels, see
-    # _curvature_kernel, the dual, see dual_metric, and the last block's Christoffels and
-    # inverse metric, see _last_block
+    # the compiled kernels by (key, columns) with their layouts, see _kernel, the geodesic
+    # kernels, see dynamics.GeodesicHamiltonian._fused, the dual, see dual_metric, and the
+    # last block's Christoffels and numeric inverse metric, see _last_block
     _tables: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
                                       compare=False)
 
@@ -106,7 +103,7 @@ class CurvatureValue:
 
     def _scattered(self, start: int, rank: int, positions, mirrors=None) -> np.ndarray:
         """Zeros of rank ``rank``, the outputs from ``start`` on at the flat ``positions`` of
-        :func:`_curvature_kernel`'s layout, and negated at ``mirrors``."""
+        :func:`_curvature_source`'s layout, and negated at ``mirrors``."""
         lead = self._outs.shape[1:] if isinstance(self._outs, np.ndarray) else ()
         vals, n = self._outs[start:start + len(positions)], self._layout[0]
         out = np.zeros(lead + (n ** rank,))
@@ -285,98 +282,41 @@ def const_curvature3_spherical(K: float) -> MetricSpec:
 # evaluation
 
 
-def _check_guards(spec: MetricSpec, coords, margin: float = DOMAIN_MARGIN):
-    """``coords``, a point's list of floats or N points' (dim, N) columns, finite
-    and at least ``margin`` inside every guard."""
-    point = isinstance(coords, list)
-    if not (all(map(math.isfinite, coords)) if point else np.isfinite(coords).all()):
+def _evaluate(spec: MetricSpec, key, point) -> tuple:
+    """The outputs of the kernel of ``spec`` for ``key`` (see :func:`_kernel`) and their layout:
+    at a point (dim,) a tuple, at a block (N, dim) an (outputs, N) array by ``expr._run``."""
+    X = np.asarray(point, dtype=float)
+    if X.shape[-1:] != (spec.dim,) or X.ndim > 2:
+        raise ValueError(f"expected a point of dimension {spec.dim}, got shape {X.shape}")
+    kernel, layout = _kernel(spec, key)
+    if X.ndim == 1:
+        return _checked(spec, kernel, X.tolist()), layout
+    return exprmod._run(lambda columns: _kernel(spec, key, True)[0] if columns else
+                        functools.partial(_checked, spec, kernel), X), layout
+
+
+def _checked(spec: MetricSpec, kernel, coords: list) -> tuple:
+    """A float kernel's outputs at a point's floats, or a phase state's, its first ``dim`` the
+    point, which must be finite."""
+    if not math.isfinite(sum(coords)) and not all(map(math.isfinite, coords[:spec.dim])):
         raise DomainError("point has non-finite coordinates")
-    for guard in spec.guards:
-        try:  # a NaN value is outside
-            inside = (exprmod._kernel(guard, 0)(coords) >= margin if point
-                      else (exprmod.eval_columns(guard, coords) >= margin).all())
-        except SingularEvaluation:
-            inside = False
-        if not inside:
-            raise DomainError(f"outside the chart domain: {exprmod.unparse(guard)} < {margin:g}")
-    return coords
-
-
-def _component_slots(spec: MetricSpec) -> tuple:
-    """The distinct entries of g, in the upper triangle's row order, and for each the
-    positions (i, j) of g that it fills."""
-    n, slots = spec.dim, {}
-    for i, row in enumerate(spec.components):
-        for j in itertools.compress(range(i, n), row[i:]):  # the upper triangle's entries
-            slots.setdefault(id(row[j]), (row[j], []))[1].extend(((i, j), (j, i))[:1 + (i < j)])
-    return tuple(e for e, _ in slots.values()), [pos for _, pos in slots.values()]
-
-
-def _component_table(spec: MetricSpec, order: int):
-    """The distinct components of ``spec`` as one ``expr.Fused``, its kernel at ``order``,
-    their output width and the indices that gather g, dg and d2g from its outputs and 0."""
-    table = spec._tables.get(order)
-    if table is None:
-        n = spec.dim
-        width = 1 + n + n * n if order == 2 else 1 + n * order
-        exprs, slots = _component_slots(spec)
-        start = np.full((n, n), -1, dtype=np.intp)
-        for k, pos in enumerate(slots):
-            start[tuple(zip(*pos))] = k * width
-        offsets = [1 + np.arange(n)[:, None, None], 1 + n + np.arange(n * n).reshape(n, n, 1, 1)]
-        gather = [start] + [np.where(start < 0, -1, start + off) for off in offsets[:order]]
-        exprs = exprmod.Fused(exprs)
-        table = spec._tables[order] = (exprs, exprmod._kernel(exprs, order), width, gather)
-    return table
-
-
-def _point_values(spec: MetricSpec, exprs, kernel, width: int, coords: list) -> list:
-    """The checked outputs of the components' ``kernel`` at a point's floats, and 0.0."""
-    _check_guards(spec, coords)
-    values = [kernel(coords)] if width == len(exprs) == 1 else list(kernel(coords))
-    # every component's first output is an entry of g
-    if not all(map(math.isfinite, values[::width])):
-        raise SingularMetric("metric evaluated to non-finite components")
-    values.append(0.0)
-    return values
+    return kernel(coords)
 
 
 def _metric(spec: MetricSpec, X, order: int = 0, inverse: bool = False) -> list:
-    """``[g, dg, d2g][:order + 1]``, and with ``inverse`` then ``g^-1``, at a point
-    (dim,) or at each row of a block (N, dim): the components' one kernel runs per
-    point, or over columns from ``expr._COLUMN_ROWS`` rows on.  A block that raises
-    reruns its rows one at a time, so the first failing row raises its own error."""
-    X = np.asarray(X, dtype=float)
-    if X.shape[-1:] != (spec.dim,) or X.ndim > 2:
-        raise ValueError(f"expected a point of dimension {spec.dim}, got shape {X.shape}")
-    exprs, kernel, width, gather = _component_table(spec, order)
-    try:
-        if X.ndim == 1:
-            flat = np.array(_point_values(spec, exprs, kernel, width, X.tolist()), float)
-        elif 0 < len(X) < exprmod._COLUMN_ROWS:
-            flat = np.array([_point_values(spec, exprs, kernel, width, x) for x in X.tolist()], float)
-        else:
-            rows = exprmod.eval_columns(exprs, _check_guards(spec, X.T), order)
-            # every component's first row is an entry of g
-            if not np.isfinite(rows[::width]).all():
-                raise SingularMetric("metric evaluated to non-finite components")
-            flat = np.concatenate([rows, np.zeros((1, len(X)))]).T
-        out = [flat[idx] if X.ndim == 1 else flat[:, idx] for idx in gather]
-        if inverse:
-            out.append(_invert(out[0]))
-    except KyanoError:
-        if X.ndim == 2:  # the first failing row raises its own error
-            for x in X:
-                _metric(spec, x, order, inverse)
-        raise
-    return out
+    """``[g, dg, d2g][:order + 1]``, and with ``inverse`` then ``g^-1``, at a point (dim,) or at
+    each row of a block (N, dim), from the metric's kernel at ``order`` (see :func:`_evaluate`)."""
+    outs, gathers = _evaluate(spec, (order, DOMAIN_MARGIN), X)
+    rows = np.asarray(outs).T
+    return [rows[..., idx] for idx in gathers[:order + 1] + gathers[order + 1:] * inverse]
 
 
 def metric_components_at(spec: MetricSpec, point, order: int = 0):
     """Metric matrix and, for ``order`` 1 or 2, its coordinate derivatives.
 
     Returns ``g``; ``(g, dg)`` with ``dg[a,i,j] = d_a g_ij``; or
-    ``(g, dg, d2g)`` with ``d2g[a,b,i,j] = d_a d_b g_ij``.
+    ``(g, dg, d2g)`` with ``d2g[a,b,i,j] = d_a d_b g_ij``.  A point that
+    :func:`metric_at` rejects raises its error here too.
     """
     out = _metric(spec, point, order)
     return tuple(out) if order else out[0]
@@ -384,10 +324,11 @@ def metric_components_at(spec: MetricSpec, point, order: int = 0):
 
 def metric_at(spec: MetricSpec, point) -> np.ndarray:
     """Metric matrix at ``point``; symmetric and checked invertible."""
-    return _metric(spec, point, inverse=True)[0]
+    return _metric(spec, point)[0]
 
 
 def inverse_metric_at(spec: MetricSpec, point) -> np.ndarray:
+    """g^-1 at ``point``: the closed form where the spec has one, else inverted numerically."""
     return _metric(spec, point, inverse=True)[1]
 
 
@@ -406,25 +347,22 @@ def _last_block(spec: MetricSpec, name: str, at, X: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(all="ignore")  # the gufunc flags a singular g as invalid
-def _invert(g: np.ndarray, rows: bool = False):
+def _invert(g: np.ndarray) -> np.ndarray:
     """``g^-1`` (of each matrix of a stack) if ``max|g| max|g^-1| < 1e13 / n^2``,
     else SingularMetric; as cond_2(g) <= n^2 max|g| max|g^-1|, every g with
-    cond_2 >= 1e13 fails, and so does the NaN the bare gufunc gives if singular.
-    With ``rows``, return the stack's inverses and its mask of passing matrices."""
+    cond_2 >= 1e13 fails, and so does the NaN the bare gufunc gives if singular."""
     ginv = _umath_linalg.inv(g, signature="d->d")
     axes = (-2, -1) if g.ndim > 2 else None  # one matrix reduces faster without axes
     bound = np.maximum.reduce(abs(g), axes) * np.maximum.reduce(abs(ginv), axes)
     ok = bound < SINGULAR_BOUND / g.shape[-1] ** 2
-    if rows:
-        return ginv, ok
     if ok.all() if axes else ok:  # a numpy scalar's .all() costs more than the reductions
         return ginv
     raise SingularMetric("metric matrix is singular at this point")
 
 
 def _check_entries(g, ginv, n: int) -> None:
-    """:func:`_metric`'s checks on the entries of ``g`` and its closed-form inverse (a
-    non-finite one fails), run where a kernel's test of the sums, which implies them, fails."""
+    """The checks on the entries of ``g`` and its closed-form inverse (a non-finite one
+    fails), run where a kernel's test of the sums, which implies them, fails."""
     if sum(map(abs, g)) * sum(map(abs, ginv)) < SINGULAR_BOUND / n ** 2:
         return
     if not all(map(math.isfinite, g)):
@@ -434,79 +372,36 @@ def _check_entries(g, ginv, n: int) -> None:
         raise SingularMetric("metric matrix is singular at this point")
 
 
-def _christoffel(ginv: np.ndarray, dg: np.ndarray):
-    """``Gamma[..., l, m, n] = Gamma^l_{mn}`` and the bracket ``A[..., s, m, n] =
-    d_m g_sn + d_n g_sm - d_s g_mn`` it contracts, for any leading batch axes."""
-    dgs = dg.swapaxes(-3, -2)  # dgs[s, m, n] = d_m g_sn
-    A = dgs + dgs.swapaxes(-2, -1) - dg
-    return 0.5 * _einsum("...ls,...smn->...lmn", ginv, A), A
-
-
 def christoffel_at(spec: MetricSpec, point) -> np.ndarray:
-    """Christoffel symbols ``Gamma[..., l, m, n] = Gamma^l_{mn}``."""
-    _, dg, ginv = _metric(spec, point, 1, inverse=True)
-    return _christoffel(ginv, dg)[0]
+    """Christoffel symbols ``Gamma[..., l, m, n] = Gamma^l_{mn}``, by the compiled kernel of
+    :func:`_christoffel_source`; a structural zero is +0.0."""
+    outs, layout = _evaluate(spec, "christoffel", point)
+    return np.asarray(outs).T[..., layout]
 
 
 def curvature_at(spec: MetricSpec, point) -> CurvatureValue:
     """Riemann, Ricci, and scalar curvature from the metric's 2-jet, by the compiled kernel of
-    :func:`_curvature_source`: per point, or over columns from ``expr._COLUMN_ROWS`` rows on,
-    where a block that raises reruns its rows one at a time, so the first failing row raises."""
-    X = np.asarray(point, dtype=float)
-    if X.shape[-1:] != (spec.dim,) or X.ndim > 2:
-        raise ValueError(f"expected a point of dimension {spec.dim}, got shape {X.shape}")
-    kernel, layout = _curvature_kernel(spec)
-    if X.ndim == 1:
-        outs = _checked(spec, kernel, X.tolist())
-        return CurvatureValue(outs, layout, outs[-2])
-    outs = (np.array([_checked(spec, kernel, x) for x in X.tolist()]).T
-            if 0 < len(X) < exprmod._COLUMN_ROWS else _curvature_columns(spec, X))
-    return CurvatureValue(outs, layout, outs[-2].copy())
+    :func:`_curvature_source`."""
+    outs, layout = _evaluate(spec, "curvature", point)
+    return CurvatureValue(outs, layout, outs[-2] if isinstance(outs, tuple) else outs[-2].copy())
 
 
-def _checked(spec: MetricSpec, kernel, coords: list) -> tuple:
-    """A float kernel's outputs at a point's floats, or a phase state's, its first ``dim`` the
-    point; where it raises, the check of :func:`_check_guards` at the point first."""
-    if not math.isfinite(sum(coords)):  # a finite sum that overflows is checked too
-        _check_guards(spec, coords[:spec.dim])
-    try:
-        return kernel(coords)
-    except (ArithmeticError, ValueError, KyanoError):  # a guard's own error is a DomainError
-        _check_guards(spec, coords[:spec.dim])
-        raise
-
-
-def _curvature_columns(spec: MetricSpec, X: np.ndarray) -> np.ndarray:
-    """The curvature kernel's (outputs, N) at the rows of ``X``, over columns; where a
-    column is not finite, or the columns raise or overflow, each row runs per point."""
-    if np.isfinite(X).all():
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                outs = _curvature_kernel(spec, columns=True)[0](X.T)
-            return np.array([np.broadcast_to(out, len(X)) for out in outs])
-        except (ArithmeticError, ValueError, KyanoError):
-            pass
-    kernel = _curvature_kernel(spec)[0]
-    return np.array([_checked(spec, kernel, x) for x in X.tolist()]).T
-
-
-def _curvature_kernel(spec: MetricSpec, columns: bool = False) -> tuple:
-    """:func:`_curvature_source` compiled on floats or over columns, and the layout of its
-    outputs: n, the flat positions of the Riemann entries and of their negated mirrors
-    R^r_snm, and those of Ricci's entries, which follow them; built once, held in ``_tables``."""
-    kernel = spec._tables.get(("curvature", columns))
-    if kernel is None:
+def _kernel(spec: MetricSpec, key, columns: bool = False) -> tuple:
+    """The kernel of ``spec`` for ``key``, compiled on floats or over columns, and the layout of
+    its outputs; built once, held in ``_tables[key, columns]``.  ``key`` is ``"christoffel"``
+    (:func:`_christoffel_source`), ``"curvature"`` (:func:`_curvature_source`) or a metric jet
+    order and guard margin (:func:`_metric_source`)."""
+    table = spec._tables.get((key, columns))
+    if table is None:
         n = spec.dim
-        lines, outs, riemann, ricci = _curvature_source(spec, columns)
+        source = {"christoffel": _christoffel_source, "curvature": _curvature_source}
+        lines, outs, layout = (source[key](spec, columns) if key in source
+                               else _metric_source(spec, *key, columns))
         namespace = _KERNEL_COLUMNS if columns else dict(
             _KERNEL_GLOBALS, entries=functools.partial(_check_entries, n=n))
-        rsmq = np.array(riemann, dtype=np.intp).reshape(-1, 4).T
-        layout = (n, np.ravel_multi_index(rsmq, (n,) * 4),
-                  np.ravel_multi_index(rsmq[[0, 1, 3, 2]], (n,) * 4),
-                  np.ravel_multi_index(np.array(ricci, dtype=np.intp).reshape(-1, 2).T, (n, n)))
-        kernel = spec._tables[("curvature", columns)] = (
-            exprmod._function(n, lines, outs, columns, namespace), layout)
-    return kernel
+        table = spec._tables[key, columns] = (
+            exprmod._function(n, lines, outs, columns, namespace, bare=False), layout)
+    return table
 
 
 def _inverse_entries(*g) -> list:
@@ -527,14 +422,13 @@ def _inverse_columns(*g) -> list:
     return list(_invert(g.reshape(-1, n, n)).reshape(-1, n * n).T)
 
 
-_WITNESS = "curvature terms are not finite at this point"
-# the float kernels' globals, but for ``entries``; a failing guard test raises, _checked names it
+# the float kernels' globals, but for ``entries``
 _KERNEL_GLOBALS = {**exprmod._GLOBALS, "SingularMetric": SingularMetric, "isfinite": math.isfinite,
-                   "inverse": _inverse_entries, "guards": exprmod._per_point}
+                   "inverse": _inverse_entries}
 # a column check that fails runs the block's rows per point, where it raises its own error
 _KERNEL_COLUMNS = {**exprmod._COLUMNS, "SingularMetric": SingularMetric,
                    "isfinite": lambda c: np.isfinite(c).all(), "inverse": _inverse_columns,
-                   "guards": exprmod._per_point, "entries": exprmod._per_point}
+                   "entries": exprmod._per_point}
 
 
 def _nonzero(x) -> bool:  # whether an operand is structurally nonzero: a local, or a constant
@@ -546,22 +440,30 @@ def _symmetric(index: tuple) -> tuple:  # the positions of a symmetric grid's en
 
 
 def _metric_roots(spec: MetricSpec) -> tuple:
-    """What :func:`_emit_metric` reads: the guards' roots, g's distinct entries as (root, the
-    positions it fills) and a closed-form g^-1's upper entries (i, j, root), else None."""
-    n, exprs = spec.dim, zip(*_component_slots(spec))
-    return (tuple(e.root for e in spec.guards), tuple((e.root, tuple(pos)) for e, pos in exprs),
+    """What :func:`_emit_metric` reads: the guards' roots, g's distinct entries, in the upper
+    triangle's row order, as (root, the positions it fills) and a closed-form g^-1's upper
+    entries (i, j, root), else None."""
+    n, slots = spec.dim, {}
+    for i, row in enumerate(spec.components):
+        for j in itertools.compress(range(i, n), row[i:]):  # the upper triangle's entries
+            slots.setdefault(id(row[j]), (row[j].root, []))[1].extend(_symmetric((i, j)))
+    return (tuple(e.root for e in spec.guards), tuple((r, tuple(p)) for r, p in slots.values()),
             spec.inverse and tuple((i, j, row[j].root) for i, row in enumerate(spec.inverse)
                                    for j in itertools.compress(range(i, n), row[i:])))
 
 
-def _emit_metric(em, roots: tuple, order: int) -> tuple:
-    """Emit into ``em`` what the kernels of a metric share, from its :func:`_metric_roots`: the
-    guards, and ``guards(s)`` where one is below the margin; g's jet at ``order``, at least 1
-    where g^-1 is numeric; g^-1, the 1-jets of a closed form and ``entries(g, g^-1)`` where the
-    test of :func:`_check_entries` on their sums fails, else the entries of ``inverse(g)``.
+def _emit_metric(em, roots: tuple, order: int, jets: bool = False,
+                 margin: float = DOMAIN_MARGIN) -> tuple:
+    """Emit into ``em`` the prelude that every kernel of a metric opens with, from its
+    :func:`_metric_roots`: each guard in turn, whose failing test or evaluation raises the
+    DomainError that names it, the one of :func:`metric_at` where the point is outside the
+    chart; g's jet at ``order``; g^-1, with a closed form's 1-jets where ``jets``, and
+    ``entries(g, g^-1)``
+    where the test of :func:`_check_entries` on their sums fails, else the entries of
+    ``inverse(g)``.  Leaves ``em`` at order 1, whose sums skip a zero as a sparse jet does.
     Returns g's distinct entries, and a closed form's (else None), as (the positions each
-    fills, its gradient, g's its Hessian), a constant's gradient ``()``; and g^-1 by (i, j),
-    every entry of a closed form, the nonzero ones of a numeric g^-1."""
+    fills, its value, gradient and, g's, Hessian), a constant's gradient ``()``; and g^-1 by
+    (i, j), every entry of a closed form, the nonzero ones of a numeric g^-1."""
     guards, slots, upper = roots
     n, every = em.n, (lambda t: f"np.all({t})") if em.columns else str
 
@@ -571,21 +473,26 @@ def _emit_metric(em, roots: tuple, order: int) -> tuple:
         except SingularMetric as e:
             em.lines.append(f"    {em.raising(e)}")
 
-    values = [em.emit(root) for root in guards]
-    if any(not isinstance(v, str) and not v >= DOMAIN_MARGIN for v in values):
-        em.lines.append("    guards(s)")  # a constant below the margin: outside everywhere
-    elif tests := [every(f"{v} >= {DOMAIN_MARGIN!r}") for v in values if isinstance(v, str)]:
-        em.lines.append(f"    if not ({' and '.join(tests)}): guards(s)")
+    for root in guards:  # a NaN value is outside
+        em.outside = f"outside the chart domain: {exprmod.unparse(root)} < {margin:g}"
+        v, outside = em.emit(root), f"raise DomainError({em.outside!r})"
+        if isinstance(v, str):
+            em.lines.append(f"    if not {every(f'{v} >= {margin!r}')}: {outside}")
+        elif not v >= margin:  # a constant below the margin: outside everywhere
+            em.lines.append(f"    {outside}")
+    em.outside = None
 
-    em.order, g, gjets, values = max(order, int(upper is None)), {}, [], []
+    em.order, g, gjets, values = order, {}, [], []
     for root, pos in slots:
         jet = em.emit(root)
         value, grad, hess = jet if isinstance(jet, tuple) else (jet, (), ())
         values.append(value)
         g.update(dict.fromkeys(pos, value))
-        gjets.append((pos, grad, hess or ()))
+        gjets.append((pos, value, grad, hess or ()))
 
-    em.order, ginv, ijets = 1, {}, None
+    sparse, ginv, ijets = em.sparse, {}, None
+    # a sparse kernel omits a division's zero check at order 0; g^-1's values alone keep it
+    em.order, em.sparse = int(jets), sparse and jets
     if upper is not None:
         inverse, ijets = [], []
         for i, j, root in upper:
@@ -593,7 +500,7 @@ def _emit_metric(em, roots: tuple, order: int) -> tuple:
             value, grad = jet[:2] if isinstance(jet, tuple) else (jet, ())
             inverse.append(value)
             ginv.update(dict.fromkeys(pos := _symmetric((i, j)), value))
-            ijets.append((pos, grad))
+            ijets.append((pos, value, grad))
         if str in map(type, values + inverse):
             norm = lambda xs: " + ".join(f"abs({em.src(x)})" for x in xs)
             listed = lambda xs: "(" + "".join(f"{em.src(x)}, " for x in xs) + ")"
@@ -612,16 +519,115 @@ def _emit_metric(em, roots: tuple, order: int) -> tuple:
             names = constant(_inverse_entries, *entries) or [math.nan] * n * n
         ginv = {(i, j): x for (i, j), x in zip(itertools.product(range(n), repeat=2), names)
                 if _nonzero(x)}
+    em.order, em.sparse = 1, sparse
     return gjets, ijets, ginv
+
+
+def _metric_source(spec: MetricSpec, order: int, margin: float, columns: bool = False) -> tuple:
+    """Statements over the slots x1..xn, output sources and layout of :func:`_metric`'s kernel at
+    jet order ``order``: :func:`_emit_metric`'s prelude with the guards at ``margin``, then the
+    entries of g, dg and d2g to ``order`` and of g^-1, by :func:`_outputs`."""
+    n, em = spec.dim, exprmod._Emitter(spec.dim, columns)
+    gjets, _, ginv = _emit_metric(em, _metric_roots(spec), order, margin=margin)
+    g, dg, d2g = {}, {}, {}  # by (i, j), (a, i, j) and (a, b, i, j)
+    for pos, value, grad, hess in gjets:
+        for i, j in pos:
+            g[i, j] = value
+            dg.update(((a, i, j), d) for a, d in enumerate(grad))
+            d2g.update(((a, b, i, j), h) for a, row in enumerate(hess) for b, h in enumerate(row))
+    blocks = [((n,) * 2, g), ((n,) * 3, dg), ((n,) * 4, d2g)][:order + 1] + [((n, n), ginv)]
+    return (em.lines, *_outputs(em, blocks))
+
+
+def _outputs(em, blocks: list) -> tuple:
+    """The output sources of the distinct operands of ``blocks``, each (shape, {index:
+    operand}), then 0.0; and per block the array of its operands' output indices, -1 (the
+    0.0) where it has none."""
+    index, gathers = {}, []
+    for shape, entries in blocks:
+        gathers.append(at := np.full(shape, -1, dtype=np.intp))
+        for k, x in entries.items():
+            at[k] = index.setdefault(em.src(x), len(index))
+    return [*index, "(0.0)"], gathers
+
+
+def _sub(em, a, b):  # a - b, a zero skipped
+    if not _nonzero(b):
+        return a
+    return em.neg(b) if not _nonzero(a) else em.op("{} - {}", operator.sub, a, b)
+
+
+def _dot(em, pairs):  # the sum of the products of ``pairs``, in order
+    return functools.reduce(em.add, [em.mul(a, b) for a, b in pairs], 0.0)
+
+
+def _contract(em, left: dict, right: dict, key) -> dict:
+    """sum_k left[p..., k] right[k, q...] at ``key(p, q)``, k ascending; a None key is not
+    wanted.  Each dict maps an index tuple to its structurally nonzero operand."""
+    rows = collections.defaultdict(list)
+    for (k, *q), y in right.items():
+        rows[k].append((tuple(q), y))
+    terms = collections.defaultdict(list)
+    for (*p, k), x in sorted(left.items()):
+        for q, y in rows[k]:
+            if (at := key(tuple(p), q)) is not None:
+                terms[at].append((x, y))
+    return {at: v for at, t in sorted(terms.items()) if _nonzero(v := _dot(em, t))}
+
+
+def _bracket(em, jet: dict) -> dict:
+    """A_smn = d_m g_sn + d_n g_sm - d_s g_mn, m <= n, of the first derivatives jet[i, b, j]."""
+    keys = set()
+    for i, b, j in jet:  # d_b g_ij is a term of A_i(bj), A_i(jb) and A_b(ij)
+        keys.update(((i, min(b, j), max(b, j)), (b, min(i, j), max(i, j))))
+    out = {}
+    for s, m, q in sorted(keys):
+        d = [jet.get(k, 0.0) for k in ((s, m, q), (s, q, m), (m, s, q))]
+        out[s, m, q] = _sub(em, em.add(d[0], d[1]), d[2])
+    return {k: v for k, v in out.items() if _nonzero(v)}
+
+
+def _emit_christoffel(em, gjets: list, ginv: dict) -> tuple:
+    """Emit, from :func:`_emit_metric`'s g jets and g^-1, A_smn and Gamma^l_mn = 0.5 g^ls A_smn
+    for m <= n; returns dg by (i, a, j) = d_a g_ij, A, Gamma and Gamma at (l, m, n) and
+    (l, n, m), each by its index tuple over its structurally nonzero entries."""
+    dg = {}
+    for pos, _, grad, _ in gjets:
+        for i, j in pos:
+            dg.update(((i, a, j), d) for a, d in enumerate(grad) if _nonzero(d))
+    A = _bracket(em, dg)
+    gamma = {k: em.mul(v, 0.5) for k, v in _contract(em, ginv, A, lambda l, mq: l + mq).items()}
+    return dg, A, gamma, {(l, *pos): v for (l, *mq), v in gamma.items() for pos in _symmetric(mq)}
+
+
+def _emit_witness(em, factors, what: str) -> None:
+    """The witness test: SingularMetric where the sum of every local factor of a product skipped
+    for a zero, the jets' and ``factors``, is not finite; where it is, each is a zero."""
+    em.pruned.update(dict.fromkeys(x for x in factors if isinstance(x, str)))
+    if witness := " + ".join(x for x in em.pruned if x[0] == "t"):
+        message = f"{what} terms are not finite at this point"
+        em.lines.append(f"    if not isfinite({witness}): raise SingularMetric({message!r})")
+
+
+def _christoffel_source(spec: MetricSpec, columns: bool = False) -> tuple:
+    """Statements over the slots x1..xn, output sources and layout of :func:`christoffel_at`'s
+    kernel, emitted sparse: :func:`_emit_metric`'s guards, g's 1-jet and g^-1, the Gamma^l_mn
+    of :func:`_emit_christoffel` and the witness test, whose factors A adds; then Gamma's
+    entries by :func:`_outputs`."""
+    n, em = spec.dim, exprmod._Emitter(spec.dim, columns, sparse=True)
+    _, A, _, full = _emit_christoffel(em, *_emit_metric(em, _metric_roots(spec), 1)[::2])
+    _emit_witness(em, A.values(), "Christoffel")
+    outs, (layout,) = _outputs(em, [((n,) * 3, full)])
+    return em.lines, outs, layout
 
 
 def _curvature_source(spec: MetricSpec, columns: bool = False) -> tuple:
     """Statements over the slots x1..xn, the output sources and the index tuples of the
     outputs of :func:`curvature_at`'s kernel, emitted sparse.  In turn:
 
-    - :func:`_emit_metric`'s guards, g's 2-jet and g^-1, and from a numeric g^-1
-      d_a g^-1 = -(g^-1 d_a g) g^-1;
-    - A_smn = d_m g_sn + d_n g_sm - d_s g_mn, Gamma^l_mn = 0.5 g^ls A_smn and
+    - :func:`_emit_metric`'s guards, g's 2-jet and g^-1, and :func:`_emit_christoffel`'s
+      A_smn = d_m g_sn + d_n g_sm - d_s g_mn and Gamma^l_mn = 0.5 g^ls A_smn, m <= n;
+    - from a numeric g^-1 d_a g^-1 = -(g^-1 d_a g) g^-1, and
       d_a Gamma^l_mn = 0.5 (d_a g^ls A_smn + g^ls d_a A_smn), for m <= n;
     - the entries R^r_smn, m < n, of d_m Gamma^r_ns - d_n Gamma^r_ms + Gamma^r_ml Gamma^l_ns
       - Gamma^r_nl Gamma^l_ms;
@@ -630,82 +636,49 @@ def _curvature_source(spec: MetricSpec, columns: bool = False) -> tuple:
 
     Every sum runs over the structurally nonzero terms alone, so emission costs in proportion
     to the terms; a structural zero is no output.  The outputs are the entries, Ricci's, the
-    scalar and 0.0, the index tuples those of the entries and of Ricci's."""
+    scalar and 0.0; the layout n, the flat positions of the entries and of their negated
+    mirrors R^r_snm, and those of Ricci's entries, which follow them."""
     em = exprmod._Emitter(spec.dim, columns, sparse=True)
     add, mul = em.add, em.mul
-
-    def sub(a, b):  # a - b, a zero skipped
-        if not _nonzero(b):
-            return a
-        return em.neg(b) if not _nonzero(a) else em.op("{} - {}", operator.sub, a, b)
-
-    def dot(pairs):  # the sum of the products of ``pairs``, in order
-        return functools.reduce(add, [mul(a, b) for a, b in pairs], 0.0)
-
-    def contract(left: dict, right: dict, key) -> dict:
-        """sum_k left[p..., k] right[k, q...] at ``key(p, q)``, k ascending; a None key is
-        not wanted.  Each dict maps an index tuple to its structurally nonzero operand."""
-        rows = collections.defaultdict(list)
-        for (k, *q), y in right.items():
-            rows[k].append((tuple(q), y))
-        terms = collections.defaultdict(list)
-        for (*p, k), x in sorted(left.items()):
-            for q, y in rows[k]:
-                if (at := key(tuple(p), q)) is not None:
-                    terms[at].append((x, y))
-        return {at: v for at, t in sorted(terms.items()) if _nonzero(v := dot(t))}
-
-    gjets, ijets, ginv = _emit_metric(em, _metric_roots(spec), 2)
-    dg, d2g = {}, {}  # dg[i, a, j] = d_a g_ij, d2g by (a, b, i, j)
-    for pos, grad, hess in gjets:
+    gjets, ijets, ginv = _emit_metric(em, _metric_roots(spec), 2, jets=True)
+    dg, A, gamma, full = _emit_christoffel(em, gjets, ginv)
+    d2g = {}  # d2g by (a, b, i, j) = d_a d_b g_ij
+    for pos, _, _, hess in gjets:
         for i, j in pos:
-            dg.update(((i, a, j), d) for a, d in enumerate(grad) if _nonzero(d))
             d2g.update(((a, b, i, j), h) for a, row in enumerate(hess)
                        for b, h in enumerate(row) if _nonzero(h))
     if ijets is None:  # dginv[a, l, s] = d_a g^ls
-        dginv = contract(contract(ginv, dg, lambda l, aj: (aj[0], *l, aj[1])), ginv,
-                         lambda alj, s: alj + s)
+        dginv = _contract(em, _contract(em, ginv, dg, lambda l, aj: (aj[0], *l, aj[1])), ginv,
+                          lambda alj, s: alj + s)
         dginv = {k: em.neg(v) for k, v in dginv.items()}
     else:
-        dginv = {(a, p, q): d for pos, grad in ijets for p, q in pos
+        dginv = {(a, p, q): d for pos, _, grad in ijets for p, q in pos
                  for a, d in enumerate(grad) if _nonzero(d)}
 
-    def bracket(jet: dict) -> dict:  # A_smn of the first derivatives jet[i, b, j], m <= n
-        keys = set()
-        for i, b, j in jet:  # d_b g_ij is a term of A_i(bj), A_i(jb) and A_b(ij)
-            keys.update(((i, min(b, j), max(b, j)), (b, min(i, j), max(i, j))))
-        out = {}
-        for s, m, q in sorted(keys):
-            d = [jet.get(k, 0.0) for k in ((s, m, q), (s, q, m), (m, s, q))]
-            out[s, m, q] = sub(add(d[0], d[1]), d[2])
-        return {k: v for k, v in out.items() if _nonzero(v)}
-
-    A, dA, jets = bracket(dg), {}, collections.defaultdict(dict)  # dA[s, a, m, n] = d_a A_smn
+    dA, jets = {}, collections.defaultdict(dict)  # dA[s, a, m, n] = d_a A_smn
     for (a, b, i, j), h in d2g.items():
         jets[a][i, b, j] = h
     for a, jet in sorted(jets.items()):
-        dA.update(((s, a, m, q), v) for (s, m, q), v in bracket(jet).items())
+        dA.update(((s, a, m, q), v) for (s, m, q), v in _bracket(em, jet).items())
 
-    gamma = {k: mul(v, 0.5) for k, v in contract(ginv, A, lambda l, mq: l + mq).items()}
-    first = contract(dginv, A, lambda al, mq: al + mq)
-    second = contract(ginv, dA, lambda l, amq: (amq[0], *l, *amq[1:]))
+    first = _contract(em, dginv, A, lambda al, mq: al + mq)
+    second = _contract(em, ginv, dA, lambda l, amq: (amq[0], *l, *amq[1:]))
     dgamma = {k: mul(add(first.get(k, 0.0), second.get(k, 0.0)), 0.5)
               for k in sorted({*first, *second})}
 
     def dgam(a, l, m, q):
         return dgamma.get((a, l, min(m, q), max(m, q)), 0.0)
 
-    full = {(l, *pos): v for (l, *mq), v in gamma.items() for pos in _symmetric(tuple(mq))}
     # Gamma^r_ml Gamma^l_ns at (r, s, m, n), m != n
-    squares = contract(full, full, lambda rm, ns: (rm[0], ns[1], rm[1], ns[0])
-                       if rm[1] != ns[0] else None)
+    squares = _contract(em, full, full, lambda rm, ns: (rm[0], ns[1], rm[1], ns[0])
+                        if rm[1] != ns[0] else None)
     keys = {(r, s, min(m, q), max(m, q)) for r, s, m, q in squares}
     for a, r, p, q in dgamma:
         keys.update((r, s, min(a, m), max(a, m)) for m, s in _symmetric((p, q)) if a != m)
     riemann = {}
     for r, s, m, q in sorted(keys):
-        v = sub(add(sub(dgam(m, r, q, s), dgam(q, r, m, s)), squares.get((r, s, m, q), 0.0)),
-                squares.get((r, s, q, m), 0.0))
+        v = _sub(em, add(_sub(em, dgam(m, r, q, s), dgam(q, r, m, s)),
+                         squares.get((r, s, m, q), 0.0)), squares.get((r, s, q, m), 0.0))
         if _nonzero(v):
             riemann[r, s, m, q] = v
 
@@ -719,20 +692,20 @@ def _curvature_source(spec: MetricSpec, columns: bool = False) -> tuple:
     for sq in sorted(traced):
         total = 0.0
         for sign, v in traced[sq]:
-            total = add(total, v) if sign > 0 else sub(total, v)
+            total = add(total, v) if sign > 0 else _sub(em, total, v)
         if _nonzero(total):
             ricci[sq] = total
-    scalar = dot((h, ricci[sq]) for sq, h in sorted(ginv.items()) if sq in ricci)
+    scalar = _dot(em, ((h, ricci[sq]) for sq, h in sorted(ginv.items()) if sq in ricci))
 
     # a product skipped for a zero: a factor of the jets', or of dg^-1, A, dA, Gamma, or a
     # Ricci entry where g^-1 is zero; each is a zero where all these are finite
-    factors = [*dginv.values(), *A.values(), *dA.values(), *gamma.values(),
-               *(v for sq, v in ricci.items() if sq not in ginv)]
-    em.pruned.update(dict.fromkeys(x for x in factors if isinstance(x, str)))
-    if witness := " + ".join(x for x in em.pruned if x[0] == "t"):
-        em.lines.append(f"    if not isfinite({witness}): raise SingularMetric({_WITNESS!r})")
-    outs = [*riemann.values(), *ricci.values(), scalar, 0.0]
-    return em.lines, [em.src(x) for x in outs], list(riemann), list(ricci)
+    _emit_witness(em, [*dginv.values(), *A.values(), *dA.values(), *gamma.values(),
+                       *(v for sq, v in ricci.items() if sq not in ginv)], "curvature")
+    n, rsmq = spec.dim, np.array(list(riemann), dtype=np.intp).reshape(-1, 4).T
+    layout = (n, np.ravel_multi_index(rsmq, (n,) * 4),
+              np.ravel_multi_index(rsmq[[0, 1, 3, 2]], (n,) * 4),
+              np.ravel_multi_index(np.array(list(ricci), dtype=np.intp).reshape(-1, 2).T, (n, n)))
+    return em.lines, [em.src(x) for x in [*riemann.values(), *ricci.values(), scalar, 0.0]], layout
 
 
 def _covariant_derivative(gamma: np.ndarray, f: np.ndarray, jac: np.ndarray) -> np.ndarray:
@@ -934,11 +907,12 @@ def sample_points(
 ) -> np.ndarray:
     """Admissible chart points, uniform over ``box`` with rejection.
 
-    Draws are kept where every guard is at least 0.1 and :func:`metric_at`
-    accepts them.  Raises :class:`DomainError` when fewer than one draw in
-    a thousand is admissible.  Draws come in blocks, and the generator is
-    rewound to redraw only the draws used, so the points and the generator's
-    final state are those of drawing one point at a time.
+    Draws are kept where :func:`metric_at` accepts them with every guard at
+    least ``SAMPLE_MARGIN`` = 0.1, by the metric's kernel at that margin.
+    Raises :class:`DomainError` when fewer than one draw in a thousand is
+    admissible.  Draws come in blocks, and the generator is rewound to
+    redraw only the draws used, so the points and the generator's final
+    state are those of drawing one point at a time.
     """
     if box is None:
         box = default_box(spec)
@@ -951,7 +925,7 @@ def sample_points(
         need, state = count - len(out), rng.bit_generator.state
         k = min(budget - drawn, max(2 * need, drawn) + 16, 1 << 14)  # draws in this block
         X = lo + (hi - lo) * rng.random((k, spec.dim))
-        kept = np.flatnonzero(_admissible_rows(spec, X))[:need]
+        kept = _admissible_rows(spec, X, need)
         if len(kept) == need:  # the last block: rewind and redraw the draws used
             k = kept[-1] + 1
             rng.bit_generator.state = state
@@ -960,15 +934,17 @@ def sample_points(
     return out
 
 
-def _admissible_rows(spec: MetricSpec, X: np.ndarray) -> np.ndarray:
-    """Mask of the rows of ``X`` that :func:`sample_points` keeps; where the rows
-    at once raise, each row is decided alone, and one that raises is outside."""
-    ok = np.isfinite(X).all(axis=1)
-    try:
-        for guard in spec.guards:
-            ok[ok] = exprmod.eval_columns(guard, X[ok].T) >= 0.1
-        if ok.any():
-            ok[ok] = _invert(_metric(spec, X[ok])[0], rows=True)[1]
-    except (DomainError, SingularEvaluation):
-        return np.array([len(X) > 1 and _admissible_rows(spec, x[None])[0] for x in X], bool)
-    return ok
+def _admissible_rows(spec: MetricSpec, X: np.ndarray, need: int) -> list:
+    """The indices of the first ``need`` rows of ``X`` that the metric's order-0 kernel with the
+    guards at ``SAMPLE_MARGIN`` accepts, row by row: a row that raises is outside."""
+    kernel, kept = _kernel(spec, (0, SAMPLE_MARGIN))[0], []
+    for i, x in enumerate(X.tolist()):
+        try:
+            if all(map(math.isfinite, x)):
+                kernel(x)
+                kept.append(i)
+        except (ArithmeticError, ValueError, KyanoError):
+            continue
+        if len(kept) == need:
+            break
+    return kept

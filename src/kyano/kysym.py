@@ -198,8 +198,8 @@ def killing_equation_residual(
     spec: MetricSpec, field: AntisymTensorField, point: Sequence[float]
 ) -> np.ndarray:
     """Symmetrized covariant derivative D_(a K_mn); zero for Killing tensors."""
-    K, dK, ginv, dg = killing_tensor_jet(spec, field, point)
-    gamma = geometry._christoffel(ginv, dg)[0]
+    K, dK = killing_tensor_jet(spec, field, point)[:2]
+    gamma = geometry.christoffel_at(spec, point)
     DK = (
         dK
         - np.einsum("sam,sn->amn", gamma, K)

@@ -73,6 +73,27 @@ def test_criterion_2_pair_bracket_relation():
     record(2, worst <= 1e-12, f"max bracket deviation {worst:.2e}")
 
 
+def test_criterion_2_pair_bracket_relation_in_n_dimensions():
+    # the stored components f_I of the rank-(n-1) pair and their p-twins: {f_I, ft_J} is the
+    # generalized Kronecker delta of the increasing index tuples, {f_I, f_J} = {ft_I, ft_J} = 0,
+    # exactly, as every gradient entry is 0 or +-1
+    rng = np.random.default_rng(103)
+    bad = []
+    for n in (4, 5, 6):
+        items = kysym.flat_ky_position_field(n).component_items()
+        f = {idx: PhaseFunction.from_expression(str(c), n) for idx, c in items}
+        ft = {idx: PhaseFunction.from_expression(str(c).replace("x", "p"), n) for idx, c in items}
+        assert len(f) == n
+        for _ in range(5):
+            z = PhasePoint(rng.uniform(-3, 3, n), rng.uniform(-3, 3, n))
+            for (I, a), (J, b) in product(f.items(), repeat=2):
+                got = [poisson_bracket(a, ft[J], z), poisson_bracket(a, b, z),
+                       poisson_bracket(ft[I], ft[J], z)]
+                if got != [float(I == J), 0.0, 0.0]:
+                    bad.append((n, I, J, got))
+    record(2, not bad, f"n = 4, 5, 6 brackets exact; mismatches {bad[:3]}")
+
+
 def test_criterion_3_killing_tensor_conservation():
     spec = geometry.flat(3)
     z0 = PhasePoint([1.0, -0.4, 0.7], [0.3, 0.5, -0.2])

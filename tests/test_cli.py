@@ -165,6 +165,9 @@ def test_verify_ky_malformed_manifold_domain_is_usage_error(tmp_path, capsys, do
     ({"kind": "flat", "dim": 3, "metric": [["1"]]}, "'metric'"),
     ({"kind": "custom", "metric": [["1", "0"], ["0", "1"]], "box": [[0, 1]]}, "'box'"),
     ({"kind": "custom", "metric": [["1", "0"], ["0", "1"]], "box": [[0, 1], [2, 1]]}, "'box'"),
+    ([1, 2], "must be a JSON object"),
+    ({"kind": "bogus"}, "unknown manifold kind 'bogus'"),
+    ({"kind": "taub-nut", "dim": 3}, "declared dim 3 does not match kind 'taub-nut'"),
 ])
 def test_verify_ky_unread_or_malformed_manifold_key_is_usage_error(tmp_path, capsys, obj, key):
     manifold = write_json(tmp_path / "m.json", obj)

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kyano import expr, geometry, kysym, report
+from kyano import dynamics, expr, geometry, kysym, report
 from kyano.errors import DomainError, KyanoError, SingularEvaluation, SingularMetric
 from kyano.fields import AntisymTensorField
 
@@ -476,7 +477,7 @@ def test_curvature_evaluates_the_metric_once_per_point(monkeypatch):
     monkeypatch.setattr(geometry, "_metric", counting)
     for spec, X in zip(specs, blocks):
         for columns in (False, True):
-            kernel, gathers = geometry._curvature_kernel(spec, columns)
+            kernel, gathers = geometry._kernel(spec, "curvature", columns)
             monkeypatch.setitem(spec._tables, ("curvature", columns), (
                 lambda s, kernel=kernel, columns=columns: calls.append(columns) or kernel(s),
                 gathers))
@@ -519,6 +520,17 @@ def test_invert_matches_numpy_inverse():
 # -- row paths: the block sampler and metric stacks ------------------------------
 
 
+def _inside(spec, x, margin):
+    """Whether ``x`` is finite and at least ``margin`` inside each guard, each evaluated alone:
+    a guard that raises is outside."""
+    def at_least(guard):
+        try:
+            return expr.eval_value(guard, x) >= margin
+        except SingularEvaluation:
+            return False
+    return bool(np.isfinite(x).all()) and all(map(at_least, spec.guards))
+
+
 def _ref_sample_points(spec, count, rng, box=None):
     """The per-draw sampler the block sampler replaced."""
     box = geometry.default_box(spec) if box is None else box
@@ -531,7 +543,8 @@ def _ref_sample_points(spec, count, rng, box=None):
             raise DomainError("sampling box appears to be mostly inadmissible")
         pt = lo + (hi - lo) * rng.random(spec.dim)
         try:
-            geometry._check_guards(spec, pt.tolist(), 0.1)
+            if not _inside(spec, pt, 0.1):
+                continue
             geometry.metric_at(spec, pt)
         except (DomainError, SingularEvaluation):
             continue
@@ -617,6 +630,15 @@ def _ref_term_scale(spec, point):
     return riemann, ricci, float(np.einsum("sn,sn->", ginv, ricci))
 
 
+def _ref_gamma_scale(spec, point):
+    """The scale of the terms that each Gamma^l_mn of the reference sums: the same chain on
+    the magnitudes of g^-1 and of dg, every difference a sum."""
+    dg = abs(geometry.metric_components_at(spec, point, order=1)[1])
+    ginv = abs(geometry._invert(geometry.metric_at(spec, point)))
+    dgs = dg.swapaxes(-3, -2)
+    return 0.5 * np.einsum("ls,smn->lmn", ginv, dgs + dgs.swapaxes(-2, -1) + dg)
+
+
 def _assert_near_reference(cv, spec, point, rel=1e-12):
     """Riemann, Ricci and the scalar of ``cv`` within ``rel`` of the reference, relative to the
     scale of each entry's terms; Riemann antisymmetric in its last pair, each entry the exact
@@ -651,9 +673,15 @@ def test_metric_rows_and_christoffels_match_the_per_point_path(spec):
     for x in X:
         cv = geometry.curvature_at(spec, x)
         assert isinstance(cv.scalar, float)
-        gamma = _ref_christoffel_and_partial(spec, x)[0]
         _assert_near_reference(cv, spec, x)  # the kernel sums in its own order
-        assert geometry.christoffel_at(spec, x).tobytes() == gamma.tobytes()
+        # the Christoffel kernel sums in its own order too, over the closed-form g^-1 where the
+        # spec has one: within 1e-12 of each entry's term scale, symmetric in its lower pair,
+        # and each structural zero +0.0
+        gamma, got = _ref_christoffel_and_partial(spec, x)[0], geometry.christoffel_at(spec, x)
+        assert np.all(abs(got - gamma) <= 1e-12 * _ref_gamma_scale(spec, x)), (x, got, gamma)
+        zeros = geometry._kernel(spec, "christoffel")[1] < 0
+        assert np.array_equal(got, got.swapaxes(-2, -1))
+        assert not got[zeros].any() and not np.signbit(got[zeros]).any()
         ref.append(_geometry_at(spec, x))
     # at a block: row by row the point's bytes, on both sides of the column threshold
     for N in (0, 1, 31, 32, 300):
@@ -699,7 +727,9 @@ def test_curvature_kernel_matches_the_einsum_chain(spec, seed):
 def _eager_gathers(spec):
     """Riemann's indices and signs and Ricci's indices into every kernel output, over the full
     n^4 and n^2 grids; a structural zero indexes the kernel's trailing 0.0 output."""
-    n, (_, _, riemann, ricci) = spec.dim, geometry._curvature_source(spec)
+    n, positions, _, ricci = geometry._curvature_source(spec)[2]
+    riemann = list(zip(*np.unravel_index(positions, (n,) * 4)))
+    ricci = list(zip(*np.unravel_index(ricci, (n, n))))
     ridx, rsign = np.full((n,) * 4, -1, dtype=np.intp), np.ones((n,) * 4)
     for k, (r, s, m, q) in enumerate(riemann):
         ridx[r, s, m, q] = ridx[r, s, q, m] = k
@@ -713,12 +743,10 @@ def _eager_gathers(spec):
 def _eager_curvature(spec, X, gathers):
     """Riemann, Ricci and the scalar of the kernel's outputs at ``X``, gathered eagerly."""
     ridx, rsign, cidx = gathers
-    kernel = geometry._curvature_kernel(spec)[0]
+    out = geometry._evaluate(spec, "curvature", X)[0]
     if X.ndim == 1:
-        out = geometry._checked(spec, kernel, X.tolist())
         return np.array(out)[ridx] * rsign, np.array(out)[cidx], out[-2]
-    vals = (np.array([geometry._checked(spec, kernel, x) for x in X.tolist()])
-            if 0 < len(X) < expr._COLUMN_ROWS else geometry._curvature_columns(spec, X).T)
+    vals = out.T
     return vals[..., ridx] * rsign, vals[..., cidx], vals[:, -2].copy()
 
 
@@ -905,3 +933,137 @@ def test_load_manifold_rejects_keys_it_does_not_read(obj, key):
 def test_custom_domain_must_be_a_list_of_expressions(domain):
     with pytest.raises(KyanoError, match="'domain' must be a list of expression strings"):
         geometry.load_manifold({"kind": "custom", "metric": [["1"]], "domain": domain})
+
+
+# -- the checks of the geometry API -------------------------------------------------
+
+
+_POINT_FUNCTIONS = (geometry.metric_at, geometry.inverse_metric_at, geometry.christoffel_at,
+                    geometry.curvature_at, geometry.metric_components_at)
+
+
+@pytest.mark.parametrize("fn", _POINT_FUNCTIONS, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("shape", [(5,), (2, 1, 4)], ids=["dim+1", "2x1xdim"])
+def test_a_point_of_another_shape_is_a_value_error(fn, shape):
+    with pytest.raises(ValueError, match=f"^expected a point of dimension 4, got shape "
+                                         f"{re.escape(str(shape))}$"):
+        fn(geometry.taub_nut(1.0), np.ones(shape))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: geometry.flat(0), ValueError, "dimension must be positive"),
+    (lambda: geometry.custom([["1", "0"], ["0"]]), ValueError, "metric matrix must be square"),
+    (lambda: geometry.custom([["1", None], [None, "1"]]), TypeError,
+     "unsupported metric entry of type NoneType"),
+    (lambda: geometry.custom([["1", "0"], ["0", "1"]], chart=("u",)), ValueError,
+     "chart names must match the matrix dimension"),
+    (lambda: geometry.taub_nut(1.0).param("nope"), KeyError, "'nope'"),
+], ids=["flat0", "not-square", "entry-type", "chart-length", "param"])
+def test_constructor_and_parameter_checks(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
+# -- one admissibility decision ---------------------------------------------------------
+
+
+@st.composite
+def _guard_points(draw):
+    """A catalog metric and a point on either side of one of its guards, near the kernels'
+    margin or the sampler's, or the Taub-NUT point inside the guards past the singular bound."""
+    case = draw(st.sampled_from(["r", "theta", "pole", "spherical-r", "spherical-theta",
+                                 "spherical-pole", "singular"]))
+    if case == "singular":
+        return geometry.taub_nut(1.0), [1.3, 1e-6, 0.3, 0.1]
+    margin = draw(st.sampled_from([geometry.DOMAIN_MARGIN, geometry.SAMPLE_MARGIN]))
+    v = margin * (1.0 + draw(st.one_of(st.sampled_from([-0.5, -1e-9, 0.0, 1e-9, 0.5]),
+                                       st.floats(-0.5, 0.5))))  # the guard's value, about
+    sign, K = draw(st.sampled_from([1.0, -1.0])), draw(st.sampled_from([-1.0, -4.0]))
+    theta, phi = draw(st.floats(0.3, math.pi - 0.3)), draw(st.floats(0.0, 2.0 * math.pi))
+    near_axis = math.asin(v) if sign > 0 else math.pi - math.asin(v)  # |sin| = v
+    pole = math.sqrt(4.0 * (1.0 - sign * v) / -K)  # 1 + K r^2 / 4 = sign * v
+    if case == "r":
+        return geometry.taub_nut(1.0), [sign * v, theta, phi, 0.1]
+    if case == "theta":
+        return geometry.taub_nut(1.0), [draw(st.floats(0.5, 2.5)), near_axis, phi, 0.1]
+    if case == "pole":
+        return geometry.const_curvature3(K), list(pole * np.array(
+            [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]))
+    spherical = geometry.const_curvature3_spherical(K)
+    return spherical, {"spherical-r": [sign * v, theta, phi], "spherical-pole": [pole, theta, phi],
+                       "spherical-theta": [0.3 + v, near_axis, phi]}[case]
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except KyanoError as e:
+        return type(e), str(e)
+    return "ok"
+
+
+@given(case=_guard_points())
+@settings(max_examples=150, deadline=None)
+def test_one_admissibility_decision_for_every_query_and_the_sampler(case):
+    # metric_at, christoffel_at, curvature_at and a geodesic's start accept or reject each point
+    # alike, with one error; the sampler keeps it where that holds with its guards at 0.1
+    spec, x = case
+    start = dynamics.PhasePoint(x, [0.1] * spec.dim)
+    outcomes = {_outcome(fn, spec, x) for fn in (geometry.metric_at, geometry.christoffel_at,
+                                                 geometry.curvature_at)}
+    outcomes.add(_outcome(dynamics.geodesic_integrate, spec, start, 0.01, 1))
+    assert len(outcomes) == 1, outcomes
+    sampled = outcomes == {"ok"} and _inside(spec, x, geometry.SAMPLE_MARGIN)
+    X = sample(spec, 40, seed=1)
+    X[17] = x
+    assert geometry._admissible_rows(spec, X, 40) == [i for i in range(40) if i != 17 or sampled]
+    rng, box = np.random.default_rng(0), [(c, c) for c in x]
+    assert _outcome(geometry.sample_points, spec, 1, rng, box) == ("ok" if sampled else (
+        DomainError, "sampling box appears to be mostly inadmissible"))
+
+
+def test_a_closed_form_inverse_that_divides_by_zero_raises_one_error():
+    # inside every guard, an entry of g^-1 divides by zero at x1 = 0: each query, the kernels
+    # that read only g^-1's values among them, raises the error of metric_at
+    spec = dataclasses.replace(geometry.flat(2), inverse=geometry._grid_from_upper(
+        {(0, 0): "1/x1", (1, 1): "1"}, 2))
+    start = dynamics.PhasePoint([0.0, 0.5], [0.1, 0.1])
+    for X in ([0.0, 0.5], [[1.0, 0.5]] * 3 + [[0.0, 0.5]], [[1.0, 0.5]] * 40 + [[0.0, 0.5]]):
+        outcomes = {_outcome(fn, spec, X) for fn in (
+            geometry.metric_at, geometry.inverse_metric_at, geometry.metric_components_at,
+            geometry.christoffel_at, geometry.curvature_at)}
+        outcomes.add(_outcome(dynamics.geodesic_integrate, spec, start, 0.01, 1))
+        assert outcomes == {(SingularEvaluation, "division by zero in '/' at offset 1")}
+
+
+def test_closed_form_metrics_are_not_inverted_numerically(monkeypatch):
+    # metric_at, inverse_metric_at and a geodesic's start read g^-1 off the closed form
+    monkeypatch.setattr(geometry, "_invert", lambda g: pytest.fail("inverted numerically"))
+    x = np.linspace(-1.0, 1.0, 1200)
+    for fn in (geometry.metric_at, geometry.inverse_metric_at):
+        assert np.array_equal(fn(geometry.flat(1200), x), np.eye(1200))
+    for spec, x0 in [(geometry.flat(3), [1.0, 0.0, 0.0]), (geometry.const_curvature3(1.0),
+                     [0.2, -0.1, 0.3]), (geometry.const_curvature3(-1.0), [0.2, -0.1, 0.3]),
+                     (geometry.taub_nut(1.0), [1.3, 1.0, 0.4, 0.2]),
+                     (geometry.taub_nut(2.5, 4.0), [1.3, 1.0, 0.4, 0.2])]:
+        traj = dynamics.geodesic_integrate(spec, dynamics.PhasePoint(x0, [0.1] * spec.dim), 0.01, 3)
+        assert traj.meta["completed"]
+
+
+@pytest.mark.parametrize("guard, x", [
+    ("x1 - x2", [0.5, 0.5]),  # below the margin
+    ("sqrt(x1 - 1)", [0.5, 0.5]),  # a check of the guard's own evaluation
+    ("(x1 - 1)^0.5", [0.5, 0.5]),  # dual.power's error
+    ("1/(x1 - 0.5) + 2", [0.5, 0.5]),  # a division by zero, which sparse kernels leave to Python
+    ("x2 + 0*ln(x1)", [-1.0, 0.5]),  # a constant folded by the emitter cannot hide the check
+])
+def test_a_guard_that_fails_or_fails_to_evaluate_names_itself_everywhere(guard, x):
+    spec = dataclasses.replace(geometry.flat(2), guards=(expr.parse_expression(guard, 2),))
+    want = (DomainError, f"outside the chart domain: {expr.unparse(spec.guards[0])} < 1e-09")
+    for X in (x, [[2.0, 0.5]] * 3 + [x], [[2.0, 0.5]] * 40 + [x]):
+        for fn in (geometry.metric_at, geometry.inverse_metric_at, geometry.christoffel_at,
+                   geometry.curvature_at):
+            assert _outcome(fn, spec, X) == want, (fn, X)
+    z = x + [0.1, 0.1]
+    assert _outcome(dynamics.GeodesicHamiltonian(spec).rhs, z) == want
+    assert geometry._admissible_rows(spec, np.array([x, [2.0, 0.5]]), 2) == [1]

@@ -74,8 +74,15 @@ def test_scalar_squares():
 
 
 def test_dimension_guard():
-    with pytest.raises(ValueError):
-        evaluate_multipoles(PhasePoint((1.0, 0.0), (0.0, 1.0)))
+    # each check's own message: a 2-D point would raise another ValueError further down
+    planar = PhasePoint((1.0, 0.0), (0.0, 1.0))
+    message = "^multipole expressions are defined on R\\^3 phase space$"
+    with pytest.raises(ValueError, match=message):
+        evaluate_multipoles(planar)
+    with pytest.raises(ValueError, match=message):
+        identity_suite([PhasePoint((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), planar])
+    with pytest.raises(ValueError, match="^identity_suite needs at least one phase point$"):
+        identity_suite([])
 
 
 # -- structural properties over random points --------------------------------
