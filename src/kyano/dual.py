@@ -64,13 +64,8 @@ def power(base: float, k: float, where: str = "") -> float:
     return math.pow(base, k)
 
 
-sin, cos, exp = math.sin, math.cos, math.exp
-
-
-def tan(x: float) -> float:
-    if abs(math.cos(x)) < 1e-300:
-        raise SingularEvaluation("tan at a pole")
-    return math.tan(x)
+# no tan pole check: at 6381956970095103 * 2**797, the double nearest one, |cos| is 4.7e-19
+sin, cos, tan, exp = math.sin, math.cos, math.tan, math.exp
 
 
 def sqrt(x: float) -> float:

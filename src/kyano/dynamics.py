@@ -30,7 +30,7 @@ from .expr import Expression
 from .fields import AntisymTensorField
 from .geometry import MetricSpec
 from .jsonio import atomic_open
-from .kysym import killing_tensor_jet
+from .kysym import _derivatives
 
 
 @dataclass
@@ -201,11 +201,18 @@ class KillingQuadratic(_RowValues):
         return (u.transpose(0, 2, 1) @ f @ ginv @ f @ u)[:, 0, 0]
 
     def gradient(self, z: PhasePoint) -> np.ndarray:
-        K, dK, ginv, dg = killing_tensor_jet(self.spec, self.ky_field, z.x)
+        # with u = g^-1 p and w = g^-1 K u: D_a K = (D_a f) g^-1 f + f g^-1 (D_a f) as
+        # D g^-1 = 0, so d_a Q = 2 u (D_a f) g^-1 f u - 2 p_m Gamma^m_as w^s, and dQ/dp = 2 w
+        X = z.x[None]
+        f, _, D = next(_derivatives(self.spec, self.ky_field, X))
+        ginv = geometry.inverse_metric_at(self.spec, z.x)
         u = ginv @ z.p
-        w = ginv @ (K @ u)
-        # d_a g^{mn} = -(ginv dg_a ginv)^{mn}
-        gx = np.einsum("m,amn,n->a", u, dK, u) - 2.0 * np.einsum("m,amn,n->a", u, dg, w)
+        fu = ginv @ (f[0] @ u)
+        w = ginv @ (f[0] @ fu)
+        gx = 2.0 * (D[0] @ fu) @ u
+        if not geometry._is_identity(self.spec):  # the Christoffels _derivatives kept
+            gamma = geometry._last_block(self.spec, "christoffel", geometry.christoffel_at, X)
+            gx -= 2.0 * np.einsum("m,mas,s->a", z.p, gamma[0], w)
         return np.concatenate([gx, 2.0 * w])
 
 

@@ -35,8 +35,8 @@ class SingularEvaluation(KyanoError):
     """Evaluation hit a pole or left a function's domain.
 
     Raised for division by zero, sqrt/ln of non-positive arguments, abs at
-    zero (where the derivative is undefined), tan at a pole, and non-integer
-    powers of non-positive bases.
+    zero (where the derivative is undefined), and non-integer powers of
+    non-positive bases.
     """
 
 

@@ -6,6 +6,10 @@ covariant derivative vanishes: D_(l f_m) rest = 0.  Covariant constancy
 a symmetric Killing tensor whose quadratic form in momenta is conserved
 along geodesics; covariant-constant non-degenerate KY tensors on
 even-dimensional manifolds double as symplectic forms.
+
+Every check reads f, its partials and D f from :func:`_derivatives`; the Killing
+residual and the Killing quadratic's gradient take D K = (D f) g^{-1} f + f g^{-1} (D f)
+from it.  The ansatz solver takes D of all its unknowns in one call.
 """
 
 from __future__ import annotations
@@ -176,35 +180,14 @@ def killing_from_ky(
     return 0.5 * (K + K.T)
 
 
-def killing_tensor_jet(
-    spec: MetricSpec, field: AntisymTensorField, point: Sequence[float]
-):
-    """K, its coordinate partials dK[a, m, n] = d_a K_mn, and the inverse
-    metric and metric partials dg[a, i, j] = d_a g_ij they are built from."""
-    f = field.values_at(point)
-    df = field.jacobian_at(point)
-    _, dg, ginv = geometry._metric(spec, point, 1, inverse=True)
-    dginv = -np.einsum("li,aij,js->als", ginv, dg, ginv)
-    K = f @ ginv @ f
-    dK = (
-        np.einsum("aml,ls,sn->amn", df, ginv, f)
-        + np.einsum("ml,als,sn->amn", f, dginv, f)
-        + np.einsum("ml,ls,asn->amn", f, ginv, df)
-    )
-    return 0.5 * (K + K.T), 0.5 * (dK + dK.swapaxes(1, 2)), ginv, dg
-
-
 def killing_equation_residual(
     spec: MetricSpec, field: AntisymTensorField, point: Sequence[float]
 ) -> np.ndarray:
-    """Symmetrized covariant derivative D_(a K_mn); zero for Killing tensors."""
-    K, dK = killing_tensor_jet(spec, field, point)[:2]
-    gamma = geometry.christoffel_at(spec, point)
-    DK = (
-        dK
-        - np.einsum("sam,sn->amn", gamma, K)
-        - np.einsum("san,ms->amn", gamma, K)
-    )
+    """Symmetrized covariant derivative D_(a K_mn) of K = f g^{-1} f; zero for Killing tensors.
+    As D g^{-1} = 0, D_a K = (D_a f) g^{-1} f + f g^{-1} (D_a f), the first term transposed."""
+    f, _, D = next(_derivatives(spec, field, [point]))
+    DfK = D[0] @ geometry.inverse_metric_at(spec, point) @ f[0]
+    DK = DfK + DfK.swapaxes(1, 2)
     return (DK + DK.transpose(1, 2, 0) + DK.transpose(2, 0, 1)) / 3.0
 
 
@@ -459,10 +442,14 @@ def ky_solve_ansatz(
 
     ``basis`` lists scalar expressions (strings or parsed).  The KY residual
     is linear in the unknown coefficients; sampling it at admissible points
-    gives a linear system whose null space (singular values below
-    ``rel_threshold`` times the largest) spans the solutions.  Returns one
-    field per null direction; coefficients are orthonormal as vectors.
+    gives a linear system R; F maps them to the field's values and partials
+    there.  The solutions are the null space of R (singular values at most
+    ``rel_threshold`` times the largest) less the fields that are zero, as a
+    dependent basis gives: of the SVD of F times that null space, the directions
+    with singular values above ``rel_threshold`` times F's largest.  Returns one
+    field per direction; coefficients are orthonormal as vectors.
     """
+    require_tolerances(rel_threshold=rel_threshold)
     n = spec.dim
     parsed = [exprmod.parse_expression(b, n) if isinstance(b, str) else b for b in basis]
     if not parsed:
@@ -476,30 +463,25 @@ def ky_solve_ansatz(
         points = geometry.sample_points(spec, count, rng)
     points = np.asarray(points, dtype=float)
     if len(points) * n ** 3 < unknowns:
-        warnings.warn(
-            "fewer residual equations than unknowns; the null space may be inflated",
-            stacklevel=2,
-        )
-    gammas = geometry.christoffel_at(spec, points)
-    rows = np.zeros((len(points) * n ** 3, unknowns))
-    for pi, (pt, gamma) in enumerate(zip(points.tolist(), gammas)):
-        jets = [exprmod.eval1(phi, pt) for phi in parsed]
-        for ai, (a, b) in enumerate(pairs):
-            for bi, jet in enumerate(jets):
-                f = np.zeros((n, n))
-                f[a, b], f[b, a] = jet.value, -jet.value
-                df = np.zeros((n, n, n))
-                df[:, a, b], df[:, b, a] = jet.gradient, -jet.gradient
-                D = geometry._covariant_derivative(gamma, f, df)
-                R = D + D.swapaxes(0, 1)
-                rows[pi * n ** 3:(pi + 1) * n ** 3, ai * nb + bi] = R.ravel()
-    _, svals, vh = np.linalg.svd(rows, full_matrices=True)
-    mask = np.ones(vh.shape[0], dtype=bool)
-    if svals.size and svals[0] != 0.0:
-        mask[: svals.size] = svals <= rel_threshold * svals[0]
+        warnings.warn("fewer residual equations than unknowns; the null space may be inflated",
+                      stacklevel=2)
+    # unknown ai * nb + bi is phi_bi on pair ai: J[row, unknown, i, j] its value, then partials
+    jets = exprmod.eval_columns(exprmod.Fused(parsed), points.T, 1).reshape(nb, n + 1, -1)
+    a, b = (np.repeat(k, nb) for k in np.triu_indices(n, 1))  # the pairs, in order
+    phi = np.tile(jets.T, len(pairs)).swapaxes(1, 2)
+    J, cols = np.zeros((len(points), unknowns, n, n, n + 1)), np.arange(unknowns)
+    J[:, cols, a, b], J[:, cols, b, a] = phi, -phi
+    D = geometry._covariant_derivative(geometry.christoffel_at(spec, points)[:, None],
+                                       J[..., 0], np.moveaxis(J[..., 1:], -1, 2))
+    R = np.moveaxis(D + D.swapaxes(2, 3), 1, -1).reshape(len(points) * n ** 3, unknowns)
+    _, svals, vh = np.linalg.svd(R)
+    null = vh[np.pad(svals, (0, len(vh) - len(svals))) <= rel_threshold * svals.max(initial=0)]
+    F = np.moveaxis(J, 1, -1).reshape(len(points) * n * n * (n + 1), unknowns)
+    _, svals, vh = np.linalg.svd(F @ null.T, full_matrices=False)
+    coefficients = vh[svals > rel_threshold * np.linalg.norm(F, 2)] @ null
     sources = [exprmod.unparse(phi) for phi in parsed]
     fields = []
-    for coeffs in vh[mask]:
+    for coeffs in coefficients:
         comps = {}
         for ai, pair in enumerate(pairs):
             # the running sum 0.0 + c1 phi1 + ..., term by term, as expression source

@@ -364,6 +364,7 @@ def reconstruct_ky_from_generators(z: PhasePoint, tol: float = RESIDUAL_TOL) -> 
     Records which generator-to-tensor pairing validates against the direct
     pair; with these conventions it is the swapped one.
     """
+    require_tolerances(tol=tol)
     m = evaluate_multipoles(z)
     gen1, gen2 = _generator_two_forms(m)
     res_given = _max_abs(gen1 - m.f, gen2 - m.f_tilde)

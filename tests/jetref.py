@@ -8,7 +8,9 @@ kernel raises.  :func:`walk` evaluates an expression's AST node by node
 over floats or jets, and :func:`value` and :func:`jet` are the per-point
 results that ``expr.eval_value``, ``eval1`` and ``eval2`` must equal
 bytewise.  :func:`field_arrays` scatters a field's reference components
-and their gradients one index permutation at a time.
+and their gradients one index permutation at a time.  :func:`killing_jet` is
+the Killing tensor's coordinate chain, the reference for K's residual and
+gradient, which the library takes from D f.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 
 import numpy as np
 
-from kyano import dual
+from kyano import dual, geometry
 from kyano.errors import SingularEvaluation
 from kyano.expr import Call, Neg, Num, Var, _literal_int
 
@@ -271,3 +273,38 @@ def expression_field_arrays(field, point):
     """:func:`field_arrays` of a field's expression components, each by :func:`walk`."""
     return field_arrays(field.dim, field.rank, lambda coords: {
         idx: walk(c.root, coords) for idx, c in field.component_items()}, point)
+
+
+def killing_jet(spec, field, point):
+    """K = f g^-1 f, dK[a] = d_a K from d_a g^-1 = -g^-1 (d_a g) g^-1, g^-1 and dg, by the
+    coordinate chain, and the einsum terms that dK sums, for a term scale."""
+    f, df = field.values_at(point), field.jacobian_at(point)
+    _, dg, ginv = geometry._metric(spec, point, 1, inverse=True)
+    dginv = -np.einsum("li,aij,js->als", ginv, dg, ginv)
+    K = f @ ginv @ f
+    terms = (np.einsum("aml,ls,sn->amn", df, ginv, f), np.einsum("ml,als,sn->amn", f, dginv, f),
+             np.einsum("ml,ls,asn->amn", f, ginv, df))
+    dK = sum(terms)
+    return 0.5 * (K + K.T), 0.5 * (dK + dK.swapaxes(1, 2)), ginv, dg, terms
+
+
+def killing_residual(spec, field, point):
+    """The Killing-equation residual by the coordinate chain, and the largest magnitude
+    of the terms it sums."""
+    K, dK, _, _, terms = killing_jet(spec, field, point)
+    gamma = geometry.christoffel_at(spec, point)
+    terms += (np.einsum("sam,sn->amn", gamma, K), np.einsum("san,ms->amn", gamma, K))
+    DK = dK - terms[3] - terms[4]
+    res = (DK + DK.transpose(1, 2, 0) + DK.transpose(2, 0, 1)) / 3.0
+    return res, max(float(np.abs(t).max()) for t in terms)
+
+
+def killing_gradient(spec, field, x, p):
+    """(dQ/dx, dQ/dp) of Q = u K u, u = g^-1 p, by the coordinate chain, and the largest
+    magnitude of the terms it sums."""
+    K, dK, ginv, dg, _ = killing_jet(spec, field, x)
+    u = ginv @ p
+    w = ginv @ (K @ u)
+    terms = (np.einsum("m,amn,n->a", u, dK, u), 2.0 * np.einsum("m,amn,n->a", u, dg, w), 2.0 * w)
+    return (np.concatenate([terms[0] - terms[1], terms[2]]),
+            max(float(np.abs(t).max()) for t in terms))

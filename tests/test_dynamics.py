@@ -10,6 +10,7 @@ import operator
 import re
 from unittest import mock
 
+import jetref
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -32,6 +33,7 @@ from kyano.dynamics import (
     write_trajectory_csv,
 )
 from kyano.errors import DomainError, SingularEvaluation, SingularMetric
+from kyano.fields import AntisymTensorField
 
 
 def random_phase_points(count, seed=0, n=3):
@@ -143,6 +145,47 @@ def test_hamiltonian_angular_momentum_brackets():
     K = killing_quadratic(taubnut, kysym.taubnut_ky_field(1, 1.0))
     z = PhasePoint([1.5, 1.2, 0.3, 0.5], [0.1, 0.2, -0.3, 0.4])
     assert abs(poisson_bracket(H, K, z)) <= 1e-10
+
+
+_U1 = "(1 + 1.0*(x1^2 + x2^2 + x3^2)/4)"
+_GENERIC_TWO_FORM = AntisymTensorField(3, 2, {"12": "x1*x3", "13": "sin(x2)", "23": "1 + x1^2"})
+_TRIPLET = [kysym.taubnut_ky_field(index, 1.0) for index in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("spec, fields, killing", [
+    (geometry.taub_nut(1.0), _TRIPLET, True),
+    (geometry.taub_nut(1.0, 4.0), _TRIPLET, False),  # the controls: not KY, K not Killing
+    (geometry.flat(3), [kysym.flat_ky_position_field(3)], True),
+    # the K = 1 conformal KY field eps.x / u^3
+    (geometry.const_curvature3(1.0), [AntisymTensorField(
+        3, 2, {"12": f"x3/{_U1}^3", "13": f"-x2/{_U1}^3", "23": f"x1/{_U1}^3"})], True),
+    (geometry.const_curvature3(-1.0), [_GENERIC_TWO_FORM], None),
+    (geometry.const_curvature3_spherical(1.0),
+     [kysym.constcurv_ky_field(1, 1.0), _GENERIC_TWO_FORM], None),
+    (geometry.custom([["2 + x2^2", "x1*x2/4", "0"], ["x1*x2/4", "3 + cos(x3)", "x3/5"],
+                      ["0", "x3/5", "1 + x1^2"]]), [_GENERIC_TWO_FORM], None),
+], ids=["taub-nut", "taub-nut-fs4", "flat3", "K=1", "K=-1", "spherical", "coupled"])
+def test_killing_residual_and_gradient_from_d_f_match_the_coordinate_chain(
+        spec, fields, killing):
+    # K's residual and Q's gradient, from D f, within 1e-12 of the chain's term scale; the
+    # triplet and the KY fields pass, the fiber_scale=4 controls still fail
+    rng = np.random.default_rng(5)
+    pts = geometry.sample_points(spec, 20, rng)
+    H = free_hamiltonian(spec)
+    for field in fields:
+        Q, residuals, brackets = killing_quadratic(spec, field), [], []
+        for x in pts:
+            want, scale = jetref.killing_residual(spec, field, x)
+            got = kysym.killing_equation_residual(spec, field, x)
+            assert np.abs(got - want).max() <= 1e-12 * scale
+            z = PhasePoint(x, rng.normal(size=len(x)))
+            want, scale = jetref.killing_gradient(spec, field, z.x, z.p)
+            assert np.abs(Q.gradient(z) - want).max() <= 1e-12 * scale
+            residuals.append(np.abs(got).max())
+            brackets.append(abs(poisson_bracket(H, Q, z)))
+        if killing is not None:
+            assert (max(residuals) <= 1e-12 and max(brackets) <= 1e-10) if killing else (
+                max(residuals) > 1.0 and max(brackets) > 1e-3)
 
 
 _DIAG_X1_SQUARED = geometry.custom([["1", "0"], ["0", "x1^2"]])

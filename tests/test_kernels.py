@@ -382,6 +382,16 @@ def test_float_arguments_skip_derivative_factors(fn):
             assert got == getattr(jetref, fn.__name__)(jetref.Jet.seeds([x], order)[0]).value
 
 
+@pytest.mark.parametrize("x", [6381956970095103 * 2.0 ** 797, math.pi / 2])
+def test_tan_has_no_pole_at_any_double(x):
+    # the double nearest an odd multiple of pi/2, and the one nearest pi/2: |cos x| is at
+    # least 4.7e-19 on every double, so every tan kernel returns math.tan's value
+    e, t = expr.parse_expression("tan(x1)", 1), math.tan(x)
+    assert dual.tan(x) == expr.eval_value(e, [x]) == t
+    assert expr.eval1(e, [x]).value == expr.eval2(e, [x]).value == t
+    assert (expr.eval_columns(e, np.full((1, 40), x)) == t).all()
+
+
 def test_sqrt_of_tiny_argument():
     e = expr.parse_expression("sqrt(x1)", 1)
     tiny = 5e-324

@@ -258,6 +258,14 @@ def test_reconstruct_origin_trivial():
     assert np.abs(pair.f).max() == 0.0
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_reconstruction_rejects_a_tolerance_that_is_no_gate(tol):
+    # at tol=nan the canonical point raised "neither generator pairing reproduces the pair",
+    # its swapped residual 0.0
+    with pytest.raises(ValueError, match=f"^tol must be a finite number at least 0, got {tol!r}$"):
+        reconstruct_ky_from_generators(CANONICAL, tol=tol)
+
+
 # -- batched evaluation ---------------------------------------------------------
 
 
